@@ -20,6 +20,12 @@ Two kinds of checks:
 The payloads' ``sim_backend`` fields must also agree: walls measured
 under different default cycle engines are not comparable, so a drifted
 default is reported as a failure rather than silently band-checked.
+The ``native`` engine runs the compiled C kernel when a C compiler is
+available and the pure-Python kernel otherwise; the payload records
+which one ran as ``native_kernel``.  When that differs from the
+baseline's, the throughput checks are skipped with a visible notice
+(the determinism checks still run): a toolchain-less host is not a
+code regression.
 
 Usage::
 
@@ -40,15 +46,6 @@ def _simulator_by_benchmark(payload: Dict) -> Dict[str, Dict]:
     return {row["benchmark"]: row for row in payload.get("simulator", [])}
 
 
-#: Backends whose wall may legitimately be absent from a run: ``numpy``
-#: needs numpy installed, ``native`` needs the compiled kernel artifact
-#: (a C toolchain, or a cached build).  A baseline wall for one of these
-#: that the current environment cannot measure is *skipped with a
-#: visible notice*, never a hard failure -- toolchain-less CI legs must
-#: stay green.
-OPTIONAL_BACKENDS = ("numpy", "native")
-
-
 def compare_named(
     baseline: Dict, current: Dict, tolerance: float, notices=None
 ) -> List[Tuple[str, str]]:
@@ -60,8 +57,8 @@ def compare_named(
     exactly what moved, not just that something did.
 
     ``notices``, when given, is a list that collects non-fatal skip
-    messages (e.g. a baseline ``native`` wall that this environment
-    cannot reproduce because the compiled artifact is absent).
+    messages (throughput checks skipped because the ``native`` engine
+    ran a different kernel than the baseline's).
     """
     if notices is None:
         notices = []
@@ -77,6 +74,14 @@ def compare_named(
             f"sim_backend: baseline measured under {base_backend!r} but "
             f"current ran under {cur_backend!r}; walls are not comparable",
         ))
+    base_kernel = baseline.get("native_kernel")
+    cur_kernel = current.get("native_kernel")
+    timed = base_kernel is None or cur_kernel == base_kernel
+    if not timed:
+        notices.append(
+            f"native_kernel: baseline ran the {base_kernel!r} kernel but "
+            f"current ran {cur_kernel!r} -- throughput checks SKIPPED"
+        )
 
     for name, base_row in base_sim.items():
         cur_row = cur_sim.get(name)
@@ -97,7 +102,7 @@ def compare_named(
         base_tp = float(base_row.get("cycles_per_sec", 0) or 0)
         cur_tp = float(cur_row.get("cycles_per_sec", 0) or 0)
         floor = base_tp * (1.0 - tolerance)
-        if base_tp and cur_tp < floor:
+        if timed and base_tp and cur_tp < floor:
             failures.append((
                 f"simulator[{name}].cycles_per_sec",
                 f"simulator[{name}].cycles_per_sec: {cur_tp:,.0f} < "
@@ -110,7 +115,7 @@ def compare_named(
     for metric in ("sequential_uncached_wall_s", "cold_wall_s"):
         base_wall = base_grid.get(metric)
         cur_wall = cur_grid.get(metric)
-        if base_wall is None or cur_wall is None:
+        if not timed or base_wall is None or cur_wall is None:
             continue
         if float(base_wall) < 1.0:
             # Sub-second walls are noise-dominated; the band would be
@@ -129,20 +134,13 @@ def compare_named(
     for name, base_wall in base_walls.items():
         cur_wall = cur_walls.get(name)
         if cur_wall is None:
-            if name in OPTIONAL_BACKENDS:
-                notices.append(
-                    f"figure_grid.backend_walls_s.{name}: baseline has a "
-                    f"wall but the {name} backend is unavailable in this "
-                    "environment -- band check SKIPPED"
-                )
-                continue
             failures.append((
                 f"figure_grid.backend_walls_s.{name}",
                 f"figure_grid.backend_walls_s.{name}: missing from "
                 "current run",
             ))
             continue
-        if float(base_wall) < 1.0:
+        if not timed or float(base_wall) < 1.0:
             continue
         ceiling = float(base_wall) * (1.0 + tolerance)
         if float(cur_wall) > ceiling:
@@ -211,6 +209,10 @@ def main(argv=None) -> int:
     print(
         f"  sim_backend: {baseline.get('sim_backend')} -> "
         f"{current.get('sim_backend')}"
+    )
+    print(
+        f"  native_kernel: {baseline.get('native_kernel')} -> "
+        f"{current.get('native_kernel')}"
     )
     if notices:
         print("\nNOTICES (skipped, not failures):")

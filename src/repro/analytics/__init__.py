@@ -11,13 +11,12 @@ the longitudinal layer:
 - :mod:`repro.analytics.store` -- an append-friendly columnar run
   store: run directories (and ``BENCH_*.json`` snapshots) ingest into
   sealed typed columns built on the general
-  :mod:`repro.frontend.columns` array machinery (pure-Python default,
-  zero-copy NumPy via the same ``--numpy`` / ``REPRO_NUMPY``
-  selection), persisted as schema-versioned binary segments written
+  :mod:`repro.frontend.columns` array machinery, persisted as
+  schema-versioned binary segments written
   with atomic temp+rename appends.  Degraded runs ingest as flagged
   rows, never dropped; torn tails and damaged lines are tolerated and
   counted.
-- :mod:`repro.analytics.query` -- vectorized group-by / filter / gmean
+- :mod:`repro.analytics.query` -- group-by / filter / gmean
   aggregation over the store: gmean trends per objective, stall-mix
   drift per workload, simcache hit rates, phase-wall trajectories.
 - :mod:`repro.analytics.timeline` -- per-run/per-commit trajectory

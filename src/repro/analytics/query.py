@@ -9,10 +9,8 @@ group-by reductions over frames --
   (via :func:`repro.harness.report.geometric_mean_pct` semantics);
 - ``mean`` / ``sum`` / ``count`` / ``min`` / ``max``.
 
-Under the NumPy backend the reductions vectorize (factorized group
-codes + ``bincount`` with weights); the pure-Python backend runs the
-same math as one tight loop.  Failed (flagged) rows and missing (NaN)
-values never contribute to an aggregate, but they are *counted*, so a
+The reductions run as one tight loop over factorized group codes.
+Failed (flagged) rows and missing (NaN) values never contribute to an aggregate, but they are *counted*, so a
 degraded fleet still summarizes honestly.
 
 The canonical fleet questions get named helpers: :func:`gmean_trend`
@@ -31,11 +29,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.frontend import columns as colmod
 from repro.analytics.store import RunStore
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
 
 #: Aggregations supported by :func:`aggregate`.
 AGGREGATIONS = ("gmean", "mean", "sum", "count", "min", "max")
@@ -141,16 +134,11 @@ def _segment_mask(seg, filters: Mapping[str, Any]) -> Optional[List[int]]:
 
 
 def _nan_chunk(n: int):
-    if colmod.use_numpy():
-        return _np.full(n, _np.nan)
     return colmod.float64_buffer(n, fill=math.nan)
 
 
 def _take(col, indices: List[int]):
     n = len(col)
-    if colmod.use_numpy() and _np is not None:
-        arr = _np.asarray(col, dtype=_np.float64)
-        return arr[indices] if len(indices) != n else arr
     if len(indices) == n:
         out = colmod.float64_buffer(n)
         for i in range(n):
@@ -163,11 +151,6 @@ def _take(col, indices: List[int]):
 
 
 def _concat(chunks: List[Any]):
-    if colmod.use_numpy() and _np is not None:
-        if not chunks:
-            return _np.empty(0)
-        return _np.concatenate([_np.asarray(c, dtype=_np.float64)
-                                for c in chunks])
     out = colmod.float64_buffer(0)
     for chunk in chunks:
         out.extend(chunk)
@@ -219,7 +202,7 @@ def aggregate(
     if values is None or isinstance(values, list):
         raise ConfigError(f"metric {metric!r} is not a numeric column")
 
-    # Factorize group keys -> dense codes (shared by both backends).
+    # Factorize group keys -> dense codes.
     key_codes: List[int] = []
     key_index: Dict[Tuple, int] = {}
     keys: List[Tuple] = []
@@ -244,59 +227,29 @@ def aggregate(
     n_failed = 0
     n_missing = 0
 
-    if colmod.use_numpy() and _np is not None:
-        vals = _np.asarray(values, dtype=_np.float64)
-        codes = _np.asarray(key_codes, dtype=_np.int64)
-        mask = ~_np.isnan(vals)
-        if failed is not None and not include_failed:
-            f = _np.asarray(failed, dtype=_np.float64) != 0
-            n_failed = int(_np.count_nonzero(f & mask))
-            mask &= ~f
-        n_missing = int(_np.count_nonzero(_np.isnan(vals)))
-        vals = vals[mask]
-        codes = codes[mask]
+    isnan = math.isnan
+    log = math.log
+    for i in range(n):
+        v = values[i]
+        if isnan(v):
+            n_missing += 1
+            continue
+        if failed is not None and not include_failed and failed[i]:
+            n_failed += 1
+            continue
+        code = key_codes[i]
         if use_log:
-            ratios = 1.0 - vals / 100.0
-            ok = ratios > 0
-            n_missing += int(_np.count_nonzero(~ok))
-            vals = _np.log(ratios[ok])
-            codes = codes[ok]
-        counts = _np.bincount(
-            codes, minlength=len(keys)
-        ).tolist()
-        sums = _np.bincount(
-            codes, weights=vals, minlength=len(keys)
-        ).tolist()
-        if agg in ("min", "max") and len(vals):
-            for code, v in zip(codes.tolist(), vals.tolist()):
-                if v < mins[code]:
-                    mins[code] = v
-                if v > maxs[code]:
-                    maxs[code] = v
-    else:
-        isnan = math.isnan
-        log = math.log
-        for i in range(n):
-            v = values[i]
-            if isnan(v):
+            ratio = 1.0 - v / 100.0
+            if ratio <= 0:
                 n_missing += 1
                 continue
-            if failed is not None and not include_failed and failed[i]:
-                n_failed += 1
-                continue
-            code = key_codes[i]
-            if use_log:
-                ratio = 1.0 - v / 100.0
-                if ratio <= 0:
-                    n_missing += 1
-                    continue
-                v = log(ratio)
-            sums[code] += v
-            counts[code] += 1
-            if v < mins[code]:
-                mins[code] = v
-            if v > maxs[code]:
-                maxs[code] = v
+            v = log(ratio)
+        sums[code] += v
+        counts[code] += 1
+        if v < mins[code]:
+            mins[code] = v
+        if v > maxs[code]:
+            maxs[code] = v
 
     result.n_failed_skipped = n_failed
     result.n_missing_skipped = n_missing

@@ -13,8 +13,8 @@ numeric key, ``int8`` for flags, and dictionary-encoded ``int64`` codes
 for strings (the per-segment dictionary lives in the header).  The
 on-disk format is a single JSON header line followed by the raw
 little-endian bytes of each column, so a segment loads with one
-``frombytes`` per column (zero-copy ``numpy.frombuffer`` under the
-NumPy backend) -- no per-row parsing ever happens after ingest.
+``frombytes`` per column -- no per-row parsing ever happens after
+ingest.
 
 Writes are atomic (temp file + ``os.replace``) and append-only: a crash
 mid-ingest leaves the store exactly as it was.  Ingest is *lossless for
@@ -743,5 +743,4 @@ class RunStore:
                 rec.get("rows", 0) for rec in index.get("ingests", [])
             ),
             "bytes": sum(os.path.getsize(p) for p in paths),
-            "backend": colmod.backend(),
         }

@@ -95,7 +95,6 @@ from repro.config import (
 )
 from repro.cpu import engine as sim_engine
 from repro.errors import ConfigError
-from repro.frontend import columns
 from repro.harness import figures, simcache
 from repro.harness.experiment import run_experiment
 from repro.harness.figures import result_row
@@ -189,22 +188,14 @@ def _parser() -> argparse.ArgumentParser:
         "PROB (repeatable; sites: " + ", ".join(faults.SITES) + ")",
     )
     obs_flags.add_argument(
-        "--numpy",
-        action="store_true",
-        help="force the NumPy trace-column backend (default: auto; "
-        "REPRO_NUMPY=0/1 also selects it)",
-    )
-    obs_flags.add_argument(
         "--sim-backend",
         choices=sim_engine.SIM_BACKENDS,
         default=None,
         metavar="BACKEND",
-        help="cycle-engine backend: reference (the oracle Pipeline), "
-        "batched (merged-loop engine with shared per-trace precomputes; "
-        "default), numpy (batched + vectorized precomputes), or native "
-        "(compiled C cycle kernel; build with "
-        "`python -m repro.cpu.nativebuild`); all are bit-identical "
-        "(REPRO_SIM_BACKEND also selects it)",
+        help="cycle-engine backend: reference (the oracle Pipeline) or "
+        "native (the cycle kernel, default: compiled C when a C compiler "
+        "or a built artifact is available, pure Python otherwise); both "
+        "are bit-identical (REPRO_SIM_BACKEND also selects it)",
     )
     obs_flags.add_argument(
         "--trace-window",
@@ -265,7 +256,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="skip the figure-grid wall-time measurement")
     bench.add_argument("--backend-walls", action="store_true",
                        help="measure the sequential uncached grid once "
-                       "per available cycle-engine backend "
+                       "per cycle-engine backend "
                        "(backend_walls_s; always on in --quick)")
     bench.add_argument("--out-file", default=None, metavar="PATH",
                        help="also write the payload as JSON to PATH "
@@ -370,7 +361,7 @@ def _parser() -> argparse.ArgumentParser:
                             "page to PATH")
     asub.add_parser(
         "stats", parents=[obs_flags],
-        help="store occupancy (segments, rows, bytes, backend)",
+        help="store occupancy (segments, rows, bytes)",
     )
 
     chaos = sub.add_parser(
@@ -663,19 +654,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    if getattr(args, "numpy", False):
-        try:
-            columns.set_backend("numpy")
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     if getattr(args, "sim_backend", None):
-        try:
-            sim_engine.set_sim_backend(args.sim_backend)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        sim_engine.set_sim_backend(args.sim_backend)
 
     if (
         getattr(args, "resume", False)

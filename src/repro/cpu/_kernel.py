@@ -1,8 +1,9 @@
 """The self-contained cycle kernel: flat arrays and scalars only.
 
-This module is the extraction target of the ``native`` backend work: the
-merged event-driven loop of :mod:`repro.cpu.batch` rewritten to operate
-on nothing but integers -- flat per-instruction columns, packed cache
+This is the fast cycle engine behind :func:`repro.cpu.pipeline.simulate`
+(the ``native`` backend): the reference
+:class:`~repro.cpu.pipeline.Pipeline` rewritten as one event-driven loop
+over nothing but integers -- flat per-instruction columns, packed cache
 sets, scalar bus/TLB/MSHR state.  No ``Trace``, ``MachineConfig``,
 ``PThreadProgram`` or hierarchy objects appear inside the loop; the
 driver (:mod:`repro.cpu.kerneldriver`) marshals them into the arrays
@@ -10,30 +11,65 @@ below and unmarshals the counter block back into ``SimStats``.
 
 Two interchangeable implementations exist:
 
-- this file, pure CPython -- the ``batched``/``numpy`` engines run it,
-  and it is the fallback for ``native`` when no compiled artifact can be
-  built;
 - ``_kernel.c``, a direct C transliteration loaded through ``ctypes``
-  (:mod:`repro.cpu.nativebuild`) -- the ``native`` engine.
+  (:mod:`repro.cpu.nativebuild`) -- what runs whenever a C compiler (or
+  a previously built artifact) is available;
+- this file, pure CPython -- the fallback when no compiled artifact can
+  be loaded (``REPRO_NATIVE=0``, no toolchain).
 
 Both consume the same marshaled form (the ``C_*`` config block and the
 flat columns) and produce the same ``O_*`` counter block plus ordered
-event streams, and both are gated on bit-identical ``SimStats`` by
-``tests/cpu/test_golden_sim_backends.py``.  The ABI version below is
-embedded in the compiled artifact and checked at load time.
+event streams, and both are gated on bit-identical ``SimStats`` against
+the reference by ``tests/cpu/test_golden_sim_backends.py``.  The ABI
+version below is embedded in the compiled artifact and checked at load
+time.
 
-Semantics notes carried over from ``cpu/batch.py`` (see its docstrings
-for the derivations):
+Where the loop departs from the reference's per-cycle stage closures,
+and why nothing observable changes:
 
-- wakeup waiter order is free: each wakeup independently decrements a
-  pending counter and the ready list is sorted before issue;
-- the ``events_t1`` side list bypasses the completion heap for
-  ``now + 1`` completions, which are always drained before any jump
-  logic can observe the heap;
+- main-thread instructions are identified by their sequence number
+  (uid == seq), so completion times and pending counts live in flat
+  per-seq arrays; p-instructions take uids from ``n_main`` up;
+- ready uids are appended unsorted and sorted once per issue cycle: the
+  reference pops a min-heap, yielding the same ascending prefix and the
+  same remainder.  Wakeup waiter order is free, since each wakeup
+  independently decrements a pending counter;
+- completions landing at exactly ``now + 1`` bypass the event heap (the
+  ``events_t1`` side list): anything issued at ``now`` makes the cycle
+  active, so they are always drained at the next iteration, before any
+  jump logic can observe the heap;
+- the frontend pipe holds only dispatch-ready times: fetch appends
+  sequence numbers in strictly increasing order and nothing flushes the
+  pipe (a redirect only stalls fetch; the trace is the correct path),
+  so the head entry's sequence number is always ``fp_head``;
+- NOPs complete at dispatch and can never have waiters: dispatch is
+  in-order, so any reader dispatches later and sees the completion
+  already set, and the reference's next-cycle event fires into an empty
+  wakeup list;
+- when no stage can act and no load is MSHR-deferred, the loop jumps to
+  the earliest *future* event.  The reference keeps stale candidates (a
+  frontend-pipe head whose ready time has passed but which is blocked on
+  ROB/RS/registers) that pin its jump to ``now + 1``; a structurally
+  blocked stage can only unblock through commit or issue, and with
+  ``ready`` empty both first need a completion event, so the skipped
+  cycles are attributed identically.  With a deferred load the loop
+  steps like the reference: a store-allocated MSHR expires at a fill
+  time with no completion event, so a per-cycle retry can succeed
+  between events;
 - MSHR expiry installs fills in insertion order (the dict preserves it
   here; the C mirror keeps its entry array insertion-ordered);
 - ``l2_misses_by_pc`` insertion order is preserved by returning demand
   miss uids as an ordered stream the driver replays.
+
+The trace-pure inputs -- the branch-predictor outcome column, the BTB
+redirect column, fetch line ids and the warmed cache image -- are
+derived once per trace by the driver (see its docstring for why each is
+independent of machine timing).
+
+A ``progress`` callable, when given, is called every
+``cfg[C_HEARTBEAT_CYCLES]`` simulated cycles with ``(cycles, committed,
+spawns_started)``; the driver turns those calls into ``sim_heartbeat``
+events.
 """
 
 from __future__ import annotations
@@ -43,7 +79,7 @@ from typing import List, Optional, Tuple
 
 #: Bumped whenever the marshaled layout (C_*/O_* blocks, array meanings,
 #: packing) changes; the compiled artifact must report the same value.
-KERNEL_ABI = 1
+KERNEL_ABI = 2
 
 NOT_DONE = -1
 
@@ -116,8 +152,10 @@ CTRL_NONE, CTRL_BRANCH, CTRL_JUMP = range(3)
     C_N_PINSTS,
     C_DEP_LEN,
     C_LIVE_LEN,
+    # progress hook interval (simulated cycles)
+    C_HEARTBEAT_CYCLES,
     C_LEN,
-) = range(59)
+) = range(60)
 
 # ------------------------------------------------------------------ #
 # out block indices.
@@ -186,9 +224,17 @@ F_RETRY, F_L1_HIT, F_L2_ACC, F_MEM_ACC, F_MERGED, F_MERGED_PF, F_PF_HIT = (
 NO_FILL = 1 << 62
 
 
+def _unpack_sets(ways, occ, assoc: int) -> List[List[int]]:
+    """Per-set way lists from the flat warm-image arrays."""
+    return [
+        ways[base: base + n].tolist()
+        for base, n in zip(range(0, len(occ) * assoc, assoc), occ)
+    ]
+
+
 def run(
     cfg: List[int],
-    # pipeline view columns (length n_main)
+    # per-instruction columns (length n_main)
     kind_arr,
     ctrl_arr,
     writes_arr,
@@ -202,10 +248,14 @@ def run(
     line_arr,
     pred_arr,
     btb_col,          # redirect flags, or None when C_USE_BTB_COL == 0
-    # warmed cache image: per-cache list-of-sets of packed (tag << 1 | dirty)
-    warm_ic,
-    warm_dc,
-    warm_l2,
+    # warmed cache image: per cache, flat ways[set * assoc + i] packed
+    # (tag << 1 | dirty), LRU first, plus occupied-way counts per set
+    ic_ways,
+    ic_occ,
+    dc_ways,
+    dc_occ,
+    l2_ways,
+    l2_occ,
     # flattened p-thread program, spawns sorted by trigger_seq (stable)
     sp_trigger,
     sp_static,
@@ -221,6 +271,7 @@ def run(
     pi_live_lo,
     pi_live_hi,
     live_flat,
+    progress=None,
 ) -> Tuple[List[int], List[int], List[int], List[Tuple[int, ...]]]:
     """Run one timing simulation over the marshaled flat state.
 
@@ -285,9 +336,9 @@ def run(
     membus_cyc_l2line = cfg[C_MEMBUS_CYC_L2LINE]
 
     if cfg[C_DO_WARM]:
-        ic_sets = [list(w) for w in warm_ic]
-        dc_sets = [list(w) for w in warm_dc]
-        l2_sets = [list(w) for w in warm_l2]
+        ic_sets = _unpack_sets(ic_ways, ic_occ, ic_assoc)
+        dc_sets = _unpack_sets(dc_ways, dc_occ, dc_assoc)
+        l2_sets = _unpack_sets(l2_ways, l2_occ, l2_assoc)
     else:
         ic_sets = [[] for _ in range(cfg[C_IC_NSETS])]
         dc_sets = [[] for _ in range(cfg[C_DC_NSETS])]
@@ -570,7 +621,14 @@ def run(
         else:
             sl_exec += slots
 
+    hb_cycles = cfg[C_HEARTBEAT_CYCLES]
+    hb_next = hb_cycles if progress is not None else NO_FILL
+
     while committed < n_main:
+        if now >= hb_next:
+            progress(now, committed, st_spawns_started)
+            hb_next = now + hb_cycles
+
         # ---- wakeup ---------------------------------------------- #
         if events_t1:
             for uid in events_t1:
@@ -823,7 +881,7 @@ def run(
                     ready_append(seq)
             else:
                 # NOPs complete instantly and can never have waiters
-                # (dispatch is in-order; see cpu/batch.py).
+                # (dispatch is in-order; see the module docstring).
                 completion[seq] = now
             if has_spawns:
                 while sp_next < n_spawns and sp_trigger[sp_next] <= seq:
@@ -1087,8 +1145,8 @@ def run(
             now += 1
             continue
 
-        # Nothing can happen until the next event: jump (see
-        # cpu/batch.py for the stale-candidate derivation).
+        # Nothing can happen until the next event: jump (see the
+        # module docstring for the stale-candidate derivation).
         if not deferred:
             candidates: List[int] = []
             if completion_events:

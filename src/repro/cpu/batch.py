@@ -1,1149 +1,23 @@
-"""Batched merged-loop cycle engine.
+"""One sealed trace through N machine configurations.
 
-This is the ``batched``/``numpy`` backend behind
-:func:`repro.cpu.pipeline.simulate` (selected in :mod:`repro.cpu.engine`).
-It reproduces the reference :class:`~repro.cpu.pipeline.Pipeline` --
-stage by stage, counter by counter -- with the per-cycle interpreter
-overhead stripped out, and is gated on bit-identical
-:class:`~repro.cpu.stats.SimStats` by the golden suite
-(``tests/cpu/test_golden_sim_backends.py``).  Two ideas:
-
-1. **Merged loop, scalar window state.**  The reference engine runs four
-   per-stage closures per cycle and allocates an ``_Entry`` object per
-   in-flight instruction.  Here the stages are inlined into one loop
-   body over plain locals; main-thread instructions are identified by
-   their sequence number alone (uid == seq), so the scheduler runs on
-   int heaps and flat per-seq lists -- no per-instruction allocation.
-   P-instructions (a small minority) live in side dicts keyed by uid.
-
-2. **Trace-pure precomputes, shared across machine configs.**  Several
-   per-run passes are pure functions of the trace (or of the trace plus
-   one config axis) and are computed once, memoized on
-   ``trace.derived``, and shared by every simulation of the same trace:
-
-   - the **branch-predictor outcome column**: the predictor is updated
-     unconditionally for every branch in fetch order, exactly once each,
-     so its per-branch outcomes depend only on (trace, bpred_entries) --
-     never on machine timing or p-threads (hints override the *use* of a
-     prediction after the update);
-   - the **BTB redirect column** (valid only when no branch-hint
-     p-threads exist: a hint can flip a branch's predicted-correct
-     status, which gates BTB lookups);
-   - the **fetch line-id column** (trace x I-cache line size);
-   - the **warmed cache image**: the functional warm-up pass replayed
-     once per (trace, cache geometry), then restored into each run's
-     hierarchy by copying the set arrays.
-
-   A figure sweep simulates the same sealed trace columns under N
-   machine configs (:func:`simulate_batch` /
-   :mod:`repro.harness.batchplan`), which is exactly the shape these
-   shared columns exploit.
-
-The ``numpy`` backend runs this same engine with the precompute passes
-vectorized over the sealed columns (``vector=True``); the cycle loop
-itself is data-dependent and stays scalar.  Microarchitectural tracing
-(:mod:`repro.obs.utrace`) and ``REPRO_DEBUG_PIPELINE`` have hooks only
-in the reference engine; the dispatch in ``pipeline.simulate`` routes
-traced runs there.
+The pass behind :mod:`repro.harness.batchplan`: every member runs the
+cycle kernel (:func:`repro.cpu.kerneldriver.simulate_kernel`) on the
+same trace object, so the trace-pure kernel inputs -- opcode-derived
+columns, branch-predictor outcome and BTB redirect columns, fetch line
+ids and (geometry permitting) the warmed cache image -- are built once
+and shared, while each config's ``SimStats`` is accumulated fully
+independently.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
-from collections import OrderedDict, defaultdict, deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro import faults, obs
-from repro.branch.predictors import HybridPredictor
 from repro.config import MachineConfig
-from repro.cpu import pipeline as _ref
-from repro.cpu.pipeline import (
-    _ALU,
-    _BRANCH,
-    _CTRL_BRANCH,
-    _CTRL_JUMP,
-    _LOAD,
-    _MUL,
-    _NOP,
-    _NOT_DONE,
-    _STORE,
-    _Context,
-    _PCLASS_TO_KIND,
-    _deadlock_error,
-    _pipeline_view,
-    HEARTBEAT_CYCLES,
-    INST_BYTES,
-)
+from repro.cpu import kerneldriver
 from repro.cpu.pthreads import PThreadProgram
 from repro.cpu.stats import SimStats
-from repro.errors import ExecutionError
-from repro.frontend.trace import NO_PRODUCER, Trace
-from repro.memory.hierarchy import MemoryHierarchy
-
-try:  # the batched engine itself is pure Python; numpy only vectorizes prep
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
-
-_PREP_BUILDS = obs.counters.counter("cpu.batch.prep_builds")
-_PREP_REUSES = obs.counters.counter("cpu.batch.prep_reuses")
-_WARM_RESTORES = obs.counters.counter("cpu.batch.warm_restores")
-
-
-# --------------------------------------------------------------------- #
-# Shared precomputes, memoized on trace.derived["simprep"].
-# --------------------------------------------------------------------- #
-
-
-def _prep_store(trace: Trace) -> Dict[Tuple, object]:
-    store = trace.derived.get("simprep")
-    if store is None:
-        store = {}
-        trace.derived["simprep"] = store
-    return store
-
-
-def _branch_indexes(trace: Trace, vector: bool) -> List[int]:
-    """Indexes of branch instructions, in trace order."""
-    store = _prep_store(trace)
-    key = ("branches",)
-    idxs = store.get(key)
-    if idxs is None:
-        ctrl_arr = _pipeline_view(trace)[1]
-        if vector and _np is not None:
-            idxs = _np.nonzero(
-                _np.asarray(ctrl_arr, dtype=_np.int8) == _CTRL_BRANCH
-            )[0].tolist()
-        else:
-            idxs = [i for i, c in enumerate(ctrl_arr) if c == _CTRL_BRANCH]
-        store[key] = idxs
-    return idxs
-
-
-def _line_column(trace: Trace, line_shift: int, vector: bool) -> List[int]:
-    """Per-instruction I-cache line id: ``(pc * INST_BYTES) >> line_shift``."""
-    store = _prep_store(trace)
-    key = ("lines", line_shift)
-    lines = store.get(key)
-    if lines is None:
-        pc_arr = _pipeline_view(trace)[3]
-        if vector and _np is not None:
-            pcs = _np.asarray(pc_arr, dtype=_np.int64)
-            lines = ((pcs * INST_BYTES) >> line_shift).tolist()
-        else:
-            lines = [(pc * INST_BYTES) >> line_shift for pc in pc_arr]
-        store[key] = lines
-    return lines
-
-
-def _pred_column(trace: Trace, bpred_entries: int, vector: bool) -> List[bool]:
-    """Predicted direction per branch index.
-
-    The reference fetch stage calls ``predict_and_update(pc, taken)``
-    unconditionally for every branch, in increasing sequence order,
-    exactly once each (fetch visits every main instruction once; a
-    mispredict redirect only delays the successor, never re-fetches a
-    branch).  Hints override the *returned* prediction after the call,
-    so predictor state -- and therefore this column -- is independent of
-    machine timing and of p-threads.  Non-branch slots are False and
-    never read.
-    """
-    store = _prep_store(trace)
-    key = ("pred", bpred_entries)
-    pred = store.get(key)
-    if pred is None:
-        _PREP_BUILDS.add()
-        view = _pipeline_view(trace)
-        pc_arr, taken_arr = view[3], view[7]
-        predictor = HybridPredictor(bpred_entries)
-        predict_and_update = predictor.predict_and_update
-        pred = [False] * len(pc_arr)
-        for i in _branch_indexes(trace, vector):
-            pred[i] = predict_and_update(pc_arr[i], taken_arr[i])
-        store[key] = pred
-    else:
-        _PREP_REUSES.add()
-    return pred
-
-
-def _btb_column(
-    trace: Trace, bpred_entries: int, btb_entries: int, vector: bool
-) -> bytearray:
-    """BTB redirect (miss) flag per branch index.
-
-    The reference consults the BTB only for correctly-predicted taken
-    branches, in fetch order -- a sequence fully determined by the
-    prediction column above.  The LRU replay below mirrors
-    :class:`repro.branch.btb.BTB` operation for operation.  Only valid
-    when the run has no branch-hint p-instructions (a timely hint can
-    flip a branch's predicted outcome, changing which branches reach the
-    BTB); :func:`simulate_fast` falls back to a live BTB in that case.
-    """
-    store = _prep_store(trace)
-    key = ("btb", bpred_entries, btb_entries)
-    col = store.get(key)
-    if col is None:
-        view = _pipeline_view(trace)
-        pc_arr, taken_arr, next_pc_arr = view[3], view[7], view[8]
-        pred = _pred_column(trace, bpred_entries, vector)
-        col = bytearray(len(pc_arr))
-        table: "OrderedDict[int, int]" = OrderedDict()
-        move_to_end = table.move_to_end
-        table_get = table.get
-        for i in _branch_indexes(trace, vector):
-            if not (taken_arr[i] and pred[i]):
-                continue
-            pc = pc_arr[i]
-            target = table_get(pc, -1)
-            if target != -1:
-                move_to_end(pc)
-            npc = next_pc_arr[i]
-            if target != npc:
-                col[i] = 1
-                if target == -1 and len(table) >= btb_entries:
-                    table.popitem(last=False)
-                table[pc] = npc
-        store[key] = col
-    return col
-
-
-def _warm_image(trace: Trace, config: MachineConfig) -> Tuple[List, List, List]:
-    """Cache set arrays after the functional warm-up pass.
-
-    Replays :meth:`Pipeline._warm_caches` exactly (same access order,
-    same LRU movement) against a fresh hierarchy, once per (trace, cache
-    geometry); each warm run then restores the image by copying.  Keyed
-    on the cache configs alone -- machine configs differing in, say,
-    memory latency share the image.
-    """
-    store = _prep_store(trace)
-    key = ("warm", config.icache, config.dcache, config.l2)
-    image = store.get(key)
-    if image is None:
-        hierarchy = MemoryHierarchy(config)
-        warm_inst = hierarchy.warm_inst
-        warm_data = hierarchy.warm_data
-        line_insts = config.icache.line_bytes // INST_BYTES
-        view = _pipeline_view(trace)
-        pc_arr, addr_arr = view[3], view[4]
-        seen_lines = set()
-        seen_add = seen_lines.add
-        for pc, addr in zip(pc_arr, addr_arr):
-            line = pc // line_insts
-            if line not in seen_lines:
-                seen_add(line)
-                warm_inst(pc * INST_BYTES)
-            if addr >= 0:
-                warm_data(addr)
-        image = (
-            _copy_sets(hierarchy.icache._sets),
-            _copy_sets(hierarchy.dcache._sets),
-            _copy_sets(hierarchy.l2._sets),
-        )
-        store[key] = image
-    return image
-
-
-def _copy_sets(sets: List[List[List[int]]]) -> List[List[List[int]]]:
-    return [[entry[:] for entry in ways] for ways in sets]
-
-
-def _restore_warm(hierarchy: MemoryHierarchy, image: Tuple) -> None:
-    ic, dc, l2 = image
-    hierarchy.icache._sets = _copy_sets(ic)
-    hierarchy.dcache._sets = _copy_sets(dc)
-    hierarchy.l2._sets = _copy_sets(l2)
-    _WARM_RESTORES.add()
-
-
-def _has_branch_hints(pthreads: PThreadProgram) -> bool:
-    return any(
-        spec.hint_branch_seq >= 0
-        for spawns in pthreads.spawns_by_trigger.values()
-        for spawn in spawns
-        for spec in spawn.insts
-    )
-
-
-# --------------------------------------------------------------------- #
-# The engine.
-# --------------------------------------------------------------------- #
-
-
-def simulate_fast(
-    trace: Trace,
-    config: Optional[MachineConfig] = None,
-    pthreads: Optional[PThreadProgram] = None,
-    warm: bool = True,
-    vector: bool = False,
-    native: bool = False,
-) -> SimStats:
-    """Run one timing simulation on the merged-loop engine.
-
-    Drop-in for :func:`repro.cpu.pipeline.simulate` with bit-identical
-    results; ``vector=True`` additionally vectorizes the shared
-    precompute passes (the ``numpy`` backend); ``native=True`` routes
-    the cycle loop to the flat-array kernel
-    (:mod:`repro.cpu.kerneldriver`, the ``native`` backend) unless
-    instrumentation is active -- the heartbeat/tap/fault hooks live only
-    in this loop, and all engines are bit-identical so the fallback is
-    unobservable numerically.
-    """
-    if native and not (
-        obs.is_enabled("debug")
-        or obs.has_taps()
-        or faults.site_active("pipeline.step")
-    ):
-        from repro.cpu import kerneldriver
-
-        return kerneldriver.simulate_kernel(
-            trace, config, pthreads, warm=warm, vector=vector, native=True
-        )
-    cfg = config or MachineConfig()
-    pth = pthreads or PThreadProgram()
-    stats = SimStats()
-    act = stats.activity
-    hierarchy = MemoryHierarchy(cfg)
-    n_main = len(trace)
-
-    if warm and n_main:
-        _restore_warm(hierarchy, _warm_image(trace, cfg))
-
-    (kind_arr, ctrl_arr, writes_arr, pc_arr, addr_arr, src1_arr,
-     src2_arr, taken_arr, next_pc_arr) = _pipeline_view(trace)
-
-    line_shift = cfg.icache.line_bytes.bit_length() - 1
-    line_arr = _line_column(trace, line_shift, vector) if n_main else []
-    pred_arr = _pred_column(trace, cfg.bpred_entries, vector) if n_main else []
-
-    spawns_by_trigger = pth.spawns_by_trigger
-    has_spawns = bool(spawns_by_trigger)
-    spawns_get = spawns_by_trigger.get
-    has_hints = has_spawns and _has_branch_hints(pth)
-    if n_main and not has_hints:
-        btb_col: Optional[bytearray] = _btb_column(
-            trace, cfg.bpred_entries, cfg.btb_entries, vector
-        )
-        btb_lookup = btb_update = None
-    else:
-        # Branch-hint p-threads make BTB traffic timing-dependent: fall
-        # back to a live BTB, exactly as the reference drives it.
-        from repro.branch.btb import BTB
-
-        btb_col = None
-        live_btb = BTB(cfg.btb_entries)
-        btb_lookup = live_btb.lookup
-        btb_update = live_btb.update
-
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    data_access = hierarchy.data_access
-    inst_fetch = hierarchy.inst_fetch
-
-    width = cfg.width
-    commit_width = cfg.commit_width
-    frontend_depth = cfg.frontend_depth
-    rs_capacity = cfg.rs_entries
-    rob_capacity = cfg.rob_entries
-    phys_budget = cfg.physical_registers - 32  # main arch state
-    pipe_capacity = width * frontend_depth
-    pth_block_interval = max(1, int(round(width / cfg.pthread_fetch_ipc)))
-    int_alus = cfg.int_alus
-    load_ports = cfg.load_ports
-    store_ports = cfg.store_ports
-    mul_latency = cfg.mul_latency
-    issue_pool_limit = width + 8
-    l2_line_shift = cfg.l2.line_bytes.bit_length() - 1
-
-    # Scheduler state.  Main-thread uids are trace sequence numbers, so
-    # completion times and pending counts live in flat per-seq lists;
-    # p-instruction state (uid >= n_main) lives in flat lists indexed by
-    # ``uid - n_main``, grown when a spawn starts.
-    completion: List[int] = [_NOT_DONE] * n_main
-    pending_main: List[int] = [0] * n_main
-    p_completion: List[int] = []
-    p_pending: List[int] = []
-    p_kind: List[int] = []
-    p_addr: List[int] = []
-    p_ctx: List[_Context] = []
-    p_hint: Dict[int, Tuple[int, bool]] = {}  # uid -> (branch seq, taken)
-
-    wakeup: Dict[int, List[int]] = defaultdict(list)
-    # Ready uids: appended unsorted, sorted once per issue cycle.  The
-    # reference pops a min-heap, yielding ascending uids into the pool;
-    # sorting and slicing yields the same ascending prefix with the same
-    # remainder, at plain-append cost on the scheduling fast path (the
-    # leftover tail stays sorted, so the next sort is near-linear).
-    ready: List[int] = []
-    ready_append = ready.append
-    deferred: List[int] = []
-    completion_events: List[Tuple[int, int]] = []
-    # Completions landing at exactly ``now + 1`` -- the overwhelmingly
-    # common case (ALUs, stores, L1-hit tails) -- bypass the event heap:
-    # anything issued at ``now`` makes the cycle active, so these are
-    # always drained at the very next iteration, before any jump logic
-    # can observe the heap.
-    events_t1: List[int] = []
-
-    rob = deque()
-    rob_append = rob.append
-    rob_popleft = rob.popleft
-    # The frontend pipe holds only dispatch-ready times: fetch appends
-    # ``next_seq`` values in strictly increasing order and nothing ever
-    # flushes the pipe (a redirect only stalls fetch; the trace is the
-    # correct path), so the head entry's sequence number is always
-    # ``fp_head`` and per-entry tuples are unnecessary.
-    frontend_pipe = deque()
-    fp_append = frontend_pipe.append
-    fp_popleft = frontend_pipe.popleft
-    fp_head = 0
-    pth_pipe = deque()
-    # Queue lengths tracked as plain counters: len() on every dispatch
-    # and fetch gate is a measurable slice of the loop.
-    rob_len = 0
-    fp_len = 0
-    pp_len = 0
-    rs_used_main = 0
-    rs_used_pth = 0
-    main_rs_cap = max(cfg.width, rs_capacity - cfg.pthread_rs_reserve)
-    phys_used = 0
-
-    next_seq = 0
-    fetch_line = -1
-    line_ready_at = 0
-    fetch_hold_until = 0
-    pending_redirect: Optional[int] = None
-    redirect_clear_at: Optional[int] = None
-
-    load_kind: Dict[int, str] = {}
-    load_kind_get = load_kind.get
-    partial_counted: set = set()
-    branch_hints: Dict[int, Tuple[int, bool]] = {}
-    branch_hints_get = branch_hints.get
-
-    fetch_active: List[_Context] = []
-    free_contexts = cfg.thread_contexts - 1
-    next_uid = n_main
-
-    now = 0
-    committed = 0
-
-    # Frequently-bumped stats as plain locals, flushed once after the
-    # loop (matching the reference's breakdown/stall treatment).
-    st_branches = st_mispredictions = st_btb_misses = 0
-    st_demand_l2 = st_pthread_l2 = 0
-    st_covered_full = st_covered_partial = st_useful = 0
-    st_hints_used = 0
-    st_pinsts_fetched = st_pinsts_executed = 0
-    st_spawns_attempted = st_spawns_started = st_spawns_dropped = 0
-    ac_committed = ac_dispatched_main = ac_dispatched_pth = 0
-    ac_fetch_main = ac_fetch_pth = ac_bpred = 0
-    ac_dmem_main = ac_dmem_pth = ac_l2_main = ac_l2_pth = 0
-    ac_alu_main = ac_alu_pth = 0
-    missed_add = stats.missed_load_seqs.add
-    misses_by_pc = stats.l2_misses_by_pc
-
-    bd_mem = bd_l2 = bd_exec = bd_commit = bd_fetch = 0
-    sl_retire = sl_fetch = sl_branch = sl_load = 0
-    sl_rob = sl_rs = sl_pth = sl_exec = 0
-
-    def attribute_cycles(n: int, retired: int = 0) -> None:
-        """Identical charging rules to the reference (see Pipeline.run)."""
-        nonlocal bd_mem, bd_l2, bd_exec, bd_commit, bd_fetch
-        nonlocal sl_retire, sl_fetch, sl_branch, sl_load
-        nonlocal sl_rob, sl_rs, sl_pth, sl_exec
-        r = retired if retired < width else width
-        sl_retire += r
-        slots = width * n - r
-        if not rob:
-            bd_fetch += n
-            if pending_redirect is not None:
-                sl_branch += slots
-            else:
-                sl_fetch += slots
-            return
-        head = rob[0]
-        t = completion[head]
-        if t != _NOT_DONE and t <= now:
-            bd_commit += n
-            sl_exec += slots
-            return
-        if kind_arr[head] == _LOAD:
-            kind = load_kind_get(head)
-            if kind == "mem":
-                bd_mem += n
-                sl_load += slots
-                return
-            if kind == "l2":
-                bd_l2 += n
-                sl_load += slots
-                return
-        bd_exec += n
-        if len(rob) >= rob_capacity:
-            sl_rob += slots
-        elif rs_used_pth and rs_used_main + rs_used_pth >= rs_capacity:
-            sl_pth += slots
-        elif rs_used_main >= main_rs_cap:
-            sl_rs += slots
-        else:
-            sl_exec += slots
-
-    safety_limit = 400 * n_main + 10_000_000
-    wall_start = time.perf_counter()
-    heartbeat = (
-        obs.is_enabled("debug") or obs.has_taps()
-    ) and not obs.is_quiet()
-    heartbeat_next = HEARTBEAT_CYCLES
-    hb_last_wall = wall_start
-    hb_last_cycles = 0
-    hb_last_committed = 0
-    fault_step = faults.site_active("pipeline.step")
-    fault_next = 0
-
-    while committed < n_main:
-        if fault_step and now >= fault_next:
-            fault_next = now + HEARTBEAT_CYCLES
-            faults.raise_if("pipeline.step", key=f"cycle:{now}")
-        if heartbeat and now >= heartbeat_next:
-            wall_now = time.perf_counter()
-            wall_s = wall_now - wall_start
-            dt = wall_now - hb_last_wall
-            retired_rate = (
-                (committed - hb_last_committed) / dt if dt > 0 else 0.0
-            )
-            eta_s = (
-                (n_main - committed) / retired_rate
-                if retired_rate > 0
-                else None
-            )
-            obs.log_event(
-                "sim_heartbeat",
-                level="debug",
-                cycles=now,
-                committed=committed,
-                progress_pct=round(100.0 * committed / n_main, 2)
-                if n_main
-                else 100.0,
-                spawns=st_spawns_started,
-                wall_s=round(wall_s, 3),
-                cycles_per_sec=round(now / wall_s) if wall_s else 0,
-                interval_cycles_per_sec=round((now - hb_last_cycles) / dt)
-                if dt > 0
-                else 0,
-                interval_retired_per_sec=round(retired_rate),
-                eta_s=round(eta_s, 1) if eta_s is not None else None,
-            )
-            hb_last_wall = wall_now
-            hb_last_cycles = now
-            hb_last_committed = committed
-            heartbeat_next = now + HEARTBEAT_CYCLES
-
-        # ---- wakeup ------------------------------------------------- #
-        # Processing order across same-cycle completions is free: each
-        # wakeup independently decrements a counter, and the ready heap
-        # re-establishes age order.
-        if events_t1:
-            for uid in events_t1:
-                waiters = wakeup.pop(uid, None)
-                if waiters:
-                    for w in waiters:
-                        if w < n_main:
-                            p = pending_main[w] - 1
-                            pending_main[w] = p
-                        else:
-                            wi = w - n_main
-                            p = p_pending[wi] - 1
-                            p_pending[wi] = p
-                        if p == 0:
-                            ready_append(w)
-            events_t1 = []
-        if completion_events and completion_events[0][0] <= now:
-            while completion_events and completion_events[0][0] <= now:
-                _, uid = heappop(completion_events)
-                waiters = wakeup.pop(uid, None)
-                if waiters:
-                    for w in waiters:
-                        if w < n_main:
-                            p = pending_main[w] - 1
-                            pending_main[w] = p
-                        else:
-                            wi = w - n_main
-                            p = p_pending[wi] - 1
-                            p_pending[wi] = p
-                        if p == 0:
-                            ready_append(w)
-
-        # ---- commit ------------------------------------------------- #
-        ncommitted = 0
-        while ncommitted < commit_width and rob:
-            head = rob[0]
-            t = completion[head]
-            if t == _NOT_DONE or t > now:
-                break
-            rob_popleft()
-            rob_len -= 1
-            if writes_arr[head]:
-                phys_used -= 1
-            committed += 1
-            ncommitted += 1
-        if ncommitted:
-            ac_committed += ncommitted
-        active = ncommitted > 0
-
-        # ---- issue -------------------------------------------------- #
-        if ready or deferred:
-            now1 = now + 1
-            alu_slots = int_alus
-            load_slots = load_ports
-            store_slots = store_ports
-            issued = 0
-            retry: List[int] = []
-            pool: List[int] = deferred[:]
-            deferred.clear()
-            if ready:
-                ready.sort()
-                k = issue_pool_limit - len(pool)
-                if k > 0:
-                    pool += ready[:k]
-                    del ready[:k]
-            for uid in pool:
-                if uid < n_main:
-                    kind = kind_arr[uid]
-                    if kind == _LOAD:
-                        if load_slots <= 0 or issued >= width:
-                            retry.append(uid)
-                            continue
-                        result = data_access(addr_arr[uid], now)
-                        if result.retry:
-                            retry.append(uid)
-                            continue
-                        ac_dmem_main += 1
-                        mem_access = result.mem_access
-                        if result.l2_accessed or mem_access:
-                            ac_l2_main += 1
-                        if mem_access:
-                            st_demand_l2 += 1
-                            missed_add(uid)
-                            pc = pc_arr[uid]
-                            misses_by_pc[pc] = misses_by_pc.get(pc, 0) + 1
-                            load_kind[uid] = "mem"
-                        elif result.mshr_merged:
-                            load_kind[uid] = "mem"
-                            if result.merged_with_prefetch:
-                                line = addr_arr[uid] >> l2_line_shift
-                                if line not in partial_counted:
-                                    partial_counted.add(line)
-                                    st_covered_partial += 1
-                                    st_useful += 1
-                                missed_add(uid)
-                        elif result.l2_accessed:
-                            load_kind[uid] = "l2"
-                        if result.prefetched_hit:
-                            st_covered_full += 1
-                            st_useful += 1
-                        t = result.complete_at
-                        completion[uid] = t
-                        if t == now1:
-                            events_t1.append(uid)
-                        else:
-                            heappush(completion_events, (t, uid))
-                        load_slots -= 1
-                    elif kind == _STORE:
-                        if store_slots <= 0 or issued >= width:
-                            retry.append(uid)
-                            continue
-                        result = data_access(addr_arr[uid], now, True)
-                        if result.retry:
-                            retry.append(uid)
-                            continue
-                        ac_dmem_main += 1
-                        if result.l2_accessed or result.mem_access:
-                            ac_l2_main += 1
-                        completion[uid] = now1
-                        events_t1.append(uid)
-                        store_slots -= 1
-                    else:
-                        if alu_slots <= 0 or issued >= width:
-                            retry.append(uid)
-                            continue
-                        if kind == _MUL:
-                            t = now + mul_latency
-                            completion[uid] = t
-                            if t == now1:
-                                events_t1.append(uid)
-                            else:
-                                heappush(completion_events, (t, uid))
-                        else:
-                            if kind == _BRANCH and uid == pending_redirect:
-                                redirect_clear_at = now1
-                            completion[uid] = now1
-                            events_t1.append(uid)
-                        ac_alu_main += 1
-                        alu_slots -= 1
-                    rs_used_main -= 1
-                else:
-                    pu = uid - n_main
-                    kind = p_kind[pu]
-                    if kind == _LOAD:
-                        if load_slots <= 0 or issued >= width:
-                            retry.append(uid)
-                            continue
-                        result = data_access(p_addr[pu], now, False, True)
-                        if result.retry:
-                            retry.append(uid)
-                            continue
-                        ac_dmem_pth += 1
-                        if result.l2_accessed or result.mem_access:
-                            ac_l2_pth += 1
-                        if result.mem_access:
-                            st_pthread_l2 += 1
-                        t = result.complete_at
-                        p_completion[pu] = t
-                        if t == now1:
-                            events_t1.append(uid)
-                        else:
-                            heappush(completion_events, (t, uid))
-                        load_slots -= 1
-                    else:
-                        if alu_slots <= 0 or issued >= width:
-                            retry.append(uid)
-                            continue
-                        t = now + mul_latency if kind == _MUL else now1
-                        p_completion[pu] = t
-                        if t == now1:
-                            events_t1.append(uid)
-                        else:
-                            heappush(completion_events, (t, uid))
-                        ac_alu_pth += 1
-                        alu_slots -= 1
-                    st_pinsts_executed += 1
-                    hint = p_hint.get(uid)
-                    if hint is not None:
-                        branch_hints[hint[0]] = (t, hint[1])
-                    ctx = p_ctx[pu]
-                    ctx.in_flight -= 1
-                    if ctx.fetched_all and ctx.in_flight == 0:
-                        phys_used -= len(ctx.spawn.insts)
-                        free_contexts += 1
-                    rs_used_pth -= 1
-                issued += 1
-            deferred.extend(retry)
-            if issued:
-                active = True
-
-        # ---- dispatch ----------------------------------------------- #
-        n = 0
-        while n < width and fp_len:
-            if frontend_pipe[0] > now:
-                break
-            seq = fp_head
-            kind = kind_arr[seq]
-            if rob_len >= rob_capacity:
-                break
-            needs_rs = kind != _NOP
-            if needs_rs and rs_used_main >= main_rs_cap:
-                break
-            writes = writes_arr[seq]
-            if writes and phys_used >= phys_budget:
-                break
-            fp_popleft()
-            fp_len -= 1
-            fp_head += 1
-            rob_append(seq)
-            rob_len += 1
-            ac_dispatched_main += 1
-            if writes:
-                phys_used += 1
-            if needs_rs:
-                rs_used_main += 1
-                pending = 0
-                producer = src1_arr[seq]
-                if producer != NO_PRODUCER:
-                    t = completion[producer]
-                    if t == _NOT_DONE or t > now:
-                        wakeup[producer].append(seq)
-                        pending += 1
-                producer = src2_arr[seq]
-                if producer != NO_PRODUCER:
-                    t = completion[producer]
-                    if t == _NOT_DONE or t > now:
-                        wakeup[producer].append(seq)
-                        pending += 1
-                if pending:
-                    pending_main[seq] = pending
-                else:
-                    ready_append(seq)
-            else:
-                # NOPs complete instantly and can never have waiters:
-                # dispatch is in-order, so any reader dispatches later and
-                # sees the completion already set.  The reference's
-                # (now, seq) event fires next cycle into an empty wakeup
-                # list; eliding it changes nothing observable.
-                completion[seq] = now
-            if has_spawns:
-                spawn_list = spawns_get(seq)
-                if spawn_list:
-                    for spawn in spawn_list:
-                        st_spawns_attempted += 1
-                        if free_contexts <= 0:
-                            st_spawns_dropped += 1
-                            continue
-                        insts = spawn.insts
-                        if phys_used + len(insts) > phys_budget:
-                            st_spawns_dropped += 1
-                            continue
-                        free_contexts -= 1
-                        phys_used += len(insts)
-                        ctx = _Context(spawn, next_uid, now)
-                        fetch_active.append(ctx)
-                        next_uid += len(insts)
-                        for spec in insts:
-                            p_kind.append(_PCLASS_TO_KIND[spec.klass])
-                            p_addr.append(spec.addr)
-                            p_ctx.append(ctx)
-                        k = len(insts)
-                        p_completion.extend([_NOT_DONE] * k)
-                        p_pending.extend([0] * k)
-                        st_spawns_started += 1
-            n += 1
-        while n < width and pth_pipe:
-            ready_at, ctx, idx = pth_pipe[0]
-            if ready_at > now:
-                break
-            if rs_used_main + rs_used_pth >= rs_capacity:
-                break
-            pth_pipe.popleft()
-            pp_len -= 1
-            rs_used_pth += 1
-            ac_dispatched_pth += 1
-            spec = ctx.spawn.insts[idx]
-            uid_base = ctx.uid_base
-            uid = uid_base + idx
-            if spec.hint_branch_seq >= 0:
-                p_hint[uid] = (spec.hint_branch_seq, spec.hint_taken)
-            pending = 0
-            base_off = uid_base - n_main
-            for d in spec.body_deps:
-                t = p_completion[base_off + d]
-                if t == _NOT_DONE or t > now:
-                    wakeup[uid_base + d].append(uid)
-                    pending += 1
-            for producer in spec.livein_seqs:
-                if producer < n_main:
-                    t = completion[producer]
-                else:
-                    t = p_completion[producer - n_main]
-                if t == _NOT_DONE or t > now:
-                    wakeup[producer].append(uid)
-                    pending += 1
-            if pending:
-                p_pending[uid - n_main] = pending
-            else:
-                ready_append(uid)
-            n += 1
-        if n:
-            active = True
-
-        # ---- fetch -------------------------------------------------- #
-        fetched_any = False
-        if fetch_active and pp_len < pipe_capacity:
-            for ctx in fetch_active:
-                if ctx.next_fetch > now:
-                    continue
-                body = ctx.spawn.insts
-                block_start = ctx.fetch_idx
-                block_end = min(block_start + width, len(body))
-                for idx in range(block_start, block_end):
-                    pth_pipe.append((now + frontend_depth, ctx, idx))
-                    pp_len += 1
-                    ctx.in_flight += 1
-                    st_pinsts_fetched += 1
-                ctx.fetch_idx = block_end
-                ctx.next_fetch = now + pth_block_interval
-                if ctx.fetch_idx >= len(body):
-                    ctx.fetched_all = True
-                    fetch_active.remove(ctx)
-                ac_fetch_pth += 1
-                fetched_any = True
-                break
-        if not fetched_any and fp_len < pipe_capacity:
-            fetch_ok = True
-            if pending_redirect is not None:
-                if redirect_clear_at is None or now <= redirect_clear_at:
-                    fetch_ok = False
-                else:
-                    pending_redirect = None
-                    redirect_clear_at = None
-                    fetch_line = -1  # refetch the target line
-            if fetch_ok and now >= fetch_hold_until and next_seq < n_main:
-                line = line_arr[next_seq]
-                line_miss = False
-                if line != fetch_line:
-                    result = inst_fetch(pc_arr[next_seq] * INST_BYTES, now)
-                    fetch_line = line
-                    if not result.l1_hit:
-                        line_ready_at = result.complete_at
-                        # The fetch slot is consumed by the miss.
-                        line_miss = True
-                        fetched_any = True
-                    else:
-                        line_ready_at = now
-                if not line_miss and now >= line_ready_at:
-                    ac_fetch_main += 1
-                    fetched = 0
-                    dispatch_at = now + frontend_depth
-                    while (
-                        fetched < width
-                        and next_seq < n_main
-                        and fp_len < pipe_capacity
-                    ):
-                        idx = next_seq
-                        if line_arr[idx] != fetch_line:
-                            break
-                        fp_append(dispatch_at)
-                        fp_len += 1
-                        next_seq += 1
-                        fetched += 1
-                        ctrl = ctrl_arr[idx]
-                        if ctrl == _CTRL_BRANCH:
-                            taken = taken_arr[idx]
-                            st_branches += 1
-                            ac_bpred += 1
-                            predicted = pred_arr[idx]
-                            if has_hints:
-                                hint = branch_hints_get(idx)
-                                if hint is not None and hint[0] <= now:
-                                    st_hints_used += 1
-                                    predicted = hint[1]
-                            if predicted != taken:
-                                st_mispredictions += 1
-                                pending_redirect = idx
-                                redirect_clear_at = None
-                                break
-                            if taken:
-                                branch_next_pc = next_pc_arr[idx]
-                                if btb_col is not None:
-                                    if btb_col[idx]:
-                                        st_btb_misses += 1
-                                        fetch_hold_until = now + 2
-                                else:
-                                    pc = pc_arr[idx]
-                                    target = btb_lookup(pc)
-                                    if target != branch_next_pc:
-                                        st_btb_misses += 1
-                                        btb_update(pc, branch_next_pc)
-                                        fetch_hold_until = now + 2
-                                fetch_line = (
-                                    branch_next_pc * INST_BYTES
-                                ) >> line_shift
-                                result = inst_fetch(
-                                    branch_next_pc * INST_BYTES, now
-                                )
-                                if not result.l1_hit:
-                                    line_ready_at = result.complete_at
-                                break
-                        elif ctrl == _CTRL_JUMP:
-                            jump_next_pc = next_pc_arr[idx]
-                            fetch_line = (
-                                jump_next_pc * INST_BYTES
-                            ) >> line_shift
-                            result = inst_fetch(jump_next_pc * INST_BYTES, now)
-                            if not result.l1_hit:
-                                line_ready_at = result.complete_at
-                            break
-                    if fetched:
-                        fetched_any = True
-        if fetched_any:
-            active = True
-
-        if now > safety_limit:
-            raise ExecutionError(
-                f"simulation exceeded {safety_limit} cycles "
-                f"({committed}/{n_main} committed)"
-            )
-
-        if committed >= n_main:
-            attribute_cycles(1, ncommitted)
-            now += 1
-            break
-
-        if active or ready:
-            # attribute_cycles(1, ncommitted), inlined: this is the
-            # every-cycle path and the closure's nonlocal stores are the
-            # single hottest call in IPC-bound runs.
-            r = ncommitted if ncommitted < width else width
-            sl_retire += r
-            slots = width - r
-            if not rob_len:
-                bd_fetch += 1
-                if pending_redirect is not None:
-                    sl_branch += slots
-                else:
-                    sl_fetch += slots
-            else:
-                head = rob[0]
-                t = completion[head]
-                if t != _NOT_DONE and t <= now:
-                    bd_commit += 1
-                    sl_exec += slots
-                elif kind_arr[head] == _LOAD and (
-                    (lk := load_kind_get(head)) == "mem" or lk == "l2"
-                ):
-                    if lk == "mem":
-                        bd_mem += 1
-                    else:
-                        bd_l2 += 1
-                    sl_load += slots
-                elif rob_len >= rob_capacity:
-                    bd_exec += 1
-                    sl_rob += slots
-                elif rs_used_pth and rs_used_main + rs_used_pth >= rs_capacity:
-                    bd_exec += 1
-                    sl_pth += slots
-                elif rs_used_main >= main_rs_cap:
-                    bd_exec += 1
-                    sl_rs += slots
-                else:
-                    bd_exec += 1
-                    sl_exec += slots
-            now += 1
-            continue
-
-        # Nothing can happen until the next event: jump.  The reference
-        # keeps *stale* candidates (a frontend-pipe head whose ready time
-        # has already passed but which is blocked on ROB/RS/registers),
-        # which pin its jump to ``now + 1`` and degrade miss-bound
-        # phases to single-cycle stepping.  A structurally-blocked stage
-        # can only unblock through commit or issue, and with ``ready``
-        # empty both first require a completion event -- so when no load
-        # is MSHR-deferred the engine jumps straight to the earliest
-        # *future* event and attributes the skipped cycles identically
-        # (the attribution inputs are all frozen until that event).
-        #
-        # With ``deferred`` non-empty the fall-through mirrors the
-        # reference cycle for cycle: a store-allocated MSHR expires at a
-        # fill time that has no completion event, so a deferred load's
-        # per-cycle retry can succeed between events and the far jump
-        # would skip it.
-        if not deferred:
-            candidates: List[int] = []
-            if completion_events:
-                candidates.append(completion_events[0][0])
-            if fp_len and frontend_pipe[0] > now:
-                candidates.append(frontend_pipe[0])
-            if pth_pipe and pth_pipe[0][0] > now:
-                candidates.append(pth_pipe[0][0])
-            if (
-                pending_redirect is not None
-                and redirect_clear_at is not None
-                and redirect_clear_at + 1 > now
-            ):
-                candidates.append(redirect_clear_at + 1)
-            if line_ready_at > now:
-                candidates.append(line_ready_at)
-            if fetch_hold_until > now:
-                candidates.append(fetch_hold_until)
-            for ctx in fetch_active:
-                if ctx.next_fetch > now:
-                    candidates.append(ctx.next_fetch)
-            if candidates:
-                target = min(candidates)
-                attribute_cycles(target - now)
-                now = target
-                continue
-            # Only stale candidates (if any) remain: fall through to the
-            # reference's single-cycle step / deadlock decision.
-        candidates = []
-        if completion_events:
-            candidates.append(completion_events[0][0])
-        if fp_len:
-            candidates.append(frontend_pipe[0])
-        if pth_pipe:
-            candidates.append(pth_pipe[0][0])
-        if pending_redirect is not None and redirect_clear_at is not None:
-            candidates.append(redirect_clear_at + 1)
-        if line_ready_at > now:
-            candidates.append(line_ready_at)
-        if fetch_hold_until > now:
-            candidates.append(fetch_hold_until)
-        for ctx in fetch_active:
-            candidates.append(ctx.next_fetch)
-        if not candidates:
-            raise _deadlock_error(
-                now, committed, n_main, rob, pc_arr, kind_arr,
-                completion, fetch_active,
-            )
-        target = max(now + 1, min(candidates))
-        attribute_cycles(target - now)
-        now = target
-
-    stats.cycles = now
-    stats.committed = committed
-    act.cycles = now
-    stats.branches = st_branches
-    stats.mispredictions = st_mispredictions
-    stats.btb_misses = st_btb_misses
-    stats.demand_l2_misses = st_demand_l2
-    stats.pthread_l2_misses = st_pthread_l2
-    stats.covered_misses_full = st_covered_full
-    stats.covered_misses_partial = st_covered_partial
-    stats.useful_prefetches = st_useful
-    stats.branch_hints_used = st_hints_used
-    stats.pinsts_fetched = st_pinsts_fetched
-    stats.pinsts_executed = st_pinsts_executed
-    stats.spawns_attempted = st_spawns_attempted
-    stats.spawns_started = st_spawns_started
-    stats.spawns_dropped_no_context = st_spawns_dropped
-    act.committed_main = ac_committed
-    act.dispatched_main = ac_dispatched_main
-    act.dispatched_pth = ac_dispatched_pth
-    act.fetch_blocks_main = ac_fetch_main
-    act.fetch_blocks_pth = ac_fetch_pth
-    act.bpred_accesses = ac_bpred
-    act.dmem_accesses_main = ac_dmem_main
-    act.dmem_accesses_pth = ac_dmem_pth
-    act.l2_accesses_main = ac_l2_main
-    act.l2_accesses_pth = ac_l2_pth
-    act.alu_ops_main = ac_alu_main
-    act.alu_ops_pth = ac_alu_pth
-    breakdown = stats.breakdown
-    breakdown.mem += bd_mem
-    breakdown.l2 += bd_l2
-    breakdown.exec += bd_exec
-    breakdown.commit += bd_commit
-    breakdown.fetch += bd_fetch
-    stalls = stats.stalls
-    stalls.retiring += sl_retire
-    stalls.fetch_starved += sl_fetch
-    stalls.branch_recovery += sl_branch
-    stalls.load_miss += sl_load
-    stalls.rob_full += sl_rob
-    stalls.rs_full += sl_rs
-    stalls.pthread_contention += sl_pth
-    stalls.exec += sl_exec
-
-    wall_s = time.perf_counter() - wall_start
-    _ref._SIM_RUNS.add()
-    _ref._SIM_CYCLES.add(now)
-    _ref._SIM_RETIRED.add(committed)
-    if wall_s > 0:
-        _ref._SIM_RETIRE_RATE.set(round(committed / wall_s))
-        _ref._SIM_CYCLE_RATE.set(round(now / wall_s))
-    if obs.is_enabled("info"):
-        obs.log_event(
-            "sim.done",
-            cycles=now,
-            committed=committed,
-            ipc=round(stats.ipc, 4),
-            spawns=stats.spawns_started,
-            pinsts=stats.pinsts_executed,
-            stall_slots=stalls.as_dict(),
-            wall_s=round(wall_s, 6),
-            cycles_per_sec=round(now / wall_s) if wall_s else 0,
-            retired_per_sec=round(committed / wall_s) if wall_s else 0,
-        )
-    return stats
+from repro.frontend.trace import Trace
 
 
 def simulate_batch(
@@ -1151,21 +25,13 @@ def simulate_batch(
     configs: List[MachineConfig],
     pthreads: Optional[PThreadProgram] = None,
     warm: bool = True,
-    vector: bool = False,
-    native: bool = False,
 ) -> List[SimStats]:
-    """Advance one sealed trace through N machine configurations.
+    """Simulate ``trace`` under each of ``configs`` on the cycle kernel.
 
-    The lock-step batch pass behind :mod:`repro.harness.batchplan`: every
-    member shares the pipeline view, the branch-predictor outcome and
-    BTB redirect columns, the fetch line ids, and (geometry permitting)
-    the warmed cache image, while each config's ``SimStats`` --
-    breakdowns, stall slots, energy activity -- is accumulated fully
-    independently.  Results are positionally aligned with ``configs``.
+    Results are positionally aligned with ``configs`` and bit-identical
+    to one :func:`repro.cpu.pipeline.simulate` call per config.
     """
     return [
-        simulate_fast(
-            trace, config, pthreads, warm=warm, vector=vector, native=native
-        )
+        kerneldriver.simulate_kernel(trace, config, pthreads, warm=warm)
         for config in configs
     ]

@@ -1,43 +1,28 @@
 """Cycle-engine backend selection.
 
-Four interchangeable engines run a timing simulation:
+Two engines run a timing simulation:
 
 - ``reference`` -- the original :class:`repro.cpu.pipeline.Pipeline`
-  per-cycle stage closures, retained verbatim as the oracle every other
-  backend is gated against (and the only engine with microarchitectural
-  tracing hooks);
-- ``batched``   -- the merged-loop engine in :mod:`repro.cpu.batch`:
-  identical machine semantics with the per-cycle interpreter overhead
-  stripped out, plus per-trace shared precomputes (branch-predictor
-  outcome column, BTB redirect column, fetch-line ids, warmed cache
-  images) reused across every machine configuration simulated over the
-  same trace;
-- ``numpy``     -- the batched engine with the precompute passes
-  vectorized over the sealed trace columns (requires numpy);
-- ``native``    -- the merged loop extracted into a flat-array kernel
-  (:mod:`repro.cpu._kernel`) and compiled as a C shared library
-  (:mod:`repro.cpu.nativebuild`), driven via ctypes by
-  :mod:`repro.cpu.kerneldriver`; requires a C compiler (or a previously
-  built artifact) and is otherwise reported unavailable.
+  per-cycle stage closures, retained verbatim as the oracle the kernel
+  is gated against (and the only engine with microarchitectural tracing
+  hooks and the ``pipeline.step`` fault site);
+- ``native``    -- the flat-array cycle kernel driven by
+  :mod:`repro.cpu.kerneldriver`: the compiled C kernel
+  (:mod:`repro.cpu.nativebuild`) when a library loads, the pure-Python
+  :mod:`repro.cpu._kernel` otherwise.  Always available.
 
 The backend is selected by the ``REPRO_SIM_BACKEND`` environment
 variable or programmatically via :func:`set_sim_backend` (the
 ``--sim-backend`` CLI flag and the golden bit-identity tests), default
-``batched``.  Nothing numeric may depend on the backend: all four must
+``native``.  Nothing numeric may depend on the backend: both must
 produce bit-identical :class:`~repro.cpu.stats.SimStats`, selected
 p-threads, and figure rows (``tests/cpu/test_golden_sim_backends.py``).
+Naming any other backend raises :class:`~repro.errors.ConfigError`
+listing the legal names.
 
-Requesting a backend whose prerequisite is missing raises
-:class:`~repro.errors.ConfigError` naming the backend and the remedy;
-:func:`available_backends` is the selectable subset and is what
-``repro bench`` iterates for per-backend walls.
-
-This module intentionally imports no simulator code at import time: the
-dispatch in :func:`repro.cpu.pipeline.simulate` lazy-imports the batch
-engine, and the native-artifact probe lazy-imports
-:mod:`repro.cpu.nativebuild`, so backend *resolution* stays
-import-cycle-free and costs nothing when the reference engine is
-forced.
+This module intentionally imports no simulator code: the dispatch in
+:func:`repro.cpu.pipeline.simulate` lazy-imports the kernel driver, so
+backend *resolution* stays import-cycle-free.
 """
 
 from __future__ import annotations
@@ -47,73 +32,22 @@ from typing import Optional
 
 from repro.errors import ConfigError
 
-try:  # optional backend; batched/reference need no third party
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
-
 #: Every selectable engine, in documentation order.
-SIM_BACKENDS = ("reference", "batched", "numpy", "native")
+SIM_BACKENDS = ("reference", "native")
 
 _backend: Optional[str] = None
-
-
-def _native_probe():
-    """(available, reason) for the compiled kernel, building if needed."""
-    from repro.cpu import nativebuild
-
-    if nativebuild.native_available():
-        return True, None
-    return False, nativebuild.native_error() or "artifact not present"
-
-
-def _check_requirements(name: str, context: str) -> None:
-    """Raise ConfigError when ``name``'s prerequisite is missing."""
-    if name == "numpy" and _np is None:
-        raise ConfigError(
-            f"{context} requires numpy, which is not importable; "
-            "install numpy to enable the numpy backend"
-        )
-    if name == "native":
-        ok, reason = _native_probe()
-        if not ok:
-            raise ConfigError(
-                f"{context} requires the compiled cycle kernel, which is "
-                f"unavailable ({reason}); build it with "
-                "`python -m repro.cpu.nativebuild` (needs a C compiler "
-                "on PATH, or set REPRO_NATIVE_CC)"
-            )
 
 
 def _resolve_from_env() -> str:
     env = os.environ.get("REPRO_SIM_BACKEND", "").strip().lower()
     if not env:
-        return "batched"
+        return "native"
     if env not in SIM_BACKENDS:
         raise ConfigError(
             f"REPRO_SIM_BACKEND={env!r} is not a simulation backend; "
             f"legal: {', '.join(SIM_BACKENDS)}"
         )
-    _check_requirements(env, f"REPRO_SIM_BACKEND={env}")
     return env
-
-
-def available_backends() -> tuple:
-    """Backends selectable in this environment.
-
-    ``numpy`` needs numpy importable; ``native`` needs the compiled
-    kernel artifact to load (the probe builds it opportunistically when
-    a C compiler is on PATH, and memoizes either outcome).  This is the
-    exact set ``repro bench`` iterates for per-backend walls.
-    """
-    names = []
-    for name in SIM_BACKENDS:
-        if name == "numpy" and _np is None:
-            continue
-        if name == "native" and not _native_probe()[0]:
-            continue
-        names.append(name)
-    return tuple(names)
 
 
 def backend() -> str:
@@ -135,5 +69,4 @@ def set_sim_backend(name: Optional[str]) -> None:
             f"unknown simulation backend: {name!r}; "
             f"legal: {', '.join(SIM_BACKENDS)}"
         )
-    _check_requirements(name, f"simulation backend {name!r}")
     _backend = name

@@ -1,38 +1,58 @@
-"""Marshal/unmarshal driver for the extracted cycle kernel.
+"""Marshal/unmarshal driver for the cycle kernel.
 
-Sits between :func:`repro.cpu.batch.simulate_fast` (which routes every
-uninstrumented run here) and the two kernel implementations -- the pure
-CPython :func:`repro.cpu._kernel.run` and its compiled C mirror loaded
-by :mod:`repro.cpu.nativebuild`.  All object traffic stops at this
-boundary: the driver flattens the trace columns, machine config,
-p-thread program and warmed cache image into the kernel's ``C_*``
-config block and flat arrays, and rebuilds ``SimStats`` (and the
-byte-identical error objects) from the ``O_*`` counter block and
-ordered event streams the kernel returns.
+:func:`repro.cpu.pipeline.simulate` routes every run that does not need
+the reference engine here, and :func:`repro.cpu.batch.simulate_batch`
+calls it once per machine config.  It drives one of two kernel
+implementations -- the compiled C mirror loaded by
+:mod:`repro.cpu.nativebuild` when a library loads, the pure CPython
+:func:`repro.cpu._kernel.run` otherwise.  All object traffic stops at
+this boundary: the driver hands the kernel the trace's sealed
+``array('q')``/``array('b')`` columns as they are (zero-copy pointers
+for the C kernel), flattens the machine config, p-thread program and
+warmed cache image into the kernel's ``C_*`` config block and flat
+arrays, and rebuilds ``SimStats`` (and the byte-identical error
+objects) from the ``O_*`` counter block and ordered event streams the
+kernel returns.  No per-instruction Python list is built on the way.
 
-Marshaled forms are memoized on ``trace.derived["simprep"]`` next to
-the existing batch-engine precomputes (and *derived from* them, so the
-branch-predictor replay, BTB replay and warm-up replay still run once
-per trace regardless of backend):
+Several inputs are pure functions of the trace (or of the trace plus one
+config axis); they are built once from the sealed columns, memoized on
+``trace.derived["simprep"]`` as ``bytes``/``array`` objects, and shared
+by every simulation of the same trace -- a figure sweep simulates one
+trace under many machine configs:
 
-- ``("kwarm", icache, dcache, l2)`` -- packed ``tag << 1 | dirty``
-  per-set lists for the Python kernel;
-- ``("kcols",)``, ``("kline", shift)``, ``("kpred", entries)``,
-  ``("kbtb", bpred, btb)``, ``("kcwarm", ...)``, ``("kscratch",)`` --
-  ``array('q')``/``bytes`` forms and output scratch buffers for the C
-  kernel.
+- ``("ops",)`` -- the kind, control-class and writes-register columns,
+  one ``bytes.translate`` each over the dense opcode column;
+- ``("lines", shift)`` -- the fetch line id per instruction;
+- ``("pred", entries)`` -- the **branch-predictor outcome column**.
+  The fetch stage calls ``predict_and_update(pc, taken)``
+  unconditionally for every branch, in increasing sequence order,
+  exactly once each (a mispredict redirect only delays the successor,
+  never re-fetches a branch).  Hints override the *returned* prediction
+  after the call, so predictor state -- and therefore this column -- is
+  independent of machine timing and of p-threads;
+- ``("btb", bpred, btb)`` -- the **BTB redirect column**.  The BTB is
+  consulted only for correctly predicted taken branches, in fetch order,
+  a sequence the prediction column fully determines.  Valid only when
+  the run has no branch-hint p-instructions (a timely hint can flip a
+  predicted outcome); the kernel keeps a live BTB otherwise;
+- ``("warm", icache, dcache, l2)`` -- the **warmed cache image**: the
+  reference's functional warm-up pass replayed once per cache geometry,
+  packed as flat ``tag << 1 | dirty`` way arrays plus per-set occupancy.
+  Machine configs differing in, say, memory latency share it.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from typing import List, Optional, Tuple
+from collections import OrderedDict
+from itertools import compress, count
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.config import MachineConfig
+from repro.branch.predictors import HybridPredictor
+from repro.config import CacheConfig, MachineConfig
 from repro.cpu import _kernel
-from repro.cpu import batch as _batch
 from repro.cpu import pipeline as _ref
 from repro.cpu._kernel import (
     O_LEN,
@@ -44,6 +64,8 @@ from repro.cpu.pthreads import PThreadProgram
 from repro.cpu.stats import SimStats
 from repro.errors import ExecutionError, PipelineDeadlockError
 from repro.frontend.trace import NO_PRODUCER, Trace
+from repro.isa.opcodes import WRITES_BY_CODE
+from repro.memory.hierarchy import MemoryHierarchy
 
 K = _kernel
 
@@ -56,6 +78,182 @@ assert (K.CTRL_NONE, K.CTRL_BRANCH, K.CTRL_JUMP) == (
     _ref._CTRL_NONE, _ref._CTRL_BRANCH, _ref._CTRL_JUMP
 )
 assert K.NOT_DONE == _ref._NOT_DONE
+
+_PREP_BUILDS = obs.counters.counter("cpu.batch.prep_builds")
+_PREP_REUSES = obs.counters.counter("cpu.batch.prep_reuses")
+_WARM_RESTORES = obs.counters.counter("cpu.batch.warm_restores")
+
+
+def _code_table(values) -> bytes:
+    """A ``bytes.translate`` table mapping dense opcode -> ``values``."""
+    return bytes(int(values[c]) if c < len(values) else 0 for c in range(256))
+
+
+_KIND_TABLE = _code_table(_ref._KIND_BY_CODE)
+_CTRL_TABLE = _code_table(_ref._CTRL_BY_CODE)
+_WRITES_TABLE = _code_table(WRITES_BY_CODE)
+_IS_BRANCH = bytes(1 if c == K.CTRL_BRANCH else 0 for c in range(256))
+
+
+# ------------------------------------------------------------------ #
+# Trace-pure inputs, memoized on trace.derived["simprep"].
+# ------------------------------------------------------------------ #
+
+
+def _prep_store(trace: Trace) -> Dict[Tuple, object]:
+    store = trace.derived.get("simprep")
+    if store is None:
+        store = {}
+        trace.derived["simprep"] = store
+    return store
+
+
+def _op_columns(trace: Trace) -> Tuple[bytes, bytes, bytes]:
+    """(kind, ctrl, writes) per instruction, from the opcode column."""
+    store = _prep_store(trace)
+    cols = store.get(("ops",))
+    if cols is None:
+        codes = trace.columns.op_code.tobytes()
+        cols = (
+            codes.translate(_KIND_TABLE),
+            codes.translate(_CTRL_TABLE),
+            codes.translate(_WRITES_TABLE),
+        )
+        store[("ops",)] = cols
+    return cols
+
+
+def _branch_seqs(trace: Trace) -> Iterator[int]:
+    """Sequence numbers of the conditional branches, in trace order."""
+    return compress(count(), _op_columns(trace)[1].translate(_IS_BRANCH))
+
+
+def _line_column(trace: Trace, line_shift: int) -> array:
+    """Per-instruction I-cache line id: ``(pc * INST_BYTES) >> line_shift``."""
+    store = _prep_store(trace)
+    key = ("lines", line_shift)
+    lines = store.get(key)
+    if lines is None:
+        inst_bytes = _ref.INST_BYTES
+        lines = array(
+            "q", ((pc * inst_bytes) >> line_shift for pc in trace.columns.pc)
+        )
+        store[key] = lines
+    return lines
+
+
+def _pred_column(trace: Trace, bpred_entries: int) -> bytes:
+    """Predicted direction per instruction (0 for non-branches)."""
+    store = _prep_store(trace)
+    key = ("pred", bpred_entries)
+    pred = store.get(key)
+    if pred is None:
+        _PREP_BUILDS.add()
+        cols = trace.columns
+        pc_arr, taken_arr = cols.pc, cols.taken
+        predict_and_update = HybridPredictor(bpred_entries).predict_and_update
+        col = bytearray(len(pc_arr))
+        for i in _branch_seqs(trace):
+            if predict_and_update(pc_arr[i], taken_arr[i] != 0):
+                col[i] = 1
+        pred = bytes(col)
+        store[key] = pred
+    else:
+        _PREP_REUSES.add()
+    return pred
+
+
+def _btb_column(trace: Trace, bpred_entries: int, btb_entries: int) -> bytes:
+    """BTB redirect (miss) flag per instruction.
+
+    The LRU replay below mirrors :class:`repro.branch.btb.BTB` operation
+    for operation, over the branches the prediction column sends to it.
+    """
+    store = _prep_store(trace)
+    key = ("btb", bpred_entries, btb_entries)
+    col = store.get(key)
+    if col is None:
+        cols = trace.columns
+        pc_arr, taken_arr, next_pc_arr = cols.pc, cols.taken, cols.next_pc
+        pred = _pred_column(trace, bpred_entries)
+        flags = bytearray(len(pc_arr))
+        table: "OrderedDict[int, int]" = OrderedDict()
+        move_to_end = table.move_to_end
+        table_get = table.get
+        for i in _branch_seqs(trace):
+            if not (taken_arr[i] and pred[i]):
+                continue
+            pc = pc_arr[i]
+            target = table_get(pc, -1)
+            if target != -1:
+                move_to_end(pc)
+            npc = next_pc_arr[i]
+            if target != npc:
+                flags[i] = 1
+                if target == -1 and len(table) >= btb_entries:
+                    table.popitem(last=False)
+                table[pc] = npc
+        col = bytes(flags)
+        store[key] = col
+    return col
+
+
+def _warm_image(trace: Trace, cfg: MachineConfig) -> Tuple[array, ...]:
+    """Cache contents after the functional warm-up pass.
+
+    Replays :meth:`Pipeline._warm_caches` exactly (same access order,
+    same LRU movement) against a fresh hierarchy, once per cache
+    geometry, and returns ``(ic_ways, ic_occ, dc_ways, dc_occ, l2_ways,
+    l2_occ)`` for the kernel to copy into each warm run's caches.
+    """
+    store = _prep_store(trace)
+    key = ("warm", cfg.icache, cfg.dcache, cfg.l2)
+    image = store.get(key)
+    if image is None:
+        hierarchy = MemoryHierarchy(cfg)
+        warm_inst = hierarchy.warm_inst
+        warm_data = hierarchy.warm_data
+        inst_bytes = _ref.INST_BYTES
+        line_insts = cfg.icache.line_bytes // inst_bytes
+        seen_lines = set()
+        seen_add = seen_lines.add
+        cols = trace.columns
+        for pc, addr in zip(cols.pc, cols.addr):
+            line = pc // line_insts
+            if line not in seen_lines:
+                seen_add(line)
+                warm_inst(pc * inst_bytes)
+            if addr >= 0:
+                warm_data(addr)
+        image = (
+            _pack_sets(hierarchy.icache._sets, cfg.icache)
+            + _pack_sets(hierarchy.dcache._sets, cfg.dcache)
+            + _pack_sets(hierarchy.l2._sets, cfg.l2)
+        )
+        store[key] = image
+    return image
+
+
+def _pack_sets(sets: List[List[List[int]]], cc: CacheConfig) -> Tuple:
+    """Flat ``ways[set * assoc + i]`` / ``occ[set]`` arrays of one cache."""
+    assoc = cc.assoc
+    ways = array("q", bytes(8 * cc.n_sets * assoc))
+    occ = array("q", bytes(8 * cc.n_sets))
+    for index, entries in enumerate(sets):
+        base = index * assoc
+        for i, (tag, dirty) in enumerate(entries):
+            ways[base + i] = tag << 1 | (1 if dirty else 0)
+        occ[index] = len(entries)
+    return ways, occ
+
+
+def _has_branch_hints(pthreads: PThreadProgram) -> bool:
+    return any(
+        spec.hint_branch_seq >= 0
+        for spawns in pthreads.spawns_by_trigger.values()
+        for spawn in spawns
+        for spec in spawn.insts
+    )
 
 
 class _FlatPThreads:
@@ -182,138 +380,19 @@ def _cfg_block(
     c[K.C_N_PINSTS] = len(flat.pi_kind)
     c[K.C_DEP_LEN] = len(flat.dep_flat)
     c[K.C_LIVE_LEN] = len(flat.live_flat)
+    c[K.C_HEARTBEAT_CYCLES] = _ref.HEARTBEAT_CYCLES
     return c
 
 
-def _warm_packed(trace: Trace, cfg: MachineConfig) -> Tuple:
-    """Warm image as packed ``tag << 1 | dirty`` per-set lists."""
-    store = _batch._prep_store(trace)
-    key = ("kwarm", cfg.icache, cfg.dcache, cfg.l2)
-    image = store.get(key)
-    if image is None:
-        image = tuple(
-            [
-                [entry[0] << 1 | (1 if entry[1] else 0) for entry in ways]
-                for ways in sets
-            ]
-            for sets in _batch._warm_image(trace, cfg)
-        )
-        store[key] = image
-    return image
-
-
-# ------------------------------------------------------------------ #
-# C-kernel marshaling (array('q') / bytes forms + scratch buffers).
-# ------------------------------------------------------------------ #
-
-
-def _c_columns(trace: Trace) -> Tuple:
-    store = _batch._prep_store(trace)
-    key = ("kcols",)
-    cols = store.get(key)
-    if cols is None:
-        view = _ref._pipeline_view(trace)
-        (kind_arr, ctrl_arr, writes_arr, pc_arr, addr_arr, src1_arr,
-         src2_arr, taken_arr, next_pc_arr) = view
-        cols = (
-            bytes(bytearray(kind_arr)),
-            bytes(bytearray(ctrl_arr)),
-            bytes(bytearray(1 if w else 0 for w in writes_arr)),
-            bytes(bytearray(1 if t else 0 for t in taken_arr)),
-            array("q", pc_arr),
-            array("q", addr_arr),
-            array("q", src1_arr),
-            array("q", src2_arr),
-            array("q", next_pc_arr),
-        )
-        store[key] = cols
-    return cols
-
-
-def _c_line(trace: Trace, line_arr: List[int], line_shift: int) -> array:
-    store = _batch._prep_store(trace)
-    key = ("kline", line_shift)
-    col = store.get(key)
-    if col is None:
-        col = array("q", line_arr)
-        store[key] = col
-    return col
-
-
-def _c_pred(trace: Trace, pred_arr: List[bool], entries: int) -> bytes:
-    store = _batch._prep_store(trace)
-    key = ("kpred", entries)
-    col = store.get(key)
-    if col is None:
-        col = bytes(bytearray(pred_arr))
-        store[key] = col
-    return col
-
-
-def _c_warm(trace: Trace, cfg: MachineConfig) -> Tuple:
-    """Warm image as flat ``ways[set * assoc + i]`` / ``occ[set]`` arrays."""
-    store = _batch._prep_store(trace)
-    key = ("kcwarm", cfg.icache, cfg.dcache, cfg.l2)
-    image = store.get(key)
-    if image is None:
-        packed = _warm_packed(trace, cfg)
-        parts = []
-        for sets, cc in zip(packed, (cfg.icache, cfg.dcache, cfg.l2)):
-            assoc = cc.assoc
-            ways = array("q", bytes(8 * cc.n_sets * assoc))
-            occ = array("q", bytes(8 * cc.n_sets))
-            for index, entries in enumerate(sets):
-                base = index * assoc
-                for i, e in enumerate(entries):
-                    ways[base + i] = e
-                occ[index] = len(entries)
-            parts.append(ways)
-            parts.append(occ)
-        image = tuple(parts)
-        store[key] = image
-    return image
-
-
-def _c_scratch(trace: Trace, n_main: int) -> Tuple[array, array]:
-    store = _batch._prep_store(trace)
-    key = ("kscratch",)
-    bufs = store.get(key)
-    if bufs is None:
-        bufs = (
-            array("q", bytes(8 * (n_main + 1))),
-            array("q", bytes(8 * (n_main + 1))),
-        )
-        store[key] = bufs
-    return bufs
-
-
-def _run_native(
-    lib,
-    trace: Trace,
-    cfg: MachineConfig,
-    cfg_block: List[int],
-    flat: _FlatPThreads,
-    line_arr: List[int],
-    pred_arr: List[bool],
-    btb_col: Optional[bytearray],
-    do_warm: bool,
-):
+def _run_native(lib, cfg_block, columns, warm, flat, n_loads, progress):
+    """Run the C kernel; returns ``(out, missed, misspc, fetch_state)``."""
     import ctypes
 
     from repro.cpu import nativebuild
 
-    n_main = cfg_block[K.C_N_MAIN]
+    (kind_b, ctrl_b, writes_b, pc_a, addr_a, src1_a, src2_a, taken_a,
+     next_pc_a, line_a, pred_b, btb_b) = columns
     n_spawns = cfg_block[K.C_N_SPAWNS]
-    (kind_b, ctrl_b, writes_b, taken_b, pc_a, addr_a, src1_a, src2_a,
-     next_pc_a) = _c_columns(trace)
-    line_a = _c_line(trace, line_arr, cfg_block[K.C_LINE_SHIFT])
-    pred_b = _c_pred(trace, pred_arr, cfg.bpred_entries) if n_main else b""
-    btb_b = bytes(btb_col) if btb_col is not None else b""
-    if do_warm:
-        warm = _c_warm(trace, cfg)
-    else:
-        warm = (None,) * 6
-
     sp_trigger = array("q", flat.sp_trigger)
     sp_static = array("q", flat.sp_static)
     sp_inst_lo = array("q", flat.sp_inst_lo)
@@ -326,27 +405,48 @@ def _run_native(
     pi_live_lo = array("q", flat.pi_live_lo)
     pi_live_hi = array("q", flat.pi_live_hi)
     live_flat = array("q", flat.live_flat)
-    pi_kind_b = bytes(bytearray(flat.pi_kind))
-    pi_hint_taken_b = bytes(bytearray(flat.pi_hint_taken))
+    pi_kind_b = bytes(flat.pi_kind)
+    pi_hint_taken_b = bytes(flat.pi_hint_taken)
 
+    # Each main load appends at most once to each uid stream.
     out = array("q", bytes(8 * O_LEN))
-    missed_out, misspc_out = _c_scratch(trace, n_main)
+    missed_out = array("q", bytes(8 * (n_loads + 1)))
+    misspc_out = array("q", bytes(8 * (n_loads + 1)))
     fa_out = array("q", bytes(8 * (6 * n_spawns + 8)))
     cfg_a = array("q", cfg_block)
 
     i64p = ctypes.POINTER(ctypes.c_int64)
     u8p = ctypes.POINTER(ctypes.c_uint8)
 
+    # The kernel reads every per-instruction input at n_main entries of
+    # the item width its table slot declares; anything else would be
+    # read out of bounds.
+    n_main = cfg_block[K.C_N_MAIN]
+    for col in columns:
+        if col is not None and len(col) != n_main:
+            raise ValueError(
+                f"kernel input of length {len(col)} for a trace of "
+                f"{n_main} instructions"
+            )
+
+    # Every array/bytes object below stays referenced for the whole
+    # call; the kernel reads the inputs in place and never writes them.
     def ip(arr):
         if arr is None or not len(arr):
             return ctypes.cast(None, i64p)
+        if arr.typecode != "q":
+            raise TypeError(f"int64 kernel input has typecode {arr.typecode!r}")
         return ctypes.cast(arr.buffer_info()[0], i64p)
 
-    # bytes objects are read-only buffers the kernel never writes: take
-    # their addresses zero-copy via c_char_p.
-    def bpz(buf):
-        if not buf:
+    def bp(buf):
+        if buf is None or not len(buf):
             return ctypes.cast(None, u8p)
+        if isinstance(buf, array):
+            if buf.typecode not in "bB":
+                raise TypeError(
+                    f"8-bit kernel input has typecode {buf.typecode!r}"
+                )
+            return ctypes.cast(buf.buffer_info()[0], u8p)
         return ctypes.cast(ctypes.c_char_p(buf), u8p)
 
     i_tbl = (i64p * nativebuild.I_LEN)(
@@ -356,16 +456,20 @@ def _run_native(
         ip(pi_addr), ip(pi_hint_seq),
         ip(pi_dep_lo), ip(pi_dep_hi), ip(dep_flat),
         ip(pi_live_lo), ip(pi_live_hi), ip(live_flat),
-        ip(warm[0]), ip(warm[1]), ip(warm[2]),
-        ip(warm[3]), ip(warm[4]), ip(warm[5]),
+        *(ip(part) for part in warm),
     )
     b_tbl = (u8p * nativebuild.B_LEN)(
-        bpz(kind_b), bpz(ctrl_b), bpz(writes_b), bpz(taken_b),
-        bpz(pred_b), bpz(btb_b), bpz(pi_kind_b), bpz(pi_hint_taken_b),
+        bp(kind_b), bp(ctrl_b), bp(writes_b), bp(taken_a),
+        bp(pred_b), bp(btb_b), bp(pi_kind_b), bp(pi_hint_taken_b),
+    )
+    callback = (
+        nativebuild.PROGRESS_FN(progress)
+        if progress is not None
+        else nativebuild.PROGRESS_FN()  # NULL: no progress calls
     )
     rc = lib.repro_kernel_run(
         ip(cfg_a), i_tbl, b_tbl, ip(out), ip(missed_out), ip(misspc_out),
-        ip(fa_out),
+        ip(fa_out), callback,
     )
     if rc != 0:
         raise MemoryError(f"native kernel failed to allocate (rc={rc})")
@@ -388,88 +492,84 @@ def simulate_kernel(
     config: Optional[MachineConfig] = None,
     pthreads: Optional[PThreadProgram] = None,
     warm: bool = True,
-    vector: bool = False,
-    native: bool = False,
 ) -> SimStats:
-    """Run one timing simulation through the extracted kernel.
+    """Run one timing simulation through the cycle kernel.
 
-    Bit-identical drop-in for :func:`repro.cpu.batch.simulate_fast`;
-    ``native=True`` runs the compiled C kernel (falling back to the
-    Python kernel only if the artifact cannot be loaded, which
-    :mod:`repro.cpu.engine` prevents by gating backend selection).
+    Bit-identical to :class:`repro.cpu.pipeline.Pipeline`.  Runs the
+    compiled C kernel when :func:`repro.cpu.nativebuild.load` returns a
+    library, the Python kernel otherwise.  Progress heartbeats are
+    emitted through the kernel's progress hook when
+    :func:`repro.cpu.pipeline.heartbeat_wanted` says so.
     """
+    from repro.cpu import nativebuild
+
     cfg = config or MachineConfig()
     pth = pthreads or PThreadProgram()
     wall_start = time.perf_counter()
     n_main = len(trace)
+    cols = trace.columns
 
-    view = _ref._pipeline_view(trace)
-    (kind_arr, ctrl_arr, writes_arr, pc_arr, addr_arr, src1_arr,
-     src2_arr, taken_arr, next_pc_arr) = view
+    kind_b, ctrl_b, writes_b = _op_columns(trace)
     line_shift = cfg.icache.line_bytes.bit_length() - 1
-    line_arr = _batch._line_column(trace, line_shift, vector) if n_main else []
-    pred_arr = (
-        _batch._pred_column(trace, cfg.bpred_entries, vector) if n_main else []
-    )
+    if n_main:
+        line_a = _line_column(trace, line_shift)
+        pred_b = _pred_column(trace, cfg.bpred_entries)
+    else:
+        line_a = array("q")
+        pred_b = b""
     has_spawns = bool(pth.spawns_by_trigger)
-    has_hints = has_spawns and _batch._has_branch_hints(pth)
+    has_hints = has_spawns and _has_branch_hints(pth)
     use_btb_col = bool(n_main and not has_hints)
-    btb_col = (
-        _batch._btb_column(trace, cfg.bpred_entries, cfg.btb_entries, vector)
+    btb_b = (
+        _btb_column(trace, cfg.bpred_entries, cfg.btb_entries)
         if use_btb_col
         else None
     )
-    flat = _FlatPThreads(pth)
     do_warm = bool(warm and n_main)
+    if do_warm:
+        warm_image = _warm_image(trace, cfg)
+        _WARM_RESTORES.add()
+    else:
+        warm_image = (None,) * 6
+    flat = _FlatPThreads(pth)
     cfg_block = _cfg_block(
         cfg, n_main, flat, do_warm, has_spawns, has_hints, use_btb_col
     )
+    progress = _ref.Heartbeat(n_main) if _ref.heartbeat_wanted() else None
 
-    lib = None
-    if native:
-        from repro.cpu import nativebuild
-
-        lib = nativebuild.load()
+    # In _kernel.run's argument order.
+    columns = (
+        kind_b, ctrl_b, writes_b, cols.pc, cols.addr, cols.src1, cols.src2,
+        cols.taken, cols.next_pc, line_a, pred_b, btb_b,
+    )
+    lib = nativebuild.load()
     if lib is not None:
         out, missed, misspc, dead_fa = _run_native(
-            lib, trace, cfg, cfg_block, flat, line_arr, pred_arr, btb_col,
-            do_warm,
+            lib, cfg_block, columns, warm_image, flat,
+            kind_b.count(K.K_LOAD), progress,
         )
-        if do_warm:
-            _batch._WARM_RESTORES.add()
     else:
-        if do_warm:
-            warm_ic, warm_dc, warm_l2 = _warm_packed(trace, cfg)
-            _batch._WARM_RESTORES.add()
-        else:
-            warm_ic = warm_dc = warm_l2 = ()
         out, missed, misspc, dead_fa = _kernel.run(
-            cfg_block,
-            kind_arr, ctrl_arr, writes_arr, pc_arr, addr_arr,
-            src1_arr, src2_arr, taken_arr, next_pc_arr,
-            line_arr, pred_arr, btb_col,
-            warm_ic, warm_dc, warm_l2,
+            cfg_block, *columns, *warm_image,
             flat.sp_trigger, flat.sp_static, flat.sp_inst_lo,
             flat.sp_inst_hi,
             flat.pi_kind, flat.pi_addr, flat.pi_hint_seq,
             flat.pi_hint_taken,
             flat.pi_dep_lo, flat.pi_dep_hi, flat.dep_flat,
             flat.pi_live_lo, flat.pi_live_hi, flat.live_flat,
+            progress,
         )
 
     status = out[K.O_STATUS]
     now = out[K.O_CYCLES]
     committed = out[K.O_COMMITTED]
     if status == STATUS_SAFETY:
-        safety_limit = 400 * n_main + 10_000_000
         raise ExecutionError(
-            f"simulation exceeded {safety_limit} cycles "
+            f"simulation exceeded {cfg_block[K.C_SAFETY_LIMIT]} cycles "
             f"({committed}/{n_main} committed)"
         )
     if status == STATUS_DEADLOCK:
-        raise _rebuild_deadlock(
-            out, dead_fa, n_main, pc_arr, kind_arr
-        )
+        raise _rebuild_deadlock(out, dead_fa, n_main, cols.pc, kind_b)
     assert status == STATUS_OK
 
     stats = SimStats()
@@ -520,30 +620,12 @@ def simulate_kernel(
     stalls.exec += out[K.O_SL_EXEC]
     stats.missed_load_seqs.update(missed)
     misses_by_pc = stats.l2_misses_by_pc
+    pc_arr = cols.pc
     for uid in misspc:
         pc = pc_arr[uid]
         misses_by_pc[pc] = misses_by_pc.get(pc, 0) + 1
 
-    wall_s = time.perf_counter() - wall_start
-    _ref._SIM_RUNS.add()
-    _ref._SIM_CYCLES.add(now)
-    _ref._SIM_RETIRED.add(committed)
-    if wall_s > 0:
-        _ref._SIM_RETIRE_RATE.set(round(committed / wall_s))
-        _ref._SIM_CYCLE_RATE.set(round(now / wall_s))
-    if obs.is_enabled("info"):
-        obs.log_event(
-            "sim.done",
-            cycles=now,
-            committed=committed,
-            ipc=round(stats.ipc, 4),
-            spawns=stats.spawns_started,
-            pinsts=stats.pinsts_executed,
-            stall_slots=stalls.as_dict(),
-            wall_s=round(wall_s, 6),
-            cycles_per_sec=round(now / wall_s) if wall_s else 0,
-            retired_per_sec=round(committed / wall_s) if wall_s else 0,
-        )
+    _ref.record_run(stats, time.perf_counter() - wall_start)
     return stats
 
 
@@ -551,8 +633,8 @@ def _rebuild_deadlock(
     out: List[int],
     dead_fa: List[Tuple[int, ...]],
     n_main: int,
-    pc_arr: List[int],
-    kind_arr: List[int],
+    pc_arr,
+    kind_arr,
 ) -> PipelineDeadlockError:
     """Byte-identical reconstruction of pipeline._deadlock_error."""
     now = out[K.O_CYCLES]

@@ -1,25 +1,25 @@
 """Opportunistic build + ctypes loader for the compiled cycle kernel.
 
 The ``native`` sim backend runs ``_kernel.c`` (a direct transliteration
-of ``_kernel.py``) as a shared library.  This module owns its lifecycle:
+of ``_kernel.py``) as a shared library whenever one can be loaded, and
+the pure-Python kernel otherwise.  This module owns the library's
+lifecycle:
 
 - :func:`load` compiles the C source on first use -- if a C compiler is
   on PATH -- into a content-addressed cache directory and returns the
   ``ctypes`` handle, or ``None`` when no artifact can be produced (no
   toolchain, build failure, ABI mismatch).  The outcome is memoized per
   process either way, so probing is cheap.
-- :func:`native_available` / :func:`native_error` are what
-  :mod:`repro.cpu.engine` uses to gate backend selection and to explain
-  *why* ``native`` is unavailable.
+- :func:`native_available` / :func:`native_error` report whether the
+  compiled kernel runs and, if not, *why* the Python kernel does.
 - ``python -m repro.cpu.nativebuild`` builds eagerly and reports.
 
 Environment knobs:
 
 - ``REPRO_NATIVE_DIR`` -- artifact cache directory (default
   ``~/.cache/repro-native``);
-- ``REPRO_NATIVE=0`` -- disable the native kernel entirely (probes
-  report unavailable; the pure-Python kernel serves ``native`` requests
-  nowhere, since engine selection is gated on availability);
+- ``REPRO_NATIVE=0`` -- never load the compiled kernel (probes report
+  unavailable and every simulation runs the pure-Python kernel);
 - ``REPRO_NATIVE_CC`` -- compiler executable to use (default: first of
   ``cc``, ``gcc``, ``clang`` on PATH).
 
@@ -76,6 +76,12 @@ def _artifact_path(source_text: bytes) -> Path:
     return _cache_dir() / f"repro_kernel_{digest}_abi{KERNEL_ABI}.so"
 
 
+#: The kernel's progress hook: ``(cycles, committed, spawns_started)``.
+PROGRESS_FN = ctypes.CFUNCTYPE(
+    None, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
+)
+
+
 def _configure(lib: ctypes.CDLL) -> None:
     i64p = ctypes.POINTER(ctypes.c_int64)
     lib.repro_kernel_abi.restype = ctypes.c_int64
@@ -89,6 +95,7 @@ def _configure(lib: ctypes.CDLL) -> None:
         i64p,                                     # missed_out
         i64p,                                     # misspc_out
         i64p,                                     # fa_out
+        PROGRESS_FN,                              # progress (or None)
     ]
 
 

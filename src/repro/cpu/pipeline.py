@@ -41,8 +41,9 @@ from repro.memory.hierarchy import MemoryHierarchy
 INST_BYTES = 4
 
 #: Simulated-cycle interval between progress heartbeat events (emitted
-#: only when debug-level telemetry is enabled, so the hot loop pays one
-#: boolean test otherwise).
+#: only when debug-level telemetry is enabled or a tap is installed, so
+#: the hot loop pays one comparison otherwise).  Read at simulation start
+#: by both the reference engine and the kernel driver.
 HEARTBEAT_CYCLES = 250_000
 
 _SIM_RUNS = obs.counters.counter("cpu.pipeline.simulations")
@@ -219,6 +220,85 @@ def _deadlock_error(
         rob_head=rob_head,
         fetch_state=fetch_state,
     )
+
+
+def heartbeat_wanted() -> bool:
+    """Whether simulations should emit progress heartbeats: debug
+    telemetry or an installed tap, and not silenced by ``--quiet``."""
+    return (obs.is_enabled("debug") or obs.has_taps()) and not obs.is_quiet()
+
+
+class Heartbeat:
+    """Turns periodic ``(cycles, committed, spawns)`` progress calls into
+    ``sim_heartbeat`` events for one simulation of ``n_main``
+    instructions."""
+
+    def __init__(self, n_main: int) -> None:
+        self.n_main = n_main
+        self.start = self.last_wall = time.perf_counter()
+        self.last_cycles = 0
+        self.last_committed = 0
+
+    def __call__(self, cycles: int, committed: int, spawns: int) -> None:
+        n_main = self.n_main
+        wall_now = time.perf_counter()
+        wall_s = wall_now - self.start
+        # Interval rates (since the previous heartbeat) drive the ETA:
+        # committed instructions are monotone toward n_main, so the
+        # retired-rate projection converges even when the cycle rate
+        # swings between miss-bound and compute-bound program phases.
+        dt = wall_now - self.last_wall
+        retired_rate = (
+            (committed - self.last_committed) / dt if dt > 0 else 0.0
+        )
+        eta_s = (
+            (n_main - committed) / retired_rate if retired_rate > 0 else None
+        )
+        obs.log_event(
+            "sim_heartbeat",
+            level="debug",
+            cycles=cycles,
+            committed=committed,
+            progress_pct=round(100.0 * committed / n_main, 2)
+            if n_main
+            else 100.0,
+            spawns=spawns,
+            wall_s=round(wall_s, 3),
+            cycles_per_sec=round(cycles / wall_s) if wall_s else 0,
+            interval_cycles_per_sec=round((cycles - self.last_cycles) / dt)
+            if dt > 0
+            else 0,
+            interval_retired_per_sec=round(retired_rate),
+            eta_s=round(eta_s, 1) if eta_s is not None else None,
+        )
+        self.last_wall = wall_now
+        self.last_cycles = cycles
+        self.last_committed = committed
+
+
+def record_run(stats: SimStats, wall_s: float) -> None:
+    """Bump the simulator counters and log ``sim.done`` for one run."""
+    now = stats.cycles
+    committed = stats.committed
+    _SIM_RUNS.add()
+    _SIM_CYCLES.add(now)
+    _SIM_RETIRED.add(committed)
+    if wall_s > 0:
+        _SIM_RETIRE_RATE.set(round(committed / wall_s))
+        _SIM_CYCLE_RATE.set(round(now / wall_s))
+    if obs.is_enabled("info"):
+        obs.log_event(
+            "sim.done",
+            cycles=now,
+            committed=committed,
+            ipc=round(stats.ipc, 4),
+            spawns=stats.spawns_started,
+            pinsts=stats.pinsts_executed,
+            stall_slots=stats.stalls.as_dict(),
+            wall_s=round(wall_s, 6),
+            cycles_per_sec=round(now / wall_s) if wall_s else 0,
+            retired_per_sec=round(committed / wall_s) if wall_s else 0,
+        )
 
 
 class Pipeline:
@@ -873,16 +953,11 @@ class Pipeline:
         _debug_iter = 0
         _debug = bool(os.environ.get("REPRO_DEBUG_PIPELINE"))
         wall_start = time.perf_counter()
-        # Progress heartbeats: only when debug telemetry is on (and not
-        # silenced by --quiet), so the disabled fast path costs one
-        # boolean test per iteration.
-        heartbeat = (
-            obs.is_enabled("debug") or obs.has_taps()
-        ) and not obs.is_quiet()
-        heartbeat_next = HEARTBEAT_CYCLES
-        hb_last_wall = wall_start
-        hb_last_cycles = 0
-        hb_last_committed = 0
+        # Progress heartbeats: only when wanted (see heartbeat_wanted),
+        # so the disabled fast path costs one boolean test per iteration.
+        heartbeat = Heartbeat(n_main) if heartbeat_wanted() else None
+        heartbeat_cycles = HEARTBEAT_CYCLES
+        heartbeat_next = heartbeat_cycles
         # The ``pipeline.step`` fault site costs one hoisted boolean test
         # per iteration when inactive; when armed it is sampled once at
         # simulation start and then at heartbeat-sized cycle intervals.
@@ -904,44 +979,9 @@ class Pipeline:
                         f"phys={phys_used} freectx={free_contexts}",
                         flush=True,
                     )
-            if heartbeat and now >= heartbeat_next:
-                wall_now = time.perf_counter()
-                wall_s = wall_now - wall_start
-                # Interval rates (since the previous heartbeat) drive the
-                # ETA: committed instructions are monotone toward n_main,
-                # so the retired-rate projection converges even when the
-                # cycle rate swings between miss-bound and compute-bound
-                # program phases.
-                dt = wall_now - hb_last_wall
-                retired_rate = (
-                    (committed - hb_last_committed) / dt if dt > 0 else 0.0
-                )
-                eta_s = (
-                    (n_main - committed) / retired_rate
-                    if retired_rate > 0
-                    else None
-                )
-                obs.log_event(
-                    "sim_heartbeat",
-                    level="debug",
-                    cycles=now,
-                    committed=committed,
-                    progress_pct=round(100.0 * committed / n_main, 2)
-                    if n_main
-                    else 100.0,
-                    spawns=stats.spawns_started,
-                    wall_s=round(wall_s, 3),
-                    cycles_per_sec=round(now / wall_s) if wall_s else 0,
-                    interval_cycles_per_sec=round((now - hb_last_cycles) / dt)
-                    if dt > 0
-                    else 0,
-                    interval_retired_per_sec=round(retired_rate),
-                    eta_s=round(eta_s, 1) if eta_s is not None else None,
-                )
-                hb_last_wall = wall_now
-                hb_last_cycles = now
-                hb_last_committed = committed
-                heartbeat_next = now + HEARTBEAT_CYCLES
+            if heartbeat is not None and now >= heartbeat_next:
+                heartbeat(now, committed, stats.spawns_started)
+                heartbeat_next = now + heartbeat_cycles
             if completion_events and completion_events[0][0] <= now:
                 process_completions()
             ncommitted = do_commit()
@@ -1023,27 +1063,25 @@ class Pipeline:
             stalls.verify(width, now)
             self.trace_artifacts = tracer.finalize(stats)
 
-        wall_s = time.perf_counter() - wall_start
-        _SIM_RUNS.add()
-        _SIM_CYCLES.add(now)
-        _SIM_RETIRED.add(committed)
-        if wall_s > 0:
-            _SIM_RETIRE_RATE.set(round(committed / wall_s))
-            _SIM_CYCLE_RATE.set(round(now / wall_s))
-        if obs.is_enabled("info"):
-            obs.log_event(
-                "sim.done",
-                cycles=now,
-                committed=committed,
-                ipc=round(stats.ipc, 4),
-                spawns=stats.spawns_started,
-                pinsts=stats.pinsts_executed,
-                stall_slots=stalls.as_dict(),
-                wall_s=round(wall_s, 6),
-                cycles_per_sec=round(now / wall_s) if wall_s else 0,
-                retired_per_sec=round(committed / wall_s) if wall_s else 0,
-            )
+        record_run(stats, time.perf_counter() - wall_start)
         return stats
+
+
+def use_reference() -> bool:
+    """Whether a simulation must run on the reference :class:`Pipeline`.
+
+    Three cases: the ``reference`` backend is selected, microarchitectural
+    tracing is on (the utrace hooks live only in :class:`Pipeline`), or
+    the ``pipeline.step`` fault site is armed (it fires from inside the
+    reference loop).
+    """
+    from repro.cpu import engine
+
+    return (
+        engine.backend() == "reference"
+        or utrace.enabled()
+        or faults.site_active("pipeline.step")
+    )
 
 
 def simulate(
@@ -1052,26 +1090,15 @@ def simulate(
     pthreads: Optional[PThreadProgram] = None,
     warm: bool = True,
 ) -> SimStats:
-    """Run one timing simulation on the selected cycle-engine backend.
+    """Run one timing simulation on the selected cycle engine.
 
-    Dispatches to the merged-loop engine (:mod:`repro.cpu.batch`) unless
-    the ``reference`` backend is selected or microarchitectural tracing
-    is active -- the utrace hooks live only in :class:`Pipeline`.  All
-    backends are bit-identical (``tests/cpu/test_golden_sim_backends``),
-    so nothing downstream can observe the dispatch.
+    Runs the cycle kernel (:mod:`repro.cpu.kerneldriver`) unless
+    :func:`use_reference` routes the run to :class:`Pipeline`.  The two
+    are bit-identical (``tests/cpu/test_golden_sim_backends``), so
+    nothing downstream can observe the dispatch.
     """
-    from repro.cpu import engine
+    if use_reference():
+        return Pipeline(trace, config, pthreads, warm=warm).run()
+    from repro.cpu import kerneldriver
 
-    name = engine.backend()
-    if name != "reference" and not utrace.enabled():
-        from repro.cpu import batch
-
-        return batch.simulate_fast(
-            trace,
-            config,
-            pthreads,
-            warm=warm,
-            vector=name == "numpy",
-            native=name == "native",
-        )
-    return Pipeline(trace, config, pthreads, warm=warm).run()
+    return kerneldriver.simulate_kernel(trace, config, pthreads, warm=warm)

@@ -5,88 +5,25 @@ code, producer sequence numbers, effective address, branch direction,
 resolved next pc) instead of one Python object per dynamic instruction
 -- the buffer/seal machinery here is general and is also the array
 layer under the :mod:`repro.analytics` columnar run store (int64,
-int8, and float64 columns over millions of result rows).  Two
-interchangeable backends hold the sealed columns:
-
-- ``python`` -- stdlib ``array('q')`` / ``array('b')``, always available;
-- ``numpy``  -- int64/int8 ndarrays, enabling vectorized index and stats
-  construction over the same values.
-
-The backend is selected by the ``REPRO_NUMPY`` environment variable
-(``1`` forces NumPy, ``0`` forces the pure-Python fallback, unset picks
-NumPy when importable) or programmatically via :func:`set_backend` (the
-``--numpy`` CLI flag and the golden bit-identity tests).  Columns hold
-the same 64-bit values either way; nothing numeric may depend on the
-backend.
-
-Emission always happens into preallocated stdlib arrays (CPython item
-assignment into ``array('q')`` is as fast as anything NumPy offers for
-a data-dependent sequential loop); :meth:`TraceColumns.seal` converts
-the truncated columns to the active backend once, at trace build time.
+int8, and float64 columns over millions of result rows).  Columns are
+stdlib ``array('q')`` / ``array('b')`` / ``array('d')`` buffers:
+emitted into preallocated arrays (CPython item assignment into
+``array('q')`` is as fast as anything for a data-dependent sequential
+loop) and sealed in place.  The cycle kernel's C build reads sealed
+trace columns zero-copy through their buffer addresses.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from array import array
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.errors import ConfigError
 
-try:  # optional backend; the pure-Python fallback needs no third party
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
-
 #: int64 two's-complement -1, used to prefill sentinel columns.
 _NEG1_WORD = b"\xff" * 8
-
-_backend: Optional[str] = None
-
-
-def _resolve_from_env() -> str:
-    env = os.environ.get("REPRO_NUMPY", "").strip()
-    if env == "0":
-        return "python"
-    if env == "1":
-        if _np is None:
-            raise ConfigError(
-                "REPRO_NUMPY=1 requires numpy, which is not importable"
-            )
-        return "numpy"
-    return "numpy" if _np is not None else "python"
-
-
-def backend() -> str:
-    """The active column backend name (``"python"`` or ``"numpy"``)."""
-    global _backend
-    if _backend is None:
-        _backend = _resolve_from_env()
-    return _backend
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Force a backend, or ``None`` to re-resolve from the environment.
-
-    Traces already built keep their backend; only future construction is
-    affected (the golden tests build one trace per backend and compare).
-    """
-    global _backend
-    if name is None:
-        _backend = None
-        return
-    if name not in ("python", "numpy"):
-        raise ConfigError(f"unknown column backend: {name!r}")
-    if name == "numpy" and _np is None:
-        raise ConfigError("numpy backend requested but numpy is not importable")
-    _backend = name
-
-
-def use_numpy() -> bool:
-    return backend() == "numpy"
-
 
 def int64_buffer(n: int, fill: int = 0) -> array:
     """A writable int64 emission buffer of length ``n``.
@@ -151,71 +88,55 @@ def grow_float64(col: array, delta: int) -> None:
 # seven hard-wired trace columns above.
 # --------------------------------------------------------------------- #
 
-#: kind -> (array typecode, numpy dtype name, bytes per item)
+#: kind -> (array typecode, bytes per item)
 COLUMN_KINDS = {
-    "int64": ("q", "int64", 8),
-    "int8": ("b", "int8", 1),
-    "float64": ("d", "float64", 8),
+    "int64": ("q", 8),
+    "int8": ("b", 1),
+    "float64": ("d", 8),
 }
 
 
-def seal_column(col: array, kind: str):
-    """Convert one emission buffer to the active backend (zero-copy via
-    ``numpy.frombuffer`` when the NumPy backend is selected)."""
-    typecode, dtype, _ = COLUMN_KINDS[kind]
+def seal_column(col: array, kind: str) -> array:
+    """Check an emission buffer against ``kind`` and return it sealed."""
+    typecode, _ = COLUMN_KINDS[kind]
     if col.typecode != typecode:
         raise ConfigError(
             f"column buffer typecode {col.typecode!r} does not match "
             f"kind {kind!r} (expected {typecode!r})"
         )
-    if backend() == "numpy":
-        return _np.frombuffer(col, dtype=dtype)
     return col
 
 
-def column_from_values(values: Iterable, kind: str):
+def column_from_values(values: Iterable, kind: str) -> array:
     """Build a sealed column of ``kind`` from a Python iterable."""
-    typecode, dtype, _ = COLUMN_KINDS[kind]
-    if backend() == "numpy":
-        return _np.asarray(list(values), dtype=dtype)
-    return array(typecode, values)
+    return array(COLUMN_KINDS[kind][0], values)
 
 
-def column_from_bytes(raw: bytes, kind: str):
-    """Rehydrate a sealed column from its on-disk little-endian bytes.
-
-    Segment files store raw column bytes; both backends read the same
-    payload (``array`` and ``numpy`` agree on the memory layout for the
-    three supported kinds on every platform CPython supports).
-    """
-    typecode, dtype, _ = COLUMN_KINDS[kind]
-    if backend() == "numpy":
-        return _np.frombuffer(raw, dtype=dtype)
-    col = array(typecode)
+def column_from_bytes(raw: bytes, kind: str) -> array:
+    """Rehydrate a sealed column from its on-disk native-order bytes."""
+    col = array(COLUMN_KINDS[kind][0])
     col.frombytes(raw)
     return col
 
 
-def column_to_bytes(col) -> bytes:
+def column_to_bytes(col: array) -> bytes:
     """The on-disk byte payload of a sealed (or emission) column."""
-    if _np is not None and isinstance(col, _np.ndarray):
-        return col.tobytes()
     return col.tobytes()
 
 
 class TraceColumns:
-    """Sealed trace columns, in the backend active at construction.
+    """Sealed trace columns.
 
-    ``taken`` and ``op_code`` are 8-bit columns; the rest are int64.
-    Instances are treated as immutable once sealed -- they are shared
-    across grid cells and fork-inherited pool workers.
+    ``taken`` and ``op_code`` are ``array('b')``; the rest are
+    ``array('q')``.  Instances are treated as immutable once sealed --
+    they are shared across grid cells and fork-inherited pool workers.
     """
 
     __slots__ = ("pc", "op_code", "src1", "src2", "addr", "taken",
-                 "next_pc", "backend")
+                 "next_pc")
 
-    def __init__(self, pc, op_code, src1, src2, addr, taken, next_pc,
-                 backend_name: str) -> None:
+    def __init__(self, pc, op_code, src1, src2, addr, taken,
+                 next_pc) -> None:
         self.pc = pc
         self.op_code = op_code
         self.src1 = src1
@@ -223,7 +144,6 @@ class TraceColumns:
         self.addr = addr
         self.taken = taken
         self.next_pc = next_pc
-        self.backend = backend_name
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -240,24 +160,10 @@ class TraceColumns:
         next_pc: array,
         length: int,
     ) -> "TraceColumns":
-        """Truncate emission buffers to ``length`` and convert them to
-        the active backend."""
+        """Truncate emission buffers to ``length`` and seal them."""
         for col in (pc, src1, src2, addr, next_pc, op_code, taken):
             del col[length:]
-        name = backend()
-        if name == "numpy":
-            return cls(
-                _np.frombuffer(pc, dtype=_np.int64),
-                _np.frombuffer(op_code, dtype=_np.int8),
-                _np.frombuffer(src1, dtype=_np.int64),
-                _np.frombuffer(src2, dtype=_np.int64),
-                _np.frombuffer(addr, dtype=_np.int64),
-                _np.frombuffer(taken, dtype=_np.int8),
-                _np.frombuffer(next_pc, dtype=_np.int64),
-                backend_name=name,
-            )
-        return cls(pc, op_code, src1, src2, addr, taken, next_pc,
-                   backend_name=name)
+        return cls(pc, op_code, src1, src2, addr, taken, next_pc)
 
     @classmethod
     def from_rows(cls, rows: Iterable) -> "TraceColumns":
@@ -281,18 +187,6 @@ class TraceColumns:
             addr.append(row.addr)
             taken.append(1 if row.taken else 0)
             next_pc.append(row.next_pc)
-        name = backend()
-        if name == "numpy":
-            return cls(
-                _np.asarray(pc, dtype=_np.int64),
-                _np.asarray(op_code, dtype=_np.int8),
-                _np.asarray(src1, dtype=_np.int64),
-                _np.asarray(src2, dtype=_np.int64),
-                _np.asarray(addr, dtype=_np.int64),
-                _np.asarray(taken, dtype=_np.int8),
-                _np.asarray(next_pc, dtype=_np.int64),
-                backend_name=name,
-            )
         return cls(
             array("q", pc),
             array("b", op_code),
@@ -301,5 +195,4 @@ class TraceColumns:
             array("q", addr),
             array("b", taken),
             array("q", next_pc),
-            backend_name=name,
         )

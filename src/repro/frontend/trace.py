@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Union
 
-from repro.frontend.columns import TraceColumns, use_numpy
+from repro.frontend.columns import TraceColumns
 from repro.isa.instruction import Program
 from repro.isa.opcodes import (
     BRANCH_CODES,
@@ -212,48 +212,25 @@ class Trace:
         return self.program[dyn.pc]
 
     # ------------------------------------------------------------------ #
-    # Derived statistics: one single-pass (or vectorized) construction,
-    # shared by every consumer.
+    # Derived statistics: one single-pass construction, shared by every
+    # consumer.
     # ------------------------------------------------------------------ #
 
     def _materialize_stats(self) -> None:
         if self._pc_index is not None:
             return
-        c = self.columns
         n_codes = len(OPS_BY_CODE)
-        if use_numpy() and c.backend == "numpy":
-            import numpy as np
-
-            pc_arr = c.pc
-            order = np.argsort(pc_arr, kind="stable")
-            code_counts = np.bincount(
-                c.op_code, minlength=n_codes
-            ).tolist()
-            if len(order):
-                sorted_pcs = pc_arr[order]
-                boundaries = np.flatnonzero(np.diff(sorted_pcs)) + 1
-                groups = np.split(order, boundaries)
-                # First-occurrence order, matching the sequential build.
-                items = [(int(g[0]), int(sorted_pcs[starts]), g)
-                         for g, starts in zip(
-                             groups,
-                             np.concatenate(([0], boundaries)))]
-                items.sort()
-                pc_index = {pc: g.tolist() for _, pc, g in items}
+        L = self.as_lists()
+        pc_index = {}
+        index_get = pc_index.get
+        code_counts = [0] * n_codes
+        for seq, (pc, code) in enumerate(zip(L.pc, L.op_code)):
+            bucket = index_get(pc)
+            if bucket is None:
+                pc_index[pc] = [seq]
             else:
-                pc_index = {}
-        else:
-            L = self.as_lists()
-            pc_index = {}
-            index_get = pc_index.get
-            code_counts = [0] * n_codes
-            for seq, (pc, code) in enumerate(zip(L.pc, L.op_code)):
-                bucket = index_get(pc)
-                if bucket is None:
-                    pc_index[pc] = [seq]
-                else:
-                    bucket.append(seq)
-                code_counts[code] += 1
+                bucket.append(seq)
+            code_counts[code] += 1
         # Per-class totals and per-branch-pc taken counts fall out of the
         # code histogram and the occurrence index without another sweep.
         class_counts: Dict[OpClass, int] = {}
@@ -261,8 +238,8 @@ class Trace:
             if count:
                 cls = CLASS_BY_CODE[code]
                 class_counts[cls] = class_counts.get(cls, 0) + count
-        taken_l = self.as_lists().taken
-        code_l = self.as_lists().op_code
+        taken_l = L.taken
+        code_l = L.op_code
         branch_stats: Dict[int, Dict[str, int]] = {}
         for pc, seqs in pc_index.items():
             if code_l[seqs[0]] in BRANCH_CODES:

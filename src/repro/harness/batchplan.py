@@ -13,8 +13,8 @@ explicit:
   by sealed trace content -- collecting the distinct machine
   configurations each group needs;
 - :func:`prewarm` advances each multi-config group through
-  :func:`repro.cpu.batch.simulate_batch` in one lock-step pass over the
-  shared pipeline view (per-config ``SimStats`` fully independent), and
+  :func:`repro.cpu.batch.simulate_batch` in one pass over the shared
+  trace-pure kernel inputs (per-config ``SimStats`` fully independent), and
   hands every result to :func:`repro.harness.experiment.adopt_baseline`
   so the subsequent per-cell experiments are served from the baseline
   LRU and the results fan back out as ordinary per-cell rows.
@@ -22,10 +22,10 @@ explicit:
 Members whose baseline is already cached (LRU or the persistent
 simulation cache) are skipped, so re-runs and journal resumes do not
 re-simulate.  The engine only invokes the pass on the sequential path
-with a non-reference cycle engine and microarchitectural tracing off
-(the reference engine is the tracing oracle and must observe every
+when :func:`repro.cpu.pipeline.use_reference` is false (the reference
+engine is the tracing and fault-injection oracle and must observe every
 simulation itself); everything here is bit-identical to the per-cell
-path because :func:`simulate_batch` runs the same engine on the same
+path because :func:`simulate_batch` runs the same kernel on the same
 memoized trace objects.
 """
 
@@ -37,10 +37,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.config import MachineConfig, SimulationConfig
-from repro.cpu import engine
+from repro.cpu import pipeline
 from repro.frontend import tracestore
 from repro.harness import experiment
-from repro.obs import utrace
 from repro.workloads.registry import get_program
 
 _GROUPS_PLANNED = obs.counters.counter("harness.batchplan.groups")
@@ -133,9 +132,6 @@ def prewarm(jobs: Iterable) -> Dict[str, object]:
         "cached": 0,
         "wall_s": 0.0,
     }
-    backend_name = engine.backend()
-    vector = backend_name == "numpy"
-    native = backend_name == "native"
     from repro.cpu.batch import simulate_batch
 
     for group in plan_batches(jobs):
@@ -165,10 +161,7 @@ def prewarm(jobs: Iterable) -> Dict[str, object]:
             configs=len(need),
         ):
             results = simulate_batch(
-                trace,
-                [member.machine for member in need],
-                vector=vector,
-                native=native,
+                trace, [member.machine for member in need]
             )
         for member, sim_stats in zip(need, results):
             experiment.adopt_baseline(
@@ -190,16 +183,14 @@ def prewarm(jobs: Iterable) -> Dict[str, object]:
 def maybe_prewarm(jobs: List) -> Optional[Dict[str, object]]:
     """Gate and run :func:`prewarm` for the sequential engine path.
 
-    Skipped when fewer than two jobs, when the reference engine is
-    active (it is the tracing/debug oracle: every simulation must run
-    through :class:`~repro.cpu.pipeline.Pipeline` itself), or when
-    microarchitectural tracing is on (a prewarmed baseline would emit
-    no trace artifacts).
+    Skipped when fewer than two jobs, or whenever simulations must run
+    through :class:`~repro.cpu.pipeline.Pipeline` itself
+    (:func:`~repro.cpu.pipeline.use_reference`: the reference backend,
+    microarchitectural tracing -- a prewarmed baseline would emit no
+    trace artifacts -- or an armed ``pipeline.step`` fault site).
     """
     if len(jobs) < 2:
         return None
-    if engine.backend() == "reference":
-        return None
-    if utrace.enabled():
+    if pipeline.use_reference():
         return None
     return prewarm(jobs)

@@ -4,9 +4,9 @@ Two measurements matter for the "as fast as the hardware allows" goal:
 
 - **Simulator throughput** -- single-thread ``cycles/sec`` through
   :func:`repro.cpu.pipeline.simulate` per benchmark, the number the
-  hot-loop optimization work targets.  The trace is interpreted (and its
-  flat per-instruction arrays built) outside the timed region, matching
-  how the harness amortizes those costs across a figure grid.
+  hot-loop optimization work targets.  The trace is interpreted outside
+  the timed region, matching how the harness amortizes that cost across
+  a figure grid.
 - **Figure-grid wall time** -- end-to-end seconds for a representative
   sweep (``figure5_memory_latency``), measured three ways: sequential
   with the simulation cache disabled (the seed baseline's behavior),
@@ -29,9 +29,11 @@ from typing import Dict, List, Optional, Sequence
 from repro import __version__, obs
 from repro.config import MachineConfig, SimulationConfig
 from repro.cpu.pipeline import simulate
-from repro.frontend import columns, tracestore
-from repro.frontend.interpreter import interpret
 from repro.cpu import engine as sim_engine
+from repro.cpu import nativebuild
+from repro.ddmt import augment
+from repro.frontend import tracestore
+from repro.frontend.interpreter import interpret
 from repro.harness import batchplan, experiment, figures, simcache
 from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
@@ -85,6 +87,15 @@ def _grid_kwargs(quick: bool) -> Dict[str, object]:
     return {}
 
 
+def _reset_memos() -> None:
+    """Drop every in-process memo a cold grid pass must not inherit:
+    the baseline LRU (with the augmented/optimized memos), the trace
+    memo and the p-thread spawn cache."""
+    experiment.clear_baseline_cache()
+    tracestore.clear()
+    augment.clear_spawn_cache()
+
+
 def bench_grid(
     jobs: Optional[int] = None,
     quick: bool = False,
@@ -107,10 +118,9 @@ def bench_grid(
 
     if compare_sequential:
         # An honest cold pass: nothing carried over from earlier phases
-        # of this process (in-process baseline LRU, trace memo), only the
-        # sharing the sequential grid itself builds up.
-        experiment.clear_baseline_cache()
-        tracestore.clear()
+        # of this process (see _reset_memos), only the sharing the
+        # sequential grid itself builds up.
+        _reset_memos()
         with simcache.disabled():
             t0 = time.perf_counter()
             rows = figures.figure5_memory_latency(jobs=1, **kwargs)
@@ -163,11 +173,10 @@ def bench_grid(
         if measure_walls:
             active = sim_engine.backend()
             walls = {active: out["sequential_uncached_wall_s"]}
-            for name in sim_engine.available_backends():
+            for name in sim_engine.SIM_BACKENDS:
                 if name == active:
                     continue
-                experiment.clear_baseline_cache()
-                tracestore.clear()
+                _reset_memos()
                 sim_engine.set_sim_backend(name)
                 try:
                     with simcache.disabled():
@@ -212,8 +221,11 @@ def run_bench(
             "cpu_count": os.cpu_count(),
         },
         "quick": quick,
-        "trace_backend": columns.backend(),
         "sim_backend": sim_engine.backend(),
+        # ``native`` is the C kernel or, without a C compiler, the
+        # several-fold slower Python kernel; walls compare only within
+        # one of them.
+        "native_kernel": "c" if nativebuild.load() is not None else "python",
         "simulator": bench_simulator(
             QUICK_BENCHMARKS if quick else None
         ),

@@ -366,7 +366,7 @@ def adopt_baseline(
 # Sized for a full figure sweep: figure5's 9 benchmark x target cells
 # select ~13 distinct p-thread signatures, which thrash an LRU of 8 --
 # and a retained AugmentedProgram also keeps its trace's derived
-# pipeline view and simulation precomputes alive across sweep cells.
+# simulation inputs alive across sweep cells.
 _AUG_CACHE: "OrderedDict[Tuple, AugmentedProgram]" = OrderedDict()
 _AUG_CACHE_LIMIT = 32
 _OPT_CACHE: "OrderedDict[Tuple, SimStats]" = OrderedDict()

@@ -89,7 +89,6 @@ from repro.errors import (
     is_retryable,
 )
 from repro.cpu import engine as sim_engine
-from repro.frontend import columns
 from repro.harness import simcache
 from repro.harness.experiment import (
     ExperimentResult,
@@ -344,7 +343,6 @@ def _worker_init(
     log_level: str,
     fault_specs: Sequence[str],
     fail_start: bool,
-    column_backend: Optional[str] = None,
     utrace_payload: Optional[Dict[str, object]] = None,
     cycle_backend: Optional[str] = None,
     quiet: bool = False,
@@ -356,12 +354,8 @@ def _worker_init(
     # spans should name the process that produced them.
     obs.set_quiet(quiet)
     obs.tracectx.set_process_label(f"pool-worker-{os.getpid()}")
-    # Fork inherits the parent's trace-column backend (and memoized
-    # traces); a spawn-started worker must re-apply any programmatic
-    # override (--numpy) the environment variables don't carry.
-    columns.set_backend(column_backend)
-    # Same for the cycle-engine backend: a --sim-backend override lives
-    # in process state, not the environment.
+    # A spawn-started worker must re-apply the cycle-engine backend: a
+    # --sim-backend override lives in process state, not the environment.
     if cycle_backend is not None:
         sim_engine.set_sim_backend(cycle_backend)
     # Microarchitectural tracing configuration must survive spawn too;
@@ -629,7 +623,6 @@ def _new_pool(workers: int, epoch: int) -> ProcessPoolExecutor:
             obs.current_level(),
             faults.encode_plan(),
             fail_start,
-            columns.backend(),
             utrace.encode(),
             sim_engine.backend(),
             obs.is_quiet(),
@@ -720,8 +713,9 @@ def run_experiments(
         n = min(resolve_jobs(n_jobs), max(1, len(to_run)))
         if n <= 1 or len(to_run) <= 1:
             # Sequential path: advance shared-trace cells' baselines in
-            # lock-step batches first (no-op under the reference engine
-            # or tracing); each cell then hits the baseline LRU.  The
+            # lock-step batches first (no-op whenever simulations must
+            # run on the reference engine); each cell then hits the
+            # baseline LRU.  The
             # pool path instead fans baselines out across workers below.
             from repro.harness import batchplan
 

@@ -19,7 +19,7 @@ reset), or ``failed`` (anything else -- the number the resilience
 layer must keep bounded).  The summary row lands in the standard
 ``run_table.csv`` via :class:`~repro.obs.manifest.RunWriter`, with the
 latency-budget arithmetic (``max_concurrent = budget / p95``) computed
-from the observed tail.
+from the published, rounded ``p95_latency_ms``.
 
 When no server URL is given the harness self-hosts: it boots a real
 :class:`~repro.server.app.ExperimentServer` on an ephemeral port with a
@@ -225,7 +225,9 @@ def run_loadtest(
         s["latency_s"] for s in samples if s["outcome"] == "ok"
     ]
     p50_s = percentile(ok_latencies, 50.0)
-    p95_s = percentile(ok_latencies, 95.0)
+    # The budget column is derived from the published (rounded) p95, so
+    # the row is self-consistent: budget / p95_latency_ms reproduces it.
+    p95_ms = round(percentile(ok_latencies, 95.0) * 1000.0, 1)
     issued = len(samples)
     row: Dict[str, Any] = {
         "benchmark": "+".join(benchmarks),
@@ -241,12 +243,12 @@ def run_loadtest(
         "elapsed_s": round(elapsed_s, 3),
         "throughput_rps": round(outcomes["ok"] / elapsed_s, 4),
         "p50_latency_ms": round(p50_s * 1000.0, 1),
-        "p95_latency_ms": round(p95_s * 1000.0, 1),
+        "p95_latency_ms": p95_ms,
         "failure_rate": round(outcomes["failed"] / max(1, issued), 4),
         "shed_rate": round(outcomes["shed"] / max(1, issued), 4),
         "latency_budget_s": latency_budget_s,
         "max_concurrent_in_budget": (
-            int(latency_budget_s / p95_s) if p95_s > 0 else None
+            int(latency_budget_s / (p95_ms / 1000.0)) if p95_ms > 0 else None
         ),
     }
     row = {k: v for k, v in row.items() if v is not None}

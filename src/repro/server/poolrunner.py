@@ -7,7 +7,7 @@ one job stalls the GIL for all of them.  ``repro serve --pool N``
 swaps in :class:`PoolRunner`: a long-lived
 :class:`~concurrent.futures.ProcessPoolExecutor` built with the same
 worker initializer as the parallel harness engine (same simcache,
-fault plan, column/cycle backends, quiet flag), so a served job runs
+fault plan, cycle backend, quiet flag), so a served job runs
 in a genuinely separate process.
 
 Telemetry crosses back exactly like the harness path: each job returns
@@ -97,7 +97,6 @@ class PoolRunner:
                 obs.current_level(),
                 (),      # fault plans stay server-side; workers run clean
                 False,   # no injected start failure
-                None,    # column backend: worker default
                 None,    # utrace: servers do not micro-trace
                 None,    # cycle backend: worker default
                 obs.is_quiet(),

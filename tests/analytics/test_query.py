@@ -2,9 +2,9 @@
 
 The gmean aggregation must agree with the paper-facing
 :func:`repro.harness.report.geometric_mean_pct` (same log-space math),
-both backends must agree with each other, and -- the acceptance bar for
-the analytics subsystem -- a gmean-ED²-by-objective trend over 100k+
-ingested rows must complete in under 2 s on the pure-Python backend.
+and -- the acceptance bar for the analytics subsystem -- a
+gmean-ED²-by-objective trend over 100k+ ingested rows must complete in
+under 2 s.
 """
 
 import math
@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.frontend import columns
 from repro.harness.report import geometric_mean_pct
 from repro.analytics.query import (
     Frame,
@@ -26,17 +25,6 @@ from repro.analytics.query import (
     stall_drift,
 )
 from repro.analytics.store import RunStore
-
-HAVE_NUMPY = columns._np is not None
-
-
-@pytest.fixture(autouse=True)
-def _python_backend():
-    """Default every test to the deterministic pure-Python backend."""
-    columns.set_backend("python")
-    yield
-    columns.set_backend(None)
-
 
 def _store(tmp_path):
     return RunStore(str(tmp_path / "store"))
@@ -217,40 +205,8 @@ def test_bench_series(tmp_path):
     }
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_backends_agree(tmp_path):
-    store = _store(tmp_path)
-    random.seed(11)
-    rows = [
-        {"benchmark": f"b{i % 7}", "target": "LEP"[i % 3],
-         "ed2_save_pct": random.uniform(-10, 60),
-         "failed": (i % 13 == 0)}
-        for i in range(500)
-    ]
-    store.append_rows(rows, run_id="r1")
-
-    def run():
-        res = aggregate(store, "ed2_save_pct", group_by=("target",))
-        return (
-            [(r["target"], r["n"]) for r in res.rows],
-            [r["value"] for r in res.rows],
-            res.n_failed_skipped,
-        )
-
-    columns.set_backend("python")
-    py_keys, py_vals, py_failed = run()
-    columns.set_backend("numpy")
-    RunStore(store.root)  # fresh instance: no cross-backend seg cache
-    np_keys, np_vals, np_failed = run()
-    assert py_keys == np_keys
-    assert py_failed == np_failed
-    for a, b in zip(py_vals, np_vals):
-        assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_gmean_100k_rows_under_two_seconds(tmp_path):
-    """Acceptance bar: ED² gmean by objective over >=100k rows < 2 s,
-    pure-Python backend (no NumPy assist)."""
+    """Acceptance bar: ED² gmean by objective over >=100k rows < 2 s."""
     store = _store(tmp_path)
     random.seed(7)
     targets = ("O", "L", "E", "P")

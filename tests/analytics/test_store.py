@@ -16,7 +16,6 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.errors import ConfigError
-from repro.frontend import columns
 from repro.obs.manifest import RESULTS_SCHEMA_VERSION, RunWriter
 from repro.analytics.store import (
     RunStore,
@@ -25,12 +24,6 @@ from repro.analytics.store import (
     default_store_dir,
     ingest_enabled,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    columns.set_backend(None)
 
 
 def _store(tmp_path):
@@ -355,7 +348,6 @@ def test_stats_summarizes_store(tmp_path):
     assert stats["ingests"] == 2
     assert stats["rows"] == 6
     assert stats["bytes"] > 0
-    assert stats["backend"] in ("python", "numpy")
 
 
 def test_mixed_type_column_stringifies(tmp_path):

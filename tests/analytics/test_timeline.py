@@ -13,7 +13,6 @@ from html.parser import HTMLParser
 
 import pytest
 
-from repro.frontend import columns
 from repro.analytics.store import RunStore
 from repro.analytics.timeline import (
     Series,
@@ -24,13 +23,6 @@ from repro.analytics.timeline import (
     render_timeline_html,
     timeline_section_html,
 )
-
-
-@pytest.fixture(autouse=True)
-def _python_backend():
-    columns.set_backend("python")
-    yield
-    columns.set_backend(None)
 
 
 def _store(tmp_path):

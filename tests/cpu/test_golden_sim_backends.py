@@ -1,15 +1,19 @@
-"""Golden bit-identity: every cycle-engine backend vs the reference.
+"""Golden bit-identity: both cycle-kernel builds vs the reference.
 
-The batched and numpy engines (:mod:`repro.cpu.batch`) and the compiled
-native kernel (:mod:`repro.cpu.kerneldriver`) must be indistinguishable
-from the retained :class:`repro.cpu.pipeline.Pipeline` oracle everywhere
-downstream: full structural :class:`SimStats` equality (cycle/stall
-breakdowns, activity counters, missed-load sets, per-PC miss dicts) for
-baseline and p-thread-augmented runs over every seed benchmark, and
-identical figure rows through the whole harness.  ``native`` joins the
-matrix whenever the compiled artifact loads (a C compiler on PATH, or a
-cached build); environments without a toolchain skip just that column.
+The cycle kernel (:mod:`repro.cpu.kerneldriver`) must be
+indistinguishable from the retained :class:`repro.cpu.pipeline.Pipeline`
+oracle everywhere downstream: full structural :class:`SimStats`
+equality (cycle/stall breakdowns, activity counters, missed-load sets,
+per-PC miss dicts) for baseline and p-thread-augmented runs over every
+seed benchmark, and identical figure rows through the whole harness.
+Three engines are compared: ``reference``, ``python`` (the kernel in
+:mod:`repro.cpu._kernel`, forced with ``REPRO_NATIVE=0``) and ``c``
+(the compiled kernel).  ``c`` joins the matrix whenever the compiled
+artifact loads (a C compiler on PATH, or a cached build); environments
+without a toolchain skip just that column.
 """
+
+import os
 
 import pytest
 
@@ -34,8 +38,6 @@ from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
 from repro.workloads.registry import get_program
 
-HAVE_NUMPY = engine._np is not None
-
 try:
     from repro.cpu import nativebuild
 
@@ -44,32 +46,48 @@ except Exception:  # pragma: no cover - probe must never break the suite
     HAVE_NATIVE = False
 
 #: Bit-identity does not depend on the instruction budget; a reduced one
-#: keeps the 9-benchmark x 4-backend matrix affordable.  The seed
+#: keeps the 9-benchmark x 3-engine matrix affordable.  The seed
 #: programs halt past this budget, so truncated traces are exercised.
 BUDGET = 60_000
 
-BACKENDS = (
-    ["reference", "batched"]
-    + (["numpy"] if HAVE_NUMPY else [])
-    + (["native"] if HAVE_NATIVE else [])
-)
+BACKENDS = ["reference", "python"] + (["c"] if HAVE_NATIVE else [])
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
+    saved = os.environ.get("REPRO_NATIVE")
     tracestore.clear()
     clear_baseline_cache()
     yield
+    if saved is None:
+        os.environ.pop("REPRO_NATIVE", None)
+    else:
+        os.environ["REPRO_NATIVE"] = saved
+    nativebuild.reset_probe()
     engine.set_sim_backend(None)
     tracestore.clear()
     clear_baseline_cache()
+
+
+def _use(name):
+    """Make later simulations run on engine ``name``."""
+    if name == "python":
+        os.environ["REPRO_NATIVE"] = "0"
+    else:
+        os.environ.pop("REPRO_NATIVE", None)
+    nativebuild.reset_probe()
+    if name == "reference":
+        engine.set_sim_backend("reference")
+        return
+    engine.set_sim_backend("native")
+    assert (nativebuild.load() is not None) == (name == "c")
 
 
 def _backend_stats(trace, machine, pthreads=None):
     """Baseline + optionally augmented SimStats under each backend."""
     out = {}
     for backend in BACKENDS:
-        engine.set_sim_backend(backend)
+        _use(backend)
         out[backend] = simulate(trace, machine, pthreads)
     return out
 
@@ -114,7 +132,7 @@ def test_backends_bit_identical(bench_name):
     )
     opt_by_backend = {}
     for backend in BACKENDS:
-        engine.set_sim_backend(backend)
+        _use(backend)
         opt_by_backend[backend] = simulate(
             augmented.trace, machine, augmented.pthreads
         )
@@ -152,12 +170,12 @@ def _tiny_grid():
 
 def test_figure_rows_identical_across_backends():
     with simcache.disabled():
-        engine.set_sim_backend("reference")
+        _use("reference")
         reference_rows = _tiny_grid()
         for backend in BACKENDS[1:]:
             tracestore.clear()
             clear_baseline_cache()
-            engine.set_sim_backend(backend)
+            _use(backend)
             assert _tiny_grid() == reference_rows, (
                 f"{backend}: figure rows diverge from the reference engine"
             )
@@ -223,7 +241,7 @@ def test_spawn_under_structural_pressure_all_backends():
     pthreads = PThreadProgram.from_spawns(spawns)
     by_backend = {}
     for backend in BACKENDS:
-        engine.set_sim_backend(backend)
+        _use(backend)
         by_backend[backend] = simulate(trace, machine, pthreads)
     reference = by_backend["reference"]
     assert reference.spawns_started > 0
@@ -244,15 +262,16 @@ def test_deadlock_detected_identically():
     program = _alu_program(n=1, chain=1)
 
     def _doctored():
-        # Rebuilt per backend: the pipeline view is memoized on the
-        # trace, so the mutation must precede the first simulate.
+        # Rebuilt per backend: the pipeline view and the kernel inputs
+        # are memoized on the trace, so the mutation must precede the
+        # first simulate.
         trace = interpret(program, require_halt=False)
         trace.columns.src1[1] = 1
         return trace
 
     messages = {}
     for backend in BACKENDS:
-        engine.set_sim_backend(backend)
+        _use(backend)
         with pytest.raises(PipelineDeadlockError) as excinfo:
             simulate(_doctored(), MachineConfig())
         messages[backend] = str(excinfo.value)

@@ -1,15 +1,23 @@
 """Simulator progress heartbeats: tap-driven emission, ETA semantics
-(``eta_s`` is null until instructions actually retire), and the
-``--quiet`` suppression gate."""
+(``eta_s`` is null until instructions retire), and the ``--quiet``
+suppression gate -- under both builds of the cycle kernel, which emit
+heartbeats through their progress hook without the reference
+``Pipeline``."""
 
 import pytest
 
 from repro import obs
-from repro.cpu import batch, pipeline
+from repro.cpu import engine, nativebuild, pipeline
 from repro.cpu.pipeline import simulate
 from repro.frontend import interpret
 from repro.isa.builder import ProgramBuilder
 from repro.isa.registers import Reg
+
+HEARTBEAT_FIELDS = {
+    "cycles", "committed", "progress_pct", "spawns", "wall_s",
+    "cycles_per_sec", "interval_cycles_per_sec",
+    "interval_retired_per_sec", "eta_s",
+}
 
 
 def _alu_loop(n=200):
@@ -24,18 +32,30 @@ def _alu_loop(n=200):
     return interpret(b.build())
 
 
-def _set_heartbeat_cycles(monkeypatch, value):
-    # ``batch`` imports the constant by value at module load, so both
-    # copies must be patched for the interval to take effect regardless
-    # of which cycle engine the dispatcher picks.
-    monkeypatch.setattr(pipeline, "HEARTBEAT_CYCLES", value)
-    monkeypatch.setattr(batch, "HEARTBEAT_CYCLES", value)
+@pytest.fixture
+def kernels(monkeypatch):
+    """Iterate over the kernel builds: each step makes later simulations
+    run on the Python kernel, then on the C kernel when it loads."""
+    engine.set_sim_backend("native")
+
+    def each():
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        nativebuild.reset_probe()
+        yield "python"
+        monkeypatch.delenv("REPRO_NATIVE")
+        nativebuild.reset_probe()
+        if nativebuild.load() is not None:
+            yield "c"
+
+    yield each
+    engine.set_sim_backend(None)
+    nativebuild.reset_probe()
 
 
 @pytest.fixture
 def beats(monkeypatch):
     """Collect sim_heartbeat events at a tiny cycle interval."""
-    _set_heartbeat_cycles(monkeypatch, 25)
+    monkeypatch.setattr(pipeline, "HEARTBEAT_CYCLES", 25)
     collected = []
 
     def tap(event):
@@ -47,45 +67,58 @@ def beats(monkeypatch):
     obs.remove_tap(tap)
 
 
-def test_tap_triggers_heartbeats_with_progress_fields(beats):
-    simulate(_alu_loop())
-    assert beats, "no heartbeats despite an active tap"
-    for event in beats:
-        assert 0.0 <= event["progress_pct"] <= 100.0
-        assert event["eta_s"] is None or event["eta_s"] >= 0.0
-    cycles = [e["cycles"] for e in beats]
-    assert cycles == sorted(cycles)
-    pcts = [e["progress_pct"] for e in beats]
-    assert pcts == sorted(pcts)
+def test_tap_triggers_heartbeats_with_progress_fields(
+    monkeypatch, kernels, beats
+):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("a tapped kernel run built the reference")
+
+    monkeypatch.setattr(pipeline, "Pipeline", no_pipeline)
+    for kernel in kernels():
+        beats.clear()
+        simulate(_alu_loop())
+        assert beats, f"{kernel}: no heartbeats despite an active tap"
+        for event in beats:
+            assert HEARTBEAT_FIELDS <= set(event)
+            assert 0.0 <= event["progress_pct"] <= 100.0
+            assert event["eta_s"] is None or event["eta_s"] >= 0.0
+        cycles = [e["cycles"] for e in beats]
+        assert cycles == sorted(cycles)
+        pcts = [e["progress_pct"] for e in beats]
+        assert pcts == sorted(pcts)
 
 
-def test_eta_is_null_until_instructions_retire(monkeypatch, beats):
+def test_eta_is_null_until_instructions_retire(monkeypatch, kernels, beats):
     # Fire the first heartbeat before anything can commit (the frontend
     # pipe alone is several cycles deep): zero retired in the interval
     # must report eta_s null, never a division blow-up or a bogus 0.
-    _set_heartbeat_cycles(monkeypatch, 1)
-    simulate(_alu_loop())
-    assert beats[0]["committed"] == 0
-    assert beats[0]["eta_s"] is None
-    # Once instructions retire the projection becomes a real number.
-    assert any(
-        e["eta_s"] is not None for e in beats if e["committed"] > 0
-    )
-
-
-def test_quiet_suppresses_heartbeats_even_with_taps(beats):
-    obs.set_quiet(True)
-    try:
+    monkeypatch.setattr(pipeline, "HEARTBEAT_CYCLES", 1)
+    for kernel in kernels():
+        beats.clear()
         simulate(_alu_loop())
-    finally:
-        obs.set_quiet(False)
-    assert beats == []
-    simulate(_alu_loop())  # gate re-opens once quiet is lifted
-    assert beats
+        assert beats[0]["committed"] == 0, kernel
+        assert beats[0]["eta_s"] is None, kernel
+        # Once instructions retire the projection becomes a real number.
+        assert any(
+            e["eta_s"] is not None for e in beats if e["committed"] > 0
+        ), kernel
 
 
-def test_no_taps_no_debug_means_no_heartbeats(monkeypatch):
-    _set_heartbeat_cycles(monkeypatch, 25)
+def test_quiet_suppresses_heartbeats_even_with_taps(kernels, beats):
+    for kernel in kernels():
+        beats.clear()
+        obs.set_quiet(True)
+        try:
+            simulate(_alu_loop())
+        finally:
+            obs.set_quiet(False)
+        assert beats == [], kernel
+        simulate(_alu_loop())  # gate re-opens once quiet is lifted
+        assert beats, kernel
+
+
+def test_no_taps_no_debug_means_no_heartbeats(monkeypatch, kernels):
+    monkeypatch.setattr(pipeline, "HEARTBEAT_CYCLES", 25)
     # With no taps and the level below debug the heartbeat branch is
     # dead: log_event must never even be called with a heartbeat.
     assert not obs.has_taps()
@@ -98,5 +131,6 @@ def test_no_taps_no_debug_means_no_heartbeats(monkeypatch):
         real(event, **fields)
 
     monkeypatch.setattr(pipeline.obs, "log_event", spy)
-    simulate(_alu_loop())
+    for _ in kernels():
+        simulate(_alu_loop())
     assert "sim_heartbeat" not in seen

@@ -1,22 +1,28 @@
-"""The ``native`` cycle engine: selection, errors, and batch identity.
+"""The ``native`` cycle engine: selection, dispatch, and batch identity.
 
-Covers the backend-availability contract (requesting an unavailable
-engine raises :class:`ConfigError` naming the backend and the remedy;
-``available_backends()`` is the selectable set) and, where the compiled
-artifact loads, lock-step ``simulate_batch``/``batchplan`` equivalence
-with the ``batched`` engine.  Toolchain-less environments run the error
-paths and skip the compiled ones -- never fail.
+Covers backend selection (unknown names raise :class:`ConfigError`
+listing the legal ones; ``native`` always runs, on the Python kernel
+when the compiled one cannot load), which runs :func:`simulate` routes
+to the reference :class:`Pipeline`, that the compiled kernel reads the
+sealed trace columns without building Python lists, and, where the
+compiled artifact loads, ``simulate_batch``/``batchplan`` equivalence
+with per-cell simulation.  Toolchain-less environments skip the
+compiled cases -- never fail.
 """
 
 import pytest
 
+from repro import faults
 from repro.config import MachineConfig, SimulationConfig
-from repro.cpu import engine, nativebuild
-from repro.cpu.batch import simulate_batch, simulate_fast
-from repro.errors import ConfigError
+from repro.cpu import engine, nativebuild, pipeline
+from repro.cpu.batch import simulate_batch
+from repro.cpu.pipeline import simulate
+from repro.errors import ConfigError, FaultInjectedError
 from repro.frontend import tracestore
+from repro.frontend.interpreter import interpret
 from repro.harness import batchplan, experiment, simcache
 from repro.harness.experiment import clear_baseline_cache, run_experiment
+from repro.obs import utrace
 from repro.pthsel.targets import Target
 from repro.workloads.registry import get_program
 
@@ -45,50 +51,97 @@ def _no_native(monkeypatch):
     nativebuild.reset_probe()
 
 
+def _gap_trace():
+    return interpret(
+        get_program("gap", "train"), max_instructions=20_000,
+        require_halt=False,
+    )
+
+
 class TestEngineErrors:
     def test_unknown_backend_lists_legal_names(self):
-        with pytest.raises(ConfigError) as err:
-            engine.set_sim_backend("turbo")
-        assert "native" in str(err.value)
-        assert "batched" in str(err.value)
+        for name in ("turbo", "batched", "numpy"):
+            with pytest.raises(ConfigError) as err:
+                engine.set_sim_backend(name)
+            assert "native" in str(err.value)
+            assert "reference" in str(err.value)
 
-    def test_native_unavailable_names_backend_and_remedy(self, _no_native):
-        with pytest.raises(ConfigError) as err:
-            engine.set_sim_backend("native")
-        message = str(err.value)
-        assert "native" in message
-        assert "python -m repro.cpu.nativebuild" in message
-
-    def test_env_resolution_raises_too(self, monkeypatch, _no_native):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "native")
+    def test_env_resolution_raises_too(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "batched")
         engine.set_sim_backend(None)
         with pytest.raises(ConfigError) as err:
             engine.backend()
-        assert "REPRO_SIM_BACKEND=native" in str(err.value)
+        assert "REPRO_SIM_BACKEND='batched'" in str(err.value)
 
-    def test_numpy_unavailable_names_remedy(self, monkeypatch):
-        monkeypatch.setattr(engine, "_np", None)
-        with pytest.raises(ConfigError) as err:
-            engine.set_sim_backend("numpy")
-        assert "install numpy" in str(err.value)
+    def test_native_runs_without_compiled_kernel(self, _no_native):
+        engine.set_sim_backend("native")
+        assert engine.backend() == "native"
+        trace = _gap_trace()
+        assert simulate(trace).committed == len(trace)
 
-    def test_available_backends_excludes_unloadable(self, _no_native):
-        names = engine.available_backends()
-        assert "native" not in names
-        assert "reference" in names and "batched" in names
-
-    def test_cli_reports_unavailable_backend(self, _no_native, capsys):
+    def test_cli_reports_unavailable_backend(self, capsys):
         from repro.cli import main
 
-        code = main(["list", "--sim-backend", "native"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "error:" in captured.err
-        assert "python -m repro.cpu.nativebuild" in captured.err
+        for name in ("batched", "numpy"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["list", "--sim-backend", name])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "error:" in err
+            assert "reference" in err and "native" in err
 
     def test_native_error_reports_reason(self, _no_native):
         assert not nativebuild.native_available()
         assert "REPRO_NATIVE=0" in nativebuild.native_error()
+
+
+class _PipelineSpy:
+    """Counts :class:`Pipeline` constructions while installed."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        real = pipeline.Pipeline
+        spy = self
+
+        class Spy(real):
+            def __init__(self, *args, **kwargs):
+                spy.built += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "Pipeline", Spy)
+
+
+class TestDispatch:
+    def test_native_runs_the_kernel(self, monkeypatch):
+        spy = _PipelineSpy(monkeypatch)
+        engine.set_sim_backend("native")
+        simulate(_gap_trace())
+        assert spy.built == 0
+
+    def test_reference_backend_routes_to_pipeline(self, monkeypatch):
+        spy = _PipelineSpy(monkeypatch)
+        engine.set_sim_backend("reference")
+        simulate(_gap_trace())
+        assert spy.built == 1
+
+    def test_pipeline_step_fault_routes_to_pipeline(self, monkeypatch):
+        spy = _PipelineSpy(monkeypatch)
+        trace = _gap_trace()
+        with faults.active(["pipeline.step:1.0"]):
+            with pytest.raises(FaultInjectedError) as err:
+                simulate(trace)
+        assert err.value.site == "pipeline.step"
+        assert spy.built == 1
+
+    def test_utrace_routes_to_pipeline(self, monkeypatch, tmp_path):
+        spy = _PipelineSpy(monkeypatch)
+        trace = _gap_trace()
+        utrace.configure(str(tmp_path), window=(0, 500))
+        try:
+            simulate(trace)
+        finally:
+            utrace.disable()
+        assert spy.built == 1
 
 
 @pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
@@ -99,19 +152,22 @@ class TestNativeAvailable:
         assert nativebuild.load() is first
         assert nativebuild.native_error() is None
 
-    def test_available_backends_includes_native(self):
-        assert "native" in engine.available_backends()
+    def test_c_kernel_builds_no_python_lists(self):
+        trace = _gap_trace()
+        engine.set_sim_backend("native")
+        simulate(trace, MachineConfig(memory_latency=200))
+        assert "pipeline" not in trace.derived
+        assert trace._lists is None
 
-    def test_simulate_batch_matches_per_config_batched(self):
+    def test_simulate_batch_matches_per_config_simulate(self):
         program = get_program("mcf", "train")
         trace, _ = tracestore.get_trace(program, SIM.max_instructions)
         configs = [
             MachineConfig(memory_latency=lat) for lat in (100, 200, 500)
         ]
-        expected = [
-            simulate_fast(trace, config) for config in configs
-        ]
-        got = simulate_batch(trace, configs, native=True)
+        got = simulate_batch(trace, configs)
+        engine.set_sim_backend("reference")
+        expected = [simulate(trace, config) for config in configs]
         assert got == expected
 
 
@@ -130,42 +186,35 @@ class TestNativePrewarm:
             for lat in (100, 200)
         ]
 
-    def test_prewarm_adoption_identical_to_batched(self):
-        # The prewarmed baselines under native must be the exact stats
-        # the batched engine adopts, and the per-cell experiment must
-        # still be served from the adopted baseline.
-        engine.set_sim_backend("batched")
+    def _rows(self):
+        return [
+            run_experiment(
+                "mcf",
+                target=Target.LATENCY,
+                machine=MachineConfig(memory_latency=lat),
+                sim=SIM,
+            )
+            for lat in (100, 200)
+        ]
+
+    def test_prewarm_adoption_identical_to_per_cell(self):
+        # The prewarmed baselines must be the exact stats per-cell
+        # simulation produces, and the per-cell experiment must be
+        # served from the adopted baseline.
         with simcache.disabled():
-            batchplan.prewarm(self._jobs())
-            batched_rows = [
-                run_experiment(
-                    "mcf",
-                    target=Target.LATENCY,
-                    machine=MachineConfig(memory_latency=lat),
-                    sim=SIM,
-                )
-                for lat in (100, 200)
-            ]
+            per_cell_rows = self._rows()
         tracestore.clear()
         clear_baseline_cache()
-        engine.set_sim_backend("native")
         with simcache.disabled():
             stats = batchplan.prewarm(self._jobs())
             assert stats["simulated"] == 2
             for job in self._jobs():
                 for key in job.baseline_keys():
                     assert experiment.baseline_cached(*key)
-            native_rows = [
-                run_experiment(
-                    "mcf",
-                    target=Target.LATENCY,
-                    machine=MachineConfig(memory_latency=lat),
-                    sim=SIM,
-                )
-                for lat in (100, 200)
-            ]
-        for batched_row, native_row in zip(batched_rows, native_rows):
-            assert native_row.provenance["baseline"] == "batch"
-            assert native_row.baseline == batched_row.baseline
-            assert native_row.optimized == batched_row.optimized
-            assert native_row.metrics == batched_row.metrics
+            prewarmed_rows = self._rows()
+        for per_cell, prewarmed in zip(per_cell_rows, prewarmed_rows):
+            assert per_cell.provenance["baseline"] == "simulated"
+            assert prewarmed.provenance["baseline"] == "batch"
+            assert prewarmed.baseline == per_cell.baseline
+            assert prewarmed.optimized == per_cell.optimized
+            assert prewarmed.metrics == per_cell.metrics

@@ -1,11 +1,9 @@
-"""Tests for the columnar trace storage and backend selection."""
+"""Tests for the columnar trace storage."""
 
 from array import array
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.frontend import columns
 from repro.frontend.columns import (
     TraceColumns,
     grow_int64,
@@ -13,15 +11,6 @@ from repro.frontend.columns import (
     int64_buffer,
     int8_buffer,
 )
-
-HAVE_NUMPY = columns._np is not None
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    columns.set_backend(None)
-
 
 def test_int64_buffer_prefills():
     assert list(int64_buffer(4)) == [0, 0, 0, 0]
@@ -45,33 +34,7 @@ def test_grow_helpers_extend_with_fill():
     assert list(small) == [0, 0, 0]
 
 
-def test_env_resolution(monkeypatch):
-    monkeypatch.setenv("REPRO_NUMPY", "0")
-    columns.set_backend(None)
-    assert columns.backend() == "python"
-    monkeypatch.delenv("REPRO_NUMPY")
-    columns.set_backend(None)
-    expected = "numpy" if HAVE_NUMPY else "python"
-    assert columns.backend() == expected
-
-
-def test_env_numpy_forced_without_numpy(monkeypatch):
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    columns.set_backend(None)
-    if HAVE_NUMPY:
-        assert columns.backend() == "numpy"
-    else:
-        with pytest.raises(ConfigError):
-            columns.backend()
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ConfigError):
-        columns.set_backend("fortran")
-
-
-def _sealed(length, backend):
-    columns.set_backend(backend)
+def _sealed(length):
     pc = array("q", range(8))
     op = array("b", [1] * 8)
     s1 = array("q", [-1] * 8)
@@ -82,22 +45,9 @@ def _sealed(length, backend):
     return TraceColumns.seal(pc, op, s1, s2, addr, taken, nxt, length)
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["python"] + (["numpy"] if HAVE_NUMPY else []),
-)
-def test_seal_truncates_and_converts(backend):
-    cols = _sealed(5, backend)
+def test_seal_truncates():
+    cols = _sealed(5)
     assert len(cols) == 5
-    assert cols.backend == backend
     assert list(cols.pc) == [0, 1, 2, 3, 4]
     assert list(cols.addr) == [-1] * 5
     assert list(cols.next_pc) == [1, 2, 3, 4, 5]
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-def test_backends_hold_identical_values():
-    a = _sealed(6, "python")
-    b = _sealed(6, "numpy")
-    for name in ("pc", "op_code", "src1", "src2", "addr", "taken", "next_pc"):
-        assert list(getattr(a, name)) == list(getattr(b, name))

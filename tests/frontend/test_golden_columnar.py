@@ -4,8 +4,7 @@ The columnar emitter (:mod:`repro.frontend.interpreter`) must be
 indistinguishable from the retained object-path reference
 (:mod:`repro.frontend.reference`) everywhere downstream: identical trace
 columns, identical ``SimStats.summary()``, identical selected p-thread
-sets, and identical figure rows -- with the NumPy column backend on and
-off.
+sets, and identical figure rows.
 """
 
 import pytest
@@ -13,7 +12,7 @@ import pytest
 from repro.config import EnergyConfig, MachineConfig
 from repro.cpu.pipeline import simulate
 from repro.energy.wattch import EnergyModel
-from repro.frontend import columns, tracestore
+from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.frontend.reference import interpret_reference
 from repro.harness import figures, simcache
@@ -23,14 +22,10 @@ from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
 from repro.workloads.registry import get_program
 
-HAVE_NUMPY = columns._np is not None
-
 #: Bit-identity does not depend on the instruction budget; a reduced one
-#: keeps the 9-benchmark x 3-path matrix affordable.  The seed programs
+#: keeps the 9-benchmark x 2-path matrix affordable.  The seed programs
 #: halt past this budget, so truncated interpretation is exercised too.
 BUDGET = 60_000
-
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
 COLUMN_NAMES = ("pc", "op_code", "src1", "src2", "addr", "taken", "next_pc")
 
@@ -40,7 +35,6 @@ def _clean_state():
     tracestore.clear()
     clear_baseline_cache()
     yield
-    columns.set_backend(None)
     tracestore.clear()
     clear_baseline_cache()
 
@@ -81,24 +75,16 @@ def _signature(trace):
 @pytest.mark.parametrize("bench_name", benchmark_names())
 def test_columnar_matches_reference(bench_name):
     program = get_program(bench_name, "train")
-    columns.set_backend("python")
     reference = interpret_reference(
         program, max_instructions=BUDGET, require_halt=False
     )
-    ref_columns = _columns_as_lists(reference)
-    ref_signature = _signature(reference)
-
-    for backend in BACKENDS:
-        columns.set_backend(backend)
-        trace = interpret(program, max_instructions=BUDGET,
-                          require_halt=False)
-        assert trace.columns.backend == backend
-        assert _columns_as_lists(trace) == ref_columns, (
-            f"{bench_name}/{backend}: trace columns diverge from reference"
-        )
-        assert _signature(trace) == ref_signature, (
-            f"{bench_name}/{backend}: stats or p-thread selection diverge"
-        )
+    trace = interpret(program, max_instructions=BUDGET, require_halt=False)
+    assert _columns_as_lists(trace) == _columns_as_lists(reference), (
+        f"{bench_name}: trace columns diverge from reference"
+    )
+    assert _signature(trace) == _signature(reference), (
+        f"{bench_name}: stats or p-thread selection diverge"
+    )
 
 
 def _strip_timings(row):
@@ -125,16 +111,12 @@ def test_figure_rows_identical_across_paths(monkeypatch):
         from repro.ddmt import augment
 
         monkeypatch.setattr(augment, "interpret", interpret_reference)
-        columns.set_backend("python")
         reference_rows = _tiny_grid()
 
         monkeypatch.setattr(tracestore, "interpret", interpret)
         monkeypatch.setattr(augment, "interpret", interpret)
-        for backend in BACKENDS:
-            tracestore.clear()
-            clear_baseline_cache()
-            columns.set_backend(backend)
-            assert _tiny_grid() == reference_rows, (
-                f"{backend}: figure rows diverge from the object-path "
-                "reference"
-            )
+        tracestore.clear()
+        clear_baseline_cache()
+        assert _tiny_grid() == reference_rows, (
+            "figure rows diverge from the object-path reference"
+        )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import faults
 from repro.config import MachineConfig, SimulationConfig
 from repro.cpu import engine
 from repro.frontend import tracestore
@@ -68,7 +69,7 @@ class TestPlanBatches:
 
 class TestPrewarm:
     def test_prewarm_adopts_baselines(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("native")
         jobs = _latency_jobs()
         with simcache.disabled():
             stats = batchplan.prewarm(jobs)
@@ -88,7 +89,7 @@ class TestPrewarm:
             assert result.provenance["baseline"] == "batch"
 
     def test_prewarm_skips_cached_members(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("native")
         jobs = _latency_jobs()
         with simcache.disabled():
             batchplan.prewarm(jobs)
@@ -97,7 +98,7 @@ class TestPrewarm:
         assert again["cached"] == 2
 
     def test_single_member_groups_left_alone(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("native")
         with simcache.disabled():
             stats = batchplan.prewarm(_latency_jobs(latencies=(100,)))
         assert stats["groups"] == 0
@@ -109,12 +110,18 @@ class TestMaybePrewarm:
         engine.set_sim_backend("reference")
         assert batchplan.maybe_prewarm(_latency_jobs()) is None
 
+    def test_armed_step_fault_gates_off(self):
+        # Every simulation must reach the reference engine's fault site.
+        engine.set_sim_backend("native")
+        with faults.active(["pipeline.step:0.5"]):
+            assert batchplan.maybe_prewarm(_latency_jobs()) is None
+
     def test_single_job_gates_off(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("native")
         assert batchplan.maybe_prewarm(_latency_jobs(latencies=(100,))) is None
 
     def test_sequential_grid_runs_prewarm(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("native")
         with simcache.disabled():
             stats = batchplan.maybe_prewarm(_latency_jobs())
         assert stats is not None and stats["simulated"] == 2
