@@ -417,6 +417,7 @@ def _run_native(lib, cfg_block, columns, warm, flat, n_loads, progress):
 
     i64p = ctypes.POINTER(ctypes.c_int64)
     u8p = ctypes.POINTER(ctypes.c_uint8)
+    ip = nativebuild.int64_ptr
 
     # The kernel reads every per-instruction input at n_main entries of
     # the item width its table slot declares; anything else would be
@@ -431,13 +432,6 @@ def _run_native(lib, cfg_block, columns, warm, flat, n_loads, progress):
 
     # Every array/bytes object below stays referenced for the whole
     # call; the kernel reads the inputs in place and never writes them.
-    def ip(arr):
-        if arr is None or not len(arr):
-            return ctypes.cast(None, i64p)
-        if arr.typecode != "q":
-            raise TypeError(f"int64 kernel input has typecode {arr.typecode!r}")
-        return ctypes.cast(arr.buffer_info()[0], i64p)
-
     def bp(buf):
         if buf is None or not len(buf):
             return ctypes.cast(None, u8p)

@@ -1,31 +1,41 @@
-"""Opportunistic build + ctypes loader for the compiled cycle kernel.
+"""Opportunistic build + ctypes loader for the compiled C sources.
 
-The ``native`` sim backend runs ``_kernel.c`` (a direct transliteration
-of ``_kernel.py``) as a shared library whenever one can be loaded, and
-the pure-Python kernel otherwise.  This module owns the library's
-lifecycle:
+Two hot loops have C twins that run whenever a library can be loaded,
+with the pure-Python version running otherwise:
 
-- :func:`load` compiles the C source on first use -- if a C compiler is
-  on PATH -- into a content-addressed cache directory and returns the
-  ``ctypes`` handle, or ``None`` when no artifact can be produced (no
-  toolchain, build failure, ABI mismatch).  The outcome is memoized per
-  process either way, so probing is cheap.
-- :func:`native_available` / :func:`native_error` report whether the
-  compiled kernel runs and, if not, *why* the Python kernel does.
-- ``python -m repro.cpu.nativebuild`` builds eagerly and reports.
+- ``kernel``: ``cpu/_kernel.c``, a direct transliteration of the cycle
+  kernel ``cpu/_kernel.py`` (the ``native`` sim backend);
+- ``slicetree``: ``slicer/_slicetree.c``, the slice-tree miner behind
+  :func:`repro.slicer.slicetree.build_slice_tree`.
 
-Environment knobs:
+This module owns every library's lifecycle through one build-and-load
+path:
 
-- ``REPRO_NATIVE_DIR`` -- artifact cache directory (default
-  ``~/.cache/repro-native``);
-- ``REPRO_NATIVE=0`` -- never load the compiled kernel (probes report
-  unavailable and every simulation runs the pure-Python kernel);
+- :func:`load` compiles a library's C source on first use -- if a C
+  compiler is on PATH -- into a content-addressed cache directory and
+  returns the ``ctypes`` handle, or ``None`` when no artifact can be
+  produced (no toolchain, build failure, ABI mismatch).  The outcome is
+  memoized per library and process either way, so probing is cheap,
+  and a library is only built when its first caller asks for it.
+- :func:`native_available` / :func:`native_error` report whether a
+  compiled library runs and, if not, *why* the Python version does.
+- ``python -m repro.cpu.nativebuild`` builds every library eagerly and
+  reports; it exits non-zero if any of them fails.
+
+Environment knobs (shared by every library):
+
+- ``REPRO_NATIVE_DIR`` -- artifact cache directory, one artifact per
+  library and source version (default ``~/.cache/repro-native``);
+- ``REPRO_NATIVE=0`` -- never load a compiled library (probes report
+  unavailable; every simulation runs the pure-Python kernel and every
+  slice tree is mined by the Python loop);
 - ``REPRO_NATIVE_CC`` -- compiler executable to use (default: first of
   ``cc``, ``gcc``, ``clang`` on PATH).
 
-The artifact file name embeds a SHA-256 of the C source, so source
-edits never load a stale library; the exported ``repro_kernel_abi()``
-is additionally checked against :data:`repro.cpu._kernel.KERNEL_ABI`.
+Each artifact's file name embeds a SHA-256 of its C source, so source
+edits never load a stale library; the library's exported
+``repro_<name>_abi()`` is additionally checked against the ABI number
+its Python caller expects.
 """
 
 from __future__ import annotations
@@ -36,8 +46,9 @@ import os
 import shutil
 import subprocess
 import tempfile
+from array import array
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.cpu._kernel import KERNEL_ABI
 
@@ -46,12 +57,91 @@ I_LEN = 24
 #: uint8 input-pointer table layout (must match _kernel.c's B_* enum).
 B_LEN = 8
 
-_SOURCE = Path(__file__).with_name("_kernel.c")
+#: Must match _slicetree.c's SLICETREE_ABI.
+SLICETREE_ABI = 1
 
 _BUILD_TIMEOUT_S = 120
 
-# Memoized probe result: unset / (lib, None) / (None, reason).
-_probe: Optional[tuple] = None
+_I64P = ctypes.POINTER(ctypes.c_int64)
+_U8P = ctypes.POINTER(ctypes.c_uint8)
+
+#: The kernel's progress hook: ``(cycles, committed, spawns_started)``.
+PROGRESS_FN = ctypes.CFUNCTYPE(
+    None, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
+)
+
+
+def _configure_kernel(lib: ctypes.CDLL) -> None:
+    lib.repro_kernel_run.restype = ctypes.c_int
+    lib.repro_kernel_run.argtypes = [
+        _I64P,                                    # cfg
+        ctypes.POINTER(_I64P),                    # I table
+        ctypes.POINTER(_U8P),                     # B table
+        _I64P,                                    # out
+        _I64P,                                    # missed_out
+        _I64P,                                    # misspc_out
+        _I64P,                                    # fa_out
+        PROGRESS_FN,                              # progress (or None)
+    ]
+
+
+def _configure_slicetree(lib: ctypes.CDLL) -> None:
+    lib.repro_slicetree_mine.restype = ctypes.c_int
+    lib.repro_slicetree_mine.argtypes = [
+        _I64P, _I64P, _I64P, ctypes.c_int64,      # pc, src1, src2, n
+        _I64P, ctypes.c_char_p, ctypes.c_int64,   # occ, missed, n_occ
+        ctypes.c_int64, ctypes.c_int64,           # window, max_insts
+        ctypes.POINTER(ctypes.c_void_p),          # handle out
+    ]
+    lib.repro_slicetree_nodes.restype = ctypes.c_int64
+    lib.repro_slicetree_nodes.argtypes = [ctypes.c_void_p]
+    lib.repro_slicetree_export.restype = None
+    lib.repro_slicetree_export.argtypes = [ctypes.c_void_p, _I64P]
+    lib.repro_slicetree_free.restype = None
+    lib.repro_slicetree_free.argtypes = [ctypes.c_void_p]
+
+
+class NativeLibrary(NamedTuple):
+    """One compiled C source: where it lives and what it must export."""
+
+    name: str
+    source: Path
+    abi: int
+    configure: Callable[[ctypes.CDLL], None]
+
+
+_PKG = Path(__file__).parent.parent
+
+#: Every library, by name.
+LIBRARIES: Dict[str, NativeLibrary] = {
+    lib.name: lib
+    for lib in (
+        NativeLibrary(
+            "kernel", _PKG / "cpu" / "_kernel.c", KERNEL_ABI,
+            _configure_kernel,
+        ),
+        NativeLibrary(
+            "slicetree", _PKG / "slicer" / "_slicetree.c", SLICETREE_ABI,
+            _configure_slicetree,
+        ),
+    )
+}
+
+# Memoized probe results by library name: (lib, None) / (None, reason).
+_probes: Dict[str, tuple] = {}
+
+
+def int64_ptr(arr: Optional[array]):
+    """A C ``int64_t *`` into an ``array('q')`` (NULL for None/empty).
+
+    The array must stay referenced for as long as C reads through the
+    pointer; nothing is copied.
+    """
+    if arr is None or not len(arr):
+        return ctypes.cast(None, _I64P)
+    if arr.typecode != "q":
+        raise TypeError(f"int64 native input has typecode {arr.typecode!r}")
+    return ctypes.cast(arr.buffer_info()[0], _I64P)
 
 
 def _cache_dir() -> Path:
@@ -71,54 +161,34 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _artifact_path(source_text: bytes) -> Path:
+def _artifact_path(spec: NativeLibrary, source_text: bytes) -> Path:
     digest = hashlib.sha256(source_text).hexdigest()[:16]
-    return _cache_dir() / f"repro_kernel_{digest}_abi{KERNEL_ABI}.so"
+    return _cache_dir() / f"repro_{spec.name}_{digest}_abi{spec.abi}.so"
 
 
-#: The kernel's progress hook: ``(cycles, committed, spawns_started)``.
-PROGRESS_FN = ctypes.CFUNCTYPE(
-    None, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
-)
-
-
-def _configure(lib: ctypes.CDLL) -> None:
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    lib.repro_kernel_abi.restype = ctypes.c_int64
-    lib.repro_kernel_abi.argtypes = []
-    lib.repro_kernel_run.restype = ctypes.c_int
-    lib.repro_kernel_run.argtypes = [
-        i64p,                                     # cfg
-        ctypes.POINTER(i64p),                     # I table
-        ctypes.POINTER(ctypes.POINTER(ctypes.c_uint8)),  # B table
-        i64p,                                     # out
-        i64p,                                     # missed_out
-        i64p,                                     # misspc_out
-        i64p,                                     # fa_out
-        PROGRESS_FN,                              # progress (or None)
-    ]
-
-
-def _try_load(path: Path):
+def _try_load(spec: NativeLibrary, path: Path):
     """Load + ABI-check an existing artifact; returns (lib, reason)."""
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         return None, f"failed to load {path}: {exc}"
     try:
-        _configure(lib)
-        abi = lib.repro_kernel_abi()
+        abi_fn = getattr(lib, f"repro_{spec.name}_abi")
+        abi_fn.restype = ctypes.c_int64
+        abi_fn.argtypes = []
+        spec.configure(lib)
+        abi = abi_fn()
     except AttributeError as exc:
-        return None, f"artifact {path} lacks kernel symbols: {exc}"
-    if abi != KERNEL_ABI:
+        return None, f"artifact {path} lacks {spec.name} symbols: {exc}"
+    if abi != spec.abi:
         return None, (
-            f"artifact {path} reports ABI {abi}, expected {KERNEL_ABI}"
+            f"artifact {path} reports ABI {abi}, expected {spec.abi}"
         )
     return lib, None
 
 
-def _build(source_text: bytes, artifact: Path):
-    """Compile the kernel; returns (lib, reason)."""
+def _build(spec: NativeLibrary, artifact: Path):
+    """Compile one library; returns (lib, reason)."""
     cc = _find_compiler()
     if cc is None:
         return None, "no C compiler found on PATH (cc/gcc/clang)"
@@ -128,7 +198,7 @@ def _build(source_text: bytes, artifact: Path):
     )
     os.close(fd)
     cmd = [
-        cc, "-O2", "-fPIC", "-shared", "-o", tmp, str(_SOURCE),
+        cc, "-O2", "-fPIC", "-shared", "-o", tmp, str(spec.source),
     ]
     try:
         proc = subprocess.run(
@@ -145,52 +215,50 @@ def _build(source_text: bytes, artifact: Path):
         tail = (proc.stderr or proc.stdout or "").strip()[-400:]
         return None, f"{cc} exited {proc.returncode}: {tail}"
     os.replace(tmp, artifact)  # atomic publish
-    return _try_load(artifact)
+    return _try_load(spec, artifact)
 
 
-def load():
-    """Return the ctypes handle to the compiled kernel, or ``None``.
-
-    First call per process probes (and builds if possible); the result
-    -- including a failure -- is memoized so later calls are free.
-    """
-    global _probe
-    if _probe is not None:
-        return _probe[0]
+def _probe(spec: NativeLibrary) -> tuple:
     if os.environ.get("REPRO_NATIVE", "").strip() == "0":
-        _probe = (None, "disabled via REPRO_NATIVE=0")
-        return None
-    if not _SOURCE.exists():
-        _probe = (None, f"kernel source missing: {_SOURCE}")
-        return None
-    source_text = _SOURCE.read_bytes()
-    artifact = _artifact_path(source_text)
+        return None, "disabled via REPRO_NATIVE=0"
+    if not spec.source.exists():
+        return None, f"{spec.name} source missing: {spec.source}"
+    artifact = _artifact_path(spec, spec.source.read_bytes())
     if artifact.exists():
-        lib, reason = _try_load(artifact)
+        lib, _ = _try_load(spec, artifact)
         if lib is not None:
-            _probe = (lib, None)
-            return lib
+            return lib, None
         # Stale or broken artifact: fall through to a rebuild.
-    lib, reason = _build(source_text, artifact)
-    _probe = (lib, reason)
-    return lib
+    return _build(spec, artifact)
 
 
-def native_available() -> bool:
-    """True when the compiled kernel is loadable (building if needed)."""
-    return load() is not None
+def load(name: str = "kernel"):
+    """Return the ctypes handle to library ``name``, or ``None``.
+
+    First call per library and process probes (and builds if possible);
+    the result -- including a failure -- is memoized so later calls are
+    free.
+    """
+    probe = _probes.get(name)
+    if probe is None:
+        probe = _probes[name] = _probe(LIBRARIES[name])
+    return probe[0]
 
 
-def native_error() -> Optional[str]:
-    """Why the native kernel is unavailable (None when it is loaded)."""
-    load()
-    return _probe[1] if _probe else None
+def native_available(name: str = "kernel") -> bool:
+    """True when library ``name`` is loadable (building if needed)."""
+    return load(name) is not None
+
+
+def native_error(name: str = "kernel") -> Optional[str]:
+    """Why library ``name`` is unavailable (None when it is loaded)."""
+    load(name)
+    return _probes[name][1]
 
 
 def reset_probe() -> None:
-    """Forget the memoized probe (tests only)."""
-    global _probe
-    _probe = None
+    """Forget every library's memoized probe (tests only)."""
+    _probes.clear()
 
 
 def main() -> int:
@@ -198,16 +266,18 @@ def main() -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.cpu.nativebuild",
-        description="Build the compiled cycle kernel eagerly.",
+        description="Build every compiled C library eagerly.",
     )
     parser.parse_args()
-    lib = load()
-    if lib is None:
-        print(f"native kernel unavailable: {native_error()}")
-        return 1
-    source_text = _SOURCE.read_bytes()
-    print(f"native kernel ready: {_artifact_path(source_text)}")
-    return 0
+    failed = 0
+    for name, spec in LIBRARIES.items():
+        if load(name) is None:
+            print(f"native {name} unavailable: {native_error(name)}")
+            failed += 1
+        else:
+            path = _artifact_path(spec, spec.source.read_bytes())
+            print(f"native {name} ready: {path}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

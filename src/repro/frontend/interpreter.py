@@ -7,8 +7,8 @@ directions.  An optional per-PC hook lets the DDMT layer observe
 architectural state at trigger points to expand p-thread spawns.
 
 The trace is emitted directly into preallocated flat columns (stdlib
-``array('q')``/``array('b')``, sealed to the active
-:mod:`~repro.frontend.columns` backend) and the static program is decoded
+``array('q')``/``array('b')``, truncated and sealed in place as
+:class:`~repro.frontend.columns.TraceColumns`) and the static program is decoded
 once into flat per-PC dispatch tuples, so the dynamic loop never chases
 ``StaticInst -> Op -> OpClass`` attribute/property/enum-hash chains.  The
 retained object-path implementation in :mod:`repro.frontend.reference` is

@@ -3,9 +3,10 @@
 The trace is stored columnar (:class:`~repro.frontend.columns.TraceColumns`)
 rather than as one Python object per dynamic instruction.  :class:`DynInst`
 survives as a lazy row view built on demand for the shrinking set of call
-sites that still want objects; the analysis and simulation layers consume
-the memoized flat-list view (:meth:`Trace.as_lists`) or the sealed columns
-directly.
+sites that still want objects.  The cycle kernel and the compiled
+slice-tree miner read the sealed columns directly (zero-copy in C); the
+reference pipeline and the Python analysis loops consume the memoized
+flat-list view (:meth:`Trace.as_lists`).
 
 Derived artifacts -- the pc->seqs occurrence index, per-class counts, and
 branch statistics -- are built in one pass on first use and cached, so a
@@ -100,8 +101,8 @@ class TraceLists(NamedTuple):
     """The trace's columns as plain Python lists (one shared conversion).
 
     CPython elementwise loops index plain lists faster than any other
-    container, so every sequential consumer (pipeline, classifier, slicer)
-    reads these; they are materialized once per trace and shared.
+    container, so the Python sequential consumers (reference pipeline,
+    classifier, Python slicer) read these; they are materialized once per trace and shared.
     ``op_code`` holds dense :data:`~repro.isa.opcodes.CODE_BY_OP` codes
     and ``taken`` holds 0/1 ints.
     """

@@ -15,11 +15,19 @@ Nodes carry the counts the PTHSEL formulae need:
 - the trigger's total dynamic execution count (DCtrig) comes from the
   whole-trace occurrence counter, because DDMT spawns on *every*
   execution of the trigger PC, path-assumed or not.
+
+Trees are mined by the compiled miner (``_slicetree.c``, loaded through
+:mod:`repro.cpu.nativebuild` the first time a tree is mined) whenever
+it loads, and by the pure-Python loop otherwise.  The Python loop is
+also the golden oracle the compiled miner is tested against: both
+produce the same nodes, counts and children order.
 """
 
 from __future__ import annotations
 
 import bisect
+import ctypes
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -116,6 +124,20 @@ class SliceTree:
         return sum(1 for _ in self.candidates())
 
 
+#: Columns of the compiled miner's exported node table, in
+#: ``_slicetree.c``'s F_* order.
+_NODE_FIELDS = (
+    "pc",
+    "parent",
+    "depth",
+    "count_total",
+    "count_miss",
+    "sum_distance",
+    "sum_distance_miss",
+    "sum_root_gap",
+)
+
+
 def build_slice_tree(
     trace: Trace,
     classification: LoadClassification,
@@ -134,15 +156,59 @@ def build_slice_tree(
     the root load; passing ``event_seqs`` overrides this with an explicit
     set of dynamic sequence numbers (e.g. mispredicted instances, for
     branch pre-execution).
+
+    Runs the compiled miner when ``nativebuild.load("slicetree")``
+    returns a library (building it on the first call), the Python loop
+    otherwise; the trees are identical.
     """
+    from repro.cpu import nativebuild
+
+    return _build(
+        trace, classification, problem_pc, window, max_insts,
+        pc_occurrences, event_seqs, nativebuild.load("slicetree"),
+    )
+
+
+def _build(
+    trace: Trace,
+    classification: LoadClassification,
+    problem_pc: int,
+    window: int,
+    max_insts: int,
+    pc_occurrences: Optional[Counter],
+    event_seqs: Optional[set],
+    lib,
+) -> SliceTree:
+    """:func:`build_slice_tree` on the compiled miner ``lib``, or on the
+    Python loop when ``lib`` is None."""
     if pc_occurrences is None:
         pc_occurrences = trace.pc_occurrence_counts()
     root = SliceNode(pc=problem_pc, depth=0)
     tree = SliceTree(
         root_pc=problem_pc, root=root, trigger_counts=pc_occurrences
     )
-    service = classification.service
     occurrences = trace.occurrences(problem_pc)
+    args = (tree, trace, classification, occurrences, window, max_insts,
+            event_seqs)
+    if lib is None:
+        _mine_python(*args)
+    else:
+        _mine_native(lib, *args)
+    return tree
+
+
+def _mine_python(
+    tree: SliceTree,
+    trace: Trace,
+    classification: LoadClassification,
+    occurrences: List[int],
+    window: int,
+    max_insts: int,
+    event_seqs: Optional[set],
+) -> None:
+    """The pure-Python miner: fills ``tree`` occurrence by occurrence."""
+    root = tree.root
+    service = classification.service
     pc_l = trace.as_lists().pc
 
     for root_index, seq in enumerate(occurrences):
@@ -176,4 +242,71 @@ def build_slice_tree(
                 child.count_miss += 1
                 child.sum_distance_miss += distance
             node = child
-    return tree
+
+
+def _mine_native(
+    lib,
+    tree: SliceTree,
+    trace: Trace,
+    classification: LoadClassification,
+    occurrences: List[int],
+    window: int,
+    max_insts: int,
+    event_seqs: Optional[set],
+) -> None:
+    """The compiled miner: fills ``tree`` from ``_slicetree.c``'s table.
+
+    The event flags cross as one byte per occurrence and the trace
+    columns are read in place.  The node table comes back column-major,
+    nodes in creation order, so appending each node to its parent's
+    children reproduces the Python miner's first-seen order.
+    """
+    from repro.cpu.nativebuild import int64_ptr
+
+    if event_seqs is not None:
+        missed = bytes([seq in event_seqs for seq in occurrences])
+    else:
+        service_get = classification.service.get
+        missed = bytes([service_get(seq) == MEM for seq in occurrences])
+    cols = trace.columns
+    occ = array("q", occurrences)
+    handle = ctypes.c_void_p()
+    rc = lib.repro_slicetree_mine(
+        int64_ptr(cols.pc), int64_ptr(cols.src1), int64_ptr(cols.src2),
+        len(cols), int64_ptr(occ), missed, len(occ), window, max_insts,
+        ctypes.byref(handle),
+    )
+    if rc == 1:
+        raise MemoryError("native slice-tree miner failed to allocate")
+    if rc != 0:
+        raise ValueError(f"native slice-tree miner rejected its input (rc={rc})")
+    try:
+        n = lib.repro_slicetree_nodes(handle)
+        table = array("q", bytes(8 * len(_NODE_FIELDS) * n))
+        lib.repro_slicetree_export(handle, int64_ptr(table))
+    finally:
+        lib.repro_slicetree_free(handle)
+    (pcs, parents, depths, totals, misses, dists, dists_miss,
+     gaps) = (table[k * n:(k + 1) * n].tolist() for k in range(len(_NODE_FIELDS)))
+
+    tree.instances = len(occurrences)
+    tree.instances_missed = missed.count(1)
+    root = tree.root
+    root.count_total = totals[0]
+    root.count_miss = misses[0]
+    nodes = [root]
+    append = nodes.append
+    for i in range(1, n):
+        parent = nodes[parents[i]]
+        node = SliceNode(
+            pc=pcs[i],
+            depth=depths[i],
+            parent=parent,
+            count_total=totals[i],
+            count_miss=misses[i],
+            sum_distance=dists[i],
+            sum_distance_miss=dists_miss[i],
+            sum_root_gap=gaps[i],
+        )
+        parent.children[pcs[i]] = node
+        append(node)

@@ -95,6 +95,25 @@ class TestEngineErrors:
         assert "REPRO_NATIVE=0" in nativebuild.native_error()
 
 
+class TestLoader:
+    def test_reset_probe_forgets_every_library(self, _no_native):
+        for name in nativebuild.LIBRARIES:
+            assert not nativebuild.native_available(name)
+            assert "REPRO_NATIVE=0" in nativebuild.native_error(name)
+        assert set(nativebuild._probes) == set(nativebuild.LIBRARIES)
+        nativebuild.reset_probe()
+        assert not nativebuild._probes
+
+    def test_cli_reports_every_library_and_fails(
+        self, _no_native, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("sys.argv", ["nativebuild"])
+        assert nativebuild.main() == 1
+        out = capsys.readouterr().out
+        for name in nativebuild.LIBRARIES:
+            assert f"native {name} unavailable" in out
+
+
 class _PipelineSpy:
     """Counts :class:`Pipeline` constructions while installed."""
 
