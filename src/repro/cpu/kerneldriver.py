@@ -7,12 +7,13 @@ implementations -- the compiled C mirror loaded by
 :mod:`repro.cpu.nativebuild` when a library loads, the pure CPython
 :func:`repro.cpu._kernel.run` otherwise.  All object traffic stops at
 this boundary: the driver hands the kernel the trace's sealed
-``array('q')``/``array('b')`` columns as they are (zero-copy pointers
-for the C kernel), flattens the machine config, p-thread program and
-warmed cache image into the kernel's ``C_*`` config block and flat
-arrays, and rebuilds ``SimStats`` (and the byte-identical error
-objects) from the ``O_*`` counter block and ordered event streams the
-kernel returns.  No per-instruction Python list is built on the way.
+``array('q')``/``array('b')`` columns and the p-thread program's spawn
+columns as they are (zero-copy pointers for the C kernel), flattens the
+machine config and warmed cache image into the kernel's ``C_*`` config
+block and flat arrays, and rebuilds ``SimStats`` (and the
+byte-identical error objects) from the ``O_*`` counter block and
+ordered event streams the kernel returns.  No per-instruction Python
+list is built on the way.
 
 Several inputs are pure functions of the trace (or of the trace plus one
 config axis); they are built once from the sealed columns, memoized on
@@ -248,64 +249,7 @@ def _pack_sets(sets: List[List[List[int]]], cc: CacheConfig) -> Tuple:
 
 
 def _has_branch_hints(pthreads: PThreadProgram) -> bool:
-    return any(
-        spec.hint_branch_seq >= 0
-        for spawns in pthreads.spawns_by_trigger.values()
-        for spawn in spawns
-        for spec in spawn.insts
-    )
-
-
-class _FlatPThreads:
-    """A PThreadProgram flattened to spawn/p-inst index arrays."""
-
-    __slots__ = (
-        "sp_trigger", "sp_static", "sp_inst_lo", "sp_inst_hi",
-        "pi_kind", "pi_addr", "pi_hint_seq", "pi_hint_taken",
-        "pi_dep_lo", "pi_dep_hi", "dep_flat",
-        "pi_live_lo", "pi_live_hi", "live_flat",
-    )
-
-    def __init__(self, pth: PThreadProgram) -> None:
-        # Stable-sorted by trigger: dispatch visits sequence numbers in
-        # strictly increasing order, so the kernel replaces the trigger
-        # dict with one advancing cursor over this array.
-        spawns = [
-            spawn
-            for _, group in sorted(pth.spawns_by_trigger.items())
-            for spawn in group
-        ]
-        self.sp_trigger: List[int] = []
-        self.sp_static: List[int] = []
-        self.sp_inst_lo: List[int] = []
-        self.sp_inst_hi: List[int] = []
-        self.pi_kind: List[int] = []
-        self.pi_addr: List[int] = []
-        self.pi_hint_seq: List[int] = []
-        self.pi_hint_taken: List[int] = []
-        self.pi_dep_lo: List[int] = []
-        self.pi_dep_hi: List[int] = []
-        self.dep_flat: List[int] = []
-        self.pi_live_lo: List[int] = []
-        self.pi_live_hi: List[int] = []
-        self.live_flat: List[int] = []
-        kind_of = _ref._PCLASS_TO_KIND
-        for spawn in spawns:
-            self.sp_trigger.append(spawn.trigger_seq)
-            self.sp_static.append(spawn.static_id)
-            self.sp_inst_lo.append(len(self.pi_kind))
-            for spec in spawn.insts:
-                self.pi_kind.append(kind_of[spec.klass])
-                self.pi_addr.append(spec.addr)
-                self.pi_hint_seq.append(spec.hint_branch_seq)
-                self.pi_hint_taken.append(1 if spec.hint_taken else 0)
-                self.pi_dep_lo.append(len(self.dep_flat))
-                self.dep_flat.extend(spec.body_deps)
-                self.pi_dep_hi.append(len(self.dep_flat))
-                self.pi_live_lo.append(len(self.live_flat))
-                self.live_flat.extend(spec.livein_seqs)
-                self.pi_live_hi.append(len(self.live_flat))
-            self.sp_inst_hi.append(len(self.pi_kind))
+    return max(pthreads.pi_hint_seq, default=-1) >= 0
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -315,7 +259,7 @@ def _ceil_div(a: int, b: int) -> int:
 def _cfg_block(
     cfg: MachineConfig,
     n_main: int,
-    flat: _FlatPThreads,
+    pth: PThreadProgram,
     do_warm: bool,
     has_spawns: bool,
     has_hints: bool,
@@ -376,15 +320,15 @@ def _cfg_block(
     c[K.C_MEMBUS_CYC_L2LINE] = (
         _ceil_div(cfg.l2.line_bytes, cfg.bus_bytes) * cfg.memory_bus_divisor
     )
-    c[K.C_N_SPAWNS] = len(flat.sp_trigger)
-    c[K.C_N_PINSTS] = len(flat.pi_kind)
-    c[K.C_DEP_LEN] = len(flat.dep_flat)
-    c[K.C_LIVE_LEN] = len(flat.live_flat)
+    c[K.C_N_SPAWNS] = len(pth.sp_trigger)
+    c[K.C_N_PINSTS] = len(pth.pi_kind)
+    c[K.C_DEP_LEN] = len(pth.dep_flat)
+    c[K.C_LIVE_LEN] = len(pth.live_flat)
     c[K.C_HEARTBEAT_CYCLES] = _ref.HEARTBEAT_CYCLES
     return c
 
 
-def _run_native(lib, cfg_block, columns, warm, flat, n_loads, progress):
+def _run_native(lib, cfg_block, columns, warm, pth, n_loads, progress):
     """Run the C kernel; returns ``(out, missed, misspc, fetch_state)``."""
     import ctypes
 
@@ -393,20 +337,6 @@ def _run_native(lib, cfg_block, columns, warm, flat, n_loads, progress):
     (kind_b, ctrl_b, writes_b, pc_a, addr_a, src1_a, src2_a, taken_a,
      next_pc_a, line_a, pred_b, btb_b) = columns
     n_spawns = cfg_block[K.C_N_SPAWNS]
-    sp_trigger = array("q", flat.sp_trigger)
-    sp_static = array("q", flat.sp_static)
-    sp_inst_lo = array("q", flat.sp_inst_lo)
-    sp_inst_hi = array("q", flat.sp_inst_hi)
-    pi_addr = array("q", flat.pi_addr)
-    pi_hint_seq = array("q", flat.pi_hint_seq)
-    pi_dep_lo = array("q", flat.pi_dep_lo)
-    pi_dep_hi = array("q", flat.pi_dep_hi)
-    dep_flat = array("q", flat.dep_flat)
-    pi_live_lo = array("q", flat.pi_live_lo)
-    pi_live_hi = array("q", flat.pi_live_hi)
-    live_flat = array("q", flat.live_flat)
-    pi_kind_b = bytes(flat.pi_kind)
-    pi_hint_taken_b = bytes(flat.pi_hint_taken)
 
     # Each main load appends at most once to each uid stream.
     out = array("q", bytes(8 * O_LEN))
@@ -446,15 +376,15 @@ def _run_native(lib, cfg_block, columns, warm, flat, n_loads, progress):
     i_tbl = (i64p * nativebuild.I_LEN)(
         ip(pc_a), ip(addr_a), ip(src1_a), ip(src2_a), ip(next_pc_a),
         ip(line_a),
-        ip(sp_trigger), ip(sp_static), ip(sp_inst_lo), ip(sp_inst_hi),
-        ip(pi_addr), ip(pi_hint_seq),
-        ip(pi_dep_lo), ip(pi_dep_hi), ip(dep_flat),
-        ip(pi_live_lo), ip(pi_live_hi), ip(live_flat),
+        ip(pth.sp_trigger), ip(pth.sp_static), ip(pth.sp_inst_lo),
+        ip(pth.sp_inst_hi), ip(pth.pi_addr), ip(pth.pi_hint_seq),
+        ip(pth.pi_dep_lo), ip(pth.pi_dep_hi), ip(pth.dep_flat),
+        ip(pth.pi_live_lo), ip(pth.pi_live_hi), ip(pth.live_flat),
         *(ip(part) for part in warm),
     )
     b_tbl = (u8p * nativebuild.B_LEN)(
         bp(kind_b), bp(ctrl_b), bp(writes_b), bp(taken_a),
-        bp(pred_b), bp(btb_b), bp(pi_kind_b), bp(pi_hint_taken_b),
+        bp(pred_b), bp(btb_b), bp(pth.pi_kind), bp(pth.pi_hint_taken),
     )
     callback = (
         nativebuild.PROGRESS_FN(progress)
@@ -511,7 +441,7 @@ def simulate_kernel(
     else:
         line_a = array("q")
         pred_b = b""
-    has_spawns = bool(pth.spawns_by_trigger)
+    has_spawns = not pth.empty()
     has_hints = has_spawns and _has_branch_hints(pth)
     use_btb_col = bool(n_main and not has_hints)
     btb_b = (
@@ -525,9 +455,8 @@ def simulate_kernel(
         _WARM_RESTORES.add()
     else:
         warm_image = (None,) * 6
-    flat = _FlatPThreads(pth)
     cfg_block = _cfg_block(
-        cfg, n_main, flat, do_warm, has_spawns, has_hints, use_btb_col
+        cfg, n_main, pth, do_warm, has_spawns, has_hints, use_btb_col
     )
     progress = _ref.Heartbeat(n_main) if _ref.heartbeat_wanted() else None
 
@@ -539,18 +468,16 @@ def simulate_kernel(
     lib = nativebuild.load()
     if lib is not None:
         out, missed, misspc, dead_fa = _run_native(
-            lib, cfg_block, columns, warm_image, flat,
+            lib, cfg_block, columns, warm_image, pth,
             kind_b.count(K.K_LOAD), progress,
         )
     else:
         out, missed, misspc, dead_fa = _kernel.run(
             cfg_block, *columns, *warm_image,
-            flat.sp_trigger, flat.sp_static, flat.sp_inst_lo,
-            flat.sp_inst_hi,
-            flat.pi_kind, flat.pi_addr, flat.pi_hint_seq,
-            flat.pi_hint_taken,
-            flat.pi_dep_lo, flat.pi_dep_hi, flat.dep_flat,
-            flat.pi_live_lo, flat.pi_live_hi, flat.live_flat,
+            pth.sp_trigger, pth.sp_static, pth.sp_inst_lo, pth.sp_inst_hi,
+            pth.pi_kind, pth.pi_addr, pth.pi_hint_seq, pth.pi_hint_taken,
+            pth.pi_dep_lo, pth.pi_dep_hi, pth.dep_flat,
+            pth.pi_live_lo, pth.pi_live_hi, pth.live_flat,
             progress,
         )
 

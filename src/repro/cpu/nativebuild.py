@@ -1,12 +1,15 @@
 """Opportunistic build + ctypes loader for the compiled C sources.
 
-Two hot loops have C twins that run whenever a library can be loaded,
+Three hot loops have C twins that run whenever a library can be loaded,
 with the pure-Python version running otherwise:
 
 - ``kernel``: ``cpu/_kernel.c``, a direct transliteration of the cycle
   kernel ``cpu/_kernel.py`` (the ``native`` sim backend);
 - ``slicetree``: ``slicer/_slicetree.c``, the slice-tree miner behind
-  :func:`repro.slicer.slicetree.build_slice_tree`.
+  :func:`repro.slicer.slicetree.build_slice_tree`;
+- ``interp``: ``frontend/_interp.c``, the functional interpreter behind
+  :func:`repro.frontend.interpreter.interpret`, which also expands
+  p-thread spawns for :func:`repro.ddmt.augment.expand_pthreads`.
 
 This module owns every library's lifecycle through one build-and-load
 path:
@@ -27,8 +30,9 @@ Environment knobs (shared by every library):
 - ``REPRO_NATIVE_DIR`` -- artifact cache directory, one artifact per
   library and source version (default ``~/.cache/repro-native``);
 - ``REPRO_NATIVE=0`` -- never load a compiled library (probes report
-  unavailable; every simulation runs the pure-Python kernel and every
-  slice tree is mined by the Python loop);
+  unavailable; every simulation runs the pure-Python kernel, every
+  slice tree is mined by the Python loop, and every program is
+  interpreted and every spawn expanded in Python);
 - ``REPRO_NATIVE_CC`` -- compiler executable to use (default: first of
   ``cc``, ``gcc``, ``clang`` on PATH).
 
@@ -60,10 +64,14 @@ B_LEN = 8
 #: Must match _slicetree.c's SLICETREE_ABI.
 SLICETREE_ABI = 1
 
+#: Must match _interp.c's INTERP_ABI.
+INTERP_ABI = 1
+
 _BUILD_TIMEOUT_S = 120
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
+_I8P = ctypes.POINTER(ctypes.c_int8)
 
 #: The kernel's progress hook: ``(cycles, committed, spawns_started)``.
 PROGRESS_FN = ctypes.CFUNCTYPE(
@@ -101,6 +109,28 @@ def _configure_slicetree(lib: ctypes.CDLL) -> None:
     lib.repro_slicetree_free.argtypes = [ctypes.c_void_p]
 
 
+def _configure_interp(lib: ctypes.CDLL) -> None:
+    lib.repro_interp_new.restype = ctypes.c_void_p
+    lib.repro_interp_new.argtypes = [
+        _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # program
+        _I64P, _I64P, _I64P, ctypes.c_int64,                    # regs, data
+        _I64P, _I64P, _I64P, _I64P, _I64P, ctypes.c_int64,      # bodies
+    ]
+    lib.repro_interp_run.restype = ctypes.c_int
+    lib.repro_interp_run.argtypes = [
+        ctypes.c_void_p, _I64P, _I8P, _I64P, _I64P, _I64P, _I8P, _I64P,
+        ctypes.c_int64, _I64P,
+    ]
+    lib.repro_interp_spawn_counts.restype = None
+    lib.repro_interp_spawn_counts.argtypes = [ctypes.c_void_p, _I64P]
+    lib.repro_interp_spawn_export.restype = None
+    lib.repro_interp_spawn_export.argtypes = [
+        ctypes.c_void_p, ctypes.POINTER(_I64P), ctypes.POINTER(_I8P),
+    ]
+    lib.repro_interp_free.restype = None
+    lib.repro_interp_free.argtypes = [ctypes.c_void_p]
+
+
 class NativeLibrary(NamedTuple):
     """One compiled C source: where it lives and what it must export."""
 
@@ -123,6 +153,10 @@ LIBRARIES: Dict[str, NativeLibrary] = {
         NativeLibrary(
             "slicetree", _PKG / "slicer" / "_slicetree.c", SLICETREE_ABI,
             _configure_slicetree,
+        ),
+        NativeLibrary(
+            "interp", _PKG / "frontend" / "_interp.c", INTERP_ABI,
+            _configure_interp,
         ),
     )
 }

@@ -30,7 +30,12 @@ from repro.obs import utrace
 from repro.branch.btb import BTB
 from repro.branch.predictors import HybridPredictor
 from repro.config import MachineConfig
-from repro.cpu.pthreads import PInstClass, PThreadProgram, SpawnSpec
+from repro.cpu.pthreads import (
+    KIND_BY_PCLASS,
+    PInstClass,
+    PThreadProgram,
+    SpawnSpec,
+)
 from repro.cpu.stats import SimStats
 from repro.errors import ExecutionError, PipelineDeadlockError
 from repro.frontend.trace import NO_PRODUCER, Trace
@@ -68,7 +73,8 @@ _CLASS_TO_KIND = {
     OpClass.HALT: _NOP,
 }
 
-_PCLASS_TO_KIND = {
+_PCLASS_TO_KIND = KIND_BY_PCLASS
+assert _PCLASS_TO_KIND == {
     PInstClass.ALU: _ALU,
     PInstClass.MUL: _MUL,
     PInstClass.LOAD: _LOAD,

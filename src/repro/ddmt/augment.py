@@ -1,19 +1,51 @@
-"""Functional expansion of static p-threads into dynamic spawns."""
+"""Functional expansion of static p-threads into dynamic spawns.
+
+:func:`expand_pthreads` compiles every static p-thread once into a step
+table (:func:`_compile`), groups the tables by trigger pc into
+:class:`~repro.frontend.nativeinterp.TriggerPlan` hooks, and replays the
+program once with them.  On the C interpreter the plans are evaluated in
+C and every spawn lands directly in the spawn columns a
+:class:`~repro.cpu.pthreads.PThreadProgram` stores.  On the Python
+interpreter each plan calls :func:`_expand_body`, the golden oracle, and
+the spawn objects reach the same columns through ``from_spawns``.
+"""
 
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.cpu.pthreads import PInstClass, PInstSpec, PThreadProgram, SpawnSpec
+from repro.cpu.pthreads import (
+    KIND_BY_PCLASS,
+    PInstClass,
+    PInstSpec,
+    PThreadProgram,
+    SpawnSpec,
+)
 from repro.frontend.interpreter import InterpreterState, interpret
+from repro.frontend.nativeinterp import (
+    FN_BY_OP,
+    M_CONST,
+    M_REG,
+    M_STEP,
+    STEP_ALU,
+    STEP_BRANCH,
+    STEP_LOAD,
+    BodyPlan,
+    BodyStep,
+    SpawnSink,
+    TriggerPlan,
+)
 from repro.frontend.trace import NO_PRODUCER, Trace
 from repro.isa.instruction import Program, StaticInst
 from repro.isa.opcodes import IMMEDIATE_OPS, Op, OpClass
 from repro.pthsel.pthread import StaticPThread
+
+
+_TRACE_ADOPTIONS = obs.counters.counter("ddmt.augment.trace_adoptions")
 
 
 @dataclass
@@ -128,45 +160,101 @@ def _expand_body(
     )
 
 
-# --------------------------------------------------------------------- #
-# Expansion memo.  A spawn list is a pure function of (program, budget,
-# p-thread content): the hooks that collect spawns only *read* the
-# interpreter state, so the replay is the same execution every time.  A
-# figure sweep selects heavily-overlapping p-thread sets across its
-# cells (the same static p-thread reappears at other latencies and
-# targets), and each expansion replays the full trace budget -- caching
-# per static p-thread means a sweep only pays for interpretation when a
-# cell introduces a p-thread nobody has expanded yet.
-#
-# Keys exclude ``pthread_id`` (selection runs number their picks
-# independently); the id recorded at build time is rewritten on reuse.
-_SPAWN_CACHE: "OrderedDict[Tuple, Tuple[int, Tuple[SpawnSpec, ...]]]" = (
-    OrderedDict()
-)
-_SPAWN_CACHE_LIMIT = 64
+def _compile(pthread: StaticPThread) -> Optional[Tuple[BodyStep, ...]]:
+    """The body of ``pthread`` as C step rows: :func:`_expand_body`'s
+    static half (operand sources, body deps, live-in registers).
 
-_SPAWN_HITS = obs.counters.counter("ddmt.augment.spawn_cache.hits")
-_SPAWN_BUILDS = obs.counters.counter("ddmt.augment.spawn_cache.builds")
-_TRACE_ADOPTIONS = obs.counters.counter("ddmt.augment.trace_adoptions")
+    Returns None for a body only :func:`_expand_body` can run (an op it
+    does not evaluate, a missing register).
+    """
+    target_set = set(pthread.target_pcs)
+    local_writer: Dict[int, int] = {}  # register -> body index
+    steps: List[BodyStep] = []
+    for idx, inst in enumerate(pthread.body):
+        deps: List[int] = []
+        live_regs: List[int] = []
+
+        def read(reg: Optional[int]) -> Tuple[int, int]:
+            if reg is None:
+                raise LookupError(reg)
+            writer = local_writer.get(reg)
+            if writer is not None:
+                deps.append(writer)
+                return M_STEP, writer
+            live_regs.append(reg)
+            return M_REG, reg
+
+        op = inst.op
+        cls = op.op_class
+        kind, fn, is_target = STEP_ALU, FN_BY_OP.get(op, 0), False
+        try:
+            if cls is OpClass.BRANCH:
+                kind = STEP_BRANCH
+                a, b = read(inst.rs1), read(inst.rs2)
+            elif cls is OpClass.LOAD:
+                kind = STEP_LOAD
+                a, b = read(inst.rs1), (M_CONST, inst.imm or 0)
+                is_target = inst.pc in target_set
+            elif cls is not OpClass.ALU and cls is not OpClass.MUL:
+                return None
+            elif op is Op.LI:
+                a, b = (M_CONST, 0), (M_CONST, inst.imm)
+            elif op is Op.MOV:
+                a, b = read(inst.rs1), (M_CONST, 0)
+            elif op in IMMEDIATE_OPS:
+                a, b = read(inst.rs1), (M_CONST, inst.imm)
+            else:
+                a, b = read(inst.rs1), read(inst.rs2)
+        except LookupError:
+            return None
+        klass = PInstClass.ALU if kind == STEP_BRANCH else _pinst_class(inst)
+        steps.append(
+            BodyStep(
+                kind, fn, *a, *b, KIND_BY_PCLASS[klass], is_target,
+                tuple(dict.fromkeys(deps)), tuple(dict.fromkeys(live_regs)),
+            )
+        )
+        if kind != STEP_BRANCH and inst.rd is not None:
+            local_writer[inst.rd] = idx
+    return tuple(steps)
 
 
-def clear_spawn_cache() -> None:
-    """Drop memoized spawn expansions (tests that patch workloads)."""
-    _SPAWN_CACHE.clear()
+def _resolve_hints(
+    program: PThreadProgram,
+    positions,
+    pthreads: List[StaticPThread],
+    trace: Trace,
+) -> None:
+    """Point each branch p-thread spawn's hints at their branch instance.
 
-
-def _content_key(pthread: StaticPThread) -> Tuple:
-    """Behavioral identity of a static p-thread for expansion purposes:
-    everything ``_expand_body`` and hint targeting can observe."""
-    return (
-        pthread.trigger_pc,
-        pthread.hint_offset,
-        pthread.target_pcs,
-        tuple(
-            (i.pc, i.op.value, i.rd, i.rs1, i.rs2, i.imm, i.target)
-            for i in pthread.body
-        ),
-    )
+    Spawn ``i`` of branch p-thread ``p`` (at ``positions[i]``) hints the
+    ``p.hint_offset``-th dynamic instance of ``p``'s target branch after
+    its trigger, or nothing (-1) past the end of the trace.  Writes
+    ``program.pi_hint_seq`` in place, before any view of it exists.
+    """
+    targets = {}
+    for pos, pthread in enumerate(pthreads):
+        if pthread.is_branch_pthread:
+            targets[pos] = (
+                trace.occurrences(pthread.target_pcs[0]),
+                pthread.hint_offset - 1,
+                [k for k, inst in enumerate(pthread.body)
+                 if inst.op.op_class is OpClass.BRANCH],
+            )
+    if not targets:
+        return
+    hint_seq = program.pi_hint_seq
+    for trigger, inst_lo, pos in zip(
+        program.sp_trigger, program.sp_inst_lo, positions
+    ):
+        target = targets.get(pos)
+        if target is None:
+            continue
+        occurrences, skip, branch_steps = target
+        index = bisect.bisect_right(occurrences, trigger) + skip
+        seq = occurrences[index] if index < len(occurrences) else -1
+        for k in branch_steps:
+            hint_seq[inst_lo + k] = seq
 
 
 def expand_pthreads(
@@ -178,122 +266,50 @@ def expand_pthreads(
 ) -> AugmentedProgram:
     """Replay ``program`` and expand every spawn of every p-thread.
 
-    Branch p-threads need to know *which* future dynamic instance of
-    their target branch each spawn's hint addresses; that mapping comes
-    from a reference trace (passed in, or produced by one extra plain
-    interpretation).
+    Spawns are in trace order, ties (several p-threads on one trigger)
+    broken by position in ``pthreads``: spawn order is observable, since
+    the simulator allocates contexts in list order.  Branch p-threads'
+    hint targets come from the replay's own trace.
 
-    When ``reference_trace`` is supplied, it is also *adopted* as the
+    When ``reference_trace`` is supplied, it is *adopted* as the
     augmented program's trace: spawn hooks cannot perturb execution, so
     the hooked interpretation reproduces the reference trace exactly,
     and sharing the object lets every augmented program reuse the
     reference trace's derived analyses and simulation precomputes.
     """
-    program_fp = program.fingerprint()
-    keys = [
-        (program_fp, max_instructions, require_halt) + _content_key(p)
-        for p in pthreads
-    ]
-
-    # Per-pthread spawn lists, indexed by position in ``pthreads``.
-    expanded: Dict[int, Tuple[SpawnSpec, ...]] = {}
-    uncached: List[int] = []
-    for idx, key in enumerate(keys):
-        hit = _SPAWN_CACHE.get(key)
-        if hit is None:
-            uncached.append(idx)
-            continue
-        _SPAWN_CACHE.move_to_end(key)
-        _SPAWN_HITS.add()
-        built_id, spawn_list = hit
-        wanted_id = pthreads[idx].pthread_id
-        if built_id != wanted_id:
-            spawn_list = tuple(
-                replace(s, static_id=wanted_id) for s in spawn_list
-            )
-        expanded[idx] = spawn_list
-
-    trace = reference_trace
-    if uncached:
-        need = [pthreads[i] for i in uncached]
-
-        # Occurrence lists for branch-hint targeting.
-        hint_occurrences: Dict[int, List[int]] = {}
-        if any(p.is_branch_pthread for p in need):
-            if reference_trace is None:
-                reference_trace = interpret(
-                    program, max_instructions, require_halt=require_halt
-                )
-                trace = reference_trace
-            for pthread in need:
-                if pthread.is_branch_pthread:
-                    pc = pthread.target_pcs[0]
-                    if pc not in hint_occurrences:
-                        hint_occurrences[pc] = reference_trace.occurrences(pc)
-
-        def hint_target(pthread: StaticPThread, seq: int) -> int:
-            occurrences = hint_occurrences[pthread.target_pcs[0]]
-            index = bisect.bisect_right(occurrences, seq)
-            target_index = index + pthread.hint_offset - 1
-            if target_index < len(occurrences):
-                return occurrences[target_index]
-            return -1
-
-        collected: Dict[int, List[SpawnSpec]] = {i: [] for i in uncached}
-        by_trigger: Dict[int, List[int]] = {}
-        for i in uncached:
-            by_trigger.setdefault(pthreads[i].trigger_pc, []).append(i)
-
-        def make_hook(candidates: List[int]):
-            def hook(seq: int, state: InterpreterState) -> None:
-                for i in candidates:
-                    pthread = pthreads[i]
-                    hint_seq = (
-                        hint_target(pthread, seq)
-                        if pthread.is_branch_pthread
-                        else -1
-                    )
-                    collected[i].append(
-                        _expand_body(pthread, seq, state, hint_seq=hint_seq)
-                    )
-
-            return hook
-
-        hooks = {pc: make_hook(group) for pc, group in by_trigger.items()}
-        hooked_trace = interpret(
+    sink = SpawnSink()
+    plans: Dict[int, List[BodyPlan]] = {}
+    for pos, pthread in enumerate(pthreads):
+        plans.setdefault(pthread.trigger_pc, []).append(
+            BodyPlan(pos, pthread.pthread_id, _compile(pthread),
+                     partial(_expand_body, pthread))
+        )
+    hooks = {pc: TriggerPlan(tuple(bodies), sink)
+             for pc, bodies in plans.items()}
+    if hooks or reference_trace is None:
+        trace = interpret(
             program, max_instructions, pc_hooks=hooks,
             require_halt=require_halt,
         )
-        if trace is None:
-            trace = hooked_trace
-        for i in uncached:
-            spawn_list = tuple(collected[i])
-            expanded[i] = spawn_list
-            _SPAWN_CACHE[keys[i]] = (pthreads[i].pthread_id, spawn_list)
-            _SPAWN_BUILDS.add()
-        while len(_SPAWN_CACHE) > _SPAWN_CACHE_LIMIT:
-            _SPAWN_CACHE.popitem(last=False)
-    elif trace is None:
-        trace = interpret(program, max_instructions, require_halt=require_halt)
-    if trace is reference_trace and reference_trace is not None:
+    if reference_trace is not None:
+        trace = reference_trace
         _TRACE_ADOPTIONS.add()
 
-    # Merge per-pthread lists back into the order a single hooked replay
-    # would have produced them: trace order, ties (several p-threads on
-    # one trigger) broken by position in ``pthreads``.  Spawn order is
-    # observable -- the simulator allocates contexts in list order.
-    merged: List[Tuple[int, int, SpawnSpec]] = []
-    for idx in range(len(pthreads)):
-        for spawn in expanded[idx]:
-            merged.append((spawn.trigger_seq, idx, spawn))
-    merged.sort(key=lambda item: (item[0], item[1]))
-    spawns = [item[2] for item in merged]
-    spawn_counts = {
-        pthreads[idx].pthread_id: len(expanded[idx])
-        for idx in range(len(pthreads))
-    }
+    if sink.columns is not None:
+        positions = sink.columns["sp_pos"]
+        pthread_program = PThreadProgram(columns=sink.columns)
+    else:
+        positions = sink.positions
+        pthread_program = PThreadProgram.from_spawns(sink.spawns)
+    _resolve_hints(pthread_program, positions, pthreads, trace)
+    counts = [0] * len(pthreads)
+    for pos in positions:
+        counts[pos] += 1
     return AugmentedProgram(
         trace=trace,
-        pthreads=PThreadProgram.from_spawns(spawns),
-        spawn_counts=spawn_counts,
+        pthreads=pthread_program,
+        spawn_counts={
+            pthread.pthread_id: count
+            for pthread, count in zip(pthreads, counts)
+        },
     )

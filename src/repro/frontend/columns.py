@@ -74,6 +74,28 @@ def grow_int8(col: array, delta: int) -> None:
     col.frombytes(bytes(delta))
 
 
+def trace_buffers(n: int) -> List[array]:
+    """The seven trace emission buffers, in :class:`TraceColumns` order
+    (``pc, op_code, src1, src2, addr, taken, next_pc``), of length ``n``."""
+    return [
+        int64_buffer(n), int8_buffer(n), int64_buffer(n, fill=-1),
+        int64_buffer(n, fill=-1), int64_buffer(n, fill=-1), int8_buffer(n),
+        int64_buffer(n),
+    ]
+
+
+def grow_trace_buffers(cols: List[array], delta: int) -> None:
+    """Extend :func:`trace_buffers` by ``delta`` prefilled slots each."""
+    pc, op_code, src1, src2, addr, taken, next_pc = cols
+    grow_int64(pc, delta)
+    grow_int8(op_code, delta)
+    grow_int64(src1, delta, fill=-1)
+    grow_int64(src2, delta, fill=-1)
+    grow_int64(addr, delta, fill=-1)
+    grow_int8(taken, delta)
+    grow_int64(next_pc, delta)
+
+
 def grow_float64(col: array, delta: int) -> None:
     """Extend a float64 emission buffer by ``delta`` zeroed slots."""
     col.frombytes(bytes(8 * delta))

@@ -3,16 +3,25 @@
 The interpreter executes a :class:`~repro.isa.instruction.Program` with
 exact 64-bit semantics and records, per dynamic instruction, the register
 dataflow (producer sequence numbers), memory addresses, and resolved branch
-directions.  An optional per-PC hook lets the DDMT layer observe
-architectural state at trigger points to expand p-thread spawns.
+directions.  Optional per-PC hooks let the DDMT layer observe
+architectural state at trigger points to expand p-thread spawns;
+augmented interpretations pass compiled trigger plans as ``pc_hooks``.
 
-The trace is emitted directly into preallocated flat columns (stdlib
-``array('q')``/``array('b')``, truncated and sealed in place as
-:class:`~repro.frontend.columns.TraceColumns`) and the static program is decoded
-once into flat per-PC dispatch tuples, so the dynamic loop never chases
-``StaticInst -> Op -> OpClass`` attribute/property/enum-hash chains.  The
-retained object-path implementation in :mod:`repro.frontend.reference` is
-the bit-identity oracle this emitter is tested against.
+:func:`interpret` runs the C twin of the dispatch loop
+(:mod:`repro.frontend.nativeinterp`, ``_interp.c``) whenever its library
+loads and every hook is a compiled
+:class:`~repro.frontend.nativeinterp.TriggerPlan` -- the C loop then
+expands the p-thread spawns itself -- and :func:`interpret_python`
+otherwise.  Both emit the same columns and raise the same errors.
+
+The Python loop emits the trace directly into flat columns (stdlib
+``array('q')``/``array('b')``, grown by doubling, truncated and sealed in
+place as :class:`~repro.frontend.columns.TraceColumns`) and the static
+program is decoded once into flat per-PC dispatch tuples, so the dynamic
+loop never chases ``StaticInst -> Op -> OpClass``
+attribute/property/enum-hash chains.  The retained object-path
+implementation in :mod:`repro.frontend.reference` is the bit-identity
+oracle both loops are tested against.
 """
 
 from __future__ import annotations
@@ -20,12 +29,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ExecutionError
+from repro.frontend import nativeinterp
 from repro.frontend.columns import (
     TraceColumns,
-    grow_int64,
-    grow_int8,
-    int64_buffer,
-    int8_buffer,
+    grow_trace_buffers,
+    trace_buffers,
 )
 from repro.frontend.trace import NO_PRODUCER, Trace
 from repro.isa.instruction import Program
@@ -135,7 +143,36 @@ def interpret(
     Raises :class:`~repro.errors.ExecutionError` if the program runs past
     ``max_instructions`` without halting (unless ``require_halt`` is False,
     in which case the trace is truncated at the limit).
+
+    Runs the C loop when the ``interp`` library loads (building it on
+    the first call) and ``pc_hooks`` holds only
+    :class:`~repro.frontend.nativeinterp.TriggerPlan` hooks, and
+    :func:`interpret_python` otherwise; the results are identical.
     """
+    hooks = pc_hooks or None
+    if hooks is None or all(
+        isinstance(hook, nativeinterp.TriggerPlan) for hook in hooks.values()
+    ):
+        from repro.cpu import nativebuild
+
+        lib = nativebuild.load("interp")
+        if lib is not None:
+            trace = nativeinterp.run(
+                lib, program, _decode(program), max_instructions, hooks,
+                require_halt, _INITIAL_CAPACITY,
+            )
+            if trace is not None:
+                return trace
+    return interpret_python(program, max_instructions, hooks, require_halt)
+
+
+def interpret_python(
+    program: Program,
+    max_instructions: int = 1_000_000,
+    pc_hooks: Optional[Dict[int, PcHook]] = None,
+    require_halt: bool = True,
+) -> Trace:
+    """:func:`interpret` on the pure-Python loop (the C loop's oracle)."""
     state = InterpreterState()
     state.memory = dict(program.data)
     for reg, value in program.initial_regs.items():
@@ -150,13 +187,8 @@ def interpret(
     hooks = pc_hooks or None
 
     cap = min(max_instructions, _INITIAL_CAPACITY)
-    pc_col = int64_buffer(cap)
-    op_col = int8_buffer(cap)
-    src1_col = int64_buffer(cap, fill=-1)
-    src2_col = int64_buffer(cap, fill=-1)
-    addr_col = int64_buffer(cap, fill=-1)
-    taken_col = int8_buffer(cap)
-    next_col = int64_buffer(cap)
+    cols = trace_buffers(cap)
+    pc_col, op_col, src1_col, src2_col, addr_col, taken_col, next_col = cols
 
     pc = program.entry
     seq = 0
@@ -166,14 +198,7 @@ def interpret(
             raise ExecutionError(f"control transferred outside program: pc={pc}")
         if seq == cap:
             new_cap = min(max_instructions, cap * 2)
-            delta = new_cap - cap
-            grow_int64(pc_col, delta)
-            grow_int8(op_col, delta)
-            grow_int64(src1_col, delta, fill=-1)
-            grow_int64(src2_col, delta, fill=-1)
-            grow_int64(addr_col, delta, fill=-1)
-            grow_int8(taken_col, delta)
-            grow_int64(next_col, delta)
+            grow_trace_buffers(cols, new_cap - cap)
             cap = new_cap
         cat, code, rd, rs1, rs2, ext, fn = decoded[pc]
         next_pc = pc + 1
@@ -249,10 +274,4 @@ def interpret(
             f"program {program.name!r} did not halt within "
             f"{max_instructions} instructions"
         )
-    return Trace(
-        program,
-        TraceColumns.seal(
-            pc_col, op_col, src1_col, src2_col, addr_col, taken_col,
-            next_col, seq,
-        ),
-    )
+    return Trace(program, TraceColumns.seal(*cols, seq))

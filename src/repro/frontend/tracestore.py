@@ -10,8 +10,10 @@ object -- including its lazily materialized pc->seqs index, flat-list
 view, and consumer-derived columns -- read-only.  Pool workers forked
 from a warmed parent inherit the memo for free.
 
-Augmented (p-thread) interpretations use ``pc_hooks`` and mutate
-architectural state observation per call; they never go through the memo.
+Augmented (p-thread) interpretations pass compiled trigger plans as
+``pc_hooks`` and collect spawns per call (on the C interpreter the plans
+run in C, see :mod:`repro.frontend.nativeinterp`); they never go through
+the memo.
 
 Disable with ``REPRO_TRACE_MEMO=0`` (each call then interprets afresh,
 matching pre-memo behavior exactly -- the memo returns the same bits

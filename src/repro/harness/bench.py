@@ -31,7 +31,6 @@ from repro.config import MachineConfig, SimulationConfig
 from repro.cpu.pipeline import simulate
 from repro.cpu import engine as sim_engine
 from repro.cpu import nativebuild
-from repro.ddmt import augment
 from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import batchplan, experiment, figures, simcache
@@ -89,11 +88,10 @@ def _grid_kwargs(quick: bool) -> Dict[str, object]:
 
 def _reset_memos() -> None:
     """Drop every in-process memo a cold grid pass must not inherit:
-    the baseline LRU (with the augmented/optimized memos), the trace
-    memo and the p-thread spawn cache."""
+    the baseline LRU (with the augmented/optimized memos) and the trace
+    memo."""
     experiment.clear_baseline_cache()
     tracestore.clear()
-    augment.clear_spawn_cache()
 
 
 def bench_grid(

@@ -9,7 +9,7 @@ the harness scales to long workloads with the same methodology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.config import MachineConfig, SimulationConfig
@@ -17,7 +17,7 @@ from repro.cpu.pipeline import Pipeline
 from repro.cpu.pthreads import PThreadProgram, SpawnSpec
 from repro.cpu.stats import SimStats
 from repro.errors import ConfigError
-from repro.frontend.trace import Trace
+from repro.frontend.trace import NO_PRODUCER, Trace
 
 
 @dataclass
@@ -39,18 +39,36 @@ class SampledEstimate:
 def _slice_pthreads(
     pthreads: Optional[PThreadProgram], start: int, end: int
 ) -> Optional[PThreadProgram]:
+    """The spawns triggered in ``[start, end)``, renumbered like the
+    shifted window trace: a seq ``s >= start`` becomes ``s - start``, an
+    earlier live-in producer becomes ``NO_PRODUCER`` ("ready at start")
+    and a hint outside the window becomes -1 (no hint)."""
     if pthreads is None or pthreads.empty():
         return None
+
+    def livein(seq: int) -> int:
+        return seq - start if seq >= start else NO_PRODUCER
+
+    def hint(seq: int) -> int:
+        return seq - start if start <= seq < end else -1
+
     spawns: List[SpawnSpec] = []
     for trigger_seq, group in pthreads.spawns_by_trigger.items():
         if start <= trigger_seq < end:
             for spawn in group:
+                insts = tuple(
+                    replace(
+                        inst,
+                        livein_seqs=tuple(map(livein, inst.livein_seqs)),
+                        hint_branch_seq=hint(inst.hint_branch_seq),
+                    )
+                    for inst in spawn.insts
+                )
                 spawns.append(
                     SpawnSpec(
-                        trigger_seq=spawn.trigger_seq - start,
+                        trigger_seq=trigger_seq - start,
                         static_id=spawn.static_id,
-                        insts=spawn.insts,
-                        on_correct_path=spawn.on_correct_path,
+                        insts=insts,
                     )
                 )
     return PThreadProgram.from_spawns(spawns)

@@ -1,18 +1,15 @@
 """``repro bench`` measures every cycle engine cold."""
 
-from repro import obs
 from repro.cpu import engine
-from repro.harness import bench, figures
+from repro.harness import bench, experiment, figures
 from repro.harness.experiment import clear_baseline_cache
 from repro.frontend import tracestore
 from repro.pthsel.targets import Target
 
-SPAWN_BUILDS = "ddmt.augment.spawn_cache.builds"
-
 
 def test_backend_walls_start_each_engine_cold(monkeypatch):
-    # The spawn cache survives nothing between engines: the second
-    # engine's wall must rebuild the p-thread spawns it needs.
+    # No memo survives between engines: the second engine's wall must
+    # expand the p-thread spawns it needs again.
     monkeypatch.setattr(
         bench,
         "_grid_kwargs",
@@ -23,15 +20,21 @@ def test_backend_walls_start_each_engine_cold(monkeypatch):
         },
     )
     real = figures.figure5_memory_latency
+    real_expand = experiment.expand_pthreads
+    expansions = [0]
     passes = []
 
+    def counting_expand(*args, **kwargs):
+        expansions[0] += 1
+        return real_expand(*args, **kwargs)
+
     def recording(**kwargs):
-        before = obs.counters.snapshot().get(SPAWN_BUILDS, 0)
+        before = expansions[0]
         rows = real(**kwargs)
-        built = obs.counters.snapshot().get(SPAWN_BUILDS, 0) - before
-        passes.append((engine.backend(), built))
+        passes.append((engine.backend(), expansions[0] - before))
         return rows
 
+    monkeypatch.setattr(experiment, "expand_pthreads", counting_expand)
     monkeypatch.setattr(figures, "figure5_memory_latency", recording)
     engine.set_sim_backend("native")
     try:
