@@ -21,8 +21,9 @@ The payloads' ``sim_backend`` fields must also agree: walls measured
 under different default cycle engines are not comparable, so a drifted
 default is reported as a failure rather than silently band-checked.
 The ``native`` engine runs the compiled C kernel when a C compiler is
-available and the pure-Python kernel otherwise; the payload records
-which one ran as ``native_kernel``.  When that differs from the
+available and the several-fold slower reference engine otherwise; the
+payload records which one ran as ``native_kernel`` (``c`` or
+``reference``).  When that differs from the
 baseline's, the throughput checks are skipped with a visible notice
 (the determinism checks still run): a toolchain-less host is not a
 code regression.
@@ -79,8 +80,9 @@ def compare_named(
     timed = base_kernel is None or cur_kernel == base_kernel
     if not timed:
         notices.append(
-            f"native_kernel: baseline ran the {base_kernel!r} kernel but "
-            f"current ran {cur_kernel!r} -- throughput checks SKIPPED"
+            f"native_kernel: baseline ran the native backend on "
+            f"{base_kernel!r} but current ran it on {cur_kernel!r} -- "
+            "throughput checks SKIPPED"
         )
 
     for name, base_row in base_sim.items():

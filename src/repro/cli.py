@@ -193,9 +193,9 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BACKEND",
         help="cycle-engine backend: reference (the oracle Pipeline) or "
-        "native (the cycle kernel, default: compiled C when a C compiler "
-        "or a built artifact is available, pure Python otherwise); both "
-        "are bit-identical (REPRO_SIM_BACKEND also selects it)",
+        "native (default: the compiled C cycle kernel when a C compiler "
+        "or a built artifact is available, the reference otherwise); "
+        "both are bit-identical (REPRO_SIM_BACKEND also selects it)",
     )
     obs_flags.add_argument(
         "--trace-window",

@@ -1,16 +1,64 @@
-/* C transliteration of repro/cpu/_kernel.py (the `native` backend).
+/* The flat-array cycle kernel: the `native` sim backend.
  *
- * Operates on the same marshaled form: the C_* config block, flat
- * per-instruction columns, packed cache sets, and the flattened
- * p-thread program.  Produces the same O_* counter block plus the
- * ordered missed/misspc uid streams and (on deadlock) the fetch-state
- * snapshot.  A non-NULL progress callback is called every
- * cfg[C_HEARTBEAT_CYCLES] simulated cycles, as in the Python kernel.  Built opportunistically by repro/cpu/nativebuild.py and
- * loaded through ctypes; every constant below must stay value-identical
- * to _kernel.py (KERNEL_ABI is checked at load time).
+ * The reference repro/cpu/pipeline.py Pipeline rewritten as one
+ * event-driven loop over nothing but integers -- flat per-instruction
+ * columns, packed cache sets, scalar bus/TLB/MSHR state.  The driver
+ * (repro/cpu/kerneldriver.py) marshals the trace, machine config and
+ * p-thread program into the C_* config block and flat columns, and
+ * rebuilds SimStats from the O_* counter block plus the ordered
+ * missed/misspc uid streams and (on deadlock) the fetch-state snapshot
+ * this kernel returns.  A non-NULL progress callback is called every
+ * cfg[C_HEARTBEAT_CYCLES] simulated cycles with (cycles, committed,
+ * spawns_started).  Built opportunistically by repro/cpu/nativebuild.py
+ * and loaded through ctypes; every constant below must stay
+ * value-identical to kerneldriver's (KERNEL_ABI is checked at load
+ * time).  tests/cpu/test_golden_sim_backends.py gates bit-identical
+ * SimStats against the reference.
  *
- * Data-structure substitutions vs the Python kernel, all order-proven
- * there (see its module docstring):
+ * Where the loop departs from the reference's per-cycle stage closures.
+ * Each departure is unobservable only while the condition given for it
+ * keeps holding:
+ *  - main-thread instructions are identified by their sequence number
+ *    (uid == seq), so completion times and pending counts live in flat
+ *    per-seq arrays; p-instructions take uids from n_main up;
+ *  - ready uids are appended unsorted and sorted once per issue cycle:
+ *    the reference pops a min-heap, yielding the same ascending prefix
+ *    and the same remainder.  Wakeup waiter order is free, since each
+ *    wakeup independently decrements a pending counter;
+ *  - completions landing at exactly now + 1 bypass the event heap (the
+ *    events_t1 side list): anything issued at now makes the cycle
+ *    active, so they are always drained at the next iteration, before
+ *    any jump logic can observe the heap;
+ *  - the frontend pipe holds only dispatch-ready times: fetch appends
+ *    sequence numbers in strictly increasing order and nothing flushes
+ *    the pipe (a redirect only stalls fetch; the trace is the correct
+ *    path), so the head entry's sequence number is always fp_head;
+ *  - NOPs complete at dispatch and can never have waiters: dispatch is
+ *    in-order, so any reader dispatches later and sees the completion
+ *    already set, and the reference's next-cycle event fires into an
+ *    empty wakeup list;
+ *  - when no stage can act and no load is MSHR-deferred, the loop jumps
+ *    to the earliest *future* event.  The reference keeps stale
+ *    candidates (a frontend-pipe head whose ready time has passed but
+ *    which is blocked on ROB/RS/registers) that pin its jump to
+ *    now + 1; a structurally blocked stage can only unblock through
+ *    commit or issue, and with `ready` empty both first need a
+ *    completion event, so the skipped cycles are attributed
+ *    identically.  With a deferred load the loop steps like the
+ *    reference: a store-allocated MSHR expires at a fill time with no
+ *    completion event, so a per-cycle retry can succeed between events;
+ *  - MSHR expiry installs fills in insertion order (the entry arrays
+ *    below are kept insertion-ordered, like the reference's dict);
+ *  - l2_misses_by_pc insertion order is preserved by returning demand
+ *    miss uids as an ordered stream the driver replays.
+ *
+ * The trace-pure inputs -- the branch-predictor outcome column, the BTB
+ * redirect column, fetch line ids and the warmed cache image -- are
+ * derived once per trace by the driver (see its docstring for why each
+ * is independent of machine timing).
+ *
+ * Data-structure substitutions vs the reference's Python containers,
+ * each order-preserving:
  *  - wakeup dict-of-lists  -> per-producer FIFO linked lists in a pool;
  *  - completion heap       -> binary heap on (t, uid) lexicographic;
  *  - MSHR insertion dict   -> insertion-ordered parallel arrays;
@@ -36,7 +84,7 @@ enum {
     F_MERGED = 16, F_MERGED_PF = 32, F_PF_HIT = 64,
 };
 
-/* cfg block indices -- order matches _kernel.py exactly. */
+/* cfg block indices -- order matches kerneldriver's C_* exactly. */
 enum {
     C_N_MAIN, C_WIDTH, C_COMMIT_WIDTH, C_FRONTEND_DEPTH, C_RS_CAPACITY,
     C_ROB_CAPACITY, C_PHYS_BUDGET, C_PIPE_CAPACITY, C_PTH_BLOCK_INTERVAL,
@@ -59,7 +107,7 @@ enum {
     C_LEN,
 };
 
-/* out block indices -- order matches _kernel.py exactly. */
+/* out block indices -- order matches kerneldriver's O_* exactly. */
 enum {
     O_CYCLES, O_COMMITTED, O_BRANCHES, O_MISPREDICTIONS, O_BTB_MISSES,
     O_DEMAND_L2, O_PTHREAD_L2, O_COVERED_FULL, O_COVERED_PARTIAL,
@@ -499,7 +547,7 @@ static void arena_free(Arena *a) {
     for (int i = 0; i < a->n; i++) free(a->ptrs[i]);
 }
 
-int repro_kernel_run(
+int repro_kernel_simulate(
     int64_t *cfg,
     int64_t **I,
     uint8_t **B,
@@ -769,7 +817,7 @@ int repro_kernel_run(
 
     /* attribute_cycles(n, retired) -- written as a macro so the stall
      * classification reads the live loop locals, exactly like the
-     * Python closure. */
+     * reference's attribute_cycles closure. */
 #define ATTRIBUTE_CYCLES(n_cyc, retired) do {                            \
         int64_t r_ = (retired) < width ? (retired) : width;              \
         sl_retire += r_;                                                 \

@@ -1,8 +1,9 @@
 """One sealed trace through N machine configurations.
 
 The pass behind :mod:`repro.harness.batchplan`: every member runs the
-cycle kernel (:func:`repro.cpu.kerneldriver.simulate_kernel`) on the
-same trace object, so the trace-pure kernel inputs -- opcode-derived
+compiled C cycle kernel (:func:`repro.cpu.kerneldriver.simulate_kernel`,
+which needs the ``kernel`` library -- the prewarm is skipped where it
+does not load) on the same trace object, so the trace-pure kernel inputs -- opcode-derived
 columns, branch-predictor outcome and BTB redirect columns, fetch line
 ids and (geometry permitting) the warmed cache image -- are built once
 and shared, while each config's ``SimStats`` is accumulated fully

@@ -6,10 +6,12 @@ Two engines run a timing simulation:
   per-cycle stage closures, retained verbatim as the oracle the kernel
   is gated against (and the only engine with microarchitectural tracing
   hooks and the ``pipeline.step`` fault site);
-- ``native``    -- the flat-array cycle kernel driven by
-  :mod:`repro.cpu.kerneldriver`: the compiled C kernel
-  (:mod:`repro.cpu.nativebuild`) when a library loads, the pure-Python
-  :mod:`repro.cpu._kernel` otherwise.  Always available.
+- ``native``    -- the compiled flat-array C cycle kernel
+  (``cpu/_kernel.c``, built and loaded by :mod:`repro.cpu.nativebuild`)
+  driven by :mod:`repro.cpu.kerneldriver`.  Always selectable: where
+  the library does not load (no C toolchain, ``REPRO_NATIVE=0``),
+  :func:`repro.cpu.pipeline.use_reference` runs ``native`` simulations
+  on the reference engine, several times slower but bit-identical.
 
 The backend is selected by the ``REPRO_SIM_BACKEND`` environment
 variable or programmatically via :func:`set_sim_backend` (the

@@ -1,19 +1,20 @@
-"""Marshal/unmarshal driver for the cycle kernel.
+"""Marshal/unmarshal driver for the compiled C cycle kernel.
 
-:func:`repro.cpu.pipeline.simulate` routes every run that does not need
-the reference engine here, and :func:`repro.cpu.batch.simulate_batch`
-calls it once per machine config.  It drives one of two kernel
-implementations -- the compiled C mirror loaded by
-:mod:`repro.cpu.nativebuild` when a library loads, the pure CPython
-:func:`repro.cpu._kernel.run` otherwise.  All object traffic stops at
-this boundary: the driver hands the kernel the trace's sealed
+:func:`repro.cpu.pipeline.simulate` routes every run here that does not
+need the reference engine (:func:`repro.cpu.pipeline.use_reference`,
+which also routes every run to the reference when the ``kernel``
+library does not load), and :func:`repro.cpu.batch.simulate_batch`
+calls it once per machine config.  It drives ``cpu/_kernel.c``, loaded
+by :mod:`repro.cpu.nativebuild`, and owns the marshaled layout the two
+share: the ``C_*`` config block and ``O_*`` counter block indices, the
+status codes and the entry-kind enums below.  All object traffic stops
+at this boundary: the driver hands the kernel the trace's sealed
 ``array('q')``/``array('b')`` columns and the p-thread program's spawn
-columns as they are (zero-copy pointers for the C kernel), flattens the
-machine config and warmed cache image into the kernel's ``C_*`` config
-block and flat arrays, and rebuilds ``SimStats`` (and the
-byte-identical error objects) from the ``O_*`` counter block and
-ordered event streams the kernel returns.  No per-instruction Python
-list is built on the way.
+columns as zero-copy pointers, flattens the machine config and warmed
+cache image into the ``C_*`` config block and flat arrays, and rebuilds
+``SimStats`` (and the byte-identical error objects) from the ``O_*``
+counter block and ordered event streams the kernel returns.  No
+per-instruction Python list is built on the way.
 
 Several inputs are pure functions of the trace (or of the trace plus one
 config axis); they are built once from the sealed columns, memoized on
@@ -44,6 +45,7 @@ trace under many machine configs:
 
 from __future__ import annotations
 
+import ctypes
 import time
 from array import array
 from collections import OrderedDict
@@ -53,14 +55,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro import obs
 from repro.branch.predictors import HybridPredictor
 from repro.config import CacheConfig, MachineConfig
-from repro.cpu import _kernel
+from repro.cpu import nativebuild
 from repro.cpu import pipeline as _ref
-from repro.cpu._kernel import (
-    O_LEN,
-    STATUS_DEADLOCK,
-    STATUS_OK,
-    STATUS_SAFETY,
-)
 from repro.cpu.pthreads import PThreadProgram
 from repro.cpu.stats import SimStats
 from repro.errors import ExecutionError, PipelineDeadlockError
@@ -68,17 +64,70 @@ from repro.frontend.trace import NO_PRODUCER, Trace
 from repro.isa.opcodes import WRITES_BY_CODE
 from repro.memory.hierarchy import MemoryHierarchy
 
-K = _kernel
+# ------------------------------------------------------------------ #
+# The marshaled layout shared with _kernel.c: every value below must
+# match the C enums (nativebuild.KERNEL_ABI is bumped whenever it
+# changes).
+# ------------------------------------------------------------------ #
 
-# The kernel module defines its enums locally to stay import-free; they
-# must be value-identical to the pipeline's.
-assert (K.K_ALU, K.K_MUL, K.K_LOAD, K.K_STORE, K.K_BRANCH, K.K_NOP) == (
+NOT_DONE = -1
+
+# Entry kinds / control classes -- value-identical to the pipeline's.
+K_ALU, K_MUL, K_LOAD, K_STORE, K_BRANCH, K_NOP = range(6)
+CTRL_NONE, CTRL_BRANCH, CTRL_JUMP = range(3)
+assert (K_ALU, K_MUL, K_LOAD, K_STORE, K_BRANCH, K_NOP) == (
     _ref._ALU, _ref._MUL, _ref._LOAD, _ref._STORE, _ref._BRANCH, _ref._NOP
 )
-assert (K.CTRL_NONE, K.CTRL_BRANCH, K.CTRL_JUMP) == (
+assert (CTRL_NONE, CTRL_BRANCH, CTRL_JUMP) == (
     _ref._CTRL_NONE, _ref._CTRL_BRANCH, _ref._CTRL_JUMP
 )
-assert K.NOT_DONE == _ref._NOT_DONE
+assert NOT_DONE == _ref._NOT_DONE
+
+# cfg block indices, in _kernel.c's C_* order.
+(
+    C_N_MAIN, C_WIDTH, C_COMMIT_WIDTH, C_FRONTEND_DEPTH, C_RS_CAPACITY,
+    C_ROB_CAPACITY, C_PHYS_BUDGET, C_PIPE_CAPACITY, C_PTH_BLOCK_INTERVAL,
+    C_INT_ALUS, C_LOAD_PORTS, C_STORE_PORTS, C_MUL_LATENCY,
+    C_ISSUE_POOL_LIMIT, C_MAIN_RS_CAP, C_FREE_CONTEXTS, C_SAFETY_LIMIT,
+    C_INST_BYTES, C_LINE_SHIFT, C_L2_LINE_SHIFT, C_HAS_SPAWNS,
+    C_HAS_HINTS, C_USE_BTB_COL, C_BTB_ENTRIES, C_PTHREAD_FILL_L1,
+    C_NO_PRODUCER, C_DO_WARM,
+    # memory hierarchy geometry/timing
+    C_IC_OFFSET_BITS, C_IC_INDEX_BITS, C_IC_INDEX_MASK, C_IC_ASSOC,
+    C_IC_NSETS, C_IC_HIT_LAT,
+    C_DC_OFFSET_BITS, C_DC_INDEX_BITS, C_DC_INDEX_MASK, C_DC_ASSOC,
+    C_DC_NSETS, C_DC_HIT_LAT,
+    C_L2_OFFSET_BITS, C_L2_INDEX_BITS, C_L2_INDEX_MASK, C_L2_ASSOC,
+    C_L2_NSETS, C_L2_HIT_LAT,
+    C_ITLB_ENTRIES, C_DTLB_ENTRIES, C_PAGE_SHIFT, C_TLB_MISS_LAT,
+    C_MSHR_ENTRIES, C_MEMORY_LATENCY,
+    C_L2BUS_CYC_DLINE, C_L2BUS_CYC_ILINE, C_MEMBUS_CYC_L2LINE,
+    # p-thread program shape
+    C_N_SPAWNS, C_N_PINSTS, C_DEP_LEN, C_LIVE_LEN,
+    # progress hook interval (simulated cycles)
+    C_HEARTBEAT_CYCLES,
+    C_LEN,
+) = range(60)
+
+# out block indices, in _kernel.c's O_* order.
+(
+    O_CYCLES, O_COMMITTED, O_BRANCHES, O_MISPREDICTIONS, O_BTB_MISSES,
+    O_DEMAND_L2, O_PTHREAD_L2, O_COVERED_FULL, O_COVERED_PARTIAL,
+    O_USEFUL, O_HINTS_USED, O_PINSTS_FETCHED, O_PINSTS_EXECUTED,
+    O_SPAWNS_ATTEMPTED, O_SPAWNS_STARTED, O_SPAWNS_DROPPED,
+    O_AC_COMMITTED, O_AC_DISP_MAIN, O_AC_DISP_PTH, O_AC_FETCH_MAIN,
+    O_AC_FETCH_PTH, O_AC_BPRED, O_AC_DMEM_MAIN, O_AC_DMEM_PTH,
+    O_AC_L2_MAIN, O_AC_L2_PTH, O_AC_ALU_MAIN, O_AC_ALU_PTH,
+    O_BD_MEM, O_BD_L2, O_BD_EXEC, O_BD_COMMIT, O_BD_FETCH,
+    O_SL_RETIRE, O_SL_FETCH, O_SL_BRANCH, O_SL_LOAD, O_SL_ROB,
+    O_SL_RS, O_SL_PTH, O_SL_EXEC,
+    O_STATUS, O_DEAD_ROB_LEN, O_DEAD_HEAD_SEQ, O_DEAD_HEAD_DONE,
+    O_N_MISSED, O_N_MISSPC, O_N_FA,
+    O_LEN,
+) = range(49)
+
+#: O_STATUS values.
+STATUS_OK, STATUS_DEADLOCK, STATUS_SAFETY = range(3)
 
 _PREP_BUILDS = obs.counters.counter("cpu.batch.prep_builds")
 _PREP_REUSES = obs.counters.counter("cpu.batch.prep_reuses")
@@ -93,7 +142,7 @@ def _code_table(values) -> bytes:
 _KIND_TABLE = _code_table(_ref._KIND_BY_CODE)
 _CTRL_TABLE = _code_table(_ref._CTRL_BY_CODE)
 _WRITES_TABLE = _code_table(WRITES_BY_CODE)
-_IS_BRANCH = bytes(1 if c == K.CTRL_BRANCH else 0 for c in range(256))
+_IS_BRANCH = bytes(1 if c == CTRL_BRANCH else 0 for c in range(256))
 
 
 # ------------------------------------------------------------------ #
@@ -265,42 +314,42 @@ def _cfg_block(
     has_hints: bool,
     use_btb_col: bool,
 ) -> List[int]:
-    c = [0] * K.C_LEN
-    c[K.C_N_MAIN] = n_main
-    c[K.C_WIDTH] = cfg.width
-    c[K.C_COMMIT_WIDTH] = cfg.commit_width
-    c[K.C_FRONTEND_DEPTH] = cfg.frontend_depth
-    c[K.C_RS_CAPACITY] = cfg.rs_entries
-    c[K.C_ROB_CAPACITY] = cfg.rob_entries
-    c[K.C_PHYS_BUDGET] = cfg.physical_registers - 32  # main arch state
-    c[K.C_PIPE_CAPACITY] = cfg.width * cfg.frontend_depth
-    c[K.C_PTH_BLOCK_INTERVAL] = max(
+    c = [0] * C_LEN
+    c[C_N_MAIN] = n_main
+    c[C_WIDTH] = cfg.width
+    c[C_COMMIT_WIDTH] = cfg.commit_width
+    c[C_FRONTEND_DEPTH] = cfg.frontend_depth
+    c[C_RS_CAPACITY] = cfg.rs_entries
+    c[C_ROB_CAPACITY] = cfg.rob_entries
+    c[C_PHYS_BUDGET] = cfg.physical_registers - 32  # main arch state
+    c[C_PIPE_CAPACITY] = cfg.width * cfg.frontend_depth
+    c[C_PTH_BLOCK_INTERVAL] = max(
         1, int(round(cfg.width / cfg.pthread_fetch_ipc))
     )
-    c[K.C_INT_ALUS] = cfg.int_alus
-    c[K.C_LOAD_PORTS] = cfg.load_ports
-    c[K.C_STORE_PORTS] = cfg.store_ports
-    c[K.C_MUL_LATENCY] = cfg.mul_latency
-    c[K.C_ISSUE_POOL_LIMIT] = cfg.width + 8
-    c[K.C_MAIN_RS_CAP] = max(
+    c[C_INT_ALUS] = cfg.int_alus
+    c[C_LOAD_PORTS] = cfg.load_ports
+    c[C_STORE_PORTS] = cfg.store_ports
+    c[C_MUL_LATENCY] = cfg.mul_latency
+    c[C_ISSUE_POOL_LIMIT] = cfg.width + 8
+    c[C_MAIN_RS_CAP] = max(
         cfg.width, cfg.rs_entries - cfg.pthread_rs_reserve
     )
-    c[K.C_FREE_CONTEXTS] = cfg.thread_contexts - 1
-    c[K.C_SAFETY_LIMIT] = 400 * n_main + 10_000_000
-    c[K.C_INST_BYTES] = _ref.INST_BYTES
-    c[K.C_LINE_SHIFT] = cfg.icache.line_bytes.bit_length() - 1
-    c[K.C_L2_LINE_SHIFT] = cfg.l2.line_bytes.bit_length() - 1
-    c[K.C_HAS_SPAWNS] = 1 if has_spawns else 0
-    c[K.C_HAS_HINTS] = 1 if has_hints else 0
-    c[K.C_USE_BTB_COL] = 1 if use_btb_col else 0
-    c[K.C_BTB_ENTRIES] = cfg.btb_entries
-    c[K.C_PTHREAD_FILL_L1] = 1 if cfg.pthread_fill_l1 else 0
-    c[K.C_NO_PRODUCER] = NO_PRODUCER
-    c[K.C_DO_WARM] = 1 if do_warm else 0
+    c[C_FREE_CONTEXTS] = cfg.thread_contexts - 1
+    c[C_SAFETY_LIMIT] = 400 * n_main + 10_000_000
+    c[C_INST_BYTES] = _ref.INST_BYTES
+    c[C_LINE_SHIFT] = cfg.icache.line_bytes.bit_length() - 1
+    c[C_L2_LINE_SHIFT] = cfg.l2.line_bytes.bit_length() - 1
+    c[C_HAS_SPAWNS] = 1 if has_spawns else 0
+    c[C_HAS_HINTS] = 1 if has_hints else 0
+    c[C_USE_BTB_COL] = 1 if use_btb_col else 0
+    c[C_BTB_ENTRIES] = cfg.btb_entries
+    c[C_PTHREAD_FILL_L1] = 1 if cfg.pthread_fill_l1 else 0
+    c[C_NO_PRODUCER] = NO_PRODUCER
+    c[C_DO_WARM] = 1 if do_warm else 0
     for base, cc in (
-        (K.C_IC_OFFSET_BITS, cfg.icache),
-        (K.C_DC_OFFSET_BITS, cfg.dcache),
-        (K.C_L2_OFFSET_BITS, cfg.l2),
+        (C_IC_OFFSET_BITS, cfg.icache),
+        (C_DC_OFFSET_BITS, cfg.dcache),
+        (C_L2_OFFSET_BITS, cfg.l2),
     ):
         n_sets = cc.n_sets
         c[base] = cc.line_bytes.bit_length() - 1
@@ -309,34 +358,30 @@ def _cfg_block(
         c[base + 3] = cc.assoc
         c[base + 4] = n_sets
         c[base + 5] = cc.hit_latency
-    c[K.C_ITLB_ENTRIES] = cfg.itlb_entries
-    c[K.C_DTLB_ENTRIES] = cfg.dtlb_entries
-    c[K.C_PAGE_SHIFT] = cfg.page_bytes.bit_length() - 1
-    c[K.C_TLB_MISS_LAT] = cfg.tlb_miss_latency
-    c[K.C_MSHR_ENTRIES] = cfg.mshr_entries
-    c[K.C_MEMORY_LATENCY] = cfg.memory_latency
-    c[K.C_L2BUS_CYC_DLINE] = _ceil_div(cfg.dcache.line_bytes, cfg.bus_bytes)
-    c[K.C_L2BUS_CYC_ILINE] = _ceil_div(cfg.icache.line_bytes, cfg.bus_bytes)
-    c[K.C_MEMBUS_CYC_L2LINE] = (
+    c[C_ITLB_ENTRIES] = cfg.itlb_entries
+    c[C_DTLB_ENTRIES] = cfg.dtlb_entries
+    c[C_PAGE_SHIFT] = cfg.page_bytes.bit_length() - 1
+    c[C_TLB_MISS_LAT] = cfg.tlb_miss_latency
+    c[C_MSHR_ENTRIES] = cfg.mshr_entries
+    c[C_MEMORY_LATENCY] = cfg.memory_latency
+    c[C_L2BUS_CYC_DLINE] = _ceil_div(cfg.dcache.line_bytes, cfg.bus_bytes)
+    c[C_L2BUS_CYC_ILINE] = _ceil_div(cfg.icache.line_bytes, cfg.bus_bytes)
+    c[C_MEMBUS_CYC_L2LINE] = (
         _ceil_div(cfg.l2.line_bytes, cfg.bus_bytes) * cfg.memory_bus_divisor
     )
-    c[K.C_N_SPAWNS] = len(pth.sp_trigger)
-    c[K.C_N_PINSTS] = len(pth.pi_kind)
-    c[K.C_DEP_LEN] = len(pth.dep_flat)
-    c[K.C_LIVE_LEN] = len(pth.live_flat)
-    c[K.C_HEARTBEAT_CYCLES] = _ref.HEARTBEAT_CYCLES
+    c[C_N_SPAWNS] = len(pth.sp_trigger)
+    c[C_N_PINSTS] = len(pth.pi_kind)
+    c[C_DEP_LEN] = len(pth.dep_flat)
+    c[C_LIVE_LEN] = len(pth.live_flat)
+    c[C_HEARTBEAT_CYCLES] = _ref.HEARTBEAT_CYCLES
     return c
 
 
 def _run_native(lib, cfg_block, columns, warm, pth, n_loads, progress):
     """Run the C kernel; returns ``(out, missed, misspc, fetch_state)``."""
-    import ctypes
-
-    from repro.cpu import nativebuild
-
     (kind_b, ctrl_b, writes_b, pc_a, addr_a, src1_a, src2_a, taken_a,
      next_pc_a, line_a, pred_b, btb_b) = columns
-    n_spawns = cfg_block[K.C_N_SPAWNS]
+    n_spawns = cfg_block[C_N_SPAWNS]
 
     # Each main load appends at most once to each uid stream.
     out = array("q", bytes(8 * O_LEN))
@@ -352,7 +397,7 @@ def _run_native(lib, cfg_block, columns, warm, pth, n_loads, progress):
     # The kernel reads every per-instruction input at n_main entries of
     # the item width its table slot declares; anything else would be
     # read out of bounds.
-    n_main = cfg_block[K.C_N_MAIN]
+    n_main = cfg_block[C_N_MAIN]
     for col in columns:
         if col is not None and len(col) != n_main:
             raise ValueError(
@@ -391,17 +436,17 @@ def _run_native(lib, cfg_block, columns, warm, pth, n_loads, progress):
         if progress is not None
         else nativebuild.PROGRESS_FN()  # NULL: no progress calls
     )
-    rc = lib.repro_kernel_run(
+    rc = lib.repro_kernel_simulate(
         ip(cfg_a), i_tbl, b_tbl, ip(out), ip(missed_out), ip(misspc_out),
         ip(fa_out), callback,
     )
     if rc != 0:
         raise MemoryError(f"native kernel failed to allocate (rc={rc})")
     out_list = out.tolist()
-    missed = missed_out[: out_list[K.O_N_MISSED]].tolist()
-    misspc = misspc_out[: out_list[K.O_N_MISSPC]].tolist()
+    missed = missed_out[: out_list[O_N_MISSED]].tolist()
+    misspc = misspc_out[: out_list[O_N_MISSPC]].tolist()
     dead_fa = [
-        tuple(fa_out[6 * i: 6 * i + 6]) for i in range(out_list[K.O_N_FA])
+        tuple(fa_out[6 * i: 6 * i + 6]) for i in range(out_list[O_N_FA])
     ]
     return out_list, missed, misspc, dead_fa
 
@@ -417,16 +462,23 @@ def simulate_kernel(
     pthreads: Optional[PThreadProgram] = None,
     warm: bool = True,
 ) -> SimStats:
-    """Run one timing simulation through the cycle kernel.
+    """Run one timing simulation through the compiled C kernel.
 
-    Bit-identical to :class:`repro.cpu.pipeline.Pipeline`.  Runs the
-    compiled C kernel when :func:`repro.cpu.nativebuild.load` returns a
-    library, the Python kernel otherwise.  Progress heartbeats are
-    emitted through the kernel's progress hook when
+    Bit-identical to :class:`repro.cpu.pipeline.Pipeline`.  Requires the
+    ``kernel`` library (:func:`repro.cpu.nativebuild.load`); without it
+    this raises, and :func:`repro.cpu.pipeline.simulate` never calls
+    here (:func:`repro.cpu.pipeline.use_reference` routes the run to
+    the reference).  Progress heartbeats are emitted through the
+    kernel's progress hook when
     :func:`repro.cpu.pipeline.heartbeat_wanted` says so.
     """
-    from repro.cpu import nativebuild
-
+    lib = nativebuild.load()
+    if lib is None:
+        raise RuntimeError(
+            "the C cycle kernel is unavailable "
+            f"({nativebuild.native_error()}); simulate() runs such "
+            "simulations on the reference Pipeline"
+        )
     cfg = config or MachineConfig()
     pth = pthreads or PThreadProgram()
     wall_start = time.perf_counter()
@@ -460,33 +512,21 @@ def simulate_kernel(
     )
     progress = _ref.Heartbeat(n_main) if _ref.heartbeat_wanted() else None
 
-    # In _kernel.run's argument order.
     columns = (
         kind_b, ctrl_b, writes_b, cols.pc, cols.addr, cols.src1, cols.src2,
         cols.taken, cols.next_pc, line_a, pred_b, btb_b,
     )
-    lib = nativebuild.load()
-    if lib is not None:
-        out, missed, misspc, dead_fa = _run_native(
-            lib, cfg_block, columns, warm_image, pth,
-            kind_b.count(K.K_LOAD), progress,
-        )
-    else:
-        out, missed, misspc, dead_fa = _kernel.run(
-            cfg_block, *columns, *warm_image,
-            pth.sp_trigger, pth.sp_static, pth.sp_inst_lo, pth.sp_inst_hi,
-            pth.pi_kind, pth.pi_addr, pth.pi_hint_seq, pth.pi_hint_taken,
-            pth.pi_dep_lo, pth.pi_dep_hi, pth.dep_flat,
-            pth.pi_live_lo, pth.pi_live_hi, pth.live_flat,
-            progress,
-        )
+    out, missed, misspc, dead_fa = _run_native(
+        lib, cfg_block, columns, warm_image, pth,
+        kind_b.count(K_LOAD), progress,
+    )
 
-    status = out[K.O_STATUS]
-    now = out[K.O_CYCLES]
-    committed = out[K.O_COMMITTED]
+    status = out[O_STATUS]
+    now = out[O_CYCLES]
+    committed = out[O_COMMITTED]
     if status == STATUS_SAFETY:
         raise ExecutionError(
-            f"simulation exceeded {cfg_block[K.C_SAFETY_LIMIT]} cycles "
+            f"simulation exceeded {cfg_block[C_SAFETY_LIMIT]} cycles "
             f"({committed}/{n_main} committed)"
         )
     if status == STATUS_DEADLOCK:
@@ -496,49 +536,49 @@ def simulate_kernel(
     stats = SimStats()
     stats.cycles = now
     stats.committed = committed
-    stats.branches = out[K.O_BRANCHES]
-    stats.mispredictions = out[K.O_MISPREDICTIONS]
-    stats.btb_misses = out[K.O_BTB_MISSES]
-    stats.demand_l2_misses = out[K.O_DEMAND_L2]
-    stats.pthread_l2_misses = out[K.O_PTHREAD_L2]
-    stats.covered_misses_full = out[K.O_COVERED_FULL]
-    stats.covered_misses_partial = out[K.O_COVERED_PARTIAL]
-    stats.useful_prefetches = out[K.O_USEFUL]
-    stats.branch_hints_used = out[K.O_HINTS_USED]
-    stats.pinsts_fetched = out[K.O_PINSTS_FETCHED]
-    stats.pinsts_executed = out[K.O_PINSTS_EXECUTED]
-    stats.spawns_attempted = out[K.O_SPAWNS_ATTEMPTED]
-    stats.spawns_started = out[K.O_SPAWNS_STARTED]
-    stats.spawns_dropped_no_context = out[K.O_SPAWNS_DROPPED]
+    stats.branches = out[O_BRANCHES]
+    stats.mispredictions = out[O_MISPREDICTIONS]
+    stats.btb_misses = out[O_BTB_MISSES]
+    stats.demand_l2_misses = out[O_DEMAND_L2]
+    stats.pthread_l2_misses = out[O_PTHREAD_L2]
+    stats.covered_misses_full = out[O_COVERED_FULL]
+    stats.covered_misses_partial = out[O_COVERED_PARTIAL]
+    stats.useful_prefetches = out[O_USEFUL]
+    stats.branch_hints_used = out[O_HINTS_USED]
+    stats.pinsts_fetched = out[O_PINSTS_FETCHED]
+    stats.pinsts_executed = out[O_PINSTS_EXECUTED]
+    stats.spawns_attempted = out[O_SPAWNS_ATTEMPTED]
+    stats.spawns_started = out[O_SPAWNS_STARTED]
+    stats.spawns_dropped_no_context = out[O_SPAWNS_DROPPED]
     act = stats.activity
     act.cycles = now
-    act.committed_main = out[K.O_AC_COMMITTED]
-    act.dispatched_main = out[K.O_AC_DISP_MAIN]
-    act.dispatched_pth = out[K.O_AC_DISP_PTH]
-    act.fetch_blocks_main = out[K.O_AC_FETCH_MAIN]
-    act.fetch_blocks_pth = out[K.O_AC_FETCH_PTH]
-    act.bpred_accesses = out[K.O_AC_BPRED]
-    act.dmem_accesses_main = out[K.O_AC_DMEM_MAIN]
-    act.dmem_accesses_pth = out[K.O_AC_DMEM_PTH]
-    act.l2_accesses_main = out[K.O_AC_L2_MAIN]
-    act.l2_accesses_pth = out[K.O_AC_L2_PTH]
-    act.alu_ops_main = out[K.O_AC_ALU_MAIN]
-    act.alu_ops_pth = out[K.O_AC_ALU_PTH]
+    act.committed_main = out[O_AC_COMMITTED]
+    act.dispatched_main = out[O_AC_DISP_MAIN]
+    act.dispatched_pth = out[O_AC_DISP_PTH]
+    act.fetch_blocks_main = out[O_AC_FETCH_MAIN]
+    act.fetch_blocks_pth = out[O_AC_FETCH_PTH]
+    act.bpred_accesses = out[O_AC_BPRED]
+    act.dmem_accesses_main = out[O_AC_DMEM_MAIN]
+    act.dmem_accesses_pth = out[O_AC_DMEM_PTH]
+    act.l2_accesses_main = out[O_AC_L2_MAIN]
+    act.l2_accesses_pth = out[O_AC_L2_PTH]
+    act.alu_ops_main = out[O_AC_ALU_MAIN]
+    act.alu_ops_pth = out[O_AC_ALU_PTH]
     breakdown = stats.breakdown
-    breakdown.mem += out[K.O_BD_MEM]
-    breakdown.l2 += out[K.O_BD_L2]
-    breakdown.exec += out[K.O_BD_EXEC]
-    breakdown.commit += out[K.O_BD_COMMIT]
-    breakdown.fetch += out[K.O_BD_FETCH]
+    breakdown.mem += out[O_BD_MEM]
+    breakdown.l2 += out[O_BD_L2]
+    breakdown.exec += out[O_BD_EXEC]
+    breakdown.commit += out[O_BD_COMMIT]
+    breakdown.fetch += out[O_BD_FETCH]
     stalls = stats.stalls
-    stalls.retiring += out[K.O_SL_RETIRE]
-    stalls.fetch_starved += out[K.O_SL_FETCH]
-    stalls.branch_recovery += out[K.O_SL_BRANCH]
-    stalls.load_miss += out[K.O_SL_LOAD]
-    stalls.rob_full += out[K.O_SL_ROB]
-    stalls.rs_full += out[K.O_SL_RS]
-    stalls.pthread_contention += out[K.O_SL_PTH]
-    stalls.exec += out[K.O_SL_EXEC]
+    stalls.retiring += out[O_SL_RETIRE]
+    stalls.fetch_starved += out[O_SL_FETCH]
+    stalls.branch_recovery += out[O_SL_BRANCH]
+    stalls.load_miss += out[O_SL_LOAD]
+    stalls.rob_full += out[O_SL_ROB]
+    stalls.rs_full += out[O_SL_RS]
+    stalls.pthread_contention += out[O_SL_PTH]
+    stalls.exec += out[O_SL_EXEC]
     stats.missed_load_seqs.update(missed)
     misses_by_pc = stats.l2_misses_by_pc
     pc_arr = cols.pc
@@ -558,18 +598,18 @@ def _rebuild_deadlock(
     kind_arr,
 ) -> PipelineDeadlockError:
     """Byte-identical reconstruction of pipeline._deadlock_error."""
-    now = out[K.O_CYCLES]
-    committed = out[K.O_COMMITTED]
-    rob_len = out[K.O_DEAD_ROB_LEN]
+    now = out[O_CYCLES]
+    committed = out[O_COMMITTED]
+    rob_len = out[O_DEAD_ROB_LEN]
     rob_head = None
     if rob_len:
-        head = out[K.O_DEAD_HEAD_SEQ]
-        done_at = out[K.O_DEAD_HEAD_DONE]
+        head = out[O_DEAD_HEAD_SEQ]
+        done_at = out[O_DEAD_HEAD_DONE]
         rob_head = {
             "seq": head,
             "pc": pc_arr[head] if head < len(pc_arr) else None,
             "kind": kind_arr[head] if head < len(kind_arr) else None,
-            "done_at": None if done_at == K.NOT_DONE else done_at,
+            "done_at": None if done_at == NOT_DONE else done_at,
         }
     fetch_state = [
         {

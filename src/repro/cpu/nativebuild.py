@@ -1,15 +1,19 @@
 """Opportunistic build + ctypes loader for the compiled C sources.
 
-Three hot loops have C twins that run whenever a library can be loaded,
-with the pure-Python version running otherwise:
+Three hot loops are compiled C that runs whenever its library can be
+loaded:
 
-- ``kernel``: ``cpu/_kernel.c``, a direct transliteration of the cycle
-  kernel ``cpu/_kernel.py`` (the ``native`` sim backend);
+- ``kernel``: ``cpu/_kernel.c``, the flat-array cycle kernel behind the
+  ``native`` sim backend; without it every simulation runs on the
+  reference :class:`repro.cpu.pipeline.Pipeline`
+  (:func:`repro.cpu.pipeline.use_reference`);
 - ``slicetree``: ``slicer/_slicetree.c``, the slice-tree miner behind
-  :func:`repro.slicer.slicetree.build_slice_tree`;
+  :func:`repro.slicer.slicetree.build_slice_tree`, with the Python
+  miner running otherwise;
 - ``interp``: ``frontend/_interp.c``, the functional interpreter behind
   :func:`repro.frontend.interpreter.interpret`, which also expands
-  p-thread spawns for :func:`repro.ddmt.augment.expand_pthreads`.
+  p-thread spawns for :func:`repro.ddmt.augment.expand_pthreads`, with
+  the Python interpreter and expansion running otherwise.
 
 This module owns every library's lifecycle through one build-and-load
 path:
@@ -21,7 +25,7 @@ path:
   memoized per library and process either way, so probing is cheap,
   and a library is only built when its first caller asks for it.
 - :func:`native_available` / :func:`native_error` report whether a
-  compiled library runs and, if not, *why* the Python version does.
+  compiled library runs and, if not, *why* the Python path runs.
 - ``python -m repro.cpu.nativebuild`` builds every library eagerly and
   reports; it exits non-zero if any of them fails.
 
@@ -30,8 +34,8 @@ Environment knobs (shared by every library):
 - ``REPRO_NATIVE_DIR`` -- artifact cache directory, one artifact per
   library and source version (default ``~/.cache/repro-native``);
 - ``REPRO_NATIVE=0`` -- never load a compiled library (probes report
-  unavailable; every simulation runs the pure-Python kernel, every
-  slice tree is mined by the Python loop, and every program is
+  unavailable; every simulation runs on the reference ``Pipeline``,
+  every slice tree is mined by the Python loop, and every program is
   interpreted and every spawn expanded in Python);
 - ``REPRO_NATIVE_CC`` -- compiler executable to use (default: first of
   ``cc``, ``gcc``, ``clang`` on PATH).
@@ -54,12 +58,15 @@ from array import array
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional
 
-from repro.cpu._kernel import KERNEL_ABI
-
 #: int64 input-pointer table layout (must match _kernel.c's I_* enum).
 I_LEN = 24
 #: uint8 input-pointer table layout (must match _kernel.c's B_* enum).
 B_LEN = 8
+
+#: Must match _kernel.c's KERNEL_ABI; bumped whenever the marshaled
+#: layout (kerneldriver's C_*/O_* blocks, array meanings, packing)
+#: changes.
+KERNEL_ABI = 2
 
 #: Must match _slicetree.c's SLICETREE_ABI.
 SLICETREE_ABI = 1
@@ -80,8 +87,8 @@ PROGRESS_FN = ctypes.CFUNCTYPE(
 
 
 def _configure_kernel(lib: ctypes.CDLL) -> None:
-    lib.repro_kernel_run.restype = ctypes.c_int
-    lib.repro_kernel_run.argtypes = [
+    lib.repro_kernel_simulate.restype = ctypes.c_int
+    lib.repro_kernel_simulate.argtypes = [
         _I64P,                                    # cfg
         ctypes.POINTER(_I64P),                    # I table
         ctypes.POINTER(_U8P),                     # B table

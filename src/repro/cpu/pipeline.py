@@ -1076,17 +1076,20 @@ class Pipeline:
 def use_reference() -> bool:
     """Whether a simulation must run on the reference :class:`Pipeline`.
 
-    Three cases: the ``reference`` backend is selected, microarchitectural
-    tracing is on (the utrace hooks live only in :class:`Pipeline`), or
-    the ``pipeline.step`` fault site is armed (it fires from inside the
-    reference loop).
+    Four cases: the ``reference`` backend is selected, microarchitectural
+    tracing is on (the utrace hooks live only in :class:`Pipeline`), the
+    ``pipeline.step`` fault site is armed (it fires from inside the
+    reference loop), or the compiled ``kernel`` library does not load
+    (no C toolchain, ``REPRO_NATIVE=0``): the reference is then the
+    ``native`` backend's engine too.
     """
-    from repro.cpu import engine
+    from repro.cpu import engine, nativebuild
 
     return (
         engine.backend() == "reference"
         or utrace.enabled()
         or faults.site_active("pipeline.step")
+        or nativebuild.load() is None
     )
 
 
@@ -1098,8 +1101,8 @@ def simulate(
 ) -> SimStats:
     """Run one timing simulation on the selected cycle engine.
 
-    Runs the cycle kernel (:mod:`repro.cpu.kerneldriver`) unless
-    :func:`use_reference` routes the run to :class:`Pipeline`.  The two
+    Runs the compiled cycle kernel (:mod:`repro.cpu.kerneldriver`)
+    unless :func:`use_reference` routes the run to :class:`Pipeline`.  The two
     are bit-identical (``tests/cpu/test_golden_sim_backends``), so
     nothing downstream can observe the dispatch.
     """

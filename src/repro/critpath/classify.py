@@ -11,7 +11,6 @@ wrong-path spawn rates).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
@@ -183,14 +182,6 @@ def classify_trace(
     return result
 
 
-def analysis_memo_enabled() -> bool:
-    """Whether machine-independent analysis artifacts (classification,
-    slice trees, cost functions, augmented runs) may be shared across
-    the cells of a sweep.  ``REPRO_ANALYSIS_MEMO=0`` disables sharing,
-    recomputing every cell independently."""
-    return os.environ.get("REPRO_ANALYSIS_MEMO", "").strip() != "0"
-
-
 def profile_geometry_key(config: MachineConfig, warm: bool = True) -> Tuple:
     """The machine parameters the functional profile actually depends
     on: cache geometry, predictor size, and the MSHR-merge window (ROB
@@ -215,8 +206,6 @@ def classify_trace_cached(
     returned object is shared and must be treated as read-only.
     """
     config = config or MachineConfig()
-    if not analysis_memo_enabled():
-        return classify_trace(trace, config, warm)
     key = ("classify", profile_geometry_key(config, warm))
     cached = trace.derived.get(key)
     if cached is None:

@@ -14,15 +14,10 @@ Augmented (p-thread) interpretations pass compiled trigger plans as
 ``pc_hooks`` and collect spawns per call (on the C interpreter the plans
 run in C, see :mod:`repro.frontend.nativeinterp`); they never go through
 the memo.
-
-Disable with ``REPRO_TRACE_MEMO=0`` (each call then interprets afresh,
-matching pre-memo behavior exactly -- the memo returns the same bits
-either way, this is a debugging/measurement knob).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, Tuple
 
@@ -37,10 +32,6 @@ _MAX_ENTRIES = 32
 _store: Dict[Tuple[str, int], Trace] = {}
 _hits = 0
 _misses = 0
-
-
-def enabled() -> bool:
-    return os.environ.get("REPRO_TRACE_MEMO", "").strip() != "0"
 
 
 def get_trace(program: Program, max_instructions: int) -> Tuple[Trace, float]:
@@ -65,10 +56,6 @@ def get_trace_tagged(
     rows explain a ``t_trace`` of zero.
     """
     global _hits, _misses
-    if not enabled():
-        start = time.perf_counter()
-        trace = interpret(program, max_instructions=max_instructions)
-        return trace, time.perf_counter() - start, "interpreted"
     key = (program.fingerprint(), max_instructions)
     cached = _store.get(key)
     if cached is not None:

@@ -187,7 +187,8 @@ def maybe_prewarm(jobs: List) -> Optional[Dict[str, object]]:
     through :class:`~repro.cpu.pipeline.Pipeline` itself
     (:func:`~repro.cpu.pipeline.use_reference`: the reference backend,
     microarchitectural tracing -- a prewarmed baseline would emit no
-    trace artifacts -- or an armed ``pipeline.step`` fault site).
+    trace artifacts -- an armed ``pipeline.step`` fault site, or no
+    compiled cycle kernel to batch on).
     """
     if len(jobs) < 2:
         return None

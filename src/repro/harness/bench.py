@@ -221,9 +221,11 @@ def run_bench(
         "quick": quick,
         "sim_backend": sim_engine.backend(),
         # ``native`` is the C kernel or, without a C compiler, the
-        # several-fold slower Python kernel; walls compare only within
-        # one of them.
-        "native_kernel": "c" if nativebuild.load() is not None else "python",
+        # several-fold slower reference engine; walls compare only
+        # within one of them.
+        "native_kernel": (
+            "c" if nativebuild.load() is not None else "reference"
+        ),
         "simulator": bench_simulator(
             QUICK_BENCHMARKS if quick else None
         ),

@@ -25,7 +25,6 @@ from repro.config import (
 )
 from repro.cpu.pipeline import simulate
 from repro.cpu.stats import SimStats
-from repro.critpath.classify import analysis_memo_enabled
 from repro.ddmt.augment import AugmentedProgram, expand_pthreads
 from repro.energy.metrics import relative_metrics
 from repro.energy.wattch import EnergyModel, EnergyResult
@@ -588,29 +587,26 @@ def run_experiment(
         # machine.
         with obs.span("augment") as sp:
             program = get_program(benchmark, run_input)
-            pth_sig = (
-                _pthread_signature(result.pthreads)
-                if analysis_memo_enabled()
-                else None
+            base = (
+                program.fingerprint(),
+                sim.max_instructions,
+                _pthread_signature(result.pthreads),
             )
-            aug_key = opt_key = None
+            aug_key = ("augment",) + base
+            opt_key = None
             opt_stats: Optional[SimStats] = None
             augmented: Optional[AugmentedProgram] = None
-            if pth_sig is not None:
-                base = (program.fingerprint(), sim.max_instructions, pth_sig)
-                aug_key = ("augment",) + base
-                # The augmented *expansion* is cache-safe under tracing
-                # (it is program transformation, not simulation); the
-                # optimized-stats cache is not.
-                if not tracing:
-                    opt_key = ("optimized", machine.fingerprint) + base
-                    opt_stats = _OPT_CACHE.get(opt_key)
+            # The augmented *expansion* is cache-safe under tracing (it
+            # is program transformation, not simulation); the
+            # optimized-stats cache is not.
+            if not tracing:
+                opt_key = ("optimized", machine.fingerprint) + base
+                opt_stats = _OPT_CACHE.get(opt_key)
             if opt_stats is not None:
                 _OPT_CACHE.move_to_end(opt_key)
                 _OPT_HITS.add()
             else:
-                if aug_key is not None:
-                    augmented = _AUG_CACHE.get(aug_key)
+                augmented = _AUG_CACHE.get(aug_key)
                 if augmented is not None:
                     _AUG_CACHE.move_to_end(aug_key)
                     _AUG_HITS.add()
@@ -623,10 +619,9 @@ def run_experiment(
                             run_trace if run_input == profile_input else None
                         ),
                     )
-                    if aug_key is not None:
-                        while len(_AUG_CACHE) >= _AUG_CACHE_LIMIT:
-                            _AUG_CACHE.popitem(last=False)
-                        _AUG_CACHE[aug_key] = augmented
+                    while len(_AUG_CACHE) >= _AUG_CACHE_LIMIT:
+                        _AUG_CACHE.popitem(last=False)
+                    _AUG_CACHE[aug_key] = augmented
         phase_seconds["augment"] = 0.0 if opt_stats is not None else sp.wall_s
         opt_cached = opt_stats is not None
 

@@ -17,7 +17,6 @@ from repro import obs
 from repro.config import EnergyConfig, MachineConfig, SelectionConfig
 from repro.critpath.classify import (
     LoadClassification,
-    analysis_memo_enabled,
     classify_trace_cached,
     profile_geometry_key,
 )
@@ -97,7 +96,7 @@ def select_pthreads(
     # Sweep-cell sharing is only sound when the classification is the
     # canonical one for (trace, machine); a caller-supplied profile may
     # have been built differently, so it opts the call out of the memos.
-    memo = analysis_memo_enabled() and classification is None
+    memo = classification is None
     if classification is None:
         classification = classify_trace_cached(trace, machine)
 

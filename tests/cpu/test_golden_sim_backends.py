@@ -1,19 +1,17 @@
-"""Golden bit-identity: both cycle-kernel builds vs the reference.
+"""Golden bit-identity: the compiled cycle kernel vs the reference.
 
-The cycle kernel (:mod:`repro.cpu.kerneldriver`) must be
+The C cycle kernel (:mod:`repro.cpu.kerneldriver`) must be
 indistinguishable from the retained :class:`repro.cpu.pipeline.Pipeline`
 oracle everywhere downstream: full structural :class:`SimStats`
 equality (cycle/stall breakdowns, activity counters, missed-load sets,
 per-PC miss dicts) for baseline and p-thread-augmented runs over every
 seed benchmark, and identical figure rows through the whole harness.
-Three engines are compared: ``reference``, ``python`` (the kernel in
-:mod:`repro.cpu._kernel`, forced with ``REPRO_NATIVE=0``) and ``c``
-(the compiled kernel).  ``c`` joins the matrix whenever the compiled
-artifact loads (a C compiler on PATH, or a cached build); environments
-without a toolchain skip just that column.
+Two engines are compared: ``reference`` and ``c`` (the ``native``
+backend on the compiled kernel).  ``c`` joins the matrix whenever the
+compiled artifact loads (a C compiler on PATH, or a cached build);
+without a toolchain ``native`` runs on the reference itself, so the
+matrix is the reference alone and each test still runs it end to end.
 """
-
-import os
 
 import pytest
 
@@ -46,24 +44,18 @@ except Exception:  # pragma: no cover - probe must never break the suite
     HAVE_NATIVE = False
 
 #: Bit-identity does not depend on the instruction budget; a reduced one
-#: keeps the 9-benchmark x 3-engine matrix affordable.  The seed
+#: keeps the 9-benchmark x 2-engine matrix affordable.  The seed
 #: programs halt past this budget, so truncated traces are exercised.
 BUDGET = 60_000
 
-BACKENDS = ["reference", "python"] + (["c"] if HAVE_NATIVE else [])
+BACKENDS = ["reference"] + (["c"] if HAVE_NATIVE else [])
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    saved = os.environ.get("REPRO_NATIVE")
     tracestore.clear()
     clear_baseline_cache()
     yield
-    if saved is None:
-        os.environ.pop("REPRO_NATIVE", None)
-    else:
-        os.environ["REPRO_NATIVE"] = saved
-    nativebuild.reset_probe()
     engine.set_sim_backend(None)
     tracestore.clear()
     clear_baseline_cache()
@@ -71,16 +63,11 @@ def _clean_state():
 
 def _use(name):
     """Make later simulations run on engine ``name``."""
-    if name == "python":
-        os.environ["REPRO_NATIVE"] = "0"
-    else:
-        os.environ.pop("REPRO_NATIVE", None)
-    nativebuild.reset_probe()
     if name == "reference":
         engine.set_sim_backend("reference")
         return
     engine.set_sim_backend("native")
-    assert (nativebuild.load() is not None) == (name == "c")
+    assert nativebuild.load() is not None
 
 
 def _backend_stats(trace, machine, pthreads=None):

@@ -1,7 +1,8 @@
 """Simulator progress heartbeats: tap-driven emission, ETA semantics
 (``eta_s`` is null until instructions retire), and the ``--quiet``
-suppression gate -- under both builds of the cycle kernel, which emit
-heartbeats through their progress hook without the reference
+suppression gate -- under both engines the ``native`` backend can run:
+the reference ``Pipeline`` (no compiled kernel) and the C kernel, which
+emits heartbeats through its progress hook without building a
 ``Pipeline``."""
 
 import pytest
@@ -34,14 +35,15 @@ def _alu_loop(n=200):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Iterate over the kernel builds: each step makes later simulations
-    run on the Python kernel, then on the C kernel when it loads."""
+    """Iterate over the ``native`` backend's engines: each step makes
+    later simulations run on the reference (no compiled kernel), then on
+    the C kernel when it loads."""
     engine.set_sim_backend("native")
 
     def each():
         monkeypatch.setenv("REPRO_NATIVE", "0")
         nativebuild.reset_probe()
-        yield "python"
+        yield "reference"
         monkeypatch.delenv("REPRO_NATIVE")
         nativebuild.reset_probe()
         if nativebuild.load() is not None:
@@ -73,8 +75,9 @@ def test_tap_triggers_heartbeats_with_progress_fields(
     def no_pipeline(*args, **kwargs):
         raise AssertionError("a tapped kernel run built the reference")
 
-    monkeypatch.setattr(pipeline, "Pipeline", no_pipeline)
     for kernel in kernels():
+        if kernel == "c":
+            monkeypatch.setattr(pipeline, "Pipeline", no_pipeline)
         beats.clear()
         simulate(_alu_loop())
         assert beats, f"{kernel}: no heartbeats despite an active tap"

@@ -1,10 +1,10 @@
 """The ``native`` cycle engine: selection, dispatch, and batch identity.
 
 Covers backend selection (unknown names raise :class:`ConfigError`
-listing the legal ones; ``native`` always runs, on the Python kernel
-when the compiled one cannot load), which runs :func:`simulate` routes
-to the reference :class:`Pipeline`, that the compiled kernel reads the
-sealed trace columns without building Python lists, and, where the
+listing the legal ones; ``native`` always runs, on the reference
+:class:`Pipeline` when the compiled kernel cannot load), which runs
+:func:`simulate` routes to the reference, that the compiled kernel reads
+the sealed trace columns without building Python lists, and, where the
 compiled artifact loads, ``simulate_batch``/``batchplan`` equivalence
 with per-cell simulation.  Toolchain-less environments skip the
 compiled cases -- never fail.
@@ -14,7 +14,7 @@ import pytest
 
 from repro import faults
 from repro.config import MachineConfig, SimulationConfig
-from repro.cpu import engine, nativebuild, pipeline
+from repro.cpu import engine, kerneldriver, nativebuild, pipeline
 from repro.cpu.batch import simulate_batch
 from repro.cpu.pipeline import simulate
 from repro.errors import ConfigError, FaultInjectedError
@@ -73,11 +73,22 @@ class TestEngineErrors:
             engine.backend()
         assert "REPRO_SIM_BACKEND='batched'" in str(err.value)
 
-    def test_native_runs_without_compiled_kernel(self, _no_native):
+    def test_native_runs_without_compiled_kernel(
+        self, _no_native, monkeypatch
+    ):
+        spy = _PipelineSpy(monkeypatch)
         engine.set_sim_backend("native")
         assert engine.backend() == "native"
         trace = _gap_trace()
-        assert simulate(trace).committed == len(trace)
+        native = simulate(trace)
+        assert spy.built == 1
+        assert native.committed == len(trace)
+        engine.set_sim_backend("reference")
+        assert simulate(trace) == native
+
+    def test_kernel_without_library_names_the_reason(self, _no_native):
+        with pytest.raises(RuntimeError, match="REPRO_NATIVE=0"):
+            kerneldriver.simulate_kernel(_gap_trace())
 
     def test_cli_reports_unavailable_backend(self, capsys):
         from repro.cli import main
@@ -131,6 +142,7 @@ class _PipelineSpy:
 
 
 class TestDispatch:
+    @pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
     def test_native_runs_the_kernel(self, monkeypatch):
         spy = _PipelineSpy(monkeypatch)
         engine.set_sim_backend("native")

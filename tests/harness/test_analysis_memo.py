@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.critpath.classify import (
+    classify_trace,
     classify_trace_cached,
     profile_geometry_key,
 )
@@ -52,17 +53,16 @@ def test_classification_shared_across_latencies(trace):
     assert other_geom is not first
 
 
-def test_classification_memo_disabled_by_env(trace, monkeypatch):
-    monkeypatch.setenv("REPRO_ANALYSIS_MEMO", "0")
+def test_classification_memo_matches_direct_classify(trace):
     machine = MachineConfig()
-    first = classify_trace_cached(trace, machine)
-    again = classify_trace_cached(trace, machine)
-    assert again is not first
-    assert first.service == again.service
-    assert first.mispredicted == again.mispredicted
+    cached = classify_trace_cached(trace, machine)
+    direct = classify_trace(trace, machine)
+    assert direct is not cached
+    assert cached.service == direct.service
+    assert cached.mispredicted == direct.mispredicted
 
 
-def _tiny_grid():
+def _tiny_grid(latencies=(100, 200)):
     tracestore.clear()
     clear_baseline_cache()
     return [
@@ -73,16 +73,18 @@ def _tiny_grid():
         }
         for row in figures.figure5_memory_latency(
             benchmarks=("gcc",),
-            latencies=(100, 200),
+            latencies=latencies,
             targets=(Target.LATENCY,),
             jobs=1,
         )
     ]
 
 
-def test_grid_rows_identical_with_and_without_memo(monkeypatch):
+def test_grid_rows_identical_shared_and_per_cell():
+    # The shared grid reuses the trace, classification, slice trees and
+    # augmentation across its cells; each per-cell run starts from
+    # cleared memos and computes everything itself.
     with simcache.disabled():
         shared = _tiny_grid()
-        monkeypatch.setenv("REPRO_ANALYSIS_MEMO", "0")
-        independent = _tiny_grid()
-    assert shared == independent
+        per_cell = [row for lat in (100, 200) for row in _tiny_grid((lat,))]
+    assert shared == per_cell

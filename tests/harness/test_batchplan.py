@@ -4,11 +4,19 @@ import pytest
 
 from repro import faults
 from repro.config import MachineConfig, SimulationConfig
-from repro.cpu import engine
+from repro.cpu import engine, nativebuild
 from repro.frontend import tracestore
 from repro.harness import batchplan, experiment, simcache
 from repro.harness.experiment import clear_baseline_cache, run_experiment
 from repro.pthsel.targets import Target
+
+#: The batch pass runs the compiled cycle kernel; without it (no C
+#: toolchain, ``REPRO_NATIVE=0``) only the gating tests apply.
+HAVE_NATIVE = nativebuild.native_available()
+
+needs_native = pytest.mark.skipif(
+    not HAVE_NATIVE, reason="compiled kernel unavailable"
+)
 
 # mcf halts within this budget and has the fastest cycle loop,
 # keeping the real simulations in TestPrewarm cheap.
@@ -67,6 +75,7 @@ class TestPlanBatches:
         assert len(batchplan.plan_batches(jobs)) == 2
 
 
+@needs_native
 class TestPrewarm:
     def test_prewarm_adopts_baselines(self):
         engine.set_sim_backend("native")
@@ -116,10 +125,22 @@ class TestMaybePrewarm:
         with faults.active(["pipeline.step:0.5"]):
             assert batchplan.maybe_prewarm(_latency_jobs()) is None
 
+    def test_no_compiled_kernel_gates_off(self, monkeypatch):
+        # Without the C kernel every simulation runs on the reference,
+        # which has nothing to batch.
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        nativebuild.reset_probe()
+        try:
+            engine.set_sim_backend("native")
+            assert batchplan.maybe_prewarm(_latency_jobs()) is None
+        finally:
+            nativebuild.reset_probe()
+
     def test_single_job_gates_off(self):
         engine.set_sim_backend("native")
         assert batchplan.maybe_prewarm(_latency_jobs(latencies=(100,))) is None
 
+    @needs_native
     def test_sequential_grid_runs_prewarm(self):
         engine.set_sim_backend("native")
         with simcache.disabled():

@@ -1,6 +1,7 @@
 """``benchmarks/check_regression.py``: a missing engine wall always
-fails, and walls measured under a different ``native`` kernel (C versus
-the Python fallback) are skipped with a notice instead of band-checked."""
+fails, and walls measured under a different ``native`` engine (the C
+kernel versus the reference fallback) are skipped with a notice instead
+of band-checked."""
 
 import importlib.util
 import os
@@ -44,7 +45,7 @@ def test_same_kernel_is_band_checked():
 
 def test_other_kernel_skips_throughput_with_notice():
     notices = []
-    slow = _payload("python", native_wall=30.0, cycles_per_sec=10.0)
+    slow = _payload("reference", native_wall=30.0, cycles_per_sec=10.0)
     failures = check_regression.compare_named(
         _payload("c"), slow, 0.5, notices
     )
@@ -53,7 +54,7 @@ def test_other_kernel_skips_throughput_with_notice():
 
 
 def test_other_kernel_still_checks_determinism():
-    current = _payload("python")
+    current = _payload("reference")
     current["simulator"][0]["cycles"] = 11
     failures = check_regression.compare_named(_payload("c"), current, 0.5)
     assert _names(failures) == ["simulator[gcc].cycles"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.frontend import tracestore
+from repro.frontend.interpreter import interpret
 from repro.workloads.registry import get_program
 
 SIM = SimulationConfig()
@@ -48,16 +49,13 @@ def test_memo_keyed_by_program_content():
     assert tracestore.stats() == {"entries": 2, "hits": 0, "misses": 2}
 
 
-def test_memo_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_MEMO", "0")
+def test_memo_matches_fresh_interpret():
     program = get_program("gcc", "train")
-    first, t_first = tracestore.get_trace(program, SIM.max_instructions)
-    second, t_second = tracestore.get_trace(program, SIM.max_instructions)
-    assert second is not first
-    assert t_first > 0.0 and t_second > 0.0
-    assert tracestore.stats()["entries"] == 0
-    # Bit-identical either way.
-    assert first.as_lists() == second.as_lists()
+    memoized, _ = tracestore.get_trace(program, SIM.max_instructions)
+    fresh = interpret(program, max_instructions=SIM.max_instructions)
+    assert fresh is not memoized
+    # The memo serves the same bits a fresh interpretation builds.
+    assert memoized.as_lists() == fresh.as_lists()
 
 
 def test_clear_drops_entries_and_counters():
