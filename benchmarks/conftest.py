@@ -12,11 +12,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.report import format_table
+
 # Benchmarks time the real regeneration work; a warm persistent cache
 # would skip it and report meaningless wall-clocks.
 os.environ.setdefault("REPRO_CACHE", "0")
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: Per-run columns: phase wall-clocks and cache/memo provenance differ
+#: between regenerations, so the committed tables leave them out.
+_VOLATILE_PREFIXES = ("t_", "src_")
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +46,13 @@ def write_report(results_dir: Path, name: str, text: str) -> None:
     path = results_dir / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n[{name}] written to {path}\n{text}")
+
+
+def row_table(rows) -> str:
+    """Result rows as a text table without the ``t_*``/``src_*`` columns,
+    so a regeneration rewrites the committed table byte for byte."""
+    columns = list(dict.fromkeys(
+        c for row in rows for c in row
+        if not str(c).startswith(_VOLATILE_PREFIXES)
+    ))
+    return format_table(rows, columns=columns)

@@ -7,7 +7,7 @@ improve performance by ~13.8% while increasing energy by ~11.9% -- a
 quasi-linear latency/energy trade-off.
 """
 
-from conftest import write_report
+from conftest import row_table, write_report
 
 from repro.cpu.stats import BREAKDOWN_CATEGORIES
 from repro.energy.breakdown import CATEGORIES as ENERGY_CATEGORIES
@@ -19,7 +19,7 @@ def test_figure2_breakdowns(run_once, results_dir):
     data = run_once(figure2)
 
     lines = ["== Figure 2: improvements with O-p-threads =="]
-    lines.append(format_table(data.rows))
+    lines.append(row_table(data.rows))
     lines.append("")
     lines.append("== Latency breakdown stacks (baseline = 100) ==")
     lines.append(

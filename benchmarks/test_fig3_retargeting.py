@@ -11,7 +11,7 @@ Paper headline shapes this reproduces:
 - O-p-threads: similar latency to L but consistently worse energy.
 """
 
-from conftest import write_report
+from conftest import row_table, write_report
 
 from repro.cpu.stats import BREAKDOWN_CATEGORIES
 from repro.energy.breakdown import CATEGORIES as ENERGY_CATEGORIES
@@ -23,7 +23,7 @@ def test_figure3_retargeting(run_once, results_dir):
     data = run_once(figure3)
 
     lines = ["== Figure 3: O/L/E/P targets across the suite =="]
-    lines.append(format_table(data.rows))
+    lines.append(row_table(data.rows))
     lines.append("")
     for metric in ("speedup_pct", "energy_save_pct", "ed_save_pct"):
         lines.append(f"GMean {metric}: " + "  ".join(

@@ -16,8 +16,7 @@ degraded fleet still summarizes honestly.
 The canonical fleet questions get named helpers: :func:`gmean_trend`
 (gmean ED²/ED/energy per objective per run), :func:`stall_drift`
 (stall-mix per workload across runs), :func:`cache_hit_rate`,
-:func:`phase_walls` (t_trace/t_analysis/t_sim trajectories), and
-:func:`bench_series` (throughput snapshots).
+:func:`phase_walls` (t_trace/t_analysis/t_sim trajectories).
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class Frame:
         """Materialize ``columns`` over the store.
 
         ``kind`` restricts to one row family (``result``, ``trace``,
-        ``run``, ``bench``...); ``where`` applies exact-match filters
+        ``run``, ``span``); ``where`` applies exact-match filters
         (string columns compare decoded values, numeric columns compare
         as floats).  Both filters drop rows *before* concatenation so a
         slice of a huge store only materializes what it selects.
@@ -364,14 +363,3 @@ def phase_walls(
         for phase in phases
     }
 
-
-def bench_series(
-    store: RunStore,
-    metric: str = "cycles_per_sec",
-) -> QueryResult:
-    """Throughput-snapshot series per benchmark (``BENCH_*`` ingests)."""
-    return aggregate(
-        store, metric,
-        group_by=("run_seq", "benchmark"),
-        agg="mean", kind="bench",
-    )

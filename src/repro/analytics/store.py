@@ -59,7 +59,7 @@ _MAGIC = "rcol"
 
 #: Reserved columns every ingested row carries.
 #:   run_seq  -- monotonically increasing ingest sequence (the x axis);
-#:   kind     -- row family: result | run | trace | bench | bench_grid;
+#:   kind     -- row family: result | run | trace | span;
 #:   schema   -- the results.jsonl record's stamped layout version
 #:               (1 for pre-stamp artifacts);
 #:   failed   -- 1 for JobFailure rows, else 0.
@@ -670,64 +670,14 @@ class RunStore:
             row["cache_hit_rate"] = hits / (hits + misses)
         return row
 
-    # -- ingest: bench snapshots ---------------------------------------- #
-
-    def ingest_bench(self, path: str, force: bool = False) -> IngestReport:
-        """Ingest one ``BENCH_*.json`` throughput snapshot.
-
-        Simulator rows become ``kind="bench"`` rows (cycles, committed,
-        cycles/sec per benchmark); the grid walls become one
-        ``kind="bench_grid"`` row.  The snapshot's filename is its run
-        id, so committed history files ingest idempotently.
-        """
-        report = IngestReport(source=path)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError) as exc:
-            report.skipped = True
-            report.reason = f"unreadable bench payload: {exc}"
-            return report
-        run_id = os.path.basename(path)
-        rows: List[Dict[str, Any]] = []
-        for sim in payload.get("simulator", []):
-            if not isinstance(sim, dict):
-                continue
-            row = dict(sim, kind="bench")
-            row.setdefault("date", payload.get("date", ""))
-            rows.append(row)
-        grid = payload.get("figure_grid") or {}
-        if grid:
-            rows.append({
-                "kind": "bench_grid",
-                "grid": grid.get("grid", ""),
-                "date": payload.get("date", ""),
-                "rows": grid.get("rows"),
-                "sequential_uncached_wall_s":
-                    grid.get("sequential_uncached_wall_s"),
-                "cold_wall_s": grid.get("cold_wall_s"),
-                "warm_wall_s": grid.get("warm_wall_s"),
-            })
-        if not rows:
-            report.skipped = True
-            report.reason = f"no simulator/grid rows in {path}"
-            return report
-        return self.append_rows(
-            rows,
-            run_id=run_id,
-            commit=None,
-            source=path,
-            meta={"date": payload.get("date", ""),
-                  "bench_version": payload.get("version", "")},
-            force=force,
-        )
-
     def ingest_path(self, path: str, force: bool = False) -> IngestReport:
-        """Dispatch: a directory ingests as a run, a file as a bench
-        snapshot."""
-        if os.path.isdir(path):
-            return self.ingest_run(path, force=force)
-        return self.ingest_bench(path, force=force)
+        """Ingest ``path``, which must be an ``--out`` run directory."""
+        if not os.path.isdir(path):
+            raise ConfigError(
+                f"not a run directory: {path!r} (analytics ingests "
+                "--out run directories only)"
+            )
+        return self.ingest_run(path, force=force)
 
     # -- stats ---------------------------------------------------------- #
 

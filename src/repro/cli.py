@@ -10,18 +10,15 @@ Commands mirror the paper's evaluation:
 - ``table3``             model validation ratios
 - ``list``               available benchmarks
 - ``cache stats|clear``  inspect / empty the persistent simulation cache
-- ``bench``              measure simulator + grid throughput
 - ``trace BENCH``        run one experiment with microarchitectural
   tracing: Chrome/Perfetto + Kanata exports, top-down stall
   attribution, and a per-event energy audit land in ``--out``
 - ``report [DIR]``       render a self-contained HTML report from a run
-  directory's manifest/results/utrace artifacts (plus the cross-run
-  Timeline section when an analytics store is populated)
-- ``analytics ingest|query|timeline|stats``  the fleet-scale result
-  analytics layer: ingest run directories / BENCH snapshots into the
-  columnar run store, aggregate cross-run trends (gmean per objective,
-  stall-mix drift, phase walls), and check/render the per-commit
-  regression timeline.  Runs with ``--out`` auto-ingest on completion
+  directory's manifest/results/utrace artifacts
+- ``analytics ingest|query|stats``  the fleet-scale result analytics
+  layer: ingest run directories into the columnar run store and
+  aggregate cross-run trends (gmean per objective, stall-mix drift,
+  phase walls).  Runs with ``--out`` auto-ingest on completion
   unless ``REPRO_ANALYTICS=0``; ``--store DIR`` (or
   ``REPRO_ANALYTICS_DIR``) picks the store location
 
@@ -247,30 +244,6 @@ def _parser() -> argparse.ArgumentParser:
                            help="persistent simulation cache maintenance")
     cache.add_argument("action", choices=("stats", "clear"))
 
-    bench = sub.add_parser("bench", parents=[obs_flags],
-                           help="measure simulator and grid throughput")
-    bench.add_argument("--quick", action="store_true",
-                       help="small benchmark subset + reduced grid "
-                       "(CI smoke mode)")
-    bench.add_argument("--no-grid", action="store_true",
-                       help="skip the figure-grid wall-time measurement")
-    bench.add_argument("--backend-walls", action="store_true",
-                       help="measure the sequential uncached grid once "
-                       "per cycle-engine backend "
-                       "(backend_walls_s; always on in --quick)")
-    bench.add_argument("--out-file", default=None, metavar="PATH",
-                       help="also write the payload as JSON to PATH "
-                       "(default: BENCH_<date>.json in the current "
-                       "directory when --write is given)")
-    bench.add_argument("--write", action="store_true",
-                       help="write BENCH_<date>.json (implied by "
-                       "--out-file)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run the bench under cProfile and emit a "
-                       "top-25 cumulative-time hotspot table (written "
-                       "next to the payload as *.profile.txt when "
-                       "writing, else printed)")
-
     trace = sub.add_parser(
         "trace", parents=[obs_flags],
         help="run one experiment with microarchitectural tracing "
@@ -312,17 +285,15 @@ def _parser() -> argparse.ArgumentParser:
     analytics = sub.add_parser(
         "analytics",
         help="fleet-scale result analytics: ingest runs into the "
-        "columnar store, query cross-run trends, render the "
-        "regression timeline",
+        "columnar store and query cross-run trends",
     )
     asub = analytics.add_subparsers(dest="action", required=True)
     a_ingest = asub.add_parser(
         "ingest", parents=[obs_flags],
-        help="ingest run directories and/or BENCH_*.json snapshots",
+        help="ingest run directories",
     )
     a_ingest.add_argument("paths", nargs="+", metavar="PATH",
-                          help="run directory (--out style) or "
-                          "BENCH_*.json throughput snapshot")
+                          help="run directory (--out style)")
     a_ingest.add_argument("--force", action="store_true",
                           help="re-ingest runs whose run_id is already "
                           "in the store")
@@ -340,25 +311,11 @@ def _parser() -> argparse.ArgumentParser:
                          choices=("gmean", "mean", "sum", "count",
                                   "min", "max"))
     a_query.add_argument("--kind", default="result",
-                         help="row family: result|run|trace|bench|"
-                         "bench_grid (default result)")
+                         help="row family: result|run|trace|span "
+                         "(default result)")
     a_query.add_argument("--where", action="append", default=None,
                          metavar="COL=VALUE",
                          help="exact-match filter (repeatable)")
-    a_timeline = asub.add_parser(
-        "timeline", parents=[obs_flags],
-        help="trajectory check + SVG timeline over the whole store",
-    )
-    a_timeline.add_argument("--baseline", default=None, metavar="PATH",
-                            help="bench payload to band against "
-                            "(e.g. benchmarks/bench_baseline_quick."
-                            "json); default: each series' first point")
-    a_timeline.add_argument("--tolerance", type=float, default=0.5,
-                            help="fractional tolerance band "
-                            "(default 0.5)")
-    a_timeline.add_argument("--html", default=None, metavar="PATH",
-                            help="also write a standalone timeline "
-                            "page to PATH")
     asub.add_parser(
         "stats", parents=[obs_flags],
         help="store occupancy (segments, rows, bytes)",
@@ -623,9 +580,6 @@ def _emit_rows(args: argparse.Namespace,
 
 
 #: Commands whose grids are journaled under ``--out`` for ``--resume``.
-#: ``bench`` is deliberately excluded: it times the *same* grid several
-#: ways, and serving later passes from a journal would void the
-#: measurement.
 _GRID_COMMANDS = ("figure2", "figure3", "figure4", "figure5", "table3")
 
 
@@ -767,57 +721,6 @@ def _dispatch(
             print(f"removed {removed} entries from {cache.root}")
         return 0
 
-    if args.command == "bench":
-        from repro.harness.bench import hotspot_table, run_bench, write_bench
-
-        profile_text = None
-        if args.profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            payload = profiler.runcall(
-                run_bench,
-                quick=args.quick, jobs=jobs, with_grid=not args.no_grid,
-                backend_walls=args.backend_walls or None,
-            )
-            profile_text = hotspot_table(profiler, limit=25)
-        else:
-            payload = run_bench(
-                quick=args.quick, jobs=jobs, with_grid=not args.no_grid,
-                backend_walls=args.backend_walls or None,
-            )
-        print(json.dumps(payload, indent=1, sort_keys=True))
-        if args.write or args.out_file:
-            path = write_bench(payload, args.out_file)
-            print(f"wrote {path}", file=sys.stderr)
-            if profile_text is not None:
-                profile_path = (
-                    path[:-5] if path.endswith(".json") else path
-                ) + ".profile.txt"
-                with open(profile_path, "w") as fh:
-                    fh.write(profile_text)
-                print(f"wrote {profile_path}", file=sys.stderr)
-            from repro.analytics import RunStore, ingest_enabled
-
-            if ingest_enabled():
-                try:
-                    store = RunStore(args.store)
-                    report = store.ingest_bench(path)
-                    if not report.skipped:
-                        print(
-                            f"ingested bench snapshot into {store.root} "
-                            f"(run_seq {report.run_seq})",
-                            file=sys.stderr,
-                        )
-                except Exception as exc:
-                    print(
-                        "warning: bench analytics ingest failed: "
-                        f"{exc}", file=sys.stderr,
-                    )
-        elif profile_text is not None:
-            print(profile_text, file=sys.stderr)
-        return 0
-
     if args.command == "list":
         rows = [{"benchmark": name} for name in benchmark_names()]
         if args.json:
@@ -874,8 +777,7 @@ def _dispatch(
                   "(positional DIR or --out DIR)", file=sys.stderr)
             return 2
         try:
-            path = render_report(run_dir, output=args.output,
-                                 store_dir=args.store)
+            path = render_report(run_dir, output=args.output)
         except (ConfigError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -1098,13 +1000,9 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
 
 
 def _dispatch_analytics(args: argparse.Namespace) -> int:
-    """``repro analytics ingest|query|timeline|stats``."""
-    from repro.analytics import RunStore, build_timeline
+    """``repro analytics ingest|query|stats``."""
+    from repro.analytics import RunStore
     from repro.analytics.query import aggregate
-    from repro.analytics.timeline import (
-        load_baseline,
-        render_timeline_html,
-    )
 
     store = RunStore(getattr(args, "store", None))
 
@@ -1168,44 +1066,6 @@ def _dispatch_analytics(args: argparse.Namespace) -> int:
                 f"{result.n_missing_skipped} missing skipped",
                 file=sys.stderr,
             )
-        return 0
-
-    if args.action == "timeline":
-        baseline = None
-        if args.baseline:
-            try:
-                baseline = load_baseline(args.baseline)
-            except (OSError, ValueError) as exc:
-                print(f"error: unreadable baseline: {exc}",
-                      file=sys.stderr)
-                return 2
-        report = build_timeline(
-            store, baseline=baseline, tolerance=args.tolerance
-        )
-        if baseline is not None:
-            report.baseline_source = args.baseline
-        print(json.dumps(report.to_dict(), indent=1, sort_keys=True,
-                         default=str))
-        if args.html:
-            doc = render_timeline_html(report)
-            directory = os.path.dirname(args.html)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(args.html, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-            print(f"wrote {args.html}", file=sys.stderr)
-        first = report.first_regression
-        if first:
-            print(
-                f"first regressing metric: {first['metric']} at run "
-                f"{first['run_seq']} ({first['run_id']}"
-                + (f", commit {first['commit']}" if first["commit"]
-                   else "")
-                + ")",
-                file=sys.stderr,
-            )
-            return 1
-        print("trajectory ok", file=sys.stderr)
         return 0
 
     if args.action == "stats":

@@ -52,8 +52,8 @@ def get_trace_tagged(
     Returns ``(trace, build_seconds, src)`` with ``src`` either
     ``"interpreted"`` (this call ran the interpreter; ``build_seconds``
     measures it) or ``"memo"`` (served from the per-process store;
-    ``build_seconds`` is 0.0).  The tag is what lets bench cold-phase
-    rows explain a ``t_trace`` of zero.
+    ``build_seconds`` is 0.0).  The tag is what lets a result row
+    explain a ``t_trace`` of zero.
     """
     global _hits, _misses
     key = (program.fingerprint(), max_instructions)
@@ -72,7 +72,7 @@ def get_trace_tagged(
 
 
 def clear() -> None:
-    """Drop all memoized traces and reset counters (tests, cold benches)."""
+    """Drop all memoized traces and reset counters (tests)."""
     global _hits, _misses
     _store.clear()
     _hits = 0

@@ -107,22 +107,12 @@ def plan_batches(jobs: Iterable) -> List[BatchGroup]:
     return list(groups.values())
 
 
-#: Stats of the most recent :func:`prewarm` in this process, for the
-#: bench payload ("how much did batching actually do").
-_LAST_PREWARM: Dict[str, object] = {}
-
-
-def last_prewarm_stats() -> Dict[str, object]:
-    """A copy of the most recent prewarm's accounting (empty if none)."""
-    return dict(_LAST_PREWARM)
-
-
 def prewarm(jobs: Iterable) -> Dict[str, object]:
     """Batch-simulate every multi-config shared-trace group of ``jobs``.
 
-    Returns (and records, see :func:`last_prewarm_stats`) an accounting
-    dict.  Single-config groups are left to the per-cell path -- a batch
-    of one is just a simulation with extra bookkeeping.
+    Returns an accounting dict.  Single-config groups are left to the
+    per-cell path -- a batch of one is just a simulation with extra
+    bookkeeping.
     """
     t0 = time.perf_counter()
     stats: Dict[str, object] = {
@@ -175,8 +165,6 @@ def prewarm(jobs: Iterable) -> Dict[str, object]:
         stats["simulated"] += len(need)
         _MEMBERS_SIMULATED.add(len(need))
     stats["wall_s"] = round(time.perf_counter() - t0, 3)
-    _LAST_PREWARM.clear()
-    _LAST_PREWARM.update(stats)
     return stats
 
 

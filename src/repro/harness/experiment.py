@@ -80,8 +80,7 @@ class ExperimentResult:
     #: this run pay for interpretation, or was the trace served from the
     #: per-process :mod:`repro.frontend.tracestore`?).  Rows expose
     #: these as ``src_*`` columns so cached cells are distinguishable
-    #: from simulated ones (the bench cold-phase report filters on
-    #: them), and a ``t_trace`` of 0.0 is explainable.
+    #: from simulated ones, and a ``t_trace`` of 0.0 is explainable.
     provenance: Dict[str, str] = field(default_factory=dict)
     #: Distributed-trace lineage: the ``trace_id`` active while this
     #: result was produced (or served from cache), joining the result
@@ -187,7 +186,7 @@ def _baseline_sim(
 
     The phase walls are 0.0 for work served from a cache (the LRU, the
     trace memo, or the persistent stats cache): they measure what *this
-    call* built, which is what the bench cold-path breakdown wants.  The
+    call* built, which is what a cold-path phase breakdown wants.  The
     dict also carries ``src`` (where the *stats* came from) and
     ``src_trace`` (``"interpreted"`` when this call ran the interpreter,
     ``"memo"`` otherwise) so a zero wall is always explainable.
@@ -286,7 +285,7 @@ def baseline_cache_stats() -> Dict[str, int]:
 
 def clear_baseline_cache() -> None:
     """Drop memoized baseline simulations, augmented expansions, and
-    optimized-run stats (tests and the cold-path bench use this)."""
+    optimized-run stats (tests use this)."""
     _BASELINE_CACHE.clear()
     _ADOPTED_KEYS.clear()
     _AUG_CACHE.clear()

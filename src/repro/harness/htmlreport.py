@@ -562,43 +562,8 @@ code { background: #f5f5f5; padding: .1em .3em; border-radius: 3px; }
 """
 
 
-def _timeline_section(store_dir: Optional[str]) -> str:
-    """Cross-run regression timeline fed by the analytics store.
-
-    Renders only when a store with ingested segments is reachable (an
-    explicit ``--store``, ``REPRO_ANALYTICS_DIR``, or the default
-    location); an empty or unreadable store degrades to a hint, never
-    an error -- the per-run sections must render regardless.
-    """
-    from repro.analytics import RunStore, build_timeline
-    from repro.analytics.timeline import timeline_section_html
-
-    store = RunStore(store_dir)
-    try:
-        if not store.segment_paths():
-            return (
-                "<p class='muted'>no analytics store at "
-                f"<code>{_esc(store.root)}</code> -- ingest runs with "
-                "<code>repro analytics ingest</code> to track "
-                "cross-run trends</p>"
-            )
-        report = build_timeline(store)
-    except Exception as exc:  # never fail the per-run report
-        obs.log_event(
-            "report_timeline_failed",
-            level="warning",
-            store=store.root,
-            error=type(exc).__name__,
-            detail=str(exc),
-        )
-        return (
-            f"<p class='muted'>timeline unavailable: {_esc(exc)}</p>"
-        )
-    return timeline_section_html(report)
-
-
-def render_html(data: RunData, store_dir: Optional[str] = None) -> str:
-    """The full report document (pure aside from the store read)."""
+def render_html(data: RunData) -> str:
+    """The full report document (pure)."""
     title = "repro run report"
     if data.manifest:
         title += f" -- {data.manifest.get('command', '')}"
@@ -610,7 +575,6 @@ def render_html(data: RunData, store_dir: Optional[str] = None) -> str:
         ("Energy audit", _energy_section(data)),
         ("Load test", _loadtest_section(data)),
         ("Request waterfall", _waterfall_section(data)),
-        ("Timeline", _timeline_section(store_dir)),
     ]
     body = "".join(
         f"<h2>{_esc(name)}</h2>{content}" for name, content in sections
@@ -629,13 +593,12 @@ def render_html(data: RunData, store_dir: Optional[str] = None) -> str:
 def render_report(
     run_dir: str,
     output: Optional[str] = None,
-    store_dir: Optional[str] = None,
 ) -> str:
     """Load a run directory and write its ``report.html``; returns the
     output path."""
     data = load_run(run_dir)
     path = output or os.path.join(run_dir, REPORT_NAME)
-    doc = render_html(data, store_dir=store_dir)
+    doc = render_html(data)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)

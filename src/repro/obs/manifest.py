@@ -80,7 +80,7 @@ def _utc(ts: float) -> str:
 
 
 def git_commit() -> Optional[str]:
-    """Best-effort commit hash for timeline attribution.
+    """Best-effort commit hash for attributing a run to its commit.
 
     ``GITHUB_SHA`` (CI) wins over asking git; neither being available
     returns ``None`` -- provenance must never fail a run.

@@ -101,61 +101,10 @@ def test_analytics_query_bad_where_exits_2(store_dir, capsys):
     assert "COL=VALUE" in capsys.readouterr().err
 
 
-def test_analytics_timeline_ok_and_regressed(tmp_path, store_dir,
-                                             capsys):
-    store = RunStore(store_dir)
-    store.append_rows(
-        [{"benchmark": "gap", "target": "L", "ed2_save_pct": 30.0}],
-        run_id="r1", commit="aaaa",
-    )
-    html_path = str(tmp_path / "timeline.html")
-    assert main(["analytics", "timeline", "--store", store_dir,
-                 "--html", html_path]) == 0
-    captured = capsys.readouterr()
-    assert "trajectory ok" in captured.err
-    payload = json.loads(captured.out)
-    assert payload["ok"] is True
-    assert "<svg" in open(html_path).read()
-
-    store.append_rows(
-        [{"benchmark": "gap", "target": "L", "ed2_save_pct": 2.0}],
-        run_id="r2", commit="bbbb",
-    )
-    assert main(["analytics", "timeline", "--store", store_dir]) == 1
-    captured = capsys.readouterr()
-    assert ("first regressing metric: gmean_ed2_save_pct[L] at run 2"
-            in captured.err)
-    assert "r2" in captured.err
-    assert "commit bbbb" in captured.err
-
-
-def test_analytics_timeline_unreadable_baseline_exits_2(store_dir,
-                                                        capsys):
-    assert main(["analytics", "timeline", "--store", store_dir,
-                 "--baseline", "/does/not/exist.json"]) == 2
-    assert "unreadable baseline" in capsys.readouterr().err
-
-
-def test_bench_out_file_auto_ingests(tmp_path, store_dir, capsys,
-                                     monkeypatch):
-    monkeypatch.setenv("REPRO_ANALYTICS", "1")
-    out_file = str(tmp_path / "bench.json")
-    assert main(["bench", "--quick", "--no-grid",
-                 "--out-file", out_file, "--store", store_dir]) == 0
-    captured = capsys.readouterr()
-    assert "ingested bench snapshot" in captured.err
-    store = RunStore(store_dir)
-    seg = next(iter(store.segments()))
-    assert set(seg.strings("kind")) == {"bench"}
-
-
-def test_report_with_store_renders_timeline(tmp_path, store_dir,
-                                            capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_ANALYTICS", "0")
-    out = _run_with_out(tmp_path)
-    RunStore(store_dir).ingest_run(out)
-    assert main(["report", out, "--store", store_dir]) == 0
-    capsys.readouterr()
-    doc = open(os.path.join(out, "report.html")).read()
-    assert "Timeline" in doc
-    assert "trajectory ok" in doc
+def test_analytics_ingest_plain_file_exits_2(tmp_path, store_dir, capsys):
+    plain = tmp_path / "snapshot.json"
+    plain.write_text("{}")
+    assert main(["analytics", "ingest", str(plain),
+                 "--store", store_dir]) == 2
+    assert "not a run directory" in capsys.readouterr().err
+    assert not os.path.exists(store_dir)

@@ -18,7 +18,6 @@ from repro.harness.report import geometric_mean_pct
 from repro.analytics.query import (
     Frame,
     aggregate,
-    bench_series,
     cache_hit_rate,
     gmean_trend,
     phase_walls,
@@ -190,19 +189,6 @@ def test_named_queries(tmp_path):
     assert hits.rows[0]["value"] == 0.75
     walls = phase_walls(store)
     assert walls["t_sim"].rows[0]["value"] == pytest.approx(3.0)
-
-
-def test_bench_series(tmp_path):
-    store = _store(tmp_path)
-    store.append_rows(
-        [{"kind": "bench", "benchmark": "gcc", "cycles_per_sec": 1e6},
-         {"kind": "bench", "benchmark": "twolf", "cycles_per_sec": 2e6}],
-        run_id="BENCH_1",
-    )
-    result = bench_series(store)
-    assert {row["benchmark"]: row["value"] for row in result.rows} == {
-        "gcc": 1e6, "twolf": 2e6
-    }
 
 
 def test_gmean_100k_rows_under_two_seconds(tmp_path):

@@ -285,55 +285,18 @@ def test_ingest_empty_directory_skips(tmp_path):
     assert "no ingestable rows" in report.reason
 
 
-# -- bench-snapshot ingest ---------------------------------------------- #
-
-
-def _bench_payload(cycles=100, wall=6.0, rows=2):
-    return {
-        "date": "20260805",
-        "simulator": [
-            {"benchmark": "gcc", "cycles": cycles, "committed": 50,
-             "cycles_per_sec": 1e6},
-            {"benchmark": "twolf", "cycles": cycles * 2, "committed": 80,
-             "cycles_per_sec": 2e6},
-        ],
-        "figure_grid": {"grid": "quick", "rows": rows,
-                        "sequential_uncached_wall_s": wall,
-                        "cold_wall_s": wall * 0.8, "warm_wall_s": 0.2},
-    }
-
-
-def test_ingest_bench_snapshot(tmp_path):
-    path = tmp_path / "BENCH_20260805.json"
-    path.write_text(json.dumps(_bench_payload()))
-    store = _store(tmp_path)
-    report = store.ingest_bench(str(path))
-    assert report.rows_ingested == 3  # 2 bench rows + 1 grid row
-    assert report.run_id == "BENCH_20260805.json"
-    seg = next(iter(store.segments()))
-    kinds = seg.strings("kind")
-    assert sorted(kinds) == ["bench", "bench", "bench_grid"]
-    i = kinds.index("bench_grid")
-    assert float(seg.column("rows")[i]) == 2.0
-    # Re-ingest by filename dedups (committed history is idempotent).
-    assert store.ingest_bench(str(path)).skipped
-
-
 def test_ingest_path_dispatches(tmp_path):
     out = _write_run_dir(tmp_path)
-    bench = tmp_path / "BENCH_X.json"
-    bench.write_text(json.dumps(_bench_payload()))
+    plain = tmp_path / "BENCH_X.json"
+    plain.write_text(json.dumps({"simulator": []}))
     store = _store(tmp_path)
     assert store.ingest_path(str(out)).rows_ingested == 2
-    assert store.ingest_path(str(bench)).rows_ingested == 3
-
-
-def test_ingest_unreadable_bench_skips(tmp_path):
-    path = tmp_path / "BENCH_BAD.json"
-    path.write_text("{ nope")
-    report = _store(tmp_path).ingest_bench(str(path))
-    assert report.skipped
-    assert "unreadable" in report.reason
+    # Only run directories ingest; a plain file is rejected loudly
+    # rather than guessed at.
+    with pytest.raises(ConfigError, match="not a run directory"):
+        store.ingest_path(str(plain))
+    with pytest.raises(ConfigError, match="not a run directory"):
+        store.ingest_path(str(tmp_path / "missing"))
 
 
 # -- misc --------------------------------------------------------------- #

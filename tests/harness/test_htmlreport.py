@@ -186,33 +186,6 @@ def test_summary_without_window_renders(tmp_path):
     assert "?..?" in doc
 
 
-def test_timeline_section_hints_when_store_empty(tmp_path):
-    _write_run(tmp_path)
-    store_dir = str(tmp_path / "no-store-here")
-    doc = render_html(load_run(str(tmp_path)), store_dir=store_dir)
-    _assert_well_formed(doc)
-    assert "Timeline" in doc
-    assert "no analytics store" in doc
-    assert "repro analytics ingest" in doc
-
-
-def test_timeline_section_renders_from_store(tmp_path):
-    from repro.analytics import RunStore
-
-    _write_run(tmp_path)
-    store = RunStore(str(tmp_path / "store"))
-    store.append_rows(
-        [{"benchmark": "gap", "target": "L", "ed2_save_pct": 30.0}],
-        run_id="r1",
-    )
-    doc = render_html(load_run(str(tmp_path)), store_dir=store.root)
-    _assert_well_formed(doc)
-    assert "trajectory ok" in doc
-    assert "gmean_ed2_save_pct[L]" in doc
-    assert "<svg" in doc
-    assert "<script" not in doc
-
-
 def _write_spans(tmp_path):
     spans = [
         {"name": "http POST /v1/experiments", "trace_id": "a" * 32,

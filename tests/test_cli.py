@@ -81,25 +81,6 @@ def test_no_sim_cache_flag_disables_cache(tmp_path, capsys):
     assert simcache.SimCache(cache_dir).stats()["entries"] == 0
 
 
-def test_bench_quick_no_grid(capsys):
-    assert main(["bench", "--quick", "--no-grid"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["quick"] is True
-    benchmarks = [row["benchmark"] for row in payload["simulator"]]
-    assert benchmarks == ["gcc", "twolf"]
-    assert all(row["cycles_per_sec"] > 0 for row in payload["simulator"])
-
-
-def test_bench_writes_json(tmp_path, capsys):
-    out_file = str(tmp_path / "bench.json")
-    assert main(
-        ["bench", "--quick", "--no-grid", "--out-file", out_file]
-    ) == 0
-    capsys.readouterr()
-    payload = json.loads(open(out_file).read())
-    assert payload["simulator"]
-
-
 # --------------------------------------------------------------------- #
 # Robustness flags
 # --------------------------------------------------------------------- #
