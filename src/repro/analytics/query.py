@@ -52,7 +52,7 @@ class Frame:
         """Materialize ``columns`` over the store.
 
         ``kind`` restricts to one row family (``result``, ``trace``,
-        ``run``, ``span``); ``where`` applies exact-match filters
+        ``run``); ``where`` applies exact-match filters
         (string columns compare decoded values, numeric columns compare
         as floats).  Both filters drop rows *before* concatenation so a
         slice of a huge store only materializes what it selects.

@@ -59,7 +59,7 @@ _MAGIC = "rcol"
 
 #: Reserved columns every ingested row carries.
 #:   run_seq  -- monotonically increasing ingest sequence (the x axis);
-#:   kind     -- row family: result | run | trace | span;
+#:   kind     -- row family: result | run | trace;
 #:   schema   -- the results.jsonl record's stamped layout version
 #:               (1 for pre-stamp artifacts);
 #:   failed   -- 1 for JobFailure rows, else 0.
@@ -487,7 +487,6 @@ class RunStore:
         report.rows_rejected = rejected
 
         rows.extend(self._trace_rows(run_dir))
-        rows.extend(self._span_rows(run_dir))
         run_row = self._run_row(manifest)
         if run_row is not None:
             rows.append(run_row)
@@ -596,57 +595,6 @@ class RunStore:
             for name, frac in (summary.get("stall_fractions") or {}).items():
                 row[f"stall_{name}"] = frac
             rows.append(row)
-        return rows
-
-    def _span_rows(self, run_dir: str) -> List[Dict[str, Any]]:
-        """Distributed-trace span rows from ``spans.jsonl`` (written by
-        the CLI's artifact pass).  One ``kind="span"`` row per span, so
-        cross-run queries can answer e.g. "where did queue-wait
-        regress": ``analytics query --kind span --metric duration_s
-        --group-by run_seq,name --where name=queue.wait``."""
-        rows: List[Dict[str, Any]] = []
-        path = os.path.join(run_dir, "spans.jsonl")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            return rows
-        except OSError:
-            obs.log_event(
-                "analytics_spans_unreadable", level="warning", path=path
-            )
-            return rows
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                span = json.loads(line)
-                if not isinstance(span, dict):
-                    raise ValueError("span is not an object")
-                start_s = float(span["start_s"])
-                end_s = float(span["end_s"])
-            except (ValueError, KeyError, TypeError):
-                if i == len(lines) - 1:
-                    continue  # torn tail
-                _DAMAGED.add()
-                obs.log_event(
-                    "analytics_damaged_line",
-                    level="warning",
-                    path=path,
-                    line=i + 1,
-                )
-                continue
-            rows.append({
-                "kind": "span",
-                "name": str(span.get("name", "")),
-                "trace_id": str(span.get("trace_id", "")),
-                "span_id": str(span.get("span_id", "")),
-                "parent_span_id": str(span.get("parent_span_id") or ""),
-                "process": str(span.get("process", "")),
-                "duration_s": max(0.0, end_s - start_s),
-                "start_s": start_s,
-            })
         return rows
 
     def _run_row(self, manifest: Mapping[str, Any]):

@@ -30,17 +30,13 @@ Every evaluation command accepts the global observability flags:
   rendered text table;
 - ``--out DIR``          write machine-readable artifacts into ``DIR``:
   ``manifest.json`` (provenance + config fingerprints + counters),
-  ``results.jsonl`` (one row per (benchmark, target)), an appendable
-  ``run_table.csv``, and -- when any trace spans were recorded --
-  ``spans.jsonl`` plus the Chrome trace-event waterfall
-  ``spans_chrome.json``;
+  ``results.jsonl`` (one row per (benchmark, target)) and an
+  appendable ``run_table.csv``;
 - ``--quiet``            suppress heartbeat/progress telemetry.
 
-Every command runs under a distributed trace context: ``repro serve``
-propagates it over HTTP (W3C-style ``Traceparent``) and into pool
-workers (``--pool N``), so one ``trace_id`` spans client, server and
-worker processes; ``repro top URL`` is the live terminal dashboard
-over a running server.
+``repro serve`` runs the engine as an HTTP/JSON service (``/v1/stats``
+reports its queue, breakers and admission state); ``repro loadtest``
+drives one with a load model.
 
 the performance flags:
 
@@ -76,7 +72,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import time
@@ -311,8 +306,8 @@ def _parser() -> argparse.ArgumentParser:
                          choices=("gmean", "mean", "sum", "count",
                                   "min", "max"))
     a_query.add_argument("--kind", default="result",
-                         help="row family: result|run|trace|span "
-                         "(default result)")
+                         choices=("result", "run", "trace"),
+                         help="row family (default result)")
     a_query.add_argument("--where", action="append", default=None,
                          metavar="COL=VALUE",
                          help="exact-match filter (repeatable)")
@@ -377,22 +372,8 @@ def _parser() -> argparse.ArgumentParser:
                        "jobs on SIGTERM/^C (default 30)")
     serve.add_argument("--pool", type=int, default=None, metavar="N",
                        help="run jobs in a persistent pool of N worker "
-                       "processes instead of the queue's threads, so "
-                       "distributed traces span client/server/worker "
+                       "processes instead of the queue's threads "
                        "(default: in-thread execution)")
-
-    top = sub.add_parser(
-        "top", parents=[obs_flags],
-        help="live terminal dashboard over a running server's "
-        "/v1/stats, /v1/jobs and Prometheus /metrics",
-    )
-    top.add_argument("server", metavar="URL",
-                     help="server base URL, e.g. http://127.0.0.1:8023")
-    top.add_argument("--interval", type=float, default=2.0,
-                     metavar="SECONDS",
-                     help="refresh interval (default 2.0)")
-    top.add_argument("--once", action="store_true",
-                     help="print a single frame and exit (CI/scripts)")
 
     loadtest = sub.add_parser(
         "loadtest", parents=[obs_flags],
@@ -470,11 +451,6 @@ def _write_artifacts(
             "total_bytes": sum(int(a.get("bytes", 0)) for a in files),
             "files": files,
         })
-    spans = obs.tracectx.drain()
-    if spans:
-        trace_info = _write_trace_spans(args.out, spans)
-        if trace_info is not None:
-            extra.setdefault("trace", trace_info)
     try:
         faults.raise_os_if("manifest.write", key=args.command)
         writer = obs.RunWriter(
@@ -501,41 +477,6 @@ def _write_artifacts(
     print(f"wrote {len(rows)} rows to {args.out} "
           f"(manifest: {path})", file=sys.stderr)
     _auto_ingest(args)
-
-
-def _write_trace_spans(out_dir: str, spans: List[object]) -> Optional[Dict[str, object]]:
-    """Persist the command's drained trace spans under ``out_dir``:
-    ``spans.jsonl`` (one span per line; what analytics ingests) and the
-    validated Chrome trace-event waterfall ``spans_chrome.json``.
-    Returns the manifest stanza, or ``None`` on (logged) failure --
-    span artifacts must never fail a finished run."""
-    from repro.obs import export as obs_export
-
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        jsonl_path = os.path.join(out_dir, "spans.jsonl")
-        with open(jsonl_path, "w", encoding="utf-8") as fh:
-            for span in spans:
-                fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        chrome_name = "spans_chrome.json"
-        obs_export.write_span_trace(
-            os.path.join(out_dir, chrome_name), spans
-        )
-    except Exception as exc:
-        obs.log_event(
-            "trace_span_write_failed",
-            level="warning",
-            dir=out_dir,
-            error=type(exc).__name__,
-            detail=str(exc),
-        )
-        return None
-    return {
-        "n_spans": len(spans),
-        "trace_ids": sorted({s.trace_id for s in spans}),
-        "spans_jsonl": "spans.jsonl",
-        "chrome": chrome_name,
-    }
 
 
 def _auto_ingest(args: argparse.Namespace) -> None:
@@ -679,16 +620,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError:  # pragma: no cover - non-main thread (tests)
         pass
 
-    # Every command runs under a fresh root trace context: spans from
-    # obs.Span instrumentation (and, via Traceparent propagation, from
-    # servers and pool workers this command talks to) share one
-    # trace_id and land in --out DIR as spans.jsonl + a Chrome trace.
-    obs.tracectx.set_process_label(
-        "server" if args.command == "serve" else "cli"
-    )
-    root_ctx = obs.tracectx.new_context()
     try:
-        with obs.tracectx.activate(root_ctx), engine_options(
+        with engine_options(
             policy=policy, journal=journal, degrade=True
         ):
             return _dispatch(args, argv, jobs)
@@ -873,15 +806,6 @@ def _dispatch(
     if args.command == "serve":
         return _dispatch_serve(args)
 
-    if args.command == "top":
-        from repro.server.top import run_top
-
-        return run_top(
-            args.server,
-            interval_s=args.interval,
-            iterations=1 if args.once else None,
-        )
-
     if args.command == "loadtest":
         from repro.server.loadtest import (
             QUICK_BENCHMARKS,
@@ -916,8 +840,7 @@ def _dispatch(
             print(render_json_lines([row]))
         else:
             print(json.dumps(report, indent=1, sort_keys=True))
-        # One summary row plus one row per request: the per-request
-        # rows carry trace_id, joining slow samples to server spans.
+        # One summary row plus one row per request.
         request_rows = [
             {"request": i + 1, **sample}
             for i, sample in enumerate(report["samples"])
@@ -1046,7 +969,7 @@ def _dispatch_analytics(args: argparse.Namespace) -> int:
         try:
             result = aggregate(
                 store, args.metric, group_by=group_by, agg=args.agg,
-                kind=args.kind or None, where=where or None,
+                kind=args.kind, where=where or None,
             )
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -46,8 +46,8 @@ from repro.memory.hierarchy import MemoryHierarchy
 INST_BYTES = 4
 
 #: Simulated-cycle interval between progress heartbeat events (emitted
-#: only when debug-level telemetry is enabled or a tap is installed, so
-#: the hot loop pays one comparison otherwise).  Read at simulation start
+#: only when debug-level telemetry is enabled, so the hot loop pays one
+#: comparison otherwise).  Read at simulation start
 #: by both the reference engine and the kernel driver.
 HEARTBEAT_CYCLES = 250_000
 
@@ -230,8 +230,8 @@ def _deadlock_error(
 
 def heartbeat_wanted() -> bool:
     """Whether simulations should emit progress heartbeats: debug
-    telemetry or an installed tap, and not silenced by ``--quiet``."""
-    return (obs.is_enabled("debug") or obs.has_taps()) and not obs.is_quiet()
+    telemetry on, and not silenced by ``--quiet``."""
+    return obs.is_enabled("debug") and not obs.is_quiet()
 
 
 class Heartbeat:

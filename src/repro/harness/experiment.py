@@ -10,7 +10,6 @@ diagnostics of Figure 3.
 from __future__ import annotations
 
 import contextlib
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -82,11 +81,6 @@ class ExperimentResult:
     #: these as ``src_*`` columns so cached cells are distinguishable
     #: from simulated ones, and a ``t_trace`` of 0.0 is explainable.
     provenance: Dict[str, str] = field(default_factory=dict)
-    #: Distributed-trace lineage: the ``trace_id`` active while this
-    #: result was produced (or served from cache), joining the result
-    #: row to its client/server/worker spans.  ``None`` when tracing
-    #: was inactive.
-    trace_id: Optional[str] = None
 
     @property
     def speedup_pct(self) -> float:
@@ -465,7 +459,6 @@ def run_experiment(
             "simulation": sim.fingerprint,
             "branch_pthreads": include_branch_pthreads,
         }
-        lookup_started = time.time()
         cached = disk.get(material)
         if isinstance(cached, ExperimentResult):
             _RESULT_HITS.add()
@@ -480,23 +473,6 @@ def run_experiment(
             provenance = dict(getattr(cached, "provenance", None) or {})
             provenance["result"] = "simcache"
             cached.provenance = provenance
-            # Lineage belongs to *this* request, not whoever populated
-            # the cache: restamp alongside provenance.  The hit still
-            # contributes a span, so the waterfall shows which process
-            # answered (and how fast) even when nothing simulated.
-            ctx = obs.tracectx.current()
-            cached.trace_id = ctx.trace_id if ctx is not None else None
-            if ctx is not None:
-                obs.tracectx.record_span(
-                    "experiment.cached",
-                    ctx.child(),
-                    lookup_started,
-                    time.time(),
-                    attrs={
-                        "benchmark": benchmark,
-                        "target": target.label,
-                    },
-                )
             return cached
         _RESULT_MISSES.add()
 
@@ -671,7 +647,6 @@ def run_experiment(
         obs.counters.histogram(f"harness.phase.{phase}_seconds").observe(
             phase_seconds[phase]
         )
-    ctx = obs.tracectx.current()
     experiment = ExperimentResult(
         benchmark=benchmark,
         target=target,
@@ -686,7 +661,6 @@ def run_experiment(
             "optimized": "memo" if opt_cached else "simulated",
             "trace": src_trace,
         },
-        trace_id=ctx.trace_id if ctx is not None else None,
     )
     if tracing:
         experiment.trace_artifacts = utrace.artifacts_since(trace_mark)

@@ -90,11 +90,6 @@ def result_row(result: GridResult) -> Dict[str, object]:
             ).items()
         }
     )
-    # Distributed-trace lineage: joins this row to its client/server/
-    # worker spans (loadtest and analytics queries key on it).
-    trace_id = getattr(result, "trace_id", None)
-    if trace_id:
-        row["trace_id"] = trace_id
     return row
 
 

@@ -8,10 +8,7 @@ evaluation command left in its ``--out`` directory:
 - ``results.jsonl``      -- the per-(benchmark, target) result table and
   the phase-timing stacks;
 - ``utrace/*.summary.json`` -- top-down stall-attribution stacks and the
-  per-event energy-audit stacks of every traced simulation;
-- ``spans.jsonl``           -- distributed-trace spans, rendered as a
-  per-request waterfall (client HTTP span, server admission and
-  queue-wait, pool-worker trace/analysis/sim phases).
+  per-event energy-audit stacks of every traced simulation.
 
 The output is deliberately dependency-free: inline CSS, no JavaScript,
 no external fonts or images, so the file can be archived as a CI
@@ -82,7 +79,6 @@ class RunData:
     manifest: Optional[Dict[str, Any]] = None
     rows: List[Dict[str, Any]] = field(default_factory=list)
     summaries: List[Dict[str, Any]] = field(default_factory=list)
-    spans: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def load_run(run_dir: str) -> RunData:
@@ -114,25 +110,6 @@ def load_run(run_dir: str) -> RunData:
         except (OSError, ValueError):
             obs.log_event(
                 "report_summary_unreadable", level="warning", path=path
-            )
-    spans_path = os.path.join(run_dir, "spans.jsonl")
-    if os.path.exists(spans_path):
-        try:
-            with open(spans_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        span = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail / damaged line
-                    if isinstance(span, dict):
-                        data.spans.append(span)
-        except OSError:
-            obs.log_event(
-                "report_spans_unreadable", level="warning",
-                path=spans_path,
             )
     if data.manifest is None and not data.rows:
         raise ConfigError(
@@ -427,82 +404,6 @@ def _loadtest_section(data: RunData) -> str:
     return out
 
 
-#: Cap on rendered request waterfalls (a loadtest can record hundreds).
-MAX_WATERFALLS = 8
-
-
-def _waterfall_section(data: RunData) -> str:
-    """Per-request span waterfall: one block per ``trace_id``, each
-    span a bar offset/scaled against the trace's own wall window."""
-    valid = [
-        s for s in data.spans
-        if isinstance(s.get("start_s"), (int, float))
-        and isinstance(s.get("end_s"), (int, float))
-        and s.get("trace_id")
-    ]
-    if not valid:
-        return (
-            "<p class='muted'>no trace spans -- run with "
-            "<code>--out DIR</code> (spans land in "
-            "<code>spans.jsonl</code>); server-side spans need the "
-            "request to go through <code>repro serve</code></p>"
-        )
-    processes = sorted({str(s.get("process", "")) for s in valid})
-    colors = {
-        p: PHASE_PALETTE[i % len(PHASE_PALETTE)]
-        for i, p in enumerate(processes)
-    }
-    by_trace: Dict[str, List[Dict[str, Any]]] = {}
-    for span in valid:
-        by_trace.setdefault(str(span["trace_id"]), []).append(span)
-    traces = sorted(
-        by_trace.items(),
-        key=lambda item: min(s["start_s"] for s in item[1]),
-    )
-    blocks = []
-    for trace_id, spans in traces[:MAX_WATERFALLS]:
-        t0 = min(s["start_s"] for s in spans)
-        t1 = max(s["end_s"] for s in spans)
-        window = max(t1 - t0, 1e-9)
-        rows = []
-        for span in sorted(spans, key=lambda s: (s["start_s"], s["end_s"])):
-            left = 100.0 * (span["start_s"] - t0) / window
-            width = max(
-                100.0 * (span["end_s"] - span["start_s"]) / window, 0.15
-            )
-            width = min(width, 100.0 - left)
-            process = str(span.get("process", ""))
-            dur_ms = 1000.0 * (span["end_s"] - span["start_s"])
-            label = (
-                f"{span.get('name', '?')} [{process}] {dur_ms:.1f}ms"
-            )
-            rows.append(
-                "<div class='wfrow'>"
-                f"<span class='wflabel'>{_esc(label)}</span>"
-                "<div class='stack wftrack'>"
-                f"<span class='seg' style='margin-left:{left:.3f}%;"
-                f"width:{width:.3f}%;background:{colors[process]}'"
-                f" title='{_esc(label)}'></span></div></div>"
-            )
-        blocks.append(
-            f"<h3>trace <code>{_esc(trace_id)}</code> "
-            f"({window * 1000.0:.1f}ms, {len(spans)} spans)</h3>"
-            + "".join(rows)
-        )
-    skipped = len(traces) - min(len(traces), MAX_WATERFALLS)
-    legend = _legend([(p or "(unknown)", colors[p]) for p in processes])
-    note = (
-        "<p class='muted'>one block per trace_id; bar offset/width are "
-        "the span's share of that request's wall window, color = "
-        "recording process</p>"
-    )
-    if skipped:
-        note += (
-            f"<p class='muted'>{skipped} more trace(s) not shown</p>"
-        )
-    return note + legend + "".join(blocks)
-
-
 def _traces_section(data: RunData) -> str:
     if not data.summaries:
         return ""
@@ -552,10 +453,6 @@ tr.failed td { background: #ffebee; }
 .facts dd { margin-left: 12em; font-family: monospace;
             word-break: break-all; }
 .muted { color: #888; }
-.wfrow { margin: .25em 0; }
-.wflabel { display: block; font-size: 11px; color: #555;
-           font-family: monospace; }
-.wftrack { height: .9em; background: #fafafa; }
 .ok { color: #2e7d32; font-weight: 600; }
 .bad { color: #c62828; font-weight: 700; }
 code { background: #f5f5f5; padding: .1em .3em; border-radius: 3px; }
@@ -574,7 +471,6 @@ def render_html(data: RunData) -> str:
         ("Top-down stall attribution", _stalls_section(data)),
         ("Energy audit", _energy_section(data)),
         ("Load test", _loadtest_section(data)),
-        ("Request waterfall", _waterfall_section(data)),
     ]
     body = "".join(
         f"<h2>{_esc(name)}</h2>{content}" for name, content in sections

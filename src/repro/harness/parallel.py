@@ -350,10 +350,8 @@ def _worker_init(
     simcache.configure(cache_dir=cache_dir, enabled=cache_enabled)
     if log_level != "off":
         obs.configure(level=log_level)
-    # --quiet must silence heartbeats in the workers too, and exported
-    # spans should name the process that produced them.
+    # --quiet must silence heartbeats in the workers too.
     obs.set_quiet(quiet)
-    obs.tracectx.set_process_label(f"pool-worker-{os.getpid()}")
     # A spawn-started worker must re-apply the cycle-engine backend: a
     # --sim-backend override lives in process state, not the environment.
     if cycle_backend is not None:
@@ -406,42 +404,20 @@ def _describe_failure(exc: BaseException) -> _WorkerFailure:
 
 
 def _worker_experiment(
-    job: ExperimentJob,
-    cell_key: str,
-    attempt: int,
-    trace: Optional[Dict[str, object]] = None,
+    job: ExperimentJob, cell_key: str, attempt: int
 ) -> Tuple[
-    Optional[ExperimentResult],
-    Optional[_WorkerFailure],
-    Dict[str, float],
-    List[Dict[str, object]],
+    Optional[ExperimentResult], Optional[_WorkerFailure], Dict[str, float]
 ]:
     """Run one job in a pool worker; returns ``(result, failure,
-    counter_delta, span_records)``.  ``trace`` is the submitting
-    context's encoded :class:`~repro.obs.tracectx.TraceContext`; spans
-    recorded under it ship home with the result exactly like counter
-    deltas (the worker runs one job at a time, so draining here cannot
-    steal another job's spans)."""
+    counter_delta)``."""
     before = obs.counters.snapshot()
-    ctx = obs.tracectx.decode(trace)
-    activation = (
-        obs.tracectx.activate(ctx)
-        if ctx is not None
-        else contextlib.nullcontext()
-    )
     result: Optional[ExperimentResult] = None
     failure: Optional[_WorkerFailure] = None
-    with activation:
-        try:
-            result = _execute_job(job, cell_key, attempt)
-        except Exception as exc:
-            failure = _describe_failure(exc)
-    spans = (
-        [s.to_dict() for s in obs.tracectx.drain()]
-        if ctx is not None
-        else []
-    )
-    return result, failure, obs.counters.delta_since(before), spans
+    try:
+        result = _execute_job(job, cell_key, attempt)
+    except Exception as exc:
+        failure = _describe_failure(exc)
+    return result, failure, obs.counters.delta_since(before)
 
 
 def _worker_warm(
@@ -510,9 +486,6 @@ def _journal_record(
             # Resume treats a traced cell as complete only while its
             # trace files exist (Journal.result_for checks these paths).
             meta["trace_artifacts"] = [a["path"] for a in arts]
-        trace_id = getattr(result, "trace_id", None)
-        if trace_id:
-            meta["trace_id"] = trace_id
         journal.record(key, result, **meta)
 
 
@@ -887,8 +860,7 @@ def _run_pool(
                 started_at.setdefault(index, time.monotonic())
                 try:
                     future = pool.submit(
-                        _worker_experiment, job, key, attempt,
-                        obs.tracectx.encode(obs.tracectx.current()),
+                        _worker_experiment, job, key, attempt
                     )
                 except (BrokenProcessPool, RuntimeError):
                     pending.appendleft((index, job, key, attempt))
@@ -940,7 +912,7 @@ def _run_pool(
             for future in done:
                 flight = inflight.pop(future)
                 try:
-                    result, failure, delta, spans = future.result()
+                    result, failure, delta = future.result()
                 except BrokenProcessPool:
                     broken = True
                     crash = _WorkerFailure(
@@ -963,9 +935,6 @@ def _run_pool(
                     )
                     continue
                 obs.counters.merge(delta)
-                # Worker-side spans join the parent's recorder exactly
-                # like counter deltas: one waterfall per grid.
-                obs.tracectx.ingest(spans)
                 if failure is not None:
                     settle(
                         flight.index, flight.job, flight.key,

@@ -26,20 +26,16 @@ Typical harness usage::
     obs.counters.counter("harness.runs").add()
 """
 
-from repro.obs import tracectx
 from repro.obs.log import (
     LEVEL_NAMES,
     LEVELS,
     Span,
-    add_tap,
     configure,
     current_level,
     current_span_path,
-    has_taps,
     is_enabled,
     is_quiet,
     log_event,
-    remove_tap,
     reset,
     set_quiet,
     span,
@@ -71,21 +67,17 @@ __all__ = [
     "RESULTS_SCHEMA_VERSION",
     "RunWriter",
     "Span",
-    "add_tap",
     "config_fingerprint",
     "configure",
     "counters",
     "current_level",
     "current_span_path",
-    "has_taps",
     "is_enabled",
     "is_quiet",
     "log_event",
-    "remove_tap",
     "reset",
     "set_quiet",
     "snapshot_delta",
     "span",
     "stable_json",
-    "tracectx",
 ]

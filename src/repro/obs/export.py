@@ -255,99 +255,6 @@ def validate_chrome_file(path: str) -> None:
 
 
 # --------------------------------------------------------------------- #
-# Distributed span waterfall (repro.obs.tracectx records).
-# --------------------------------------------------------------------- #
-
-
-def build_span_trace(spans: Any) -> Dict[str, Any]:
-    """Assemble a Chrome trace-event document from finished
-    :class:`~repro.obs.tracectx.SpanRecord` objects (pure; no I/O).
-
-    Each process label becomes one Chrome ``pid`` row (named via
-    ``process_name`` metadata), each recording thread one ``tid``, and
-    each span a complete (``ph: "X"``) slice.  Wall-clock timestamps
-    are normalized to microseconds from the earliest span start so the
-    cross-process waterfall lines up in one viewer timeline.
-    """
-    spans = list(spans)
-    events: List[Dict[str, Any]] = []
-    pids: Dict[str, int] = {}
-    tids: Dict[Tuple[int, int], int] = {}
-    t0 = min((s.start_s for s in spans), default=0.0)
-    trace_ids: Dict[str, None] = {}
-
-    for span in spans:
-        pid = pids.setdefault(span.process, len(pids) + 1)
-        tid = tids.setdefault((pid, span.tid), len(tids) + 1)
-        trace_ids.setdefault(span.trace_id, None)
-        args: Dict[str, Any] = {
-            "trace_id": span.trace_id,
-            "span_id": span.span_id,
-        }
-        if span.parent_span_id:
-            args["parent_span_id"] = span.parent_span_id
-        for key, value in sorted(span.attrs.items()):
-            args.setdefault(key, value)
-        events.append({
-            "ph": "X",
-            "name": span.name,
-            "cat": "span",
-            "ts": round((span.start_s - t0) * 1e6, 3),
-            "dur": round(span.duration_s * 1e6, 3),
-            "pid": pid,
-            "tid": tid,
-            "args": args,
-        })
-
-    events.sort(key=lambda e: e["ts"])
-
-    meta: List[Dict[str, Any]] = []
-    for process, pid in sorted(pids.items(), key=lambda kv: kv[1]):
-        meta.append({
-            "ph": "M", "name": "process_name", "pid": pid, "ts": 0,
-            "args": {"name": process},
-        })
-    for (pid, raw_tid), tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        meta.append({
-            "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-            "ts": 0, "args": {"name": f"thread-{raw_tid}"},
-        })
-
-    return {
-        "traceEvents": meta + events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "kind": "repro distributed spans",
-            "span_count": len(events),
-            "trace_ids": sorted(trace_ids),
-            "clock": "wall clock, us since earliest span",
-        },
-    }
-
-
-def write_span_trace(path: str, spans: Any) -> None:
-    """Build, validate, and write the span waterfall; loud on failure."""
-    doc = build_span_trace(spans)
-    problems = validate_chrome_trace(doc)
-    if problems:
-        raise TraceExportError(
-            f"refusing to write invalid span trace {path}: "
-            + "; ".join(problems[:5]),
-            path=path,
-            reason="schema validation failed",
-        )
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
-    except OSError as exc:
-        raise TraceExportError(
-            f"could not write span trace {path}: {exc}",
-            path=path, reason=str(exc),
-        ) from exc
-
-
-# --------------------------------------------------------------------- #
 # Kanata.
 # --------------------------------------------------------------------- #
 

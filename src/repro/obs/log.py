@@ -26,8 +26,6 @@ import threading
 import time
 from typing import Any, Dict, IO, Optional
 
-from repro.obs import tracectx
-
 #: Numeric severity per level name; "off" is above everything.
 LEVELS: Dict[str, int] = {
     "debug": 10,
@@ -50,38 +48,12 @@ class _State:
         self.stream: Optional[IO[str]] = None  # None -> sys.stderr
         self.lock = threading.Lock()
         #: ``--quiet``: suppresses *progress chatter* (simulator
-        #: heartbeats) without lowering the log threshold or touching
-        #: taps — the server's per-job streaming never sets it.
+        #: heartbeats) without lowering the log threshold.
         self.quiet = False
 
 
 _state = _State()
 _local = threading.local()  # per-thread span stack
-
-#: In-process event subscribers: each tap is called with the full
-#: record dict for *every* event, regardless of the log level threshold
-#: (a tap is an explicit subscription, not a verbosity setting).  The
-#: experiment server uses one to stream per-job heartbeat/ETA progress.
-_taps: list = []
-
-
-def add_tap(fn) -> None:
-    """Subscribe ``fn(record: dict)`` to every emitted event."""
-    if fn not in _taps:
-        _taps.append(fn)
-
-
-def remove_tap(fn) -> None:
-    try:
-        _taps.remove(fn)
-    except ValueError:
-        pass
-
-
-def has_taps() -> bool:
-    """Cheap pre-check event producers hoist out of hot loops (the
-    simulator heartbeat fires when debug logging *or* a tap wants it)."""
-    return bool(_taps)
 
 
 def configure(level: str = "info", stream: Optional[IO[str]] = None) -> None:
@@ -139,13 +111,8 @@ def current_span_path() -> str:
 
 
 def log_event(event: str, level: str = "info", **fields: Any) -> None:
-    """Emit one JSON-lines event if ``level`` clears the threshold.
-
-    Registered taps receive the record regardless of the threshold; a
-    tap that raises is dropped silently (observation must never take
-    down the observed)."""
-    emit = LEVELS.get(level, 0) >= _state.threshold
-    if not emit and not _taps:
+    """Emit one JSON-lines event if ``level`` clears the threshold."""
+    if LEVELS.get(level, 0) < _state.threshold:
         return
     record: Dict[str, Any] = {
         "ts": round(time.time(), 6),
@@ -156,13 +123,6 @@ def log_event(event: str, level: str = "info", **fields: Any) -> None:
     if path:
         record["span"] = path
     record.update(fields)
-    for tap in list(_taps):
-        try:
-            tap(record)
-        except Exception:
-            remove_tap(tap)
-    if not emit:
-        return
     line = json.dumps(record, default=str, separators=(",", ":"))
     stream = _state.stream or sys.stderr
     with _state.lock:
@@ -178,7 +138,7 @@ class Span:
     for free.
     """
 
-    __slots__ = ("name", "fields", "wall_s", "path", "_t0", "_trace")
+    __slots__ = ("name", "fields", "wall_s", "path", "_t0")
 
     def __init__(self, name: str, **fields: Any) -> None:
         self.name = name
@@ -186,7 +146,6 @@ class Span:
         self.wall_s = 0.0
         self.path = name
         self._t0 = 0.0
-        self._trace = None
 
     def annotate(self, **fields: Any) -> "Span":
         """Attach extra fields reported on the span_end event."""
@@ -199,8 +158,6 @@ class Span:
             stack = _local.stack = []
         stack.append(self)
         self.path = "/".join(s.name for s in stack)
-        if tracectx.is_active():
-            self._trace = tracectx.start_span(self.name)
         if _state.threshold <= LEVELS["debug"]:
             log_event("span_begin", level="debug", name=self.name,
                       **self.fields)
@@ -212,14 +169,6 @@ class Span:
         stack = getattr(_local, "stack", [])
         if stack and stack[-1] is self:
             stack.pop()
-        if self._trace is not None:
-            attrs = {
-                k: v for k, v in self.fields.items()
-                if isinstance(v, (str, int, float, bool))
-            }
-            attrs["span_path"] = self.path
-            tracectx.finish_span(self.name, self._trace, attrs)
-            self._trace = None
         if _state.threshold <= LEVELS["info"]:
             fields = dict(self.fields)
             if exc_type is not None:

@@ -256,14 +256,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)  # type: ignore[return-value]
 
-    def histograms(self) -> Dict[str, Histogram]:
-        """Registered histograms by name (for exposition renderers)."""
-        return {
-            name: metric
-            for name, metric in sorted(self._metrics.items())
-            if isinstance(metric, Histogram)
-        }
-
     def snapshot(self) -> Dict[str, float]:
         """All metric values, sorted by name (counters as ints)."""
         return {

@@ -6,7 +6,7 @@ whose headline feature is that it *stays up and stays correct under
 abuse*:
 
 - :mod:`repro.server.app`       -- the zero-dependency HTTP front end
-  (submit/status/result/cancel, progress streaming, ``/healthz`` +
+  (submit/status/result/cancel, ``/v1/stats``, ``/healthz`` +
   ``/readyz``, graceful drain on SIGTERM);
 - :mod:`repro.server.queue`     -- the async job queue feeding the
   engine, with in-flight dedup of identical cells;
@@ -24,9 +24,7 @@ abuse*:
   (``throughput_rps`` / ``p95_latency_ms`` / ``failure_rate``);
 - :mod:`repro.server.poolrunner` -- a persistent process-pool job
   runner (``repro serve --pool N``) so served jobs execute out of
-  process and distributed traces span client/server/worker;
-- :mod:`repro.server.top`       -- the ``repro top`` terminal
-  dashboard over ``/v1/stats`` + ``/metrics``.
+  process.
 """
 
 from repro.server.admission import AdmissionController

@@ -7,25 +7,15 @@ connection; the stdlib is the whole dependency footprint).  Endpoints:
 Method    Path                           Meaning
 ========  =============================  ====================================
 POST      ``/v1/experiments``            Submit a spec; 202 + job snapshot.
-GET       ``/v1/experiments/<id>``       Status + buffered progress events.
+GET       ``/v1/experiments/<id>``       Job status snapshot.
 GET       ``/v1/experiments/<id>/result``  200 row when done; 202 while
                                          pending; error status when failed.
-GET       ``/v1/experiments/<id>/events``  Server-sent events: replay the
-                                         journaled heartbeats, then tail
-                                         live ones (Last-Event-ID resume).
 DELETE    ``/v1/experiments/<id>``       Best-effort cancel.
 GET       ``/v1/jobs``                   All job snapshots (no results).
 GET       ``/v1/stats``                  Queue/breaker/admission snapshot.
-GET       ``/metrics``                   Prometheus text-format exposition.
 GET       ``/healthz``                   Liveness: the process answers.
 GET       ``/readyz``                    Readiness: accepting and healthy.
 ========  =============================  ====================================
-
-**Tracing**: a ``Traceparent`` request header ties the whole job to the
-client's trace -- the submit runs under that context (admission span),
-the job record carries it to the runner, and the terminal result
-payload ships every server/worker span back for the client's exported
-waterfall.
 
 **Error contract** (:func:`status_for_error`): every engine/server error
 maps to a stable HTTP status with a JSON body carrying the error class,
@@ -47,15 +37,12 @@ because anything left is durable and recovers under ``--resume``.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro import faults, obs
-from repro.obs import prom, tracectx
 from repro.errors import (
     AdmissionRejectedError,
     ConfigError,
@@ -72,37 +59,6 @@ _REQUESTS = obs.counters.counter("server.http.requests")
 _DROPPED_ACCEPT = obs.counters.counter("server.http.dropped_accept")
 _DROPPED_RESPOND = obs.counters.counter("server.http.dropped_respond")
 _ERRORS = obs.counters.counter("server.http.error_responses")
-_SSE_OPENED = obs.counters.counter("server.sse.streams_opened")
-_SSE_CLOSED = obs.counters.counter("server.sse.streams_closed")
-
-#: Numeric breaker state for the /metrics gauges.
-_BREAKER_STATE_VALUE = {"closed": 0, "half_open": 1, "open": 2}
-
-#: HELP strings for the best-known exposition families.
-_METRIC_HELP = {
-    "server.queue.wait_seconds": (
-        "Seconds jobs spent queued before a worker picked them up"
-    ),
-    "server.queue.service_seconds": (
-        "Seconds jobs spent executing once picked up"
-    ),
-    "server.queue.depth": "Jobs currently waiting in the queue",
-    "server.queue.running": "Jobs currently executing",
-    "server.draining": "1 while the server is draining, else 0",
-    "server.admission.p95_service_s": (
-        "Observed p95 job service time feeding Retry-After"
-    ),
-    "harness.phase.trace_seconds": (
-        "Per-experiment trace interpretation wall seconds"
-    ),
-    "harness.phase.analysis_seconds": (
-        "Per-experiment PTHSEL analysis wall seconds"
-    ),
-    "harness.phase.sim_seconds": (
-        "Per-experiment timing-simulation wall seconds"
-    ),
-    "harness.phase.total_seconds": "Per-experiment total wall seconds",
-}
 
 #: Client-caused, deterministic: the request itself is wrong.
 _BAD_REQUEST_ERRORS = (
@@ -216,21 +172,6 @@ class _Handler(BaseHTTPRequestHandler):
         if status >= 400:
             _ERRORS.add()
 
-    def _send_text(
-        self, status: int, text: str, content_type: str
-    ) -> None:
-        if faults.should_fault("server.respond"):
-            _DROPPED_RESPOND.add()
-            raise _DropConnection()
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        if status >= 400:
-            _ERRORS.add()
-
     def _send_error_for(self, exc: BaseException) -> None:
         status, retry = status_for_error(exc)
         self._send_json(status, error_body(exc), retry_after_s=retry)
@@ -291,8 +232,6 @@ class _Handler(BaseHTTPRequestHandler):
                 return lambda: self._send_json(200, {"ok": True})
             if path == "/readyz":
                 return self._readyz
-            if path == "/metrics":
-                return self._metrics
             if path == "/v1/stats":
                 return lambda: self._send_json(200, queue.stats())
             if path == "/v1/jobs":
@@ -308,8 +247,6 @@ class _Handler(BaseHTTPRequestHandler):
                 rest = path[len("/v1/experiments/"):]
                 if rest.endswith("/result"):
                     return lambda: self._result(rest[: -len("/result")])
-                if rest.endswith("/events"):
-                    return lambda: self._events(rest[: -len("/events")])
                 return lambda: self._status(rest)
         if method == "POST" and path == "/v1/experiments":
             return self._submit
@@ -334,101 +271,6 @@ class _Handler(BaseHTTPRequestHandler):
             retry_after_s=None if ready else 5,
         )
 
-    def _metrics(self) -> None:
-        """Prometheus text-format exposition: the obs registry plus
-        point-in-time queue/breaker/admission gauges."""
-        queue = self.server.queue
-        stats = queue.stats()
-        extra: Dict[str, float] = {
-            "server.queue.depth": float(stats["queued_depth"]),
-            "server.queue.running": float(stats["running"]),
-            "server.draining": 1.0 if stats["draining"] else 0.0,
-            "server.admission.p95_service_s": float(
-                stats["admission"]["p95_service_s"]
-            ),
-            "server.workers": float(queue.workers),
-        }
-        for breaker in stats["breakers"]:
-            extra[f"server.breaker.{breaker['name']}.state"] = float(
-                _BREAKER_STATE_VALUE.get(breaker["state"], 2)
-            )
-        self._send_text(
-            200,
-            prom.render_prometheus(
-                obs.counters, extra_gauges=extra, help_text=_METRIC_HELP
-            ),
-            prom.CONTENT_TYPE,
-        )
-
-    def _events(self, job_id: str) -> None:
-        """Stream the job's heartbeat/ETA feed as server-sent events:
-        replay the buffered ring (past ``Last-Event-ID``), then tail
-        live events until the job reaches a terminal state.  The body
-        is EOF-delimited (``Connection: close``), keepalive comments
-        double as disconnect probes so an abandoned stream frees its
-        handler thread."""
-        queue = self.server.queue
-        if queue.events_since(job_id, 0) is None:
-            self._send_json(404, {"error": "NotFound", "job_id": job_id})
-            return
-        after_seq = 0
-        raw_last = self.headers.get("Last-Event-ID")
-        if raw_last:
-            with contextlib.suppress(ValueError):
-                after_seq = int(raw_last)
-        if faults.should_fault("server.respond"):
-            _DROPPED_RESPOND.add()
-            raise _DropConnection()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.close_connection = True
-        self.end_headers()
-        _SSE_OPENED.add()
-        keepalive_s = getattr(self.server, "sse_keepalive_s", 5.0)
-        try:
-            while True:
-                got = queue.wait_events(
-                    job_id, after_seq, timeout_s=keepalive_s
-                )
-                if got is None:
-                    break
-                fresh, terminal = got
-                for event in fresh:
-                    seq = int(event.get("seq", 0))
-                    after_seq = max(after_seq, seq)
-                    frame = (
-                        f"id: {seq}\n"
-                        f"event: {event.get('event', 'message')}\n"
-                        f"data: {json.dumps(event, default=str)}\n\n"
-                    )
-                    self.wfile.write(frame.encode("utf-8"))
-                self.wfile.flush()
-                if terminal:
-                    record = queue.get(job_id)
-                    payload = {
-                        "job_id": job_id,
-                        "state": record.state if record else "unknown",
-                    }
-                    self.wfile.write(
-                        (
-                            "event: end\n"
-                            f"data: {json.dumps(payload)}\n\n"
-                        ).encode("utf-8")
-                    )
-                    self.wfile.flush()
-                    break
-                if not fresh:
-                    # Keepalive comment: ignored by SSE parsers, but
-                    # the write raises once the client is gone.
-                    self.wfile.write(b": keepalive\n\n")
-                    self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass
-        finally:
-            _SSE_CLOSED.add()
-
     def _submit(self) -> None:
         body = self._read_json()
         if isinstance(body, dict) and "spec" in body:
@@ -444,33 +286,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ConfigError(
                     f"deadline_s must be a number, got {deadline_s!r}"
                 )
-        # A Traceparent header ties this job to the caller's trace: the
-        # admission decision gets its own span and the job context rides
-        # the record into the runner (and, for pool runners, across the
-        # process boundary).
-        remote = tracectx.parse_traceparent(
-            self.headers.get(tracectx.TRACEPARENT_HEADER)
-        )
-        if remote is None:
-            record = self.server.queue.submit(spec, deadline_s=deadline_s)
-        else:
-            admit_ctx = remote.child()
-            job_ctx = remote.child()
-            started = time.time()
-            try:
-                record = self.server.queue.submit(
-                    spec,
-                    deadline_s=deadline_s,
-                    trace=tracectx.encode(job_ctx),
-                )
-            finally:
-                tracectx.record_span(
-                    "admission",
-                    admit_ctx,
-                    started,
-                    time.time(),
-                    attrs={"path": "/v1/experiments"},
-                )
+        record = self.server.queue.submit(spec, deadline_s=deadline_s)
         self._send_json(202, record.snapshot())
 
     def _status(self, job_id: str) -> None:
@@ -542,9 +358,6 @@ class ExperimentServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
-    #: Tail-poll interval for SSE streams: bounds both the keepalive
-    #: cadence and how fast an abandoned stream notices the disconnect.
-    sse_keepalive_s = 5.0
 
     def __init__(
         self,

@@ -17,9 +17,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
-
-from repro.obs import tracectx
+from typing import Any, Dict, Optional
 
 
 @dataclass
@@ -31,9 +29,6 @@ class Response:
     retry_after_s: Optional[int] = None
     #: Transport-level failure detail when ``status == 0``.
     transport_error: Optional[str] = None
-    #: The raw (decoded) response body; non-JSON endpoints such as the
-    #: Prometheus ``/metrics`` exposition are read from here.
-    text: str = ""
 
     @property
     def ok(self) -> bool:
@@ -69,15 +64,6 @@ class ServerClient:
         headers: Dict[str, str] = (
             {"Content-Type": "application/json"} if data is not None else {}
         )
-        # Distributed tracing: when a trace context is active on this
-        # thread, mint a child span for the HTTP exchange and carry it
-        # to the server in the Traceparent header; server-side spans
-        # become this span's children.
-        ctx = tracectx.child_context()
-        if ctx is not None:
-            headers[tracectx.TRACEPARENT_HEADER] = (
-                tracectx.format_traceparent(ctx)
-            )
         req = urllib.request.Request(
             self.base_url + path,
             data=data,
@@ -85,7 +71,6 @@ class ServerClient:
             headers=headers,
         )
         timeout = timeout_s if timeout_s is not None else self.timeout_s
-        started = time.time()
         try:
             with urllib.request.urlopen(req, timeout=timeout) as resp:
                 response = self._parse(resp.status, resp)
@@ -97,20 +82,6 @@ class ServerClient:
                 status=0,
                 transport_error=f"{type(exc).__name__}: {exc}",
             )
-        if ctx is not None:
-            tracectx.record_span(
-                f"http {method} {path}",
-                ctx,
-                started,
-                time.time(),
-                attrs={"status": response.status},
-            )
-            # Server-collected spans ride home on terminal result
-            # payloads; fold them into the local recorder so one export
-            # holds the whole client/server/worker waterfall.
-            shipped = response.body.get("spans")
-            if isinstance(shipped, list):
-                tracectx.ingest(shipped)
         return response
 
     @staticmethod
@@ -123,16 +94,13 @@ class ServerClient:
             except ValueError:
                 retry_after = None
         raw = resp.read() or b""
-        text = raw.decode("utf-8", errors="replace")
         try:
             body = json.loads(raw or b"{}")
         except ValueError:
             body = {}
         if not isinstance(body, dict):
             body = {"body": body}
-        return Response(
-            status=status, body=body, retry_after_s=retry_after, text=text
-        )
+        return Response(status=status, body=body, retry_after_s=retry_after)
 
     # ------------------------------------------------------------- #
     # Endpoint wrappers
@@ -162,9 +130,6 @@ class ServerClient:
     def stats(self) -> Response:
         return self.request("GET", "/v1/stats")
 
-    def metrics(self) -> Response:
-        return self.request("GET", "/metrics")
-
     def healthz(self) -> Response:
         return self.request("GET", "/healthz")
 
@@ -191,63 +156,6 @@ class ServerClient:
             if time.monotonic() >= deadline:
                 return resp
             time.sleep(poll_s)
-
-    def stream_events(
-        self,
-        job_id: str,
-        last_event_id: Optional[str] = None,
-        timeout_s: Optional[float] = None,
-    ) -> Iterator[Dict[str, Any]]:
-        """Consume the job's server-sent-event stream.
-
-        Yields one dict per SSE frame: ``{"id": ..., "event": ...,
-        "data": <parsed JSON or raw string>}``.  Pass ``last_event_id``
-        to resume after a disconnect without replaying delivered
-        events.  The generator ends when the server closes the stream
-        (terminal job state) or the socket drops.
-        """
-        headers: Dict[str, str] = {"Accept": "text/event-stream"}
-        if last_event_id is not None:
-            headers["Last-Event-ID"] = str(last_event_id)
-        req = urllib.request.Request(
-            self.base_url + f"/v1/experiments/{job_id}/events",
-            headers=headers,
-        )
-        timeout = timeout_s if timeout_s is not None else self.timeout_s
-        try:
-            resp = urllib.request.urlopen(req, timeout=timeout)
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            return
-        except (urllib.error.URLError, OSError, TimeoutError):
-            return
-        try:
-            frame: Dict[str, Any] = {}
-            for raw in resp:
-                line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
-                if not line:
-                    if "data" in frame or "event" in frame:
-                        data = frame.get("data", "")
-                        try:
-                            frame["data"] = json.loads(data)
-                        except ValueError:
-                            frame["data"] = data
-                        yield frame
-                    frame = {}
-                    continue
-                if line.startswith(":"):
-                    continue  # keepalive comment
-                field_name, _, value = line.partition(":")
-                if value.startswith(" "):
-                    value = value[1:]
-                if field_name == "data" and "data" in frame:
-                    frame["data"] += "\n" + value
-                else:
-                    frame[field_name] = value
-        except (OSError, TimeoutError):
-            return
-        finally:
-            resp.close()
 
     def wait_ready(self, timeout_s: float = 10.0) -> bool:
         """Poll ``/readyz`` until the server answers ready."""

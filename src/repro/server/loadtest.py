@@ -100,22 +100,14 @@ def _one_request(
     spec: Dict[str, Any],
     wait_timeout_s: float,
 ) -> Dict[str, Any]:
-    """Submit one experiment and ride it to a terminal state.
-
-    Each request runs under its own root trace context, so its
-    ``trace_id`` (stamped into the sample row, and from there into
-    ``run_table.csv``) joins the client-side latency sample against
-    the server-side spans for the same request.
-    """
+    """Submit one experiment and ride it to a terminal state."""
     started = time.monotonic()
-    ctx = obs.tracectx.new_context()
-    with obs.tracectx.activate(ctx):
-        submit = client.submit(spec)
-        if submit.status != 202:
-            final = submit
-        else:
-            job_id = submit.body.get("job_id", "")
-            final = client.wait(job_id, timeout_s=wait_timeout_s)
+    submit = client.submit(spec)
+    if submit.status != 202:
+        final = submit
+    else:
+        job_id = submit.body.get("job_id", "")
+        final = client.wait(job_id, timeout_s=wait_timeout_s)
     latency_s = time.monotonic() - started
     return {
         "outcome": _classify(final, submit),
@@ -123,7 +115,6 @@ def _one_request(
         "latency_s": latency_s,
         "submit_status": submit.status,
         "final_status": final.status,
-        "trace_id": ctx.trace_id,
     }
 
 

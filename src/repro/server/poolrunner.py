@@ -1,9 +1,8 @@
 """A persistent process-pool runner for the experiment server.
 
 The default queue runner executes jobs on the queue's worker *threads*
--- correct, but every phase shares the server process, so a
-distributed trace never crosses a process boundary and a hot loop in
-one job stalls the GIL for all of them.  ``repro serve --pool N``
+-- correct, but every phase shares the server process, so a hot loop
+in one job stalls the GIL for all of them.  ``repro serve --pool N``
 swaps in :class:`PoolRunner`: a long-lived
 :class:`~concurrent.futures.ProcessPoolExecutor` built with the same
 worker initializer as the parallel harness engine (same simcache,
@@ -11,9 +10,8 @@ fault plan, cycle backend, quiet flag), so a served job runs
 in a genuinely separate process.
 
 Telemetry crosses back exactly like the harness path: each job returns
-its obs-counter delta and its recorded trace spans, the runner merges
-both into the server process, and the queue's completion path ships
-them to the client.  A broken pool is rebuilt (bounded) and surfaces
+its obs-counter delta and the runner merges it into the server
+process.  A broken pool is rebuilt (bounded) and surfaces
 as :class:`~repro.errors.WorkerCrashError`, which the queue's pool
 breaker already understands.
 """
@@ -141,16 +139,11 @@ class PoolRunner:
 
     def __call__(self, job: Any) -> Any:
         pool = self._get_pool()
-        trace = obs.tracectx.encode(obs.tracectx.current())
         try:
             future = pool.submit(
-                parallel._worker_experiment,
-                job,
-                job.cell_key(),
-                1,
-                trace,
+                parallel._worker_experiment, job, job.cell_key(), 1
             )
-            result, failure, delta, spans = future.result(
+            result, failure, delta = future.result(
                 timeout=self.job_timeout_s
             )
         except BrokenProcessPool as exc:
@@ -169,7 +162,6 @@ class PoolRunner:
             ) from exc
         _POOL_JOBS.add()
         obs.counters.merge(delta)
-        obs.tracectx.ingest(spans)
         if failure is not None:
             raise _rebuild_exception(failure)
         return result

@@ -24,10 +24,6 @@ sequencing:
   feeds the ``simcache`` breaker, and while that breaker is open jobs
   run with the persistent cache bypassed rather than being shed --
   correctness never depended on the cache, only latency did.
-- **Progress streaming**: an :func:`obs.add_tap` subscription captures
-  the simulator's ``sim_heartbeat`` events (PR 5's ETA telemetry) on
-  the worker thread that emitted them and buffers the most recent ones
-  per job for the status endpoint.
 """
 
 from __future__ import annotations
@@ -36,16 +32,14 @@ import contextlib
 import queue as queue_mod
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults, obs
 from repro.errors import (
     AdmissionRejectedError,
     CacheCorruptionError,
     SimulationTimeoutError,
-    WorkerCrashError,
     is_retryable,
 )
 from repro.harness import simcache
@@ -69,12 +63,6 @@ _CORRUPT = obs.counters.counter("harness.simcache.corrupt_entries")
 
 _WAIT_HIST = obs.counters.histogram("server.queue.wait_seconds")
 _SERVICE_HIST = obs.counters.histogram("server.queue.service_seconds")
-
-#: Events the tap buffers per job for the status endpoint.
-_STREAMED_EVENTS = frozenset({"sim_heartbeat"})
-
-#: Per-job progress ring size.
-EVENT_BUFFER = 32
 
 #: Error class names that indicate the *worker pool* (not the job's own
 #: configuration) is unhealthy, and should trip the pool breaker.
@@ -117,21 +105,6 @@ class JobRecord:
     attached: List[str] = field(default_factory=list)
     error: Optional[Dict[str, Any]] = None
     result: Optional[Any] = None
-    events: Deque[Dict[str, Any]] = field(
-        default_factory=lambda: deque(maxlen=EVENT_BUFFER)
-    )
-    #: Monotonic per-job event sequence (``Last-Event-ID`` resume).
-    event_seq: int = 0
-    #: Encoded :class:`~repro.obs.tracectx.TraceContext` this job runs
-    #: under (None when the submit carried no traceparent).
-    trace: Optional[Dict[str, Any]] = None
-    #: Server/worker span records collected at completion, shipped to
-    #: the client on the result payload.
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def trace_id(self) -> Optional[str]:
-        return self.trace.get("trace_id") if self.trace else None
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe status view (no pickled result payload)."""
@@ -145,10 +118,7 @@ class JobRecord:
             "finished_at": self.finished_at,
             "deadline_s": self.deadline_s,
             "dedup_of": self.dedup_of,
-            "events": list(self.events),
         }
-        if self.trace_id:
-            out["trace_id"] = self.trace_id
         if self.error is not None:
             out["error"] = self.error
         return out
@@ -162,16 +132,11 @@ class JobRecord:
             if isinstance(self.result, dict)
             else result_row(self.result)
         )
-        out = {
+        return {
             "job_id": self.job_id,
             "cell_key": self.cell_key,
             "row": row,
         }
-        if self.trace_id:
-            out["trace_id"] = self.trace_id
-        if self.spans:
-            out["spans"] = list(self.spans)
-        return out
 
 
 Runner = Callable[[Any], Any]
@@ -208,21 +173,16 @@ class JobQueue:
         self._jobs: Dict[str, JobRecord] = {}
         self._inflight: Dict[str, str] = {}  # cell_key -> primary job_id
         self._lock = threading.RLock()
-        self._running_by_thread: Dict[int, str] = {}
         self._next_number = 1
         self._closed = False
         self._threads: List[threading.Thread] = []
         self._idle = threading.Condition(self._lock)
         self._running_count = 0
-        #: Notified on every buffered progress event and every terminal
-        #: transition; SSE tails block on it instead of polling.
-        self._events = threading.Condition(self._lock)
 
     # ------------------------------------------------------------- #
     # Lifecycle
 
     def start(self) -> None:
-        obs.add_tap(self._tap)
         for i in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -256,7 +216,6 @@ class JobQueue:
                     submitted_at=float(record.get("ts", 0.0)),
                     _enqueued_mono=time.monotonic(),
                     deadline_s=self.default_deadline_s,
-                    trace=record.get("trace"),
                 )
                 self._jobs[job_id] = rec
                 self._attach_or_enqueue(rec)
@@ -277,7 +236,6 @@ class JobQueue:
             self._tasks.put(_STOP)
         for thread in self._threads:
             thread.join(timeout=5.0)
-        obs.remove_tap(self._tap)
         self.state.close()
         return drained
 
@@ -304,7 +262,6 @@ class JobQueue:
         self,
         raw_spec: Any,
         deadline_s: Optional[float] = None,
-        trace: Optional[Dict[str, Any]] = None,
     ) -> JobRecord:
         """Validate, admit, durably record, and enqueue one job.
 
@@ -337,7 +294,7 @@ class JobQueue:
             faults.raise_if("queue.enqueue", key=cell_key)
             job_id = f"job-{self._next_number:06d}"
             self._next_number += 1
-            self.state.record_accept(job_id, cell_key, spec, trace=trace)
+            self.state.record_accept(job_id, cell_key, spec)
             record = JobRecord(
                 job_id=job_id,
                 spec=spec,
@@ -349,7 +306,6 @@ class JobQueue:
                     if deadline_s is not None
                     else self.default_deadline_s
                 ),
-                trace=trace,
             )
             self._jobs[job_id] = record
             _SUBMITTED.add()
@@ -422,7 +378,6 @@ class JobQueue:
             record.state = JobState.CANCELLED
             record.finished_at = round(time.time(), 3)
             _CANCELLED.add()
-            self._events.notify_all()
             if record.dedup_of:
                 primary = self._jobs.get(record.dedup_of)
                 if primary and job_id in primary.attached:
@@ -431,80 +386,6 @@ class JobQueue:
 
     # ------------------------------------------------------------- #
     # Worker side
-
-    def _tap(self, event: Dict[str, Any]) -> None:
-        if event.get("event") not in _STREAMED_EVENTS:
-            return
-        job_id = self._running_by_thread.get(threading.get_ident())
-        if job_id is None:
-            return
-        record = self._jobs.get(job_id)
-        if record is None:
-            return
-        filtered = {
-            k: event[k]
-            for k in (
-                "event",
-                "ts",
-                "progress_pct",
-                "eta_s",
-                "cycles",
-                "committed",
-                "wall_s",
-            )
-            if k in event
-        }
-        # Sequence numbers are per job and never reused, so an SSE
-        # client reconnecting with Last-Event-ID resumes exactly after
-        # the last frame it saw -- even when the ring has rotated.
-        with self._events:
-            record.event_seq += 1
-            filtered["seq"] = record.event_seq
-            record.events.append(filtered)
-            self._events.notify_all()
-
-    # ------------------------------------------------------------- #
-    # Event streaming (SSE)
-
-    def events_since(
-        self, job_id: str, after_seq: int = 0
-    ) -> Optional[Tuple[List[Dict[str, Any]], bool]]:
-        """Buffered events with ``seq > after_seq`` plus a terminal
-        flag; ``None`` for an unknown job."""
-        with self._lock:
-            record = self._jobs.get(job_id)
-            if record is None:
-                return None
-            fresh = [
-                dict(e) for e in record.events
-                if e.get("seq", 0) > after_seq
-            ]
-            return fresh, record.state in JobState.TERMINAL
-
-    def wait_events(
-        self, job_id: str, after_seq: int, timeout_s: float
-    ) -> Optional[Tuple[List[Dict[str, Any]], bool]]:
-        """Block until the job buffers an event past ``after_seq`` or
-        reaches a terminal state, bounded by ``timeout_s`` (returns
-        ``([], False)`` on timeout so SSE handlers can emit a keepalive
-        and re-check the connection)."""
-        deadline = time.monotonic() + timeout_s
-        with self._events:
-            while True:
-                record = self._jobs.get(job_id)
-                if record is None:
-                    return None
-                fresh = [
-                    dict(e) for e in record.events
-                    if e.get("seq", 0) > after_seq
-                ]
-                terminal = record.state in JobState.TERMINAL
-                if fresh or terminal:
-                    return fresh, terminal
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return [], False
-                self._events.wait(min(remaining, 0.25))
 
     def _worker_loop(self) -> None:
         while True:
@@ -551,15 +432,8 @@ class JobQueue:
             record.state = JobState.RUNNING
             record.started_at = round(time.time(), 3)
             self._running_count += 1
-            self._running_by_thread[threading.get_ident()] = job_id
         started = time.monotonic()
         _WAIT_HIST.observe(max(0.0, started - record._enqueued_mono))
-        jctx = obs.tracectx.decode(record.trace)
-        activation = (
-            obs.tracectx.activate(jctx)
-            if jctx is not None
-            else contextlib.nullcontext()
-        )
         use_cache = self.cache_breaker.allow()
         if not use_cache:
             _CACHE_BYPASSED.add()
@@ -571,18 +445,16 @@ class JobQueue:
                 if use_cache
                 else simcache.disabled()
             )
-            with ctx, activation:
+            with ctx:
                 result = self._runner(job)
         except Exception as exc:  # noqa: BLE001 - classified below
             _SERVICE_HIST.observe(time.monotonic() - started)
-            self._collect_trace(record, jctx)
             self._note_breakers(exc, use_cache, corrupt_before)
             with self._lock:
                 self._fail(record, exc)
         else:
             elapsed = time.monotonic() - started
             _SERVICE_HIST.observe(elapsed)
-            self._collect_trace(record, jctx)
             self.pool_breaker.record_success()
             if use_cache:
                 if _CORRUPT.value > corrupt_before:
@@ -595,45 +467,12 @@ class JobQueue:
                 result,
                 benchmark=record.spec.get("benchmark"),
                 job_id=record.job_id,
-                trace_id=record.trace_id,
             )
             with self._lock:
                 self._complete(record, result)
         finally:
             with self._lock:
-                self._running_by_thread.pop(threading.get_ident(), None)
                 self._running_count -= 1
-
-    def _collect_trace(
-        self, record: JobRecord, jctx: Optional[Any]
-    ) -> None:
-        """Synthesize the queue-level spans and gather everything this
-        job's trace recorded (including spans merged back from pool
-        workers) onto the record for client delivery."""
-        if jctx is None:
-            return
-        now = time.time()
-        queue_wait = jctx.child()
-        obs.tracectx.record_span(
-            "queue.wait",
-            queue_wait,
-            record.submitted_at,
-            record.started_at or now,
-            attrs={"job_id": record.job_id},
-        )
-        obs.tracectx.record_span(
-            "job",
-            jctx,
-            record.submitted_at,
-            now,
-            attrs={
-                "job_id": record.job_id,
-                "cell_key": record.cell_key,
-            },
-        )
-        record.spans = [
-            s.to_dict() for s in obs.tracectx.take(jctx.trace_id)
-        ]
 
     def _note_breakers(
         self, exc: Exception, use_cache: bool, corrupt_before: int
@@ -667,10 +506,8 @@ class JobQueue:
                 continue
             rec.state = JobState.DONE
             rec.result = result
-            rec.spans = list(record.spans)
             rec.finished_at = round(time.time(), 3)
             _COMPLETED.add()
-        self._events.notify_all()
         obs.log_event(
             "server_job_done",
             level="info",
@@ -692,7 +529,6 @@ class JobQueue:
             rec.error = dict(error)
             rec.finished_at = round(time.time(), 3)
             _FAILED.add()
-        self._events.notify_all()
         obs.log_event(
             "server_job_failed",
             level="warning",

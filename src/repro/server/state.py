@@ -93,13 +93,11 @@ class ServerState:
         job_id: str,
         cell_key: str,
         spec: Dict[str, Any],
-        trace: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Durably remember an accepted job *before* it is acknowledged.
 
-        ``trace`` (the encoded trace context, when the submit carried a
-        traceparent) persists with the accept so a ``--resume``-ed job
-        keeps its distributed-trace lineage across the crash.
+        Ledgers written by older servers may carry extra keys (a
+        ``"trace"`` context); replay ignores them.
         """
         record = {
             "schema": ACCEPT_SCHEMA,
@@ -109,8 +107,6 @@ class ServerState:
             "spec": spec,
             "ts": round(time.time(), 3),
         }
-        if trace:
-            record["trace"] = trace
         self._append(record)
         self._accepted[job_id] = record
         _ACCEPTS.add()

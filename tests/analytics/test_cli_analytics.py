@@ -101,6 +101,14 @@ def test_analytics_query_bad_where_exits_2(store_dir, capsys):
     assert "COL=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["reslt", "span"])
+def test_analytics_query_unknown_kind_exits_2(store_dir, capsys, kind):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analytics", "query", "--kind", kind, "--store", store_dir])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_analytics_ingest_plain_file_exits_2(tmp_path, store_dir, capsys):
     plain = tmp_path / "snapshot.json"
     plain.write_text("{}")

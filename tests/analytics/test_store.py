@@ -348,52 +348,3 @@ def test_env_knobs(monkeypatch):
     assert default_store_dir() == "/tmp/somewhere"
     monkeypatch.delenv("REPRO_ANALYTICS_DIR")
     assert default_store_dir().endswith("repro-analytics")
-
-
-def test_ingest_span_rows(tmp_path):
-    out = _write_run_dir(tmp_path)
-    spans = [
-        {"name": "http POST /v1/experiments", "trace_id": "a" * 32,
-         "span_id": "1" * 16, "parent_span_id": None,
-         "start_s": 100.0, "end_s": 100.5, "process": "client", "tid": 1},
-        {"name": "simulate", "trace_id": "a" * 32, "span_id": "2" * 16,
-         "parent_span_id": "1" * 16, "start_s": 100.1, "end_s": 100.4,
-         "process": "pool-worker-7", "tid": 2},
-    ]
-    with open(out / "spans.jsonl", "w") as fh:
-        for span in spans:
-            fh.write(json.dumps(span) + "\n")
-        fh.write('{"name": "torn", "start_s": 1')  # crash mid-write
-    store = _store(tmp_path)
-    report = store.ingest_run(str(out))
-    # 1 result + 1 run + 2 spans; the torn tail is tolerated.
-    assert report.rows_ingested == 4
-    assert report.lines_damaged == 0
-    seg = next(iter(store.segments()))
-    kinds = seg.strings("kind")
-    assert kinds.count("span") == 2
-    i = kinds.index("span")
-    assert seg.strings("name")[i] == "http POST /v1/experiments"
-    assert seg.strings("trace_id")[i] == "a" * 32
-    assert seg.strings("process")[i] == "client"
-    assert float(seg.column("duration_s")[i]) == pytest.approx(0.5)
-
-
-def test_ingest_span_interior_damage_is_counted(tmp_path):
-    from repro import obs
-
-    out = _write_run_dir(tmp_path)
-    (out / "spans.jsonl").write_text(
-        "not json\n"
-        '{"name": "ok", "trace_id": "t", "span_id": "s",'
-        ' "start_s": 1.0, "end_s": 2.0, "process": "cli", "tid": 1}\n'
-    )
-    store = _store(tmp_path)
-    damaged = obs.counters.counter("analytics.ingest.damaged_lines")
-    before = damaged.value
-    store.ingest_run(str(out))
-    # Auxiliary-file damage is counted on the obs counter (the report's
-    # lines_damaged covers results.jsonl); the good span still ingests.
-    assert damaged.value == before + 1
-    seg = next(iter(store.segments()))
-    assert seg.strings("kind").count("span") == 1

@@ -1,9 +1,12 @@
-"""Simulator progress heartbeats: tap-driven emission, ETA semantics
-(``eta_s`` is null until instructions retire), and the ``--quiet``
-suppression gate -- under both engines the ``native`` backend can run:
-the reference ``Pipeline`` (no compiled kernel) and the C kernel, which
-emits heartbeats through its progress hook without building a
-``Pipeline``."""
+"""Simulator progress heartbeats: emission at debug level, ETA
+semantics (``eta_s`` is null until instructions retire), and the
+``--quiet`` suppression gate -- under both engines the ``native``
+backend can run: the reference ``Pipeline`` (no compiled kernel) and
+the C kernel, which emits heartbeats through its progress hook without
+building a ``Pipeline``."""
+
+import io
+import json
 
 import pytest
 
@@ -54,40 +57,51 @@ def kernels(monkeypatch):
     nativebuild.reset_probe()
 
 
+class _Beats:
+    """The ``sim_heartbeat`` events written to the debug JSON-lines sink."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def clear(self):
+        self.stream.seek(0)
+        self.stream.truncate()
+
+    def events(self):
+        records = map(json.loads, self.stream.getvalue().splitlines())
+        return [r for r in records if r["event"] == "sim_heartbeat"]
+
+
 @pytest.fixture
 def beats(monkeypatch):
-    """Collect sim_heartbeat events at a tiny cycle interval."""
+    """Debug logging into a buffer, heartbeats at a tiny cycle interval."""
     monkeypatch.setattr(pipeline, "HEARTBEAT_CYCLES", 25)
-    collected = []
-
-    def tap(event):
-        if event.get("event") == "sim_heartbeat":
-            collected.append(event)
-
-    obs.add_tap(tap)
-    yield collected
-    obs.remove_tap(tap)
+    stream = io.StringIO()
+    obs.configure(level="debug", stream=stream)
+    yield _Beats(stream)
+    obs.reset()
 
 
-def test_tap_triggers_heartbeats_with_progress_fields(
+def test_debug_logging_emits_heartbeats_with_progress_fields(
     monkeypatch, kernels, beats
 ):
     def no_pipeline(*args, **kwargs):
-        raise AssertionError("a tapped kernel run built the reference")
+        raise AssertionError("a heartbeating kernel run built the reference")
 
     for kernel in kernels():
         if kernel == "c":
             monkeypatch.setattr(pipeline, "Pipeline", no_pipeline)
         beats.clear()
         simulate(_alu_loop())
-        assert beats, f"{kernel}: no heartbeats despite an active tap"
-        for event in beats:
+        events = beats.events()
+        assert events, f"{kernel}: no heartbeats at debug level"
+        for event in events:
             assert HEARTBEAT_FIELDS <= set(event)
             assert 0.0 <= event["progress_pct"] <= 100.0
             assert event["eta_s"] is None or event["eta_s"] >= 0.0
-        cycles = [e["cycles"] for e in beats]
+        cycles = [e["cycles"] for e in events]
         assert cycles == sorted(cycles)
-        pcts = [e["progress_pct"] for e in beats]
+        pcts = [e["progress_pct"] for e in events]
         assert pcts == sorted(pcts)
 
 
@@ -99,15 +113,16 @@ def test_eta_is_null_until_instructions_retire(monkeypatch, kernels, beats):
     for kernel in kernels():
         beats.clear()
         simulate(_alu_loop())
-        assert beats[0]["committed"] == 0, kernel
-        assert beats[0]["eta_s"] is None, kernel
+        events = beats.events()
+        assert events[0]["committed"] == 0, kernel
+        assert events[0]["eta_s"] is None, kernel
         # Once instructions retire the projection becomes a real number.
         assert any(
-            e["eta_s"] is not None for e in beats if e["committed"] > 0
+            e["eta_s"] is not None for e in events if e["committed"] > 0
         ), kernel
 
 
-def test_quiet_suppresses_heartbeats_even_with_taps(kernels, beats):
+def test_quiet_suppresses_heartbeats_at_debug_level(kernels, beats):
     for kernel in kernels():
         beats.clear()
         obs.set_quiet(True)
@@ -115,16 +130,15 @@ def test_quiet_suppresses_heartbeats_even_with_taps(kernels, beats):
             simulate(_alu_loop())
         finally:
             obs.set_quiet(False)
-        assert beats == [], kernel
+        assert beats.events() == [], kernel
         simulate(_alu_loop())  # gate re-opens once quiet is lifted
-        assert beats, kernel
+        assert beats.events(), kernel
 
 
-def test_no_taps_no_debug_means_no_heartbeats(monkeypatch, kernels):
+def test_no_heartbeats_below_debug(monkeypatch, kernels):
     monkeypatch.setattr(pipeline, "HEARTBEAT_CYCLES", 25)
-    # With no taps and the level below debug the heartbeat branch is
-    # dead: log_event must never even be called with a heartbeat.
-    assert not obs.has_taps()
+    # Below debug the heartbeat branch is dead: log_event must never
+    # even be called with a heartbeat.
     assert not obs.is_enabled("debug")
     seen = []
     real = obs.log_event

@@ -184,58 +184,3 @@ def test_summary_without_window_renders(tmp_path):
     doc = render_html(load_run(str(tmp_path)))
     _assert_well_formed(doc)
     assert "?..?" in doc
-
-
-def _write_spans(tmp_path):
-    spans = [
-        {"name": "http POST /v1/experiments", "trace_id": "a" * 32,
-         "span_id": "1" * 16, "parent_span_id": None,
-         "start_s": 100.0, "end_s": 100.8, "process": "client", "tid": 1},
-        {"name": "queue.wait", "trace_id": "a" * 32, "span_id": "2" * 16,
-         "parent_span_id": "1" * 16, "start_s": 100.1, "end_s": 100.3,
-         "process": "server", "tid": 2},
-        {"name": "simulate", "trace_id": "a" * 32, "span_id": "3" * 16,
-         "parent_span_id": "2" * 16, "start_s": 100.3, "end_s": 100.7,
-         "process": "pool-worker-9", "tid": 3},
-    ]
-    with open(tmp_path / "spans.jsonl", "w") as fh:
-        for span in spans:
-            fh.write(json.dumps(span) + "\n")
-
-
-def test_waterfall_section_renders_spans(tmp_path):
-    _write_run(tmp_path)
-    _write_spans(tmp_path)
-    doc = render_html(load_run(str(tmp_path)))
-    _assert_well_formed(doc)
-    assert "Request waterfall" in doc
-    assert "http POST /v1/experiments" in doc
-    assert "queue.wait" in doc
-    assert "simulate" in doc
-    # Each row labels its originating process: the whole point is
-    # seeing client/server/worker on one timeline.
-    assert "[client]" in doc
-    assert "[pool-worker-9]" in doc
-
-
-def test_waterfall_section_hints_without_spans(tmp_path):
-    _write_run(tmp_path)
-    doc = render_html(load_run(str(tmp_path)))
-    _assert_well_formed(doc)
-    assert "Request waterfall" in doc
-    assert "spans.jsonl" in doc  # the hint names the missing artifact
-
-
-def test_waterfall_tolerates_damaged_span_lines(tmp_path):
-    _write_run(tmp_path)
-    (tmp_path / "spans.jsonl").write_text(
-        "garbage line\n"
-        + json.dumps({"name": "ok", "trace_id": "b" * 32,
-                      "span_id": "4" * 16, "parent_span_id": None,
-                      "start_s": 1.0, "end_s": 2.0,
-                      "process": "cli", "tid": 1}) + "\n"
-    )
-    doc = render_html(load_run(str(tmp_path)))
-    _assert_well_formed(doc)
-    assert "Request waterfall" in doc
-    assert "ok" in doc

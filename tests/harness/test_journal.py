@@ -1,6 +1,8 @@
 """Tests for the checkpoint/resume journal."""
 
+import base64
 import json
+import pickle
 
 import pytest
 
@@ -39,6 +41,20 @@ def test_records_carry_metadata(tmp_path):
     assert record["benchmark"] == "gcc"
     assert record["attempts"] == 2
     assert record["schema"] == JOURNAL_SCHEMA
+
+
+def test_record_with_trace_id_metadata_still_resumes(tmp_path):
+    """CLI journals once carried a ``trace_id`` in each record's
+    metadata; such a journal still resumes its cells."""
+    line = {"schema": JOURNAL_SCHEMA, "key": "cell-a", "benchmark": "gcc",
+            "attempts": 1, "trace_id": "a" * 32}
+    line["result_b64"] = base64.b64encode(
+        pickle.dumps({"cycles": 123})
+    ).decode("ascii")
+    (tmp_path / "journal.jsonl").write_text(json.dumps(line) + "\n")
+    journal = _journal(tmp_path)
+    journal.load()
+    assert journal.result_for("cell-a") == {"cycles": 123}
 
 
 def test_torn_tail_is_ignored_silently(tmp_path):

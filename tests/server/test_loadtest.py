@@ -51,11 +51,6 @@ def test_closed_loop_report_row(stub_server):
     expected = int(10.0 / (row["p95_latency_ms"] / 1000.0))
     assert row["max_concurrent_in_budget"] == expected
     assert len(report["samples"]) == 8
-    # Every request ran under its own trace: the per-request rows in
-    # run_table.csv can be joined against exported span waterfalls.
-    trace_ids = [s["trace_id"] for s in report["samples"]]
-    assert all(len(t) == 32 for t in trace_ids)
-    assert len(set(trace_ids)) == 8
     assert all(s["benchmark"] in ("gcc", "mcf") for s in report["samples"])
 
 

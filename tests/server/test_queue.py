@@ -15,8 +15,9 @@ from repro.errors import (
 )
 from repro.server.admission import AdmissionController
 from repro.server.breaker import CircuitBreaker
+from repro.server.jobspec import job_from_spec, normalize_spec
 from repro.server.queue import JobQueue, JobState
-from repro.server.state import ServerState
+from repro.server.state import ACCEPT_SCHEMA, ServerState
 
 
 def _row(job):
@@ -316,6 +317,54 @@ def test_resume_reenqueues_pending_and_registers_done(tmp_path):
         assert fresh.get("job-000002").state == JobState.DONE
         # New IDs continue after the highest ledgered ordinal.
         assert fresh.submit({"benchmark": "parser"}).job_id == "job-000003"
+    finally:
+        fresh.close()
+
+
+def test_resume_reads_state_with_trace_keys(tmp_path):
+    """Servers once stamped a ``"trace"`` context on accept records and a
+    ``trace_id`` on completions; such a state directory still resumes,
+    and the accept schema did not change (the key was always optional)."""
+    assert ACCEPT_SCHEMA == 1
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    done_spec, pending_spec = {"benchmark": "gcc"}, {"benchmark": "mcf"}
+    done_key = job_from_spec(normalize_spec(done_spec)).cell_key()
+    pending_key = job_from_spec(normalize_spec(pending_spec)).cell_key()
+    trace = {"trace_id": "a" * 32, "span_id": "1" * 16,
+             "parent_span_id": None}
+    with open(state_dir / "accepted.jsonl", "w", encoding="utf-8") as fh:
+        for job_id, key, spec in (("job-000001", done_key, done_spec),
+                                  ("job-000002", pending_key, pending_spec)):
+            fh.write(json.dumps({
+                "schema": 1, "op": "accept", "job_id": job_id, "key": key,
+                "spec": spec, "ts": 1.0, "trace": trace,
+            }) + "\n")
+    old = ServerState(str(state_dir))
+    old.record_completion(
+        done_key, {"benchmark": "gcc", "target": "L"}, benchmark="gcc",
+        job_id="job-000001", trace_id="a" * 32,
+    )
+    old.close()
+
+    ran = []
+
+    def runner(job):
+        ran.append(job.benchmark)
+        return _row(job)
+
+    fresh = JobQueue(ServerState(str(state_dir)), runner=runner, workers=1)
+    assert fresh.recover(resume=True) == 1
+    fresh.start()
+    try:
+        done = fresh.get("job-000001")
+        assert done.state == JobState.DONE
+        assert done.result_payload()["row"] == {
+            "benchmark": "gcc", "target": "L"
+        }
+        assert fresh.wait_idle(10.0)
+        assert fresh.get("job-000002").state == JobState.DONE
+        assert ran == ["mcf"]
     finally:
         fresh.close()
 
