@@ -1,20 +1,16 @@
-"""Fleet-scale result analytics: columnar run store and cross-run
-queries.
+"""Result analytics: a run store and cross-run queries.
 
 Every evaluation command leaves per-run artifacts (``manifest.json``,
-``results.jsonl``, ``run_table.csv``); at fleet scale that becomes
-millions of rows scattered across run directories with no way to ask
-longitudinal questions ("how has gmean ED² drift moved over the last N
-commits?", "which workload's stall mix regressed?").  This package is
-the longitudinal layer:
+``results.jsonl``, ``run_table.csv``) in its own directory.  This
+package collects them so longitudinal questions have an answer ("how
+has gmean ED² moved over the last N commits?", "which workload's stall
+mix regressed?"):
 
-- :mod:`repro.analytics.store` -- an append-friendly columnar run
-  store: run directories ingest into sealed typed columns built on the
-  general :mod:`repro.frontend.columns` array machinery, persisted as
-  schema-versioned binary segments written with atomic temp+rename
-  appends.  Degraded runs ingest as flagged
-  rows, never dropped; torn tails and damaged lines are tolerated and
-  counted.
+- :mod:`repro.analytics.store` -- an append-only run store: each
+  ingested run directory becomes one JSON run file of row dicts,
+  written with an atomic temp+fsync+rename.  Degraded runs ingest as
+  flagged rows, never dropped; torn tails and damaged lines are
+  tolerated and counted.
 - :mod:`repro.analytics.query` -- group-by / filter / gmean
   aggregation over the store: gmean trends per objective, stall-mix
   drift per workload, simcache hit rates, phase-wall trajectories.
@@ -26,20 +22,19 @@ completion unless ``REPRO_ANALYTICS=0``.
 
 from repro.analytics.store import (
     IngestReport,
+    RUN_FORMAT,
     RunStore,
-    SEGMENT_FORMAT,
     STORE_SCHEMA_VERSION,
     default_store_dir,
     ingest_enabled,
 )
-from repro.analytics.query import Frame, QueryResult, aggregate, gmean_trend
+from repro.analytics.query import QueryResult, aggregate, gmean_trend
 
 __all__ = [
-    "Frame",
     "IngestReport",
     "QueryResult",
+    "RUN_FORMAT",
     "RunStore",
-    "SEGMENT_FORMAT",
     "STORE_SCHEMA_VERSION",
     "aggregate",
     "default_store_dir",

@@ -1,159 +1,81 @@
-"""Cross-run queries over the columnar run store.
+"""Cross-run queries over the run store.
 
-A :class:`Frame` is a column-oriented view of the whole store (or any
-``kind`` slice of it): each requested column concatenated across
-segments, NaN/empty-filled where a segment lacks it.  Aggregations are
-group-by reductions over frames --
+Aggregations are group-by reductions over the store's row dicts --
 
 - ``gmean``  -- the paper's geometric-mean percentage improvement
   (via :func:`repro.harness.report.geometric_mean_pct` semantics);
 - ``mean`` / ``sum`` / ``count`` / ``min`` / ``max``.
 
-The reductions run as one tight loop over factorized group codes.
-Failed (flagged) rows and missing (NaN) values never contribute to an aggregate, but they are *counted*, so a
-degraded fleet still summarizes honestly.
+Failed (flagged) rows and missing values never contribute to an
+aggregate, but they are *counted*, so a degraded run still summarizes
+honestly.
 
-The canonical fleet questions get named helpers: :func:`gmean_trend`
-(gmean ED²/ED/energy per objective per run), :func:`stall_drift`
-(stall-mix per workload across runs), :func:`cache_hit_rate`,
-:func:`phase_walls` (t_trace/t_analysis/t_sim trajectories).
+The canonical cross-run questions get named helpers:
+:func:`gmean_trend` (gmean ED²/ED/energy per objective per run),
+:func:`stall_drift` (stall-mix per workload across runs),
+:func:`cache_hit_rate`, :func:`phase_walls`
+(t_trace/t_analysis/t_sim trajectories).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ConfigError
-from repro.frontend import columns as colmod
 from repro.analytics.store import RunStore
 
 #: Aggregations supported by :func:`aggregate`.
 AGGREGATIONS = ("gmean", "mean", "sum", "count", "min", "max")
 
 
-@dataclass
-class Frame:
-    """Columns concatenated across store segments."""
+def _as_float(value: Any) -> Optional[float]:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
 
-    n_rows: int = 0
-    numeric: Dict[str, Any] = field(default_factory=dict)
-    strings: Dict[str, List[str]] = field(default_factory=dict)
 
-    @classmethod
-    def from_store(
-        cls,
-        store: RunStore,
-        columns: Sequence[str],
-        kind: Optional[str] = None,
-        where: Optional[Mapping[str, Any]] = None,
-    ) -> "Frame":
-        """Materialize ``columns`` over the store.
+def select_rows(
+    store: RunStore,
+    kind: Optional[str] = None,
+    where: Optional[Mapping[str, Any]] = None,
+) -> Iterator[Dict[str, Any]]:
+    """The store's rows of row family ``kind`` passing every filter.
 
-        ``kind`` restricts to one row family (``result``, ``trace``,
-        ``run``); ``where`` applies exact-match filters
-        (string columns compare decoded values, numeric columns compare
-        as floats).  Both filters drop rows *before* concatenation so a
-        slice of a huge store only materializes what it selects.
-        """
-        want = list(dict.fromkeys(columns))
-        filters = dict(where or {})
-        if kind is not None:
-            filters["kind"] = kind
-        frame = cls()
-        numeric_chunks: Dict[str, List[Any]] = {c: [] for c in want}
-        string_chunks: Dict[str, List[List[str]]] = {}
-        for seg in store.segments():
-            keep = _segment_mask(seg, filters)
-            if keep is None:
+    A ``where`` filter matches a row when the values are equal as
+    numbers (when both parse as numbers) or equal as strings; a row
+    lacking the key never matches.
+    """
+    filters = [
+        (name, str(wanted), _as_float(wanted))
+        for name, wanted in (where or {}).items()
+    ]
+    for row in store.rows():
+        if kind is not None and row.get("kind") != kind:
+            continue
+        for name, wanted_s, wanted_f in filters:
+            value = row.get(name)
+            if value is None:
+                break
+            if wanted_f is not None and _as_float(value) == wanted_f:
                 continue
-            n_keep = len(keep)
-            if n_keep == 0:
-                continue
-            for name in want:
-                kind_of = seg.kinds.get(name)
-                if kind_of == "str":
-                    decoded = seg.strings(name) or []
-                    chunk = [decoded[i] for i in keep]
-                    string_chunks.setdefault(name, []).append(chunk)
-                    continue
-                col = seg.column(name)
-                if col is None:
-                    chunk = _nan_chunk(n_keep)
-                else:
-                    chunk = _take(col, keep)
-                numeric_chunks[name].append(chunk)
-            frame.n_rows += n_keep
-        for name in want:
-            if name in string_chunks:
-                merged: List[str] = []
-                for chunk in string_chunks[name]:
-                    merged.extend(chunk)
-                # A column that is a string in one segment must read as
-                # a string everywhere; numeric chunks of the same name
-                # would mean mixed plans across ingests.
-                frame.strings[name] = merged
-            else:
-                frame.numeric[name] = _concat(numeric_chunks[name])
-        return frame
-
-    def column(self, name: str):
-        if name in self.strings:
-            return self.strings[name]
-        return self.numeric.get(name)
-
-    def row(self, i: int, columns: Sequence[str]) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for name in columns:
-            col = self.column(name)
-            out[name] = col[i] if col is not None else None
-        return out
-
-
-def _segment_mask(seg, filters: Mapping[str, Any]) -> Optional[List[int]]:
-    """Row indices of ``seg`` passing every filter (None = no rows)."""
-    n = seg.n_rows
-    keep = list(range(n))
-    for name, wanted in filters.items():
-        kind_of = seg.kinds.get(name)
-        if kind_of is None:
-            return None  # the segment lacks the column entirely
-        if kind_of == "str":
-            decoded = seg.strings(name) or []
-            wanted_s = str(wanted)
-            keep = [i for i in keep if decoded[i] == wanted_s]
+            if str(value) != wanted_s:
+                break
         else:
-            col = seg.column(name)
-            wanted_f = float(wanted)
-            keep = [i for i in keep if float(col[i]) == wanted_f]
-        if not keep:
-            return None
-    return keep
+            yield row
 
 
-def _nan_chunk(n: int):
-    return colmod.float64_buffer(n, fill=math.nan)
-
-
-def _take(col, indices: List[int]):
-    n = len(col)
-    if len(indices) == n:
-        out = colmod.float64_buffer(n)
-        for i in range(n):
-            out[i] = col[i]
-        return out
-    out = colmod.float64_buffer(len(indices))
-    for j, i in enumerate(indices):
-        out[j] = col[i]
-    return out
-
-
-def _concat(chunks: List[Any]):
-    out = colmod.float64_buffer(0)
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+def _group_value(value: Any):
+    """A row value as a group key: numbers as floats, absent as ``""``."""
+    if value is None:
+        return ""
+    if isinstance(value, (int, float)):
+        return float(value)
+    return str(value)
 
 
 @dataclass
@@ -182,93 +104,60 @@ def aggregate(
 
     Returns one row per group: the group columns, ``value`` (the
     aggregate), and ``n`` (values that contributed).  Rows flagged
-    failed and NaN metric values are skipped-and-counted.
+    failed and missing or NaN metric values are skipped-and-counted.
     """
     if agg not in AGGREGATIONS:
         raise ConfigError(
             f"unknown aggregation {agg!r} (choose from "
             f"{', '.join(AGGREGATIONS)})"
         )
-    needed = list(group_by) + [metric, "failed"]
-    frame = Frame.from_store(store, needed, kind=kind, where=where)
-    result = QueryResult(n_input_rows=frame.n_rows)
-    if frame.n_rows == 0:
-        return result
-
-    values = frame.column(metric)
-    failed = frame.column("failed")
-    group_cols = [frame.column(g) for g in group_by]
-    if values is None or isinstance(values, list):
-        raise ConfigError(f"metric {metric!r} is not a numeric column")
-
-    # Factorize group keys -> dense codes.
-    key_codes: List[int] = []
-    key_index: Dict[Tuple, int] = {}
-    keys: List[Tuple] = []
-    n = frame.n_rows
-    for i in range(n):
-        key = tuple(
-            col[i] if isinstance(col[i], str) else float(col[i])
-            for col in group_cols
-        )
-        code = key_index.get(key)
-        if code is None:
-            code = len(keys)
-            key_index[key] = code
-            keys.append(key)
-        key_codes.append(code)
-
     use_log = agg == "gmean"
-    sums = [0.0] * len(keys)
-    counts = [0] * len(keys)
-    mins = [math.inf] * len(keys)
-    maxs = [-math.inf] * len(keys)
-    n_failed = 0
-    n_missing = 0
-
-    isnan = math.isnan
-    log = math.log
-    for i in range(n):
-        v = values[i]
-        if isnan(v):
-            n_missing += 1
+    result = QueryResult()
+    # group key -> [sum, count, min, max], in first-seen order
+    groups: Dict[Tuple, List[float]] = {}
+    for row in select_rows(store, kind=kind, where=where):
+        result.n_input_rows += 1
+        key = tuple(_group_value(row.get(g)) for g in group_by)
+        acc = groups.get(key)
+        if acc is None:
+            acc = groups[key] = [0.0, 0, math.inf, -math.inf]
+        v = row.get(metric)
+        if v is not None and not isinstance(v, (int, float)):
+            raise ConfigError(f"metric {metric!r} is not a numeric column")
+        if v is None or math.isnan(v):
+            result.n_missing_skipped += 1
             continue
-        if failed is not None and not include_failed and failed[i]:
-            n_failed += 1
+        if row.get("failed") and not include_failed:
+            result.n_failed_skipped += 1
             continue
-        code = key_codes[i]
+        v = float(v)
         if use_log:
             ratio = 1.0 - v / 100.0
             if ratio <= 0:
-                n_missing += 1
+                result.n_missing_skipped += 1
                 continue
-            v = log(ratio)
-        sums[code] += v
-        counts[code] += 1
-        if v < mins[code]:
-            mins[code] = v
-        if v > maxs[code]:
-            maxs[code] = v
+            v = math.log(ratio)
+        acc[0] += v
+        acc[1] += 1
+        acc[2] = min(acc[2], v)
+        acc[3] = max(acc[3], v)
 
-    result.n_failed_skipped = n_failed
-    result.n_missing_skipped = n_missing
-    for code, key in enumerate(keys):
-        count = counts[code]
+    for key, (total, count, low, high) in groups.items():
         row = dict(zip(group_by, key))
         if count == 0:
             value = math.nan
         elif agg == "count":
             value = float(count)
         elif agg == "sum":
-            value = sums[code]
+            value = total
         elif agg == "mean":
-            value = sums[code] / count
+            value = total / count
         elif agg == "min":
-            value = mins[code]
+            value = low
         elif agg == "max":
-            value = maxs[code]
+            value = high
         else:  # gmean of percent improvements
-            value = 100.0 * (1.0 - math.exp(sums[code] / count))
+            value = 100.0 * (1.0 - math.exp(total / count))
         row["value"] = value
         row["n"] = count
         result.rows.append(row)
@@ -288,7 +177,7 @@ def _sort_key(value: Any):
 
 
 # --------------------------------------------------------------------- #
-# Named fleet queries.
+# Named cross-run queries.
 # --------------------------------------------------------------------- #
 
 
@@ -325,12 +214,9 @@ def stall_drift(
     ``stall_*`` column present in the store is tracked.
     """
     if not categories:
-        names = set()
-        for seg in store.segments():
-            names.update(
-                k for k in seg.kinds if k.startswith("stall_")
-            )
-        categories = sorted(names)
+        categories = sorted({
+            k for row in store.rows() for k in row if k.startswith("stall_")
+        })
     where = {"benchmark": benchmark} if benchmark else None
     return {
         cat: aggregate(
@@ -354,7 +240,7 @@ def phase_walls(
     store: RunStore,
     phases: Sequence[str] = ("t_trace", "t_analysis", "t_sim"),
 ) -> Dict[str, QueryResult]:
-    """Total per-phase wall seconds per run: where fleet time goes."""
+    """Total per-phase wall seconds per run: where the time goes."""
     return {
         phase: aggregate(
             store, phase, group_by=("run_seq",), agg="sum",

@@ -1,77 +1,60 @@
-"""Append-friendly columnar run store.
+"""Append-only run store: one JSON document per ingest.
 
-One store is a directory of immutable binary *segments* plus a JSON
-index::
+One store is a directory of immutable run files plus a JSON index::
 
     <store>/
-      index.json                -- store schema, ingest log, next seq
-      segments/seg-000001.rcol  -- one ingest = one sealed segment
+      index.json              -- store schema, ingest log, next seq
+      runs/run-000001.json    -- one ingest = one run file
 
-Each segment holds a batch of result rows as typed columns built on the
-general :mod:`repro.frontend.columns` machinery: ``float64`` for every
-numeric key, ``int8`` for flags, and dictionary-encoded ``int64`` codes
-for strings (the per-segment dictionary lives in the header).  The
-on-disk format is a single JSON header line followed by the raw
-little-endian bytes of each column, so a segment loads with one
-``frombytes`` per column -- no per-row parsing ever happens after
-ingest.
+A run file is ``{"format": 1, "meta": {...}, "rows": [...]}``: the
+ingested rows as plain dicts, each stamped with the reserved keys
+``run_seq``, ``run_id``, ``commit``, ``kind``, ``schema`` and
+``failed``.  Queries group over the row dicts directly, so a new result
+column lands in the store with no format work.
 
-Writes are atomic (temp file + ``os.replace``) and append-only: a crash
-mid-ingest leaves the store exactly as it was.  Ingest is *lossless for
-good rows and loud for bad ones*: degraded runs (``degraded: true``
-manifests with :class:`JobFailure` rows) ingest as flagged rows, torn
-trailing lines are tolerated (the expected crash artifact), damaged
-interior lines and rows stamped with a newer schema than this code
-understands are counted, warned about, and skipped -- never silently
-mis-parsed.
+Writes are atomic (temp file + fsync + ``os.replace``) and append-only:
+a crash mid-ingest leaves the store exactly as it was.  Ingest is
+*lossless for good rows and loud for bad ones*: degraded runs
+(``degraded: true`` manifests with :class:`JobFailure` rows) ingest as
+flagged rows, torn trailing lines are tolerated (the expected crash
+artifact), damaged interior lines and rows stamped with a newer schema
+than this code understands are counted, warned about, and skipped --
+never silently mis-parsed.
 """
 
 from __future__ import annotations
 
 import glob
 import json
-import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.errors import ConfigError
-from repro.frontend import columns as colmod
 from repro.obs.manifest import (
     MANIFEST_NAME,
     RESULTS_NAME,
     RESULTS_SCHEMA_VERSION,
 )
 
-#: On-disk segment layout version (header + raw column bytes).
-SEGMENT_FORMAT = 1
+#: Run-file layout version (``{"format", "meta", "rows"}``).
+RUN_FORMAT = 1
 
-#: Store directory layout version (index.json + segments/).
-STORE_SCHEMA_VERSION = 1
+#: Store directory layout version (index.json + runs/).  Version 1 was
+#: the binary columnar segment layout (``segments/seg-*.rcol``).
+STORE_SCHEMA_VERSION = 2
 
 INDEX_NAME = "index.json"
-SEGMENT_DIR = "segments"
-SEGMENT_SUFFIX = ".rcol"
-_MAGIC = "rcol"
-
-#: Reserved columns every ingested row carries.
-#:   run_seq  -- monotonically increasing ingest sequence (the x axis);
-#:   kind     -- row family: result | run | trace;
-#:   schema   -- the results.jsonl record's stamped layout version
-#:               (1 for pre-stamp artifacts);
-#:   failed   -- 1 for JobFailure rows, else 0.
-RESERVED_STRING = ("kind", "run_id", "commit")
-RESERVED_INT = ("run_seq", "schema")
-RESERVED_FLAG = ("failed",)
+RUN_DIR = "runs"
 
 _ROWS = obs.counters.counter("analytics.ingest.rows")
 _FLAGGED = obs.counters.counter("analytics.ingest.flagged_rows")
 _DAMAGED = obs.counters.counter("analytics.ingest.damaged_lines")
 _REJECTED = obs.counters.counter("analytics.ingest.rejected_rows")
-_SEGMENTS = obs.counters.counter("analytics.ingest.segments")
+_RUNS = obs.counters.counter("analytics.ingest.runs")
 
 
 def ingest_enabled() -> bool:
@@ -102,34 +85,10 @@ class IngestReport:
     lines_damaged: int = 0
     skipped: bool = False
     reason: str = ""
-    segment: str = ""
+    path: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         return dict(self.__dict__)
-
-
-@dataclass
-class Segment:
-    """One loaded segment: sealed columns + per-column dictionaries."""
-
-    path: str
-    n_rows: int
-    meta: Dict[str, Any]
-    kinds: Dict[str, str]
-    data: Dict[str, Any]
-    dicts: Dict[str, List[str]] = field(default_factory=dict)
-
-    def column(self, name: str):
-        """The sealed column, or ``None`` when this segment lacks it."""
-        return self.data.get(name)
-
-    def strings(self, name: str) -> Optional[List[str]]:
-        """Decode a dictionary column into its row-aligned strings."""
-        codes = self.data.get(name)
-        if codes is None:
-            return None
-        words = self.dicts.get(name, [])
-        return [words[c] if 0 <= c < len(words) else "" for c in codes]
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
@@ -150,69 +109,12 @@ def _atomic_write(path: str, payload: bytes) -> None:
         raise
 
 
-def _plan_columns(rows: Sequence[Mapping[str, Any]]) -> Dict[str, str]:
-    """Decide each key's column kind from the union of row values.
-
-    Strings dictionary-encode; everything numeric (bool included) is a
-    ``float64`` column except the reserved integer/flag columns.  A key
-    holding both strings and numbers across rows is a string column
-    (the numbers stringify) -- mixed-type keys come from hand-edited
-    artifacts and must not silently drop values.
-    """
-    kinds: Dict[str, str] = {}
-    for name in RESERVED_STRING:
-        kinds[name] = "str"
-    for name in RESERVED_INT:
-        kinds[name] = "int64"
-    for name in RESERVED_FLAG:
-        kinds[name] = "int8"
-    for row in rows:
-        for key, value in row.items():
-            if key in kinds and kinds[key] != "str":
-                if isinstance(value, str) and key not in (
-                    RESERVED_INT + RESERVED_FLAG
-                ):
-                    kinds[key] = "str"
-                continue
-            if key in kinds:
-                continue
-            if isinstance(value, str):
-                kinds[key] = "str"
-            elif isinstance(value, bool):
-                kinds[key] = "int8"
-            elif isinstance(value, (int, float)):
-                kinds[key] = "float64"
-            elif value is None:
-                continue  # decide from a later row that has a value
-            else:
-                kinds[key] = "str"  # lists/dicts stringify
-    return kinds
-
-
-def _coerce(value: Any, kind: str):
-    if kind == "float64":
-        if value is None:
-            return math.nan
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            return math.nan
-    if kind == "int8":
-        return 1 if value else 0
-    if kind == "int64":
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            return -1
-    raise AssertionError(kind)  # pragma: no cover
-
-
 class RunStore:
-    """The columnar run store rooted at one directory."""
+    """The run store rooted at one directory."""
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_store_dir()
-        self._segment_cache: Dict[str, Segment] = {}
+        self._run_cache: Dict[str, List[Dict[str, Any]]] = {}
 
     # -- index ---------------------------------------------------------- #
 
@@ -234,11 +136,19 @@ class RunStore:
             raise ConfigError(
                 f"unreadable analytics store index {self.index_path}: {exc}"
             ) from exc
-        if index.get("store_schema", 0) > STORE_SCHEMA_VERSION:
+        schema = index.get("store_schema", 0)
+        if schema > STORE_SCHEMA_VERSION:
             raise ConfigError(
-                f"analytics store {self.root} has schema "
-                f"{index.get('store_schema')}, newer than this code "
-                f"({STORE_SCHEMA_VERSION}); refusing to touch it"
+                f"analytics store {self.root} has schema {schema}, newer "
+                f"than this code ({STORE_SCHEMA_VERSION}); refusing to "
+                "touch it"
+            )
+        if schema < STORE_SCHEMA_VERSION:
+            raise ConfigError(
+                f"analytics store {self.root} has schema {schema}, the "
+                "old columnar segment format this code no longer reads; "
+                "use a new --store directory and re-ingest the run "
+                "directories"
             )
         return index
 
@@ -254,70 +164,51 @@ class RunStore:
             if rec.get("run_id")
         }
 
-    # -- segments ------------------------------------------------------- #
+    # -- run files ------------------------------------------------------ #
 
-    def segment_paths(self) -> List[str]:
-        pattern = os.path.join(
-            self.root, SEGMENT_DIR, f"seg-*{SEGMENT_SUFFIX}"
-        )
+    def run_paths(self) -> List[str]:
+        pattern = os.path.join(self.root, RUN_DIR, "run-*.json")
         return sorted(glob.glob(pattern))
 
-    def segments(self) -> Iterable[Segment]:
-        """Load every readable segment, skipping (and warning about)
-        segments written by a newer format."""
-        for path in self.segment_paths():
-            seg = self._load_segment(path)
-            if seg is not None:
-                yield seg
+    def rows(self) -> Iterator[Dict[str, Any]]:
+        """Every row of every readable run file, in ingest order.
 
-    def _load_segment(self, path: str) -> Optional[Segment]:
-        cached = self._segment_cache.get(path)
+        Run files written by a newer format, or unreadable ones, are
+        skipped with a warning.
+        """
+        self._load_index()  # refuses stores this code cannot read
+        for path in self.run_paths():
+            yield from self._load_run(path)
+
+    def _load_run(self, path: str) -> List[Dict[str, Any]]:
+        cached = self._run_cache.get(path)
         if cached is not None:
             return cached
         try:
-            with open(path, "rb") as fh:
-                header_line = fh.readline()
-                header = json.loads(header_line)
-                if header.get("magic") != _MAGIC:
-                    raise ValueError("bad magic")
-                if header.get("format", 0) > SEGMENT_FORMAT:
-                    obs.log_event(
-                        "analytics_segment_skipped",
-                        level="warning",
-                        path=path,
-                        format=header.get("format"),
-                    )
-                    return None
-                raw = fh.read()
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict) or not isinstance(
+                doc.get("rows"), list
+            ):
+                raise ValueError("not a run document")
         except (OSError, ValueError) as exc:
             obs.log_event(
-                "analytics_segment_unreadable",
+                "analytics_run_unreadable",
                 level="warning",
                 path=path,
                 error=str(exc),
             )
-            return None
-        data: Dict[str, Any] = {}
-        kinds: Dict[str, str] = {}
-        offset = 0
-        for spec in header.get("columns", []):
-            name, kind, nbytes = spec["name"], spec["kind"], spec["nbytes"]
-            stored = "int64" if kind == "str" else kind
-            data[name] = colmod.column_from_bytes(
-                raw[offset:offset + nbytes], stored
+            return []
+        if doc.get("format", 0) > RUN_FORMAT:
+            obs.log_event(
+                "analytics_run_skipped",
+                level="warning",
+                path=path,
+                format=doc.get("format"),
             )
-            kinds[name] = kind
-            offset += nbytes
-        seg = Segment(
-            path=path,
-            n_rows=int(header.get("n_rows", 0)),
-            meta=header.get("meta", {}),
-            kinds=kinds,
-            data=data,
-            dicts=header.get("dicts", {}),
-        )
-        self._segment_cache[path] = seg
-        return seg
+            return []
+        self._run_cache[path] = doc["rows"]
+        return doc["rows"]
 
     # -- append --------------------------------------------------------- #
 
@@ -330,11 +221,11 @@ class RunStore:
         meta: Optional[Mapping[str, Any]] = None,
         force: bool = False,
     ) -> IngestReport:
-        """Seal ``rows`` into one new segment (the ingest primitive).
+        """Write ``rows`` as one new run file (the ingest primitive).
 
-        Every row gets the reserved columns; ``run_id`` dedups repeat
-        ingests of the same run unless ``force``.  The segment file
-        lands atomically, then the index records the ingest.
+        Every row gets the reserved keys; ``run_id`` dedups repeat
+        ingests of the same run unless ``force``.  The run file lands
+        atomically, then the index records the ingest.
         """
         report = IngestReport(source=source or run_id, run_id=run_id)
         index = self._load_index()
@@ -352,6 +243,11 @@ class RunStore:
         seq = int(index.get("next_seq", 1))
         full_rows: List[Dict[str, Any]] = []
         for row in rows:
+            # Reserved keys: run_seq is the ingest sequence (the x
+            # axis); kind is the row family (result | run | trace);
+            # schema is the results.jsonl record's stamped layout
+            # version (1 for pre-stamp artifacts); failed is 1 for
+            # JobFailure rows, else 0.
             full = {
                 "run_seq": seq,
                 "run_id": run_id,
@@ -366,67 +262,20 @@ class RunStore:
                 full[key] = value
             full_rows.append(full)
 
-        kinds = _plan_columns(full_rows)
-        names = sorted(kinds)
-        dicts: Dict[str, List[str]] = {}
-        encoders: Dict[str, Dict[str, int]] = {}
-        buffers: Dict[str, Any] = {}
-        n = len(full_rows)
-        for name in names:
-            kind = kinds[name]
-            if kind == "str":
-                dicts[name] = []
-                encoders[name] = {}
-                buffers[name] = colmod.int64_buffer(n, fill=-1)
-            elif kind == "int64":
-                buffers[name] = colmod.int64_buffer(n)
-            elif kind == "int8":
-                buffers[name] = colmod.int8_buffer(n)
-            else:
-                buffers[name] = colmod.float64_buffer(n, fill=math.nan)
-        for i, row in enumerate(full_rows):
-            for name in names:
-                kind = kinds[name]
-                if kind == "str":
-                    if name not in row or row[name] is None:
-                        continue
-                    word = str(row[name])
-                    enc = encoders[name]
-                    code = enc.get(word)
-                    if code is None:
-                        code = len(dicts[name])
-                        enc[word] = code
-                        dicts[name].append(word)
-                    buffers[name][i] = code
-                elif name in row:
-                    buffers[name][i] = _coerce(row[name], kind)
-
-        specs = []
-        blobs = []
-        for name in names:
-            raw = colmod.column_to_bytes(buffers[name])
-            specs.append(
-                {"name": name, "kind": kinds[name], "nbytes": len(raw)}
-            )
-            blobs.append(raw)
-        header = {
-            "magic": _MAGIC,
-            "format": SEGMENT_FORMAT,
-            "n_rows": n,
-            "columns": specs,
-            "dicts": dicts,
+        doc = {
+            "format": RUN_FORMAT,
             "meta": dict(meta or {}, run_id=run_id, run_seq=seq,
                          source=source),
+            "rows": full_rows,
         }
-        payload = (
-            json.dumps(header, sort_keys=True, separators=(",", ":"))
-            .encode() + b"\n" + b"".join(blobs)
+        run_path = os.path.join(self.root, RUN_DIR, f"run-{seq:06d}.json")
+        _atomic_write(
+            run_path,
+            json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+            + b"\n",
         )
-        seg_path = os.path.join(
-            self.root, SEGMENT_DIR, f"seg-{seq:06d}{SEGMENT_SUFFIX}"
-        )
-        _atomic_write(seg_path, payload)
 
+        n = len(full_rows)
         index["next_seq"] = seq + 1
         index.setdefault("ingests", []).append({
             "seq": seq,
@@ -439,10 +288,10 @@ class RunStore:
             ),
         })
         self._save_index(index)
-        _SEGMENTS.add()
+        _RUNS.add()
         _ROWS.add(n)
         report.run_seq = seq
-        report.segment = seg_path
+        report.path = run_path
         report.rows_ingested = n
         report.rows_flagged = sum(r["failed"] for r in full_rows)
         _FLAGGED.add(report.rows_flagged)
@@ -631,11 +480,11 @@ class RunStore:
 
     def stats(self) -> Dict[str, Any]:
         index = self._load_index()
-        paths = self.segment_paths()
+        paths = self.run_paths()
         return {
             "dir": self.root,
             "store_schema": index.get("store_schema"),
-            "segments": len(paths),
+            "runs": len(paths),
             "ingests": len(index.get("ingests", [])),
             "rows": sum(
                 rec.get("rows", 0) for rec in index.get("ingests", [])

@@ -15,12 +15,12 @@ Commands mirror the paper's evaluation:
   attribution, and a per-event energy audit land in ``--out``
 - ``report [DIR]``       render a self-contained HTML report from a run
   directory's manifest/results/utrace artifacts
-- ``analytics ingest|query|stats``  the fleet-scale result analytics
-  layer: ingest run directories into the columnar run store and
-  aggregate cross-run trends (gmean per objective, stall-mix drift,
-  phase walls).  Runs with ``--out`` auto-ingest on completion
-  unless ``REPRO_ANALYTICS=0``; ``--store DIR`` (or
-  ``REPRO_ANALYTICS_DIR``) picks the store location
+- ``analytics ingest|query|stats``  the result analytics layer:
+  ingest run directories into the run store and aggregate cross-run
+  trends (gmean per objective, stall-mix drift, phase walls).  Runs
+  with ``--out`` auto-ingest on completion unless
+  ``REPRO_ANALYTICS=0``; ``--store DIR`` (or ``REPRO_ANALYTICS_DIR``)
+  picks the store location
 
 Every evaluation command accepts the global observability flags:
 
@@ -279,8 +279,8 @@ def _parser() -> argparse.ArgumentParser:
     # (argparse re-applies defaults), so the flags live on the actions.
     analytics = sub.add_parser(
         "analytics",
-        help="fleet-scale result analytics: ingest runs into the "
-        "columnar store and query cross-run trends",
+        help="result analytics: ingest runs into the run store and "
+        "query cross-run trends",
     )
     asub = analytics.add_subparsers(dest="action", required=True)
     a_ingest = asub.add_parser(
@@ -310,10 +310,11 @@ def _parser() -> argparse.ArgumentParser:
                          help="row family (default result)")
     a_query.add_argument("--where", action="append", default=None,
                          metavar="COL=VALUE",
-                         help="exact-match filter (repeatable)")
+                         help="exact-match filter, numeric or string "
+                         "(repeatable)")
     asub.add_parser(
         "stats", parents=[obs_flags],
-        help="store occupancy (segments, rows, bytes)",
+        help="store occupancy (runs, rows, bytes)",
     )
 
     chaos = sub.add_parser(
@@ -992,7 +993,12 @@ def _dispatch_analytics(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "stats":
-        print(json.dumps(store.stats(), indent=1, sort_keys=True))
+        try:
+            stats = store.stats()
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(json.dumps(stats, indent=1, sort_keys=True))
         return 0
 
     raise AssertionError("unreachable")  # pragma: no cover

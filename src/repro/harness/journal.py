@@ -22,9 +22,12 @@ every cell that already completed:
   the job's full configuration, :meth:`ExperimentJob.cell_key`), a
   human-readable summary, and the pickled :class:`ExperimentResult`
   payload, so resumed cells are bit-identical to freshly computed ones.
-- **Versioned**: records written by a different journal schema or
-  simulator code version are ignored on load (the cell re-runs), never
-  misinterpreted.
+- **Versioned**: records written under a different journal schema
+  (:data:`JOURNAL_SCHEMA`) are ignored on load (the cell re-runs),
+  never misinterpreted.  That is the only version check: the simulator
+  code version is *not* recorded, so ``--resume`` after editing the
+  simulator serves the cells journaled by the old code; run into a
+  fresh output directory to recompute them.
 
 Only *successful* cells are journaled; failed cells re-run on resume.
 """

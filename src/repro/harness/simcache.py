@@ -51,24 +51,6 @@ from repro.obs.manifest import stable_json
 #: Bump when the envelope layout or the meaning of cached payloads changes.
 SCHEMA_VERSION = 1
 
-#: Source files whose content defines the simulation semantics.  Editing
-#: any of them changes :func:`code_version` and invalidates the cache.
-_CODE_VERSION_MODULES = (
-    "repro.cpu.pipeline",
-    "repro.cpu.stats",
-    "repro.cpu.pthreads",
-    "repro.memory.hierarchy",
-    "repro.memory.cache",
-    "repro.memory.mshr",
-    "repro.branch.predictors",
-    "repro.branch.btb",
-    "repro.energy.wattch",
-    "repro.frontend.interpreter",
-    "repro.ddmt.augment",
-    "repro.pthsel.framework",
-    "repro.harness.experiment",
-)
-
 _ENTRY_SUFFIX = ".pkl"
 
 _HITS = obs.counters.counter("harness.simcache.hits")
@@ -81,28 +63,36 @@ _DEGRADATIONS = obs.counters.counter("harness.simcache.degradations")
 _code_version_cache: Optional[str] = None
 
 
-def code_version() -> str:
+def code_version(root: Optional[str] = None) -> str:
     """A short fingerprint of the simulator's source code.
 
-    Hashes the bytes of the modules in :data:`_CODE_VERSION_MODULES` plus
-    the package version, so cached results survive only as long as the
-    code that produced them.
+    Hashes every ``*.py`` and ``*.c`` file under ``root`` (default: the
+    installed ``repro`` package, memoized) in sorted relative-path
+    order, each preceded by its path, plus the package version.  Cached
+    results therefore survive only as long as the code that produced
+    them -- the C kernels and every analysis module included.
     """
     global _code_version_cache
-    if _code_version_cache is None:
-        import importlib
+    if root is None and _code_version_cache is not None:
+        return _code_version_cache
+    import repro
 
-        from repro import __version__
-
-        digest = hashlib.sha256(__version__.encode())
-        for name in _CODE_VERSION_MODULES:
-            module = importlib.import_module(name)
-            path = getattr(module, "__file__", None)
-            if path and os.path.exists(path):
-                with open(path, "rb") as fh:
-                    digest.update(fh.read())
-        _code_version_cache = digest.hexdigest()[:16]
-    return _code_version_cache
+    base = root or os.path.dirname(os.path.abspath(repro.__file__))
+    sources = sorted(
+        os.path.relpath(os.path.join(directory, name), base)
+        for directory, _, names in os.walk(base)
+        for name in names
+        if name.endswith((".py", ".c"))
+    )
+    digest = hashlib.sha256(repro.__version__.encode())
+    for rel in sources:
+        digest.update(rel.replace(os.sep, "/").encode() + b"\0")
+        with open(os.path.join(base, rel), "rb") as fh:
+            digest.update(fh.read())
+    version = digest.hexdigest()[:16]
+    if root is None:
+        _code_version_cache = version
+    return version
 
 
 def default_cache_dir() -> str:

@@ -49,8 +49,32 @@ def test_auto_ingest_on_run_with_out(tmp_path, store_dir, capsys,
     assert "ingested" in capsys.readouterr().err
     store = RunStore(store_dir)
     assert store.stats()["ingests"] == 1
-    seg = next(iter(store.segments()))
-    assert "result" in seg.strings("kind")
+    assert "result" in {row["kind"] for row in store.rows()}
+
+
+def test_auto_ingest_into_old_columnar_store_warns_and_exits_0(
+        tmp_path, store_dir, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_ANALYTICS", "1")
+    os.makedirs(os.path.join(store_dir, "segments"))
+    with open(os.path.join(store_dir, "index.json"), "w") as fh:
+        json.dump({"store_schema": 1, "next_seq": 1, "ingests": []}, fh)
+    out = str(tmp_path / "out")
+    assert main(["run", "gap", "--target", "E", "--out", out,
+                 "--store", store_dir, "--log-level", "warning"]) == 0
+    err = capsys.readouterr().err
+    events = [json.loads(line) for line in err.splitlines()
+              if line.startswith("{")]
+    (failed,) = [e for e in events
+                 if e["event"] == "analytics_auto_ingest_failed"]
+    assert failed["error"] == "ConfigError"
+    assert "re-ingest" in failed["detail"]
+    assert "ingested" not in err
+    assert sorted(os.listdir(store_dir)) == ["index.json", "segments"]
+    assert os.path.exists(os.path.join(out, "results.jsonl"))
+    # The analytics commands refuse it with the fix, not a traceback.
+    for action in (["stats"], ["query"], ["ingest", out]):
+        assert main(["analytics", *action, "--store", store_dir]) == 2
+        assert "re-ingest" in capsys.readouterr().err
 
 
 def test_analytics_ingest_query_stats_roundtrip(tmp_path, store_dir,
@@ -62,7 +86,7 @@ def test_analytics_ingest_query_stats_roundtrip(tmp_path, store_dir,
     assert main(["analytics", "ingest", out, "--store", store_dir]) == 0
     assert "run_seq 1" in capsys.readouterr().out
 
-    # Re-ingest dedups; --force appends a new segment.
+    # Re-ingest dedups; --force appends a new run file.
     assert main(["analytics", "ingest", out, "--store", store_dir]) == 0
     assert "skipped" in capsys.readouterr().out
     assert main(["analytics", "ingest", out, "--force",
@@ -71,7 +95,7 @@ def test_analytics_ingest_query_stats_roundtrip(tmp_path, store_dir,
 
     assert main(["analytics", "stats", "--store", store_dir]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert stats["segments"] == 2
+    assert stats["runs"] == 2
 
     assert main(["analytics", "query", "--metric", "speedup_pct",
                  "--agg", "mean", "--group-by", "run_seq,target",
@@ -93,6 +117,25 @@ def test_analytics_query_table_and_accounting(tmp_path, store_dir,
     assert "ed2_save_pct" not in captured.err
     assert "value" in captured.out
     assert "1 input rows" in captured.err
+
+
+def test_analytics_query_where_non_numeric_on_numeric_column(
+        store_dir, capsys):
+    RunStore(store_dir).append_rows(
+        [{"benchmark": "gcc", "target": "L", "memory_latency": 300,
+          "ed2_save_pct": 30.0}],
+        run_id="r1",
+    )
+    assert main(["analytics", "query", "--where", "memory_latency=abc",
+                 "--store", store_dir]) == 0
+    captured = capsys.readouterr()
+    assert "(no rows)" in captured.out
+    assert "Traceback" not in captured.err
+    assert main(["analytics", "query", "--where", "memory_latency=300",
+                 "--json", "--store", store_dir]) == 0
+    (row,) = [json.loads(line)
+              for line in capsys.readouterr().out.splitlines() if line]
+    assert row["target"] == "L" and row["n"] == 1
 
 
 def test_analytics_query_bad_where_exits_2(store_dir, capsys):

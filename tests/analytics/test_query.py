@@ -16,11 +16,11 @@ import pytest
 from repro.errors import ConfigError
 from repro.harness.report import geometric_mean_pct
 from repro.analytics.query import (
-    Frame,
     aggregate,
     cache_hit_rate,
     gmean_trend,
     phase_walls,
+    select_rows,
     stall_drift,
 )
 from repro.analytics.store import RunStore
@@ -122,11 +122,12 @@ def test_include_failed_opts_back_in(tmp_path):
 def test_missing_values_skipped_and_counted(tmp_path):
     store = _store(tmp_path)
     store.append_rows([{"benchmark": "a", "x": 2.0},
-                       {"benchmark": "a"}], run_id="r1")
+                       {"benchmark": "a"},
+                       {"benchmark": "a", "x": None}], run_id="r1")
     result = aggregate(store, "x", group_by=("benchmark",), agg="mean")
     assert result.rows[0]["value"] == 2.0
     assert result.rows[0]["n"] == 1
-    assert result.n_missing_skipped == 1
+    assert result.n_missing_skipped == 2
 
 
 def test_gmean_saturated_savings_skipped(tmp_path):
@@ -146,29 +147,66 @@ def test_empty_store_returns_empty_result(tmp_path):
     assert result.n_input_rows == 0
 
 
-def test_frame_kind_slicing(tmp_path):
+def test_kind_selects_row_family(tmp_path):
     store = _store(tmp_path)
     store.append_rows(
         [{"benchmark": "a", "x": 1.0},
          {"kind": "trace", "benchmark": "a", "ipc": 1.5}],
         run_id="r1",
     )
-    frame = Frame.from_store(store, ["benchmark", "x"], kind="result")
-    assert frame.n_rows == 1
-    assert frame.strings["benchmark"] == ["a"]
-    assert float(frame.numeric["x"][0]) == 1.0
-    trace = Frame.from_store(store, ["ipc"], kind="trace")
-    assert frame.n_rows == trace.n_rows == 1
+    (result,) = select_rows(store, kind="result")
+    assert (result["benchmark"], result["x"]) == ("a", 1.0)
+    (trace,) = select_rows(store, kind="trace")
+    assert trace["ipc"] == 1.5
+    assert len(list(select_rows(store))) == 2
 
 
-def test_frame_nan_fills_missing_columns(tmp_path):
+def test_column_missing_from_one_run_counts_as_missing(tmp_path):
     store = _store(tmp_path)
     store.append_rows([{"benchmark": "a", "x": 1.0}], run_id="r1")
     store.append_rows([{"benchmark": "b"}], run_id="r2")
-    frame = Frame.from_store(store, ["x"])
-    assert frame.n_rows == 2
-    assert float(frame.numeric["x"][0]) == 1.0
-    assert math.isnan(float(frame.numeric["x"][1]))
+    result = aggregate(store, "x", group_by=("run_seq",), agg="mean")
+    assert result.n_input_rows == 2
+    assert result.n_missing_skipped == 1
+    assert result.rows[0] == {"run_seq": 1.0, "value": 1.0, "n": 1}
+    assert result.rows[1]["n"] == 0
+    assert math.isnan(result.rows[1]["value"])
+
+
+def test_where_on_numeric_column_with_non_numeric_value(tmp_path):
+    store = _store(tmp_path)
+    store.append_rows([{"benchmark": "gcc", "memory_latency": 300,
+                        "ed2_save_pct": 20.0}], run_id="r1")
+    result = aggregate(store, "ed2_save_pct",
+                       where={"memory_latency": "abc"})
+    assert result.rows == []
+    assert result.n_input_rows == 0
+
+
+def test_where_numeric_value_matches_int(tmp_path):
+    store = _store(tmp_path)
+    store.append_rows(
+        [{"benchmark": "gcc", "memory_latency": 300, "ed2_save_pct": 20.0},
+         {"benchmark": "gcc", "memory_latency": 100, "ed2_save_pct": 5.0}],
+        run_id="r1",
+    )
+    for wanted in ("300", "300.0"):
+        result = aggregate(store, "ed2_save_pct", group_by=("benchmark",),
+                           where={"memory_latency": wanted})
+        assert result.n_input_rows == 1
+        assert result.rows[0]["value"] == pytest.approx(20.0)
+
+
+def test_where_string_filter_needs_the_key(tmp_path):
+    store = _store(tmp_path)
+    store.append_rows(
+        [{"benchmark": "gap", "target": "L", "x": 1.0},
+         {"kind": "run", "x": 2.0}],
+        run_id="r1",
+    )
+    assert [r["x"] for r in select_rows(store, where={"target": "L"})] \
+        == [1.0]
+    assert list(select_rows(store, where={"target": ""})) == []
 
 
 def test_named_queries(tmp_path):

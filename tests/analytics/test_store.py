@@ -1,4 +1,4 @@
-"""Tests for the columnar run store: round-trips, adversarial ingest.
+"""Tests for the run store: round-trips, adversarial ingest.
 
 The adversarial cases encode the store's contract -- *lossless for good
 rows, loud for bad ones*: torn trailing lines in ``results.jsonl`` are
@@ -9,8 +9,8 @@ rows ingest as flagged rows rather than disappearing.
 """
 
 import json
-import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +18,8 @@ from repro.config import MachineConfig
 from repro.errors import ConfigError
 from repro.obs.manifest import RESULTS_SCHEMA_VERSION, RunWriter
 from repro.analytics.store import (
+    RUN_FORMAT,
     RunStore,
-    SEGMENT_FORMAT,
     STORE_SCHEMA_VERSION,
     default_store_dir,
     ingest_enabled,
@@ -50,19 +50,21 @@ def test_append_rows_round_trip(tmp_path):
     report = store.append_rows(_rows(3), run_id="r1", commit="abc123")
     assert report.rows_ingested == 3
     assert report.run_seq == 1
-    assert os.path.exists(report.segment)
+    assert report.path == os.path.join(store.root, "runs",
+                                       "run-000001.json")
+    with open(report.path) as fh:
+        doc = json.load(fh)
+    assert doc["format"] == RUN_FORMAT
+    assert doc["meta"]["run_id"] == "r1"
 
-    segs = list(store.segments())
-    assert len(segs) == 1
-    seg = segs[0]
-    assert seg.n_rows == 3
-    assert seg.strings("benchmark") == ["b0", "b1", "b2"]
-    assert seg.strings("kind") == ["result"] * 3
-    assert seg.strings("commit") == ["abc123"] * 3
-    assert list(seg.column("run_seq")) == [1, 1, 1]
-    assert [float(v) for v in seg.column("ed2_save_pct")] == [
-        10.0, 11.0, 12.0
-    ]
+    rows = list(store.rows())
+    assert [r["benchmark"] for r in rows] == ["b0", "b1", "b2"]
+    assert [r["kind"] for r in rows] == ["result"] * 3
+    assert [r["commit"] for r in rows] == ["abc123"] * 3
+    assert [r["run_seq"] for r in rows] == [1, 1, 1]
+    assert [r["schema"] for r in rows] == [1, 1, 1]
+    assert [r["failed"] for r in rows] == [0, 0, 0]
+    assert [r["ed2_save_pct"] for r in rows] == [10.0, 11.0, 12.0]
 
 
 def test_append_dedups_by_run_id(tmp_path):
@@ -88,14 +90,14 @@ def test_append_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_missing_column_reads_as_nan(tmp_path):
+def test_missing_column_stays_missing(tmp_path):
     store = _store(tmp_path)
     store.append_rows([{"benchmark": "a", "x": 1.0}], run_id="r1")
     store.append_rows([{"benchmark": "b"}], run_id="r2")
-    segs = list(store.segments())
-    assert segs[1].column("x") is None  # second segment lacks it
-    # Query-level NaN fill is exercised in test_query; here the store
-    # must simply not have invented a value.
+    rows = list(store.rows())
+    assert "x" not in rows[1]  # the second run lacks it
+    # Query-level missing-value accounting is exercised in test_query;
+    # here the store must simply not have invented a value.
 
 
 def test_newer_store_index_refused(tmp_path):
@@ -110,26 +112,65 @@ def test_newer_store_index_refused(tmp_path):
         fresh.append_rows(_rows(), run_id="r2")
 
 
-def test_newer_segment_format_skipped(tmp_path):
+def test_newer_run_format_skipped(tmp_path):
     store = _store(tmp_path)
     store.append_rows(_rows(), run_id="r1")
-    bogus = os.path.join(store.root, "segments", "seg-999999.rcol")
-    header = {"magic": "rcol", "format": SEGMENT_FORMAT + 1,
-              "n_rows": 1, "columns": [], "dicts": {}, "meta": {}}
-    with open(bogus, "wb") as fh:
+    bogus = os.path.join(store.root, "runs", "run-999999.json")
+    doc = {"format": RUN_FORMAT + 1, "meta": {},
+           "rows": [{"kind": "result", "benchmark": "future"}]}
+    with open(bogus, "w") as fh:
+        json.dump(doc, fh)
+    rows = list(store.rows())
+    # The future-format run file is skipped, not fatal.
+    assert [r["benchmark"] for r in rows] == ["b0", "b1", "b2"]
+
+
+@pytest.mark.parametrize("payload", [
+    "not a run file at all\n",
+    '{"format": 1, "meta": {}, "rows": {"not": "a list"}}',
+    '{"format": 1, "meta": {}, "rows": [{"benchmark": "x"}',
+], ids=["not-json", "rows-not-a-list", "torn"])
+def test_garbage_run_file_skipped(tmp_path, payload):
+    store = _store(tmp_path)
+    store.append_rows(_rows(), run_id="r1")
+    bogus = os.path.join(store.root, "runs", "run-999998.json")
+    with open(bogus, "w") as fh:
+        fh.write(payload)
+    assert len(list(store.rows())) == 3
+
+
+def _write_old_columnar_store(root):
+    """A store as the binary columnar segment format left it."""
+    os.makedirs(os.path.join(root, "segments"))
+    with open(os.path.join(root, "index.json"), "w") as fh:
+        json.dump({"store_schema": 1, "next_seq": 2, "ingests": [
+            {"seq": 1, "run_id": "old", "rows": 1}]}, fh)
+    header = {"magic": "rcol", "format": 1, "n_rows": 1, "columns": [],
+              "dicts": {}, "meta": {}}
+    with open(os.path.join(root, "segments", "seg-000001.rcol"),
+              "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
-    segs = list(store.segments())
-    assert len(segs) == 1  # the future-format segment is skipped, not fatal
-    assert segs[0].n_rows == 3
 
 
-def test_garbage_segment_skipped(tmp_path):
-    store = _store(tmp_path)
-    store.append_rows(_rows(), run_id="r1")
-    bogus = os.path.join(store.root, "segments", "seg-999998.rcol")
-    with open(bogus, "wb") as fh:
-        fh.write(b"not a segment at all\n")
-    assert len(list(store.segments())) == 1
+def _snapshot(root):
+    return {p: p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
+def test_old_columnar_store_refused(tmp_path):
+    root = str(tmp_path / "old-store")
+    _write_old_columnar_store(root)
+    before = _snapshot(root)
+    store = RunStore(root)
+    for action in (
+        lambda: store.append_rows(_rows(), run_id="r2"),
+        lambda: list(store.rows()),
+        store.stats,
+    ):
+        with pytest.raises(ConfigError) as excinfo:
+            action()
+        message = str(excinfo.value)
+        assert "--store" in message and "re-ingest" in message
+    assert _snapshot(root) == before  # nothing written, nothing added
 
 
 # -- run-directory ingest ----------------------------------------------- #
@@ -159,16 +200,13 @@ def test_ingest_run_directory(tmp_path):
     assert report.lines_damaged == 0
     assert report.rows_rejected == 0
 
-    seg = next(iter(store.segments()))
-    kinds = seg.strings("kind")
-    assert sorted(kinds) == ["result", "run"]
+    by_kind = {r["kind"]: r for r in store.rows()}
+    assert sorted(by_kind) == ["result", "run"]
     # The RunWriter stamped the current schema into results.jsonl and
-    # the ingester preserved it column-wise.
-    i = kinds.index("result")
-    assert seg.column("schema")[i] == RESULTS_SCHEMA_VERSION
+    # the ingester preserved it.
+    assert by_kind["result"]["schema"] == RESULTS_SCHEMA_VERSION
     # Run-level row carries the simcache hit rate from the manifest.
-    j = kinds.index("run")
-    assert float(seg.column("cache_hit_rate")[j]) == pytest.approx(0.75)
+    assert by_kind["run"]["cache_hit_rate"] == pytest.approx(0.75)
 
 
 def test_ingest_degraded_run_flags_rows(tmp_path):
@@ -178,10 +216,7 @@ def test_ingest_degraded_run_flags_rows(tmp_path):
     # JobFailure rows ingest as flagged rows -- never dropped.
     assert report.rows_ingested == 3
     assert report.rows_flagged == 1
-    seg = next(iter(store.segments()))
-    kinds = seg.strings("kind")
-    flags = list(seg.column("failed"))
-    failed_kinds = [k for k, f in zip(kinds, flags) if f]
+    failed_kinds = [r["kind"] for r in store.rows() if r["failed"]]
     assert failed_kinds == ["result"]
 
 
@@ -249,10 +284,7 @@ def test_ingest_mixed_schema_versions(tmp_path):
     assert report.rows_ingested == 1
     assert report.run_id == "legacy-run"  # dirname fallback
     schemas = sorted(
-        int(s)
-        for seg in store.segments()
-        for s, k in zip(seg.column("schema"), seg.strings("kind"))
-        if k == "result"
+        r["schema"] for r in store.rows() if r["kind"] == "result"
     )
     assert schemas == [1, RESULTS_SCHEMA_VERSION]
 
@@ -270,11 +302,9 @@ def test_ingest_trace_summaries(tmp_path):
     store = _store(tmp_path)
     report = store.ingest_run(str(out))
     assert report.rows_ingested == 3  # result + trace + run
-    seg = next(iter(store.segments()))
-    kinds = seg.strings("kind")
-    i = kinds.index("trace")
-    assert seg.strings("benchmark")[i] == "gap"
-    assert float(seg.column("stall_load_miss")[i]) == pytest.approx(0.75)
+    (trace,) = [r for r in store.rows() if r["kind"] == "trace"]
+    assert trace["benchmark"] == "gap"
+    assert trace["stall_load_miss"] == pytest.approx(0.75)
 
 
 def test_ingest_empty_directory_skips(tmp_path):
@@ -307,34 +337,10 @@ def test_stats_summarizes_store(tmp_path):
     store.append_rows(_rows(), run_id="r1")
     store.append_rows(_rows(), run_id="r2")
     stats = store.stats()
-    assert stats["segments"] == 2
+    assert stats["runs"] == 2
     assert stats["ingests"] == 2
     assert stats["rows"] == 6
     assert stats["bytes"] > 0
-
-
-def test_mixed_type_column_stringifies(tmp_path):
-    store = _store(tmp_path)
-    store.append_rows(
-        [{"benchmark": "a", "x": 1.5}, {"benchmark": "b", "x": "oops"}],
-        run_id="r1",
-    )
-    seg = next(iter(store.segments()))
-    # Hand-edited artifacts with mixed types must not silently drop
-    # values: the column degrades to strings.
-    assert seg.strings("x") == ["1.5", "oops"]
-
-
-def test_none_values_read_as_nan(tmp_path):
-    store = _store(tmp_path)
-    store.append_rows(
-        [{"benchmark": "a", "x": None}, {"benchmark": "b", "x": 2.0}],
-        run_id="r1",
-    )
-    seg = next(iter(store.segments()))
-    col = seg.column("x")
-    assert math.isnan(float(col[0]))
-    assert float(col[1]) == 2.0
 
 
 def test_env_knobs(monkeypatch):

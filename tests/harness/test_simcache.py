@@ -225,3 +225,27 @@ def test_degraded_cache_leaves_get_cache_none(tmp_path, monkeypatch):
         assert simcache.get_cache() is None  # callers skip hashing too
     finally:
         simcache.reset()
+
+
+def test_code_version_covers_every_source_file(tmp_path):
+    import shutil
+
+    import repro
+
+    package = os.path.dirname(os.path.abspath(repro.__file__))
+    root = tmp_path / "repro"
+    shutil.copytree(package, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert simcache.code_version(str(root)) == simcache.code_version()
+    seen = {simcache.code_version(str(root))}
+    # The C cycle kernel and the latency model were missing from the
+    # old hand-kept module list; a one-byte edit to either must change
+    # the fingerprint (and so miss every stale cache entry).
+    for rel in (("cpu", "_kernel.c"), ("pthsel", "latency_model.py")):
+        path = root.joinpath(*rel)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x01
+        path.write_bytes(bytes(data))
+        version = simcache.code_version(str(root))
+        assert version not in seen
+        seen.add(version)
