@@ -85,7 +85,6 @@ from repro.config import (
     SelectionConfig,
     SimulationConfig,
 )
-from repro.cpu import engine as sim_engine
 from repro.errors import ConfigError
 from repro.harness import figures, simcache
 from repro.harness.experiment import run_experiment
@@ -178,16 +177,6 @@ def _parser() -> argparse.ArgumentParser:
         metavar="SITE:PROB[:SEED]",
         help="deterministically inject faults at SITE with probability "
         "PROB (repeatable; sites: " + ", ".join(faults.SITES) + ")",
-    )
-    obs_flags.add_argument(
-        "--sim-backend",
-        choices=sim_engine.SIM_BACKENDS,
-        default=None,
-        metavar="BACKEND",
-        help="cycle-engine backend: reference (the oracle Pipeline) or "
-        "native (default: the compiled C cycle kernel when a C compiler "
-        "or a built artifact is available, the reference otherwise); "
-        "both are bit-identical (REPRO_SIM_BACKEND also selects it)",
     )
     obs_flags.add_argument(
         "--trace-window",
@@ -549,9 +538,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-
-    if getattr(args, "sim_backend", None):
-        sim_engine.set_sim_backend(args.sim_backend)
 
     if (
         getattr(args, "resume", False)

@@ -595,21 +595,11 @@ class SimulationConfig(_Fingerprinted):
     """How much of a workload to run and how."""
 
     max_instructions: int = 400_000
-    #: Periodic sampling: fraction of the run measured in detail.  1.0
-    #: disables sampling (the default for our synthetic workloads, which are
-    #: small enough to run in full).
-    sample_fraction: float = 1.0
-    sample_instructions: int = 10_000_000
-    warmup_fraction: float = 0.02
     seed: int = 1
 
     def __post_init__(self) -> None:
         if self.max_instructions < 1:
             raise ConfigError("max_instructions must be positive")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ConfigError("sample_fraction must be in (0, 1]")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigError("warmup_fraction must be in [0, 1)")
 
     def validate(self) -> "SimulationConfig":
         """Validate every field, naming the offender and its legal range."""
@@ -620,27 +610,6 @@ class SimulationConfig(_Fingerprinted):
             self.max_instructions,
             self.max_instructions >= 1,
             ">= 1",
-        )
-        _require(
-            owner,
-            "sample_fraction",
-            self.sample_fraction,
-            0.0 < self.sample_fraction <= 1.0,
-            "in (0, 1]",
-        )
-        _require(
-            owner,
-            "sample_instructions",
-            self.sample_instructions,
-            self.sample_instructions >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "warmup_fraction",
-            self.warmup_fraction,
-            0.0 <= self.warmup_fraction < 1.0,
-            "in [0, 1)",
         )
         _require(owner, "seed", self.seed, self.seed >= 0, ">= 0")
         return self

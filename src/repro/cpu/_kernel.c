@@ -1,4 +1,4 @@
-/* The flat-array cycle kernel: the `native` sim backend.
+/* The flat-array cycle kernel behind repro.cpu.pipeline.simulate.
  *
  * The reference repro/cpu/pipeline.py Pipeline rewritten as one
  * event-driven loop over nothing but integers -- flat per-instruction

@@ -3,9 +3,9 @@
 Three hot loops are compiled C that runs whenever its library can be
 loaded:
 
-- ``kernel``: ``cpu/_kernel.c``, the flat-array cycle kernel behind the
-  ``native`` sim backend; without it every simulation runs on the
-  reference :class:`repro.cpu.pipeline.Pipeline`
+- ``kernel``: ``cpu/_kernel.c``, the flat-array cycle kernel behind
+  :func:`repro.cpu.pipeline.simulate`; without it every simulation runs
+  on the reference :class:`repro.cpu.pipeline.Pipeline`
   (:func:`repro.cpu.pipeline.use_reference`);
 - ``slicetree``: ``slicer/_slicetree.c``, the slice-tree miner behind
   :func:`repro.slicer.slicetree.build_slice_tree`, with the Python
@@ -13,7 +13,7 @@ loaded:
 - ``interp``: ``frontend/_interp.c``, the functional interpreter behind
   :func:`repro.frontend.interpreter.interpret`, which also expands
   p-thread spawns for :func:`repro.ddmt.augment.expand_pthreads`, with
-  the Python interpreter and expansion running otherwise.
+  the reference interpreter and Python expansion running otherwise.
 
 This module owns every library's lifecycle through one build-and-load
 path:
@@ -36,7 +36,8 @@ Environment knobs (shared by every library):
 - ``REPRO_NATIVE=0`` -- never load a compiled library (probes report
   unavailable; every simulation runs on the reference ``Pipeline``,
   every slice tree is mined by the Python loop, and every program is
-  interpreted and every spawn expanded in Python);
+  interpreted by the reference interpreter and every spawn expanded in
+  Python);
 - ``REPRO_NATIVE_CC`` -- compiler executable to use (default: first of
   ``cc``, ``gcc``, ``clang`` on PATH).
 

@@ -1076,18 +1076,16 @@ class Pipeline:
 def use_reference() -> bool:
     """Whether a simulation must run on the reference :class:`Pipeline`.
 
-    Four cases: the ``reference`` backend is selected, microarchitectural
-    tracing is on (the utrace hooks live only in :class:`Pipeline`), the
-    ``pipeline.step`` fault site is armed (it fires from inside the
-    reference loop), or the compiled ``kernel`` library does not load
-    (no C toolchain, ``REPRO_NATIVE=0``): the reference is then the
-    ``native`` backend's engine too.
+    Three observable cases: microarchitectural tracing is on (the
+    utrace hooks live only in :class:`Pipeline`), the ``pipeline.step``
+    fault site is armed (it fires from inside the reference loop), or
+    the compiled ``kernel`` library does not load (no C toolchain,
+    ``REPRO_NATIVE=0``).
     """
-    from repro.cpu import engine, nativebuild
+    from repro.cpu import nativebuild
 
     return (
-        engine.backend() == "reference"
-        or utrace.enabled()
+        utrace.enabled()
         or faults.site_active("pipeline.step")
         or nativebuild.load() is None
     )
@@ -1099,7 +1097,7 @@ def simulate(
     pthreads: Optional[PThreadProgram] = None,
     warm: bool = True,
 ) -> SimStats:
-    """Run one timing simulation on the selected cycle engine.
+    """Run one timing simulation on the cycle engine the run allows.
 
     Runs the compiled cycle kernel (:mod:`repro.cpu.kerneldriver`)
     unless :func:`use_reference` routes the run to :class:`Pipeline`.  The two

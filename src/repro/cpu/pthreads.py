@@ -11,7 +11,7 @@ dispatch visits sequence numbers in increasing order, so the kernel
 walks the spawns with one advancing cursor.
 :class:`SpawnSpec`/:class:`PInstSpec` objects are a lazy view over the
 columns (``spawns_by_trigger``), built on first use for the reference
-``Pipeline``, sampling and tests, the way ``DynInst`` rows are for the
+``Pipeline`` and tests, the way ``DynInst`` rows are for the
 trace.
 """
 

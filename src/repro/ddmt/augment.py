@@ -5,7 +5,7 @@ table (:func:`_compile`), groups the tables by trigger pc into
 :class:`~repro.frontend.nativeinterp.TriggerPlan` hooks, and replays the
 program once with them.  On the C interpreter the plans are evaluated in
 C and every spawn lands directly in the spawn columns a
-:class:`~repro.cpu.pthreads.PThreadProgram` stores.  On the Python
+:class:`~repro.cpu.pthreads.PThreadProgram` stores.  On the reference
 interpreter each plan calls :func:`_expand_body`, the golden oracle, and
 the spawn objects reach the same columns through ``from_spawns``.
 """

@@ -1,11 +1,12 @@
-/* C interpreter: the dispatch loop of interpret() in
- * repro/frontend/interpreter.py plus the p-thread body evaluation of
- * _expand_body in repro/ddmt/augment.py.  Both Python functions stay as
- * the pure-Python twins and golden oracle.  Built opportunistically by
- * repro/cpu/nativebuild.py and loaded through ctypes; INTERP_ABI is
- * checked at load time.  repro/frontend/nativeinterp.py drives it.
+/* C interpreter: interpret_reference() in repro/frontend/interpreter.py,
+ * run over the flat per-pc table _decode() builds, plus the p-thread
+ * body evaluation of _expand_body in repro/ddmt/augment.py.  Both
+ * Python functions stay as the fallback and golden oracle.  Built
+ * opportunistically by repro/cpu/nativebuild.py and loaded through
+ * ctypes; INTERP_ABI is checked at load time.
+ * repro/frontend/nativeinterp.py drives it.
  *
- * Semantics (bit for bit with the Python interpreter):
+ * Semantics (bit for bit with the reference interpreter):
  *  - registers and memory words are int64; ADD/SUB/MUL/SHL wrap, shift
  *    counts are b & 63, SHR is logical and SLT signed;
  *  - writes to r0 are discarded (the decoded rd is -1), unwritten

@@ -2,19 +2,21 @@
 
 :func:`repro.frontend.interpreter.interpret` runs a program here
 whenever the ``interp`` library loads (see :mod:`repro.cpu.nativebuild`)
-and every pc hook is a :class:`TriggerPlan`; the pure-Python loop runs
-otherwise.  Both produce the same trace columns, and the same spawns.
+and every pc hook is a :class:`TriggerPlan`; the object-path reference
+interpreter (``interpret_reference``) runs otherwise.  Both produce the
+same trace columns, and the same spawns.
 
 A :class:`TriggerPlan` is a pc hook with two faces.  Called from the
-Python loop, it runs each body's Python expansion (``BodyPlan.expand``)
-and appends the resulting spawn object to its :class:`SpawnSink`.
+reference interpreter, it runs each body's Python expansion
+(``BodyPlan.expand``) and appends the resulting spawn object to its
+:class:`SpawnSink`.
 Encoded for C, each body is a table of :class:`BodyStep` rows that the C
 loop evaluates at the trigger pc itself, writing the spawn straight into
 flat spawn columns that end up in ``SpawnSink.columns``.
 
 The C path only takes programs whose every value fits int64: an
 immediate, data word or initial register outside int64 (Python ints do
-not overflow) sends the program to the Python loop before the run, and
+not overflow) sends the program to the reference before the run, and
 an address sum that overflows int64 during the run makes :func:`run`
 return None so the caller reruns it in Python.  The C path never
 returns a different answer; it returns no answer.
@@ -104,9 +106,9 @@ class SpawnSink:
     """Where one replay's spawns land, in trace order (ties in plan
     order).
 
-    The Python loop fills ``spawns`` and ``positions`` (each spawn's
-    ``BodyPlan.position``); the C loop sets ``columns`` instead, a dict
-    of the :data:`SPAWN_INT64` and :data:`SPAWN_INT8` arrays.
+    The reference interpreter fills ``spawns`` and ``positions`` (each
+    spawn's ``BodyPlan.position``); the C loop sets ``columns`` instead,
+    a dict of the :data:`SPAWN_INT64` and :data:`SPAWN_INT8` arrays.
     """
 
     def __init__(self) -> None:
@@ -152,7 +154,7 @@ def _program_image(program: Program, decoded: tuple) -> Optional[array]:
     if image is None:
         flat: List[int] = []
         image = False
-        for inst, (cat, code, rd, rs1, rs2, ext, _fn) in zip(
+        for inst, (cat, code, rd, rs1, rs2, ext) in zip(
             program.instructions, decoded
         ):
             if (rs1 is None and _READS_RS1[cat]) or (

@@ -129,7 +129,7 @@ class Trace:
             self.columns = insts
             self._insts: Optional[List[DynInst]] = None
         else:
-            # Legacy row-object path (tests, sampled windows).
+            # Row-object path (tests, the reference interpreter).
             self.columns = TraceColumns.from_rows(insts)
             self._insts = list(insts)
         self._n = len(self.columns)
@@ -207,10 +207,6 @@ class Trace:
             zip(L.pc, L.op_code, L.src1, L.src2, L.addr, L.taken, L.next_pc)
         ):
             yield make(seq, pc, ops[code], s1, s2, addr, taken != 0, npc)
-
-    def static_of(self, dyn: DynInst):
-        """The static instruction a dynamic instruction came from."""
-        return self.program[dyn.pc]
 
     # ------------------------------------------------------------------ #
     # Derived statistics: one single-pass construction, shared by every
@@ -306,24 +302,3 @@ class Trace:
             "stores": by_class.get(OpClass.STORE, 0),
             "branches": by_class.get(OpClass.BRANCH, 0),
         }
-
-
-class TraceWindow:
-    """A contiguous view over a region of a trace (used by the slicer)."""
-
-    def __init__(self, trace: Trace, start: int, end: int) -> None:
-        if not 0 <= start <= end <= len(trace):
-            raise IndexError(f"bad window [{start}, {end}) over {len(trace)} insts")
-        self.trace = trace
-        self.start = start
-        self.end = end
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-    def __iter__(self) -> Iterator[DynInst]:
-        for seq in range(self.start, self.end):
-            yield self.trace[seq]
-
-    def contains(self, seq: int) -> bool:
-        return self.start <= seq < self.end

@@ -173,10 +173,10 @@ def maybe_prewarm(jobs: List) -> Optional[Dict[str, object]]:
 
     Skipped when fewer than two jobs, or whenever simulations must run
     through :class:`~repro.cpu.pipeline.Pipeline` itself
-    (:func:`~repro.cpu.pipeline.use_reference`: the reference backend,
-    microarchitectural tracing -- a prewarmed baseline would emit no
-    trace artifacts -- an armed ``pipeline.step`` fault site, or no
-    compiled cycle kernel to batch on).
+    (:func:`~repro.cpu.pipeline.use_reference`: microarchitectural
+    tracing -- a prewarmed baseline would emit no trace artifacts -- an
+    armed ``pipeline.step`` fault site, or no compiled cycle kernel to
+    batch on).
     """
     if len(jobs) < 2:
         return None

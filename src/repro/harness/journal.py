@@ -22,12 +22,12 @@ every cell that already completed:
   the job's full configuration, :meth:`ExperimentJob.cell_key`), a
   human-readable summary, and the pickled :class:`ExperimentResult`
   payload, so resumed cells are bit-identical to freshly computed ones.
-- **Versioned**: records written under a different journal schema
-  (:data:`JOURNAL_SCHEMA`) are ignored on load (the cell re-runs),
-  never misinterpreted.  That is the only version check: the simulator
-  code version is *not* recorded, so ``--resume`` after editing the
-  simulator serves the cells journaled by the old code; run into a
-  fresh output directory to recompute them.
+- **Versioned**: each record carries the journal schema
+  (:data:`JOURNAL_SCHEMA`) and the simulator code version
+  (:func:`repro.harness.simcache.code_version`).  Records written under
+  a different schema, or by different (or unrecorded) code, are ignored
+  on load (the cell re-runs), never misinterpreted, so ``--resume``
+  after editing the simulator recomputes every cell.
 
 Only *successful* cells are journaled; failed cells re-run on resume.
 """
@@ -43,6 +43,7 @@ from typing import Any, Dict, Iterable, Optional
 
 from repro import obs
 from repro.errors import JournalError
+from repro.harness.simcache import code_version
 
 #: Bump when the record layout changes.
 JOURNAL_SCHEMA = 1
@@ -148,7 +149,10 @@ class Journal:
                     line=i + 1,
                 )
                 continue
-            if record.get("schema") != JOURNAL_SCHEMA:
+            if (
+                record.get("schema") != JOURNAL_SCHEMA
+                or record.get("code") != code_version()
+            ):
                 continue
             self._entries[key] = record
         return self._entries
@@ -201,6 +205,7 @@ class Journal:
             return
         record: Dict[str, Any] = {
             "schema": JOURNAL_SCHEMA,
+            "code": code_version(),
             "key": key,
             "result_b64": base64.b64encode(
                 pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)

@@ -88,7 +88,6 @@ from repro.errors import (
     WorkerCrashError,
     is_retryable,
 )
-from repro.cpu import engine as sim_engine
 from repro.harness import simcache
 from repro.harness.experiment import (
     ExperimentResult,
@@ -344,7 +343,6 @@ def _worker_init(
     fault_specs: Sequence[str],
     fail_start: bool,
     utrace_payload: Optional[Dict[str, object]] = None,
-    cycle_backend: Optional[str] = None,
     quiet: bool = False,
 ) -> None:
     simcache.configure(cache_dir=cache_dir, enabled=cache_enabled)
@@ -352,10 +350,6 @@ def _worker_init(
         obs.configure(level=log_level)
     # --quiet must silence heartbeats in the workers too.
     obs.set_quiet(quiet)
-    # A spawn-started worker must re-apply the cycle-engine backend: a
-    # --sim-backend override lives in process state, not the environment.
-    if cycle_backend is not None:
-        sim_engine.set_sim_backend(cycle_backend)
     # Microarchitectural tracing configuration must survive spawn too;
     # worker-side trace files land in the same --out directory and the
     # artifact records ride back on the ExperimentResult.
@@ -597,7 +591,6 @@ def _new_pool(workers: int, epoch: int) -> ProcessPoolExecutor:
             faults.encode_plan(),
             fail_start,
             utrace.encode(),
-            sim_engine.backend(),
             obs.is_quiet(),
         ),
     )

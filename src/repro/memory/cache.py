@@ -108,7 +108,7 @@ class Cache:
         return victim_line
 
     def invalidate_all(self) -> None:
-        """Flush the cache (used between sampling intervals in tests)."""
+        """Flush the cache."""
         self._sets = [[] for _ in range(self._n_sets)]
 
     @property

@@ -6,7 +6,7 @@ in one job stalls the GIL for all of them.  ``repro serve --pool N``
 swaps in :class:`PoolRunner`: a long-lived
 :class:`~concurrent.futures.ProcessPoolExecutor` built with the same
 worker initializer as the parallel harness engine (same simcache,
-fault plan, cycle backend, quiet flag), so a served job runs
+fault plan, quiet flag), so a served job runs
 in a genuinely separate process.
 
 Telemetry crosses back exactly like the harness path: each job returns
@@ -96,7 +96,6 @@ class PoolRunner:
                 (),      # fault plans stay server-side; workers run clean
                 False,   # no injected start failure
                 None,    # utrace: servers do not micro-trace
-                None,    # cycle backend: worker default
                 obs.is_quiet(),
             ),
         )

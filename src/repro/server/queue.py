@@ -172,6 +172,7 @@ class JobQueue:
         self._tasks: "queue_mod.Queue" = queue_mod.Queue()
         self._jobs: Dict[str, JobRecord] = {}
         self._inflight: Dict[str, str] = {}  # cell_key -> primary job_id
+        self._enqueue_tries: Dict[str, int] = {}  # cell_key -> submits
         self._lock = threading.RLock()
         self._next_number = 1
         self._closed = False
@@ -291,7 +292,10 @@ class JobQueue:
             # The injectable enqueue failure: fires after admission but
             # before the accept is journaled, so the client's 503 is
             # honest -- nothing was acknowledged, nothing will recover.
-            faults.raise_if("queue.enqueue", key=cell_key)
+            # Each try draws afresh, so a resubmit can get through.
+            attempt = self._enqueue_tries.get(cell_key, 0)
+            self._enqueue_tries[cell_key] = attempt + 1
+            faults.raise_if("queue.enqueue", key=f"{cell_key}:{attempt}")
             job_id = f"job-{self._next_number:06d}"
             self._next_number += 1
             self.state.record_accept(job_id, cell_key, spec)

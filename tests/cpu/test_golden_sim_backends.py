@@ -6,17 +6,19 @@ oracle everywhere downstream: full structural :class:`SimStats`
 equality (cycle/stall breakdowns, activity counters, missed-load sets,
 per-PC miss dicts) for baseline and p-thread-augmented runs over every
 seed benchmark, and identical figure rows through the whole harness.
-Two engines are compared: ``reference`` and ``c`` (the ``native``
-backend on the compiled kernel).  ``c`` joins the matrix whenever the
-compiled artifact loads (a C compiler on PATH, or a cached build);
-without a toolchain ``native`` runs on the reference itself, so the
-matrix is the reference alone and each test still runs it end to end.
+Two engines are compared: ``reference`` (forced by patching
+:func:`repro.cpu.pipeline.use_reference`) and ``c`` (the compiled
+kernel :func:`~repro.cpu.pipeline.simulate` picks by itself).  ``c``
+joins the matrix whenever the compiled artifact loads (a C compiler on
+PATH, or a cached build); without a toolchain every run takes the
+reference, so the matrix is the reference alone and each test still
+runs it end to end.
 """
 
 import pytest
 
 from repro.config import EnergyConfig, MachineConfig
-from repro.cpu import engine
+from repro.cpu import pipeline
 from repro.cpu.pipeline import simulate
 from repro.cpu.pthreads import (
     PInstClass,
@@ -51,23 +53,31 @@ BUDGET = 60_000
 BACKENDS = ["reference"] + (["c"] if HAVE_NATIVE else [])
 
 
+#: The engine :func:`_use` last selected.
+_engine = {"name": None}
+
+
 @pytest.fixture(autouse=True)
-def _clean_state():
+def _clean_state(monkeypatch):
+    real = pipeline.use_reference
+    monkeypatch.setattr(
+        pipeline,
+        "use_reference",
+        lambda: _engine["name"] == "reference" or real(),
+    )
     tracestore.clear()
     clear_baseline_cache()
     yield
-    engine.set_sim_backend(None)
+    _engine["name"] = None
     tracestore.clear()
     clear_baseline_cache()
 
 
 def _use(name):
     """Make later simulations run on engine ``name``."""
-    if name == "reference":
-        engine.set_sim_backend("reference")
-        return
-    engine.set_sim_backend("native")
-    assert nativebuild.load() is not None
+    _engine["name"] = name
+    if name == "c":
+        assert nativebuild.load() is not None
 
 
 def _backend_stats(trace, machine, pthreads=None):

@@ -1,8 +1,7 @@
 """Simulator progress heartbeats: emission at debug level, ETA
 semantics (``eta_s`` is null until instructions retire), and the
-``--quiet`` suppression gate -- under both engines the ``native``
-backend can run: the reference ``Pipeline`` (no compiled kernel) and
-the C kernel, which emits heartbeats through its progress hook without
+``--quiet`` suppression gate -- under both cycle engines: the
+reference ``Pipeline`` (no compiled kernel) and the C kernel, which emits heartbeats through its progress hook without
 building a ``Pipeline``."""
 
 import io
@@ -11,7 +10,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.cpu import engine, nativebuild, pipeline
+from repro.cpu import nativebuild, pipeline
 from repro.cpu.pipeline import simulate
 from repro.frontend import interpret
 from repro.isa.builder import ProgramBuilder
@@ -38,10 +37,9 @@ def _alu_loop(n=200):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Iterate over the ``native`` backend's engines: each step makes
-    later simulations run on the reference (no compiled kernel), then on
-    the C kernel when it loads."""
-    engine.set_sim_backend("native")
+    """Iterate over the cycle engines: each step makes later
+    simulations run on the reference (no compiled kernel), then on the
+    C kernel when it loads."""
 
     def each():
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -53,7 +51,6 @@ def kernels(monkeypatch):
             yield "c"
 
     yield each
-    engine.set_sim_backend(None)
     nativebuild.reset_probe()
 
 

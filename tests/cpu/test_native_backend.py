@@ -1,12 +1,10 @@
-"""The ``native`` cycle engine: selection, dispatch, and batch identity.
+"""The compiled cycle engine: dispatch, loading, and batch identity.
 
-Covers backend selection (unknown names raise :class:`ConfigError`
-listing the legal ones; ``native`` always runs, on the reference
-:class:`Pipeline` when the compiled kernel cannot load), which runs
-:func:`simulate` routes to the reference, that the compiled kernel reads
-the sealed trace columns without building Python lists, and, where the
-compiled artifact loads, ``simulate_batch``/``batchplan`` equivalence
-with per-cell simulation.  Toolchain-less environments skip the
+Covers which runs :func:`simulate` routes to the reference
+:class:`Pipeline` (every run when the compiled kernel cannot load),
+that the compiled kernel reads the sealed trace columns without
+building Python lists, and, where the compiled artifact loads,
+``simulate_batch``/``batchplan`` equivalence with per-cell simulation.  Toolchain-less environments skip the
 compiled cases -- never fail.
 """
 
@@ -14,10 +12,10 @@ import pytest
 
 from repro import faults
 from repro.config import MachineConfig, SimulationConfig
-from repro.cpu import engine, kerneldriver, nativebuild, pipeline
+from repro.cpu import kerneldriver, nativebuild, pipeline
 from repro.cpu.batch import simulate_batch
 from repro.cpu.pipeline import simulate
-from repro.errors import ConfigError, FaultInjectedError
+from repro.errors import FaultInjectedError
 from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import batchplan, experiment, simcache
@@ -36,7 +34,6 @@ def _clean_state():
     tracestore.clear()
     clear_baseline_cache()
     yield
-    engine.set_sim_backend(None)
     nativebuild.reset_probe()
     tracestore.clear()
     clear_baseline_cache()
@@ -59,47 +56,18 @@ def _gap_trace():
 
 
 class TestEngineErrors:
-    def test_unknown_backend_lists_legal_names(self):
-        for name in ("turbo", "batched", "numpy"):
-            with pytest.raises(ConfigError) as err:
-                engine.set_sim_backend(name)
-            assert "native" in str(err.value)
-            assert "reference" in str(err.value)
-
-    def test_env_resolution_raises_too(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "batched")
-        engine.set_sim_backend(None)
-        with pytest.raises(ConfigError) as err:
-            engine.backend()
-        assert "REPRO_SIM_BACKEND='batched'" in str(err.value)
-
     def test_native_runs_without_compiled_kernel(
         self, _no_native, monkeypatch
     ):
         spy = _PipelineSpy(monkeypatch)
-        engine.set_sim_backend("native")
-        assert engine.backend() == "native"
         trace = _gap_trace()
         native = simulate(trace)
         assert spy.built == 1
         assert native.committed == len(trace)
-        engine.set_sim_backend("reference")
-        assert simulate(trace) == native
 
     def test_kernel_without_library_names_the_reason(self, _no_native):
         with pytest.raises(RuntimeError, match="REPRO_NATIVE=0"):
             kerneldriver.simulate_kernel(_gap_trace())
-
-    def test_cli_reports_unavailable_backend(self, capsys):
-        from repro.cli import main
-
-        for name in ("batched", "numpy"):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["list", "--sim-backend", name])
-            assert exit_info.value.code == 2
-            err = capsys.readouterr().err
-            assert "error:" in err
-            assert "reference" in err and "native" in err
 
     def test_native_error_reports_reason(self, _no_native):
         assert not nativebuild.native_available()
@@ -145,13 +113,12 @@ class TestDispatch:
     @pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
     def test_native_runs_the_kernel(self, monkeypatch):
         spy = _PipelineSpy(monkeypatch)
-        engine.set_sim_backend("native")
         simulate(_gap_trace())
         assert spy.built == 0
 
     def test_reference_backend_routes_to_pipeline(self, monkeypatch):
         spy = _PipelineSpy(monkeypatch)
-        engine.set_sim_backend("reference")
+        monkeypatch.setattr(pipeline, "use_reference", lambda: True)
         simulate(_gap_trace())
         assert spy.built == 1
 
@@ -185,19 +152,18 @@ class TestNativeAvailable:
 
     def test_c_kernel_builds_no_python_lists(self):
         trace = _gap_trace()
-        engine.set_sim_backend("native")
         simulate(trace, MachineConfig(memory_latency=200))
         assert "pipeline" not in trace.derived
         assert trace._lists is None
 
-    def test_simulate_batch_matches_per_config_simulate(self):
+    def test_simulate_batch_matches_per_config_simulate(self, monkeypatch):
         program = get_program("mcf", "train")
         trace, _ = tracestore.get_trace(program, SIM.max_instructions)
         configs = [
             MachineConfig(memory_latency=lat) for lat in (100, 200, 500)
         ]
         got = simulate_batch(trace, configs)
-        engine.set_sim_backend("reference")
+        monkeypatch.setattr(pipeline, "use_reference", lambda: True)
         expected = [simulate(trace, config) for config in configs]
         assert got == expected
 

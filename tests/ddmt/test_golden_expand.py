@@ -2,8 +2,8 @@
 
 ``expand_pthreads`` replays the program once with compiled trigger
 plans.  On the C interpreter the plans run in C and the spawns land in
-spawn columns directly; on the Python interpreter each plan calls
-``_expand_body``.  For every p-thread set ``run_experiment`` selects
+spawn columns directly; on the object-path reference interpreter each
+plan calls ``_expand_body``.  For every p-thread set ``run_experiment`` selects
 (targets O/L/E on train, branch p-threads on L, and the ref->train
 profile path) both must give the same spawns field by field, the same
 trace columns and the same ``spawn_counts``.  Where a direct oracle
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.cpu import nativebuild
 from repro.cpu.pthreads import COLUMNS, PThreadProgram
 from repro.ddmt import augment
-from repro.frontend.interpreter import interpret_python
+from repro.frontend.interpreter import interpret_reference
 from repro.harness import experiment
 from repro.isa.instruction import Program, StaticInst
 from repro.isa.opcodes import IMMEDIATE_OPS, Op
@@ -90,7 +90,7 @@ def _oracle(program, pthreads, max_instructions, reference_trace,
     """The direct expansion: one plain interpretation for hint targets,
     one hooked replay calling ``_expand_body``, merge by (trigger,
     position)."""
-    plain = interpret_python(program, max_instructions,
+    plain = interpret_reference(program, max_instructions,
                              require_halt=require_halt)
     collected = []
     by_trigger = {}
@@ -112,7 +112,7 @@ def _oracle(program, pthreads, max_instructions, reference_trace,
                     pthread, seq, state, hint_seq=hint)))
         return hook
 
-    trace = interpret_python(
+    trace = interpret_reference(
         program, max_instructions,
         pc_hooks={pc: make_hook(p) for pc, p in by_trigger.items()},
         require_halt=require_halt,
@@ -151,9 +151,9 @@ def _assert_matches(augmented, oracle):
 
 @contextlib.contextmanager
 def python_replay():
-    """Route expand_pthreads' replay to the Python loop."""
+    """Route expand_pthreads' replay to the reference interpreter."""
     real = augment.interpret
-    augment.interpret = interpret_python
+    augment.interpret = interpret_reference
     try:
         yield
     finally:

@@ -1,10 +1,11 @@
-"""Golden bit-identity: columnar trace path vs the object-path reference.
+"""Golden bit-identity: the C interpreter vs the object-path reference.
 
-The columnar emitter (:mod:`repro.frontend.interpreter`) must be
-indistinguishable from the retained object-path reference
-(:mod:`repro.frontend.reference`) everywhere downstream: identical trace
-columns, identical ``SimStats.summary()``, identical selected p-thread
-sets, and identical figure rows.
+:func:`~repro.frontend.interpreter.interpret`, which runs the C loop
+whenever ``_interp.c`` loads, must be indistinguishable from
+:func:`~repro.frontend.interpreter.interpret_reference` everywhere
+downstream: identical trace columns, identical ``SimStats.summary()``,
+identical selected p-thread sets, and identical figure rows.  Without a
+compiled library both sides run the reference.
 """
 
 import pytest
@@ -13,8 +14,7 @@ from repro.config import EnergyConfig, MachineConfig
 from repro.cpu.pipeline import simulate
 from repro.energy.wattch import EnergyModel
 from repro.frontend import tracestore
-from repro.frontend.interpreter import interpret
-from repro.frontend.reference import interpret_reference
+from repro.frontend.interpreter import interpret, interpret_reference
 from repro.harness import figures, simcache
 from repro.harness.experiment import clear_baseline_cache
 from repro.pthsel.framework import BaselineEstimates, select_pthreads

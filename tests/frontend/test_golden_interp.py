@@ -1,10 +1,11 @@
-"""Golden bit-identity: the C interpreter vs the Python loop.
+"""Golden bit-identity: the C interpreter vs the object-path reference.
 
-``interpret`` runs the C twin (``_interp.c``) whenever its library
-loads; ``interpret_python`` is the oracle.  Every benchmark program on
-both inputs must give identical columns, every fault the same exception
-and message, and every value Python ints can hold but int64 cannot must
-give Python's answer (the C path declines and the Python loop runs).
+``interpret`` runs the C loop (``_interp.c``) whenever its library
+loads; ``interpret_reference`` is the oracle, and shares no decode
+table with the C loop.  Every benchmark program on both inputs must
+give identical columns, every fault the same exception and message, and
+every value Python ints can hold but int64 cannot must give Python's
+answer (the C path declines and the reference runs).
 The C legs skip, with the loader's reason, when the library does not
 load.
 """
@@ -20,7 +21,7 @@ from repro.frontend.interpreter import (
     _INITIAL_CAPACITY,
     _decode,
     interpret,
-    interpret_python,
+    interpret_reference,
 )
 from repro.isa.instruction import Program, StaticInst
 from repro.isa.opcodes import IMMEDIATE_OPS, Op
@@ -69,7 +70,7 @@ def test_c_columns_match_python(lib, name, input_set):
     c_trace = _run_c(lib, program, 2_000_000)
     assert c_trace is not None
     assert _columns(c_trace) == _columns(
-        interpret_python(program, max_instructions=2_000_000)
+        interpret_reference(program, max_instructions=2_000_000)
     )
 
 
@@ -77,7 +78,7 @@ def test_c_columns_match_python(lib, name, input_set):
 def test_truncation_without_halt_matches(lib, budget):
     program = get_program("gap")
     c_trace = _run_c(lib, program, budget, require_halt=False)
-    py_trace = interpret_python(program, budget, require_halt=False)
+    py_trace = interpret_reference(program, budget, require_halt=False)
     assert len(c_trace) == budget
     assert _columns(c_trace) == _columns(py_trace)
 
@@ -112,7 +113,7 @@ HALT = (Op.HALT, {})
 def test_errors_match(lib, rows, match):
     program = _program(*rows)
     c_out = _outcome(_run_c, lib, program, 100)
-    py_out = _outcome(interpret_python, program, 100)
+    py_out = _outcome(interpret_reference, program, 100)
     assert c_out == py_out
     assert c_out[0] is ExecutionError and match in c_out[1]
 
@@ -126,7 +127,7 @@ def test_address_overflow_falls_back_to_python(lib):
     )
     assert _run_c(lib, program) is None
     # Python's own answer: the address does not fit the int64 column.
-    assert _outcome(interpret, program) == _outcome(interpret_python, program)
+    assert _outcome(interpret, program) == _outcome(interpret_reference, program)
     assert _outcome(interpret, program)[0] is OverflowError
 
 
@@ -144,7 +145,7 @@ def test_values_outside_int64_take_python_path(lib, field):
         regs={4: big} if field == "initial_reg" else {},
     )
     assert _run_c(lib, program) is None
-    assert _columns(interpret(program)) == _columns(interpret_python(program))
+    assert _columns(interpret(program)) == _columns(interpret_reference(program))
 
 
 # --------------------------------------------------------------------- #
@@ -219,7 +220,7 @@ def test_random_alu_programs_agree(insts, regs):
     program = straight_line(insts, regs)
     c_trace = _run_c(lib, program)
     assert c_trace is not None
-    assert _columns(c_trace) == _columns(interpret_python(program))
+    assert _columns(c_trace) == _columns(interpret_reference(program))
 
 
 wide = st.one_of(
@@ -235,7 +236,7 @@ wide = st.one_of(
 )
 def test_values_outside_int64_give_pythons_result(insts, imm, where):
     """A wide immediate anywhere: ``interpret`` declines C and returns
-    exactly the Python loop's trace."""
+    exactly the reference's trace."""
     op, rd, rs1, rs2, _ = insts[where % len(insts)]
     if op not in IMMEDIATE_OPS:
         op = Op.LI
@@ -243,5 +244,5 @@ def test_values_outside_int64_give_pythons_result(insts, imm, where):
     insts[where % len(insts)] = (op, rd, rs1, rs2, imm)
     program = straight_line(insts, [0] * (N_REGS - 1))
     assert _columns(interpret(program)) == _columns(
-        interpret_python(program)
+        interpret_reference(program)
     )

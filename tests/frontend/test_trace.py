@@ -3,7 +3,6 @@
 import pytest
 
 from repro.frontend import interpret
-from repro.frontend.trace import TraceWindow
 from repro.isa.builder import ProgramBuilder
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import Reg
@@ -37,28 +36,6 @@ def test_dynamic_loads_by_pc(mixed_trace):
     (pc, seqs), = by_pc.items()
     assert len(seqs) == 2
     assert all(mixed_trace[s].is_load for s in seqs)
-
-
-def test_static_of(mixed_trace):
-    dyn = next(d for d in mixed_trace if d.is_load)
-    static = mixed_trace.static_of(dyn)
-    assert static.pc == dyn.pc
-    assert static.op is dyn.op
-
-
-def test_window_bounds_and_iteration(mixed_trace):
-    window = TraceWindow(mixed_trace, 2, 6)
-    assert len(window) == 4
-    assert [d.seq for d in window] == [2, 3, 4, 5]
-    assert window.contains(3)
-    assert not window.contains(6)
-
-
-def test_window_rejects_bad_bounds(mixed_trace):
-    with pytest.raises(IndexError):
-        TraceWindow(mixed_trace, 5, 2)
-    with pytest.raises(IndexError):
-        TraceWindow(mixed_trace, 0, len(mixed_trace) + 1)
 
 
 def test_repr_is_stable(mixed_trace):

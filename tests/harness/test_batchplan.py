@@ -4,7 +4,7 @@ import pytest
 
 from repro import faults
 from repro.config import MachineConfig, SimulationConfig
-from repro.cpu import engine, nativebuild
+from repro.cpu import nativebuild, pipeline
 from repro.frontend import tracestore
 from repro.harness import batchplan, experiment, simcache
 from repro.harness.experiment import clear_baseline_cache, run_experiment
@@ -38,7 +38,6 @@ def _clean_state():
     tracestore.clear()
     clear_baseline_cache()
     yield
-    engine.set_sim_backend(None)
     tracestore.clear()
     clear_baseline_cache()
 
@@ -78,7 +77,6 @@ class TestPlanBatches:
 @needs_native
 class TestPrewarm:
     def test_prewarm_adopts_baselines(self):
-        engine.set_sim_backend("native")
         jobs = _latency_jobs()
         with simcache.disabled():
             stats = batchplan.prewarm(jobs)
@@ -98,7 +96,6 @@ class TestPrewarm:
             assert result.provenance["baseline"] == "batch"
 
     def test_prewarm_skips_cached_members(self):
-        engine.set_sim_backend("native")
         jobs = _latency_jobs()
         with simcache.disabled():
             batchplan.prewarm(jobs)
@@ -107,7 +104,6 @@ class TestPrewarm:
         assert again["cached"] == 2
 
     def test_single_member_groups_left_alone(self):
-        engine.set_sim_backend("native")
         with simcache.disabled():
             stats = batchplan.prewarm(_latency_jobs(latencies=(100,)))
         assert stats["groups"] == 0
@@ -115,13 +111,12 @@ class TestPrewarm:
 
 
 class TestMaybePrewarm:
-    def test_reference_backend_gates_off(self):
-        engine.set_sim_backend("reference")
+    def test_reference_backend_gates_off(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "use_reference", lambda: True)
         assert batchplan.maybe_prewarm(_latency_jobs()) is None
 
     def test_armed_step_fault_gates_off(self):
         # Every simulation must reach the reference engine's fault site.
-        engine.set_sim_backend("native")
         with faults.active(["pipeline.step:0.5"]):
             assert batchplan.maybe_prewarm(_latency_jobs()) is None
 
@@ -131,18 +126,15 @@ class TestMaybePrewarm:
         monkeypatch.setenv("REPRO_NATIVE", "0")
         nativebuild.reset_probe()
         try:
-            engine.set_sim_backend("native")
             assert batchplan.maybe_prewarm(_latency_jobs()) is None
         finally:
             nativebuild.reset_probe()
 
     def test_single_job_gates_off(self):
-        engine.set_sim_backend("native")
         assert batchplan.maybe_prewarm(_latency_jobs(latencies=(100,))) is None
 
     @needs_native
     def test_sequential_grid_runs_prewarm(self):
-        engine.set_sim_backend("native")
         with simcache.disabled():
             stats = batchplan.maybe_prewarm(_latency_jobs())
         assert stats is not None and stats["simulated"] == 2

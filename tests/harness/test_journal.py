@@ -9,6 +9,7 @@ import pytest
 from repro import obs
 from repro.errors import JournalError
 from repro.harness.journal import JOURNAL_SCHEMA, Journal
+from repro.harness.simcache import code_version
 
 
 def _journal(tmp_path):
@@ -46,8 +47,9 @@ def test_records_carry_metadata(tmp_path):
 def test_record_with_trace_id_metadata_still_resumes(tmp_path):
     """CLI journals once carried a ``trace_id`` in each record's
     metadata; such a journal still resumes its cells."""
-    line = {"schema": JOURNAL_SCHEMA, "key": "cell-a", "benchmark": "gcc",
-            "attempts": 1, "trace_id": "a" * 32}
+    line = {"schema": JOURNAL_SCHEMA, "code": code_version(),
+            "key": "cell-a", "benchmark": "gcc", "attempts": 1,
+            "trace_id": "a" * 32}
     line["result_b64"] = base64.b64encode(
         pickle.dumps({"cycles": 123})
     ).decode("ascii")
@@ -81,10 +83,19 @@ def test_damaged_interior_line_counted_and_skipped(tmp_path):
 
 
 def test_foreign_schema_records_skipped(tmp_path):
+    # A foreign schema, another code version, or none recorded: the
+    # cell re-runs instead of serving what other code computed.
     journal = _journal(tmp_path)
     journal.record("cell-a", 1)
+    ours = json.loads(open(journal.path, encoding="utf-8").readline())
+    foreign = [
+        dict(ours, key="cell-b", schema=999),
+        dict(ours, key="cell-c", code="0" * len(ours["code"])),
+        {k: v for k, v in dict(ours, key="cell-d").items() if k != "code"},
+    ]
     with open(journal.path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": 999, "key": "cell-b"}) + "\n")
+        for record in foreign:
+            fh.write(json.dumps(record) + "\n")
     assert set(_journal(tmp_path).load()) == {"cell-a"}
 
 

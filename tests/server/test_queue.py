@@ -7,10 +7,12 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.errors import (
     AdmissionRejectedError,
     CacheCorruptionError,
     ExecutionError,
+    FaultInjectedError,
     WorkerCrashError,
 )
 from repro.server.admission import AdmissionController
@@ -18,6 +20,7 @@ from repro.server.breaker import CircuitBreaker
 from repro.server.jobspec import job_from_spec, normalize_spec
 from repro.server.queue import JobQueue, JobState
 from repro.server.state import ACCEPT_SCHEMA, ServerState
+from repro.workloads import benchmark_names
 
 
 def _row(job):
@@ -283,6 +286,36 @@ def test_draining_queue_refuses_submits(tmp_path):
     with pytest.raises(AdmissionRejectedError) as excinfo:
         q.submit({"benchmark": "gcc"})
     assert excinfo.value.context["reason"] == "draining"
+
+
+def test_enqueue_fault_does_not_reject_a_cell_forever(tmp_path):
+    # Every resubmit of a cell draws its own enqueue fault sample, so a
+    # cell whose first submit faulted is accepted on a later try.
+    specs = [
+        {"benchmark": name, "target": target}
+        for name in benchmark_names()
+        for target in ("O", "L", "E")
+    ]
+    q = _queue(tmp_path)
+    try:
+        with faults.active(["queue.enqueue:0.5:1"]):
+            for spec in specs:
+                try:
+                    q.submit(spec)
+                except FaultInjectedError:
+                    break
+            else:
+                pytest.fail("no spec drew an enqueue fault")
+            for _ in range(20):
+                try:
+                    q.submit(spec)
+                    break
+                except FaultInjectedError:
+                    continue
+            else:
+                pytest.fail(f"{spec} was rejected on every resubmit")
+    finally:
+        q.close()
 
 
 def test_resume_reenqueues_pending_and_registers_done(tmp_path):

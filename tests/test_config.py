@@ -114,10 +114,6 @@ class TestSimulationConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
             SimulationConfig(max_instructions=0)
-        with pytest.raises(ConfigError):
-            SimulationConfig(sample_fraction=0.0)
-        with pytest.raises(ConfigError):
-            SimulationConfig(warmup_fraction=1.0)
 
 
 class TestValidate:
@@ -185,5 +181,3 @@ class TestValidate:
     def test_simulation_seed_non_negative(self):
         with pytest.raises(ConfigError, match="seed"):
             SimulationConfig(seed=-1).validate()
-        with pytest.raises(ConfigError, match="sample_instructions"):
-            SimulationConfig(sample_instructions=0).validate()
