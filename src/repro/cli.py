@@ -51,7 +51,8 @@ and the robustness flags:
 - ``--retries N``        attempts per grid cell before it becomes a
   failure row (default 3);
 - ``--job-timeout S``    per-job wall-clock timeout in seconds (the
-  worker pool is rebuilt around hung cells);
+  worker pool is rebuilt around hung cells; ``repro serve`` refuses
+  it, see ``--deadline``);
 - ``--resume``           with ``--out DIR``, skip cells already recorded
   in ``DIR/journal.jsonl`` by a previous (interrupted) run;
 - ``--inject-fault SITE:prob[:seed]``  deterministically inject faults
@@ -360,10 +361,6 @@ def _parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="graceful-shutdown budget for in-flight "
                        "jobs on SIGTERM/^C (default 30)")
-    serve.add_argument("--pool", type=int, default=None, metavar="N",
-                       help="run jobs in a persistent pool of N worker "
-                       "processes instead of the queue's threads "
-                       "(default: in-thread execution)")
 
     loadtest = sub.add_parser(
         "loadtest", parents=[obs_flags],
@@ -856,9 +853,19 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         CircuitBreaker,
         ExperimentServer,
         JobQueue,
-        PoolRunner,
         ServerState,
     )
+
+    if args.job_timeout is not None:
+        # Served jobs run on the queue's worker threads, and a running
+        # in-thread simulation cannot be preempted.
+        print(
+            "error: --job-timeout does not apply to repro serve (a "
+            "running job cannot be preempted); use --deadline to fail "
+            "jobs that wait too long in the queue",
+            file=sys.stderr,
+        )
+        return 2
 
     workers = args.workers or args.jobs or 2
     state = ServerState(args.state)
@@ -869,17 +876,9 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         workers=workers,
         pool_breaker=pool_breaker,
     )
-    pool_runner = None
-    if args.pool:
-        pool_runner = PoolRunner(
-            workers=args.pool,
-            job_timeout_s=getattr(args, "job_timeout", None),
-        )
-        pool_runner.start()
     queue = JobQueue(
         state,
         workers=workers,
-        runner=pool_runner,
         admission=admission,
         pool_breaker=pool_breaker,
         cache_breaker=cache_breaker,
@@ -903,8 +902,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         # stop accepting, drain in-flight work, then exit cleanly.
         pass
     drained = server.shutdown_and_drain()
-    if pool_runner is not None:
-        pool_runner.close()
     print(f"drained: {drained}", file=sys.stderr)
     return 0
 

@@ -20,7 +20,6 @@ registers only (no ROB/LSQ), and never retire.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
@@ -956,8 +955,6 @@ class Pipeline:
         # -------------------------------------------------------------- #
 
         safety_limit = 400 * n_main + 10_000_000
-        _debug_iter = 0
-        _debug = bool(os.environ.get("REPRO_DEBUG_PIPELINE"))
         wall_start = time.perf_counter()
         # Progress heartbeats: only when wanted (see heartbeat_wanted),
         # so the disabled fast path costs one boolean test per iteration.
@@ -973,18 +970,6 @@ class Pipeline:
             if fault_step and now >= fault_next:
                 fault_next = now + HEARTBEAT_CYCLES
                 faults.raise_if("pipeline.step", key=f"cycle:{now}")
-            if _debug:
-                _debug_iter += 1
-                if _debug_iter % 200_000 == 0:
-                    print(
-                        f"[dbg] iter={_debug_iter} now={now} committed={committed} "
-                        f"rob={len(rob)} rs={rs_used_main + rs_used_pth} "
-                        f"ready={len(ready)} "
-                        f"deferred={len(deferred)} pipe={len(frontend_pipe)} "
-                        f"next_seq={next_seq} redirect={pending_redirect} "
-                        f"phys={phys_used} freectx={free_contexts}",
-                        flush=True,
-                    )
             if heartbeat is not None and now >= heartbeat_next:
                 heartbeat(now, committed, stats.spawns_started)
                 heartbeat_next = now + heartbeat_cycles

@@ -306,16 +306,11 @@ class _ServeProcess:
             cmd.append("--resume")
         for spec in specs:
             cmd += ["--inject-fault", spec]
-        env = dict(os.environ)
-        # Exercise the batched-fsync completion journal: a completion
-        # lost in the fsync window must recompute identically on resume.
-        env.setdefault("REPRO_JOURNAL_FSYNC_MS", "50")
         self.proc = subprocess.Popen(
             cmd,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
-            env=env,
             start_new_session=True,
         )
         assert self.proc.stdout is not None
@@ -468,9 +463,6 @@ def run_server_chaos(
             response = client.result(first)
             if response.status == 200:
                 completed_before_kill = 1
-                # Let the batched-fsync journal reach the disk before
-                # the kill lands (REPRO_JOURNAL_FSYNC_MS=50).
-                time.sleep(0.2)
                 break
             if response.status not in (0, 202, 429, 503):
                 break

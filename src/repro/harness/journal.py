@@ -1,21 +1,16 @@
-"""Checkpoint/resume journal for experiment grids.
+"""Checkpoint/resume journal for experiment grids, and the append-only
+JSON-lines file discipline it shares with the server's accept ledger.
 
 A grid run with an output directory appends one JSON line per completed
 cell to ``<out>/journal.jsonl`` *as it finishes*, so an interrupted run
 (crash, ^C, SIGTERM, power loss) can restart with ``--resume`` and skip
 every cell that already completed:
 
-- **Append-only**: each record is written and flushed in one call; a
-  crash can tear at most the final line.  By default every record is
-  also fsynced before :meth:`Journal.record` returns; at service
-  request rates that per-record fsync is measurably hot, so an opt-in
-  batched mode (``REPRO_JOURNAL_FSYNC_MS``, or the
-  ``fsync_interval_ms`` constructor argument) keeps the file handle
-  open, still flushes per record (a ``kill -9`` loses nothing that was
-  flushed), and fsyncs at most once per interval plus once on
-  :meth:`Journal.close` -- bounding *power-loss* exposure to the
-  interval while keeping torn-tail tolerance unchanged.
-- **Torn-tail tolerant**: :meth:`Journal.load` ignores a truncated or
+- **Append-only, fsynced per record**: :func:`append_record` writes,
+  flushes and fsyncs one line before it returns, so every record a
+  call reported written survives a crash or power loss; a crash can
+  tear at most the final line.
+- **Torn-tail tolerant**: :func:`read_records` ignores a truncated or
   garbage trailing line (and counts damaged interior lines) instead of
   refusing to resume.
 - **Self-describing**: records carry the cell key (a content hash of
@@ -38,21 +33,17 @@ import base64
 import json
 import os
 import pickle
-import time
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro import obs
 from repro.errors import JournalError
 from repro.harness.simcache import code_version
+from repro.obs.metrics import Counter
 
 #: Bump when the record layout changes.
 JOURNAL_SCHEMA = 1
 
 JOURNAL_NAME = "journal.jsonl"
-
-#: Environment opt-in for batched fsync (milliseconds between syncs);
-#: unset/empty/0 keeps the default fsync-per-record durability.
-FSYNC_ENV_VAR = "REPRO_JOURNAL_FSYNC_MS"
 
 _RECORDS = obs.counters.counter("harness.journal.records")
 _RESUMED = obs.counters.counter("harness.journal.cells_resumed")
@@ -61,100 +52,96 @@ _DEGRADED = obs.counters.counter("harness.journal.degradations")
 _FSYNCS = obs.counters.counter("harness.journal.fsyncs")
 
 
-def _env_fsync_interval_ms() -> Optional[float]:
-    raw = os.environ.get(FSYNC_ENV_VAR, "").strip()
-    if not raw:
-        return None
+def append_record(path: str, record: Dict[str, Any]) -> None:
+    """Append ``record`` to ``path`` as one JSON line: write, flush and
+    fsync before returning.  I/O failure raises :class:`OSError`; each
+    caller decides what a lost record costs."""
+    line = json.dumps(record, default=str, separators=(",", ":"))
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    _FSYNCS.add()
+
+
+def read_records(
+    path: str,
+    required: Sequence[str],
+    damaged: Counter,
+    what: str,
+) -> List[Dict[str, Any]]:
+    """Every well-formed record of the JSON-lines file ``path``, in
+    file order.
+
+    A record is well-formed when it is a JSON object carrying every key
+    in ``required``.  A missing file has no records.  A malformed last
+    line is the torn tail a crash mid-append leaves and is dropped
+    silently; a malformed line elsewhere is counted on the ``damaged``
+    counter, logged and skipped.  An unreadable file raises
+    :class:`JournalError` naming ``what`` -- the caller asked to resume
+    from it, so silent loss would be worse than failing.
+    """
     try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        return []
+    except OSError as exc:
+        raise JournalError(
+            f"cannot read {what} {path}: {exc}",
+            path=path,
+            reason=str(exc),
+        ) from exc
+    records: List[Dict[str, Any]] = []
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        if isinstance(record, dict) and all(k in record for k in required):
+            records.append(record)
+        elif i < len(lines) - 1:
+            damaged.add()
+            obs.log_event(
+                "journal_damaged_line",
+                level="warning",
+                path=path,
+                line=i + 1,
+            )
+    return records
 
 
 class Journal:
-    """One append-only journal file of completed grid cells.
+    """One append-only journal file of completed grid cells."""
 
-    ``fsync_interval_ms=None`` (the default) resolves the opt-in
-    batched-fsync interval from ``REPRO_JOURNAL_FSYNC_MS``; pass ``0``
-    to force fsync-per-record regardless of the environment, or a
-    positive interval to batch explicitly (the experiment server does).
-    """
-
-    def __init__(
-        self, path: str, fsync_interval_ms: Optional[float] = None
-    ) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         self._entries: Dict[str, Dict[str, Any]] = {}
         self._degraded = False
-        if fsync_interval_ms is None:
-            fsync_interval_ms = _env_fsync_interval_ms()
-        self.fsync_interval_s = (
-            fsync_interval_ms / 1000.0
-            if fsync_interval_ms and fsync_interval_ms > 0
-            else 0.0
-        )
-        self._fh: Optional[Any] = None
-        self._last_sync = 0.0
 
     @classmethod
-    def for_run_dir(
-        cls, out_dir: str, fsync_interval_ms: Optional[float] = None
-    ) -> "Journal":
-        return cls(
-            os.path.join(out_dir, JOURNAL_NAME),
-            fsync_interval_ms=fsync_interval_ms,
-        )
+    def for_run_dir(cls, out_dir: str) -> "Journal":
+        return cls(os.path.join(out_dir, JOURNAL_NAME))
 
     # ----------------------------------------------------------------- #
 
     def load(self) -> Dict[str, Dict[str, Any]]:
-        """Parse the journal into ``{cell_key: record}``.
-
-        A missing file is an empty journal.  A torn trailing line is
-        ignored silently (the expected crash artifact); damaged interior
-        lines are counted and skipped.  An unreadable file raises
-        :class:`JournalError` -- the caller explicitly asked to resume
-        from it, so silent loss would be worse than failing.
-        """
+        """Parse the journal into ``{cell_key: record}`` (see
+        :func:`read_records`), keeping only records of this schema and
+        this code version."""
         self._entries = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            return self._entries
-        except OSError as exc:
-            raise JournalError(
-                f"cannot read journal {self.path}: {exc}",
-                path=self.path,
-                reason=str(exc),
-            ) from exc
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("journal record is not an object")
-                key = record["key"]
-            except (ValueError, KeyError):
-                if i == len(lines) - 1:
-                    continue  # torn tail: the expected crash artifact
-                _DAMAGED.add()
-                obs.log_event(
-                    "journal_damaged_line",
-                    level="warning",
-                    path=self.path,
-                    line=i + 1,
-                )
-                continue
+        for record in read_records(self.path, ("key",), _DAMAGED, "journal"):
             if (
-                record.get("schema") != JOURNAL_SCHEMA
-                or record.get("code") != code_version()
+                record.get("schema") == JOURNAL_SCHEMA
+                and record.get("code") == code_version()
             ):
-                continue
-            self._entries[key] = record
+                self._entries[record["key"]] = record
         return self._entries
 
     def completed_keys(self) -> Iterable[str]:
@@ -195,7 +182,7 @@ class Journal:
     # ----------------------------------------------------------------- #
 
     def record(self, key: str, result: Any, **meta: Any) -> None:
-        """Append one completed cell (write + flush [+ fsync]).
+        """Append one completed cell (write + flush + fsync).
 
         Journal I/O failure (full disk, read-only dir) degrades to
         not-journaling with a single warning event: losing resumability
@@ -212,89 +199,26 @@ class Journal:
             ).decode("ascii"),
         }
         record.update(meta)
-        line = json.dumps(record, default=str, separators=(",", ":"))
         try:
-            if self.fsync_interval_s > 0:
-                self._append_batched(line)
-            else:
-                self._append_synced(line)
+            append_record(self.path, record)
         except OSError as exc:
-            self._degrade(exc)
+            self._degraded = True
+            _DEGRADED.add()
+            obs.log_event(
+                "journal_degraded",
+                level="warning",
+                path=self.path,
+                error=type(exc).__name__,
+                detail=str(exc),
+            )
             return
         self._entries[key] = record
         _RECORDS.add()
-
-    def _append_synced(self, line: str) -> None:
-        """The default durability discipline: one write+flush+fsync."""
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        _FSYNCS.add()
-
-    def _append_batched(self, line: str) -> None:
-        """Service-rate discipline: keep the handle open, flush per
-        record, fsync at most once per interval.  A killed *process*
-        loses nothing flushed; only power loss can cost up to one
-        interval of records -- and the torn-tail tolerant loader makes
-        that loss clean, never corrupting."""
-        if self._fh is None:
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._last_sync = time.monotonic()
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        now = time.monotonic()
-        if now - self._last_sync >= self.fsync_interval_s:
-            os.fsync(self._fh.fileno())
-            self._last_sync = now
-            _FSYNCS.add()
-
-    def _degrade(self, exc: OSError) -> None:
-        self._degraded = True
-        _DEGRADED.add()
-        obs.log_event(
-            "journal_degraded",
-            level="warning",
-            path=self.path,
-            error=type(exc).__name__,
-            detail=str(exc),
-        )
-
-    def sync(self) -> None:
-        """Force any batched records down to disk now."""
-        if self._fh is None:
-            return
-        try:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._last_sync = time.monotonic()
-            _FSYNCS.add()
-        except OSError as exc:
-            self._degrade(exc)
-
-    def close(self) -> None:
-        """Sync and release the batched-mode file handle (idempotent;
-        the journal can still record afterwards -- it reopens)."""
-        if self._fh is None:
-            return
-        self.sync()
-        try:
-            self._fh.close()
-        except OSError:
-            pass
-        self._fh = None
 
     def discard(self) -> None:
         """Delete the journal file (a fresh, non-resumed run starts clean
         so stale cells from an older grid cannot leak in)."""
         self._entries = {}
-        self.close()
         try:
             os.unlink(self.path)
         except FileNotFoundError:

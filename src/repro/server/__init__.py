@@ -14,24 +14,23 @@ abuse*:
   shedding (429 + ``Retry-After`` derived from observed p95);
 - :mod:`repro.server.breaker`   -- circuit breakers around the worker
   pool and the simcache;
-- :mod:`repro.server.state`     -- crash-safe accept/complete journals
-  so ``repro serve --resume`` recovers every acknowledged job exactly
-  once after a ``kill -9``;
+- :mod:`repro.server.state`     -- crash-safe accept/complete journals,
+  every record fsynced before its call returns, so ``repro serve
+  --resume`` recovers every acknowledged job exactly once after a
+  ``kill -9``;
 - :mod:`repro.server.client`    -- the urllib client the load harness
   and chaos drill drive;
 - :mod:`repro.server.loadtest`  -- open/closed-loop load generation
   emitting the mubench-style ``run_table.csv``
-  (``throughput_rps`` / ``p95_latency_ms`` / ``failure_rate``);
-- :mod:`repro.server.poolrunner` -- a persistent process-pool job
-  runner (``repro serve --pool N``) so served jobs execute out of
-  process.
+  (``throughput_rps`` / ``p95_latency_ms`` / ``failure_rate``).
+
+Served jobs run on the queue's worker threads, in the server process.
 """
 
 from repro.server.admission import AdmissionController
 from repro.server.app import ExperimentServer
 from repro.server.breaker import CircuitBreaker
 from repro.server.client import ServerClient
-from repro.server.poolrunner import PoolRunner
 from repro.server.queue import JobQueue, JobState
 from repro.server.state import ServerState
 
@@ -41,7 +40,6 @@ __all__ = [
     "ExperimentServer",
     "JobQueue",
     "JobState",
-    "PoolRunner",
     "ServerClient",
     "ServerState",
 ]

@@ -14,10 +14,10 @@ sequencing:
   the engine is deterministic -- the attached client receives exactly
   the bytes it would have computed.
 - **Per-job deadlines**: a job still queued when its deadline passes is
-  failed with :class:`SimulationTimeoutError` instead of running late;
-  the run itself is bounded by the engine's own
-  :class:`~repro.harness.parallel.RetryPolicy` timeout when the engine
-  runner is used.
+  failed with :class:`SimulationTimeoutError` instead of running late.
+  A job that has started runs to completion: it runs on the worker
+  thread itself, and an in-thread simulation cannot be preempted, so no
+  wall-clock bound applies to the run.
 - **Breaker feedback**: infrastructure failures
   (:class:`WorkerCrashError`, :class:`SimulationTimeoutError`) feed the
   ``pool`` breaker that admission control sheds on; cache corruption
@@ -179,6 +179,10 @@ class JobQueue:
         self._threads: List[threading.Thread] = []
         self._idle = threading.Condition(self._lock)
         self._running_count = 0
+        #: Jobs put on ``_tasks`` whose ``_run_one`` has not returned:
+        #: counts a job a worker has taken off the queue but not yet
+        #: started, which neither ``qsize`` nor ``_running_count`` sees.
+        self._pending = 0
 
     # ------------------------------------------------------------- #
     # Lifecycle
@@ -227,7 +231,7 @@ class JobQueue:
 
     def close(self, drain_s: float = 0.0) -> bool:
         """Stop accepting; optionally wait up to ``drain_s`` for the
-        backlog to finish; stop workers; sync state.  Returns True if
+        backlog to finish; stop workers.  Returns True if
         the queue drained completely (anything left is durable in the
         accept ledger and recovers under ``--resume``)."""
         with self._lock:
@@ -237,19 +241,16 @@ class JobQueue:
             self._tasks.put(_STOP)
         for thread in self._threads:
             thread.join(timeout=5.0)
-        self.state.close()
         return drained
 
     def idle(self) -> bool:
         with self._lock:
-            return self._tasks.qsize() == 0 and self._running_count == 0
+            return self._pending == 0
 
     def wait_idle(self, timeout_s: float) -> bool:
         deadline = time.monotonic() + timeout_s
         with self._idle:
-            while not (
-                self._tasks.qsize() == 0 and self._running_count == 0
-            ):
+            while self._pending:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -330,6 +331,7 @@ class JobQueue:
             self._jobs[primary_id].attached.append(record.job_id)
             return
         self._inflight[record.cell_key] = record.job_id
+        self._pending += 1
         self._tasks.put(record.job_id)
 
     # ------------------------------------------------------------- #
@@ -400,6 +402,7 @@ class JobQueue:
                 self._run_one(item)
             finally:
                 with self._idle:
+                    self._pending -= 1
                     self._idle.notify_all()
 
     def _run_one(self, job_id: str) -> None:

@@ -12,26 +12,28 @@ files in the state directory:
   deterministic, bit-identical result.
 - ``journal.jsonl`` -- the engine's own completion
   :class:`~repro.harness.journal.Journal`, carrying the pickled
-  :class:`ExperimentResult` per cell key.  Completions may use the
-  batched-fsync mode (``REPRO_JOURNAL_FSYNC_MS``): a completion lost to
-  power loss is merely recomputed, never re-acknowledged differently.
+  :class:`ExperimentResult` per cell key.
 
-``load()`` replays both (torn-tail tolerant) and reports the accepted
-jobs with no completion and no cancel -- exactly the set ``--resume``
-must re-enqueue.
+Both files use the journal's one append path (every record written,
+flushed and fsynced before its call returns) and its one torn-tail
+tolerant reader.  They differ only in what an I/O failure costs: a
+completion that cannot be journaled degrades to recomputing on resume,
+while an accept that cannot be made durable refuses the submit.
+
+``load()`` replays both and reports the accepted jobs with no
+completion and no cancel -- exactly the set ``--resume`` must
+re-enqueue.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
 from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.errors import JournalError
-from repro.harness.journal import Journal
+from repro.harness.journal import Journal, append_record, read_records
 
 ACCEPT_SCHEMA = 1
 ACCEPTED_NAME = "accepted.jsonl"
@@ -46,47 +48,31 @@ _DAMAGED = obs.counters.counter("server.state.damaged_lines")
 class ServerState:
     """The durable half of the job queue."""
 
-    def __init__(
-        self,
-        state_dir: str,
-        fsync_interval_ms: Optional[float] = None,
-    ) -> None:
+    def __init__(self, state_dir: str) -> None:
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
         self.accepted_path = os.path.join(state_dir, ACCEPTED_NAME)
-        self.completions = Journal.for_run_dir(
-            state_dir, fsync_interval_ms=fsync_interval_ms
-        )
+        self.completions = Journal.for_run_dir(state_dir)
         self._accepted: Dict[str, Dict[str, Any]] = {}
         self._cancelled: set = set()
-        self._fh: Optional[Any] = None
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- #
     # Accept ledger
 
     def _append(self, record: Dict[str, Any]) -> None:
-        """Write + flush + fsync one ledger line.  Unlike the completion
+        """Durably append one ledger line.  Unlike the completion
         journal this path must NOT degrade silently: an accept that is
         not durable must not be acknowledged, so I/O failure raises and
         the submit is refused."""
-        line = json.dumps(record, default=str, separators=(",", ":"))
-        with self._lock:
-            try:
-                if self._fh is None:
-                    self._fh = open(
-                        self.accepted_path, "a", encoding="utf-8"
-                    )
-                self._fh.write(line + "\n")
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except OSError as exc:
-                raise JournalError(
-                    f"cannot persist accept ledger {self.accepted_path}: "
-                    f"{exc}",
-                    path=self.accepted_path,
-                    reason=str(exc),
-                ) from exc
+        try:
+            append_record(self.accepted_path, record)
+        except OSError as exc:
+            raise JournalError(
+                f"cannot persist accept ledger {self.accepted_path}: "
+                f"{exc}",
+                path=self.accepted_path,
+                reason=str(exc),
+            ) from exc
 
     def record_accept(
         self,
@@ -144,50 +130,21 @@ class ServerState:
         journaled completion resolve instantly on re-registration; the
         rest are what ``--resume`` re-enqueues.
 
-        Torn-tail tolerant like :meth:`Journal.load`: a record cut short
+        Torn-tail tolerant (:func:`read_records`): a record cut short
         by the crash was never fsynced-then-acknowledged, so dropping it
         breaks no promise.
         """
         self._accepted = {}
         self._cancelled = set()
-        try:
-            with open(self.accepted_path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            lines = []
-        except OSError as exc:
-            raise JournalError(
-                f"cannot read accept ledger {self.accepted_path}: {exc}",
-                path=self.accepted_path,
-                reason=str(exc),
-            ) from exc
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("ledger record is not an object")
-                op = record["op"]
-                job_id = record["job_id"]
-            except (ValueError, KeyError):
-                if i == len(lines) - 1:
-                    continue  # torn tail: the expected crash artifact
-                _DAMAGED.add()
-                obs.log_event(
-                    "accept_ledger_damaged_line",
-                    level="warning",
-                    path=self.accepted_path,
-                    line=i + 1,
-                )
-                continue
+        for record in read_records(
+            self.accepted_path, ("op", "job_id"), _DAMAGED, "accept ledger"
+        ):
             if record.get("schema") != ACCEPT_SCHEMA:
                 continue
-            if op == "accept":
-                self._accepted[job_id] = record
-            elif op == "cancel":
-                self._cancelled.add(job_id)
+            if record["op"] == "accept":
+                self._accepted[record["job_id"]] = record
+            elif record["op"] == "cancel":
+                self._cancelled.add(record["job_id"])
         self.completions.load()
         live = [
             record
@@ -222,18 +179,3 @@ class ServerState:
             if head == "job" and tail.isdigit():
                 best = max(best, int(tail))
         return best
-
-    # ------------------------------------------------------------- #
-
-    def sync(self) -> None:
-        self.completions.sync()
-
-    def close(self) -> None:
-        self.completions.close()
-        with self._lock:
-            if self._fh is not None:
-                try:
-                    self._fh.close()
-                except OSError:
-                    pass
-                self._fh = None

@@ -10,8 +10,8 @@ state afterwards.
 The analytics run store gets the same treatment: auto-ingest is
 disabled (``REPRO_ANALYTICS=0``) so CLI tests leave run artifacts
 bit-identical to the pre-analytics layout, and the default store
-location is pointed at a per-process scratch path so the Timeline
-report section never reads a developer's real store.  Analytics tests
+location is pointed at a per-process scratch path so no test reads or
+writes a developer's real store.  Analytics tests
 opt in with explicit store directories (``RunStore(tmp)``).
 """
 

@@ -154,26 +154,11 @@ def test_discard_removes_file(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Batched fsync (REPRO_JOURNAL_FSYNC_MS)
-
-
-def test_batched_mode_fsyncs_at_most_once_per_interval(tmp_path):
-    journal = Journal.for_run_dir(
-        str(tmp_path), fsync_interval_ms=60_000
-    )
-    before = obs.counters.snapshot()
-    for i in range(5):
-        journal.record(f"cell-{i}", i)
-    mid = obs.counters.delta_since(before)
-    # The interval has not elapsed: no per-record fsync happened.
-    assert mid.get("harness.journal.fsyncs", 0) == 0
-    journal.close()
-    after = obs.counters.delta_since(before)
-    assert after.get("harness.journal.fsyncs") == 1  # close syncs once
+# Durability: every record is fsynced before record() returns
 
 
 def test_synced_mode_fsyncs_every_record(tmp_path):
-    journal = Journal.for_run_dir(str(tmp_path), fsync_interval_ms=0)
+    journal = _journal(tmp_path)
     before = obs.counters.snapshot()
     for i in range(3):
         journal.record(f"cell-{i}", i)
@@ -182,50 +167,17 @@ def test_synced_mode_fsyncs_every_record(tmp_path):
 
 
 def test_kill9_between_syncs_loses_nothing_flushed(tmp_path):
-    """Crash simulation: batched-mode records are flushed per record,
-    so a dead *process* (handle never closed, fsync never reached)
-    still leaves every record readable -- only the torn tail of a
-    mid-write crash may drop, and dropping it is clean."""
-    journal = Journal.for_run_dir(
-        str(tmp_path), fsync_interval_ms=60_000
-    )
+    """Crash simulation: a record is on disk once record() returns, so
+    a dead *process* leaves every recorded cell readable -- only the
+    torn tail of a mid-write crash may drop, and dropping it is clean."""
+    journal = _journal(tmp_path)
     journal.record("cell-a", {"cycles": 1})
     journal.record("cell-b", {"cycles": 2})
-    # No close(), no sync(): the handle dies with the "process".  Tear
-    # the tail the way a crash mid-append would.
+    # Tear the tail the way a crash mid-append would.
     with open(journal.path, "a", encoding="utf-8") as fh:
         fh.write('{"schema": 1, "key": "cell-c", "resu')
 
-    fresh = Journal.for_run_dir(str(tmp_path))
+    fresh = _journal(tmp_path)
     loaded = fresh.load()
     assert set(loaded) == {"cell-a", "cell-b"}
     assert fresh.result_for("cell-a") == {"cycles": 1}
-
-
-def test_fsync_env_var_opts_in(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_JOURNAL_FSYNC_MS", "250")
-    journal = Journal.for_run_dir(str(tmp_path))
-    assert journal.fsync_interval_s == 0.25
-    # An explicit 0 forces per-record fsync regardless of the env.
-    forced = Journal.for_run_dir(str(tmp_path), fsync_interval_ms=0)
-    assert forced.fsync_interval_s == 0.0
-
-
-def test_fsync_env_var_garbage_falls_back_to_synced(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_JOURNAL_FSYNC_MS", "soon")
-    assert Journal.for_run_dir(str(tmp_path)).fsync_interval_s == 0.0
-    monkeypatch.setenv("REPRO_JOURNAL_FSYNC_MS", "-5")
-    assert Journal.for_run_dir(str(tmp_path)).fsync_interval_s == 0.0
-
-
-def test_record_after_close_reopens(tmp_path):
-    journal = Journal.for_run_dir(
-        str(tmp_path), fsync_interval_ms=60_000
-    )
-    journal.record("cell-a", 1)
-    journal.close()
-    journal.record("cell-b", 2)
-    journal.close()
-    assert set(Journal.for_run_dir(str(tmp_path)).load()) == {
-        "cell-a", "cell-b",
-    }

@@ -2,6 +2,8 @@
 deadlines, breaker feedback, drain, and the exactly-once ledger."""
 
 import json
+import queue
+import sys
 import threading
 import time
 
@@ -46,6 +48,65 @@ def test_submit_runs_to_done(tmp_path):
         assert payload["job_id"] == "job-000001"
     finally:
         q.close()
+
+
+class _PausingTasks(queue.Queue):
+    """A task queue whose ``get`` pauses after removing a job, holding
+    the worker in the gap between taking a job and starting it."""
+
+    def __init__(self):
+        super().__init__()
+        self.taken = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, *args, **kwargs):
+        item = super().get(*args, **kwargs)
+        if isinstance(item, str):  # a job id, not the stop sentinel
+            self.taken.set()
+            self.release.wait(10.0)
+        return item
+
+
+def test_wait_idle_counts_a_job_taken_but_not_started(tmp_path):
+    state = ServerState(str(tmp_path / "state"))
+    q = JobQueue(state, runner=_row, workers=1)
+    tasks = q._tasks = _PausingTasks()
+    q.start()
+    try:
+        record = q.submit({"benchmark": "gcc"})
+        assert tasks.taken.wait(10.0)
+        # Off the task queue, not yet running: still pending.
+        assert q.wait_idle(0.05) is False
+        assert not q.idle()
+        assert record.state == JobState.QUEUED
+        tasks.release.set()
+        assert q.wait_idle(10.0)
+        assert record.state == JobState.DONE
+    finally:
+        tasks.release.set()
+        q.close()
+
+
+def test_many_workers_drain_every_job_before_idle(tmp_path):
+    """More workers than cores and a short switch interval: wait_idle
+    returns only after every job is DONE, and the concurrent completion
+    appends leave one whole journal line per job."""
+    specs = [
+        {"benchmark": name, "target": target}
+        for name in benchmark_names()
+        for target in ("O", "L", "E", "P")
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    q = _queue(tmp_path, workers=8)
+    try:
+        records = [q.submit(spec) for spec in specs]
+        assert q.wait_idle(30.0)
+        assert [r.state for r in records] == [JobState.DONE] * len(specs)
+    finally:
+        sys.setswitchinterval(interval)
+        q.close()
+    assert len(q.state.completions.load()) == len(specs)
 
 
 def test_accept_ledger_written_before_submit_returns(tmp_path):
@@ -334,7 +395,6 @@ def test_resume_reenqueues_pending_and_registers_done(tmp_path):
     crashed.state.record_accept(
         "job-000002", "some-other-key", {"benchmark": "mcf"}
     )
-    crashed.state.close()
 
     fresh = JobQueue(ServerState(state_dir), runner=_row, workers=1)
     resumed = fresh.recover(resume=True)
@@ -378,7 +438,6 @@ def test_resume_reads_state_with_trace_keys(tmp_path):
         done_key, {"benchmark": "gcc", "target": "L"}, benchmark="gcc",
         job_id="job-000001", trace_id="a" * 32,
     )
-    old.close()
 
     ran = []
 

@@ -102,6 +102,16 @@ def test_resume_without_out_exits_2(capsys):
     assert "--resume requires --out" in capsys.readouterr().err
 
 
+def test_serve_refuses_job_timeout(tmp_path, capsys):
+    # A served job runs on a queue thread and cannot be preempted, so
+    # the flag is refused before any state directory or socket exists.
+    state = tmp_path / "state"
+    assert main(["serve", "--port", "0", "--state", str(state),
+                 "--job-timeout", "5"]) == 2
+    assert "--deadline" in capsys.readouterr().err
+    assert not state.exists()
+
+
 def test_manifest_write_fault_is_tolerated(tmp_path, capsys):
     out = str(tmp_path / "artifacts")
     code = main(
