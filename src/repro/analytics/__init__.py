@@ -3,8 +3,8 @@
 Every evaluation command leaves per-run artifacts (``manifest.json``,
 ``results.jsonl``, ``run_table.csv``) in its own directory.  This
 package collects them so longitudinal questions have an answer ("how
-has gmean ED² moved over the last N commits?", "which workload's stall
-mix regressed?"):
+has gmean ED² moved over the last N commits?", "how often did the
+simulation cache hit?"):
 
 - :mod:`repro.analytics.store` -- an append-only run store: each
   ingested run directory becomes one JSON run file of row dicts,
@@ -12,8 +12,8 @@ mix regressed?"):
   flagged rows, never dropped; torn tails and damaged lines are
   tolerated and counted.
 - :mod:`repro.analytics.query` -- group-by / filter / gmean
-  aggregation over the store: gmean trends per objective, stall-mix
-  drift per workload, simcache hit rates, phase-wall trajectories.
+  aggregation over the store: gmean trends per objective, simcache
+  hit rates, phase-wall trajectories.
 
 The CLI front door is ``repro analytics ingest|query|stats``;
 evaluation commands with ``--out`` also auto-ingest their run on

@@ -12,7 +12,6 @@ honestly.
 
 The canonical cross-run questions get named helpers:
 :func:`gmean_trend` (gmean ED²/ED/energy per objective per run),
-:func:`stall_drift` (stall-mix per workload across runs),
 :func:`cache_hit_rate`, :func:`phase_walls`
 (t_trace/t_analysis/t_sim trajectories).
 """
@@ -200,32 +199,6 @@ def gmean_trend(
         kind="result",
         where=where,
     )
-
-
-def stall_drift(
-    store: RunStore,
-    categories: Sequence[str] = (),
-    benchmark: Optional[str] = None,
-) -> Dict[str, QueryResult]:
-    """Mean stall-mix fraction per workload across runs.
-
-    Returns ``{stall_category: series}`` -- one query per category so
-    each drifts independently.  With no explicit ``categories``, every
-    ``stall_*`` column present in the store is tracked.
-    """
-    if not categories:
-        categories = sorted({
-            k for row in store.rows() for k in row if k.startswith("stall_")
-        })
-    where = {"benchmark": benchmark} if benchmark else None
-    return {
-        cat: aggregate(
-            store, cat,
-            group_by=("run_seq", "benchmark"),
-            agg="mean", kind="trace", where=where,
-        )
-        for cat in categories
-    }
 
 
 def cache_hit_rate(store: RunStore) -> QueryResult:

@@ -244,7 +244,7 @@ class RunStore:
         full_rows: List[Dict[str, Any]] = []
         for row in rows:
             # Reserved keys: run_seq is the ingest sequence (the x
-            # axis); kind is the row family (result | run | trace);
+            # axis); kind is the row family (result | run);
             # schema is the results.jsonl record's stamped layout
             # version (1 for pre-stamp artifacts); failed is 1 for
             # JobFailure rows, else 0.
@@ -304,9 +304,8 @@ class RunStore:
 
         Reads ``manifest.json`` (optional -- a missing manifest falls
         back to the directory name as run id) and ``results.jsonl``
-        (torn-tail tolerant), plus any ``utrace/*.summary.json`` stall
-        summaries.  Rows stamped with a newer schema than this code
-        understands are rejected loudly, never guessed at.
+        (torn-tail tolerant).  Rows stamped with a newer schema than
+        this code understands are rejected loudly, never guessed at.
         """
         manifest: Dict[str, Any] = {}
         manifest_path = os.path.join(run_dir, MANIFEST_NAME)
@@ -335,7 +334,6 @@ class RunStore:
         report.lines_damaged = damaged
         report.rows_rejected = rejected
 
-        rows.extend(self._trace_rows(run_dir))
         run_row = self._run_row(manifest)
         if run_row is not None:
             rows.append(run_row)
@@ -415,36 +413,6 @@ class RunStore:
             record.setdefault("kind", "result")
             rows.append(record)
         return rows, damaged, rejected
-
-    def _trace_rows(self, run_dir: str) -> List[Dict[str, Any]]:
-        """Stall-attribution rows from ``utrace/*.summary.json``."""
-        rows: List[Dict[str, Any]] = []
-        pattern = os.path.join(run_dir, "utrace", "*.summary.json")
-        for path in sorted(glob.glob(pattern)):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    summary = json.load(fh)
-            except (OSError, ValueError):
-                _DAMAGED.add()
-                obs.log_event(
-                    "analytics_summary_unreadable",
-                    level="warning",
-                    path=path,
-                )
-                continue
-            label = str(summary.get("label", ""))
-            row: Dict[str, Any] = {
-                "kind": "trace",
-                "label": label,
-                "benchmark": label.split(".", 1)[0] if label else "",
-                "ipc": summary.get("ipc"),
-                "cycles": summary.get("cycles"),
-                "committed": summary.get("committed"),
-            }
-            for name, frac in (summary.get("stall_fractions") or {}).items():
-                row[f"stall_{name}"] = frac
-            rows.append(row)
-        return rows
 
     def _run_row(self, manifest: Mapping[str, Any]):
         """One run-level row: wall time, degradation, simcache rates."""

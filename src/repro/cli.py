@@ -10,11 +10,8 @@ Commands mirror the paper's evaluation:
 - ``table3``             model validation ratios
 - ``list``               available benchmarks
 - ``cache stats|clear``  inspect / empty the persistent simulation cache
-- ``trace BENCH``        run one experiment with microarchitectural
-  tracing: Chrome/Perfetto + Kanata exports, top-down stall
-  attribution, and a per-event energy audit land in ``--out``
 - ``report [DIR]``       render a self-contained HTML report from a run
-  directory's manifest/results/utrace artifacts
+  directory's manifest and results
 - ``analytics ingest|query|stats``  the result analytics layer:
   ingest run directories into the run store and aggregate cross-run
   trends (gmean per objective, stall-mix drift, phase walls).  Runs
@@ -35,8 +32,8 @@ Every evaluation command accepts the global observability flags:
 - ``--quiet``            suppress heartbeat/progress telemetry.
 
 ``repro serve`` runs the engine as an HTTP/JSON service (``/v1/stats``
-reports its queue, breakers and admission state); ``repro loadtest``
-drives one with a load model.
+reports its queue, simcache breaker and admission state);
+``repro loadtest`` drives one with a load model.
 
 the performance flags:
 
@@ -61,12 +58,6 @@ and the robustness flags:
 ``repro chaos`` runs a grid twice -- fault-free and under injected
 faults -- and reports whether recovery was complete, bit-identical, and
 fully accounted.
-
-Any evaluation command combined with ``--out DIR --trace-window
-START:END`` runs with microarchitectural tracing enabled (per-cell
-trace files under ``DIR/utrace/``, indexed in ``manifest.json``); the
-``trace`` subcommand is the single-experiment front door to the same
-machinery.
 """
 
 from __future__ import annotations
@@ -79,7 +70,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro import faults, obs
-from repro.obs import utrace
 from repro.config import (
     EnergyConfig,
     MachineConfig,
@@ -180,14 +170,6 @@ def _parser() -> argparse.ArgumentParser:
         "PROB (repeatable; sites: " + ", ".join(faults.SITES) + ")",
     )
     obs_flags.add_argument(
-        "--trace-window",
-        metavar="START:END",
-        default=None,
-        help="with --out DIR: enable microarchitectural tracing for "
-        "this cycle range (either side may be empty); traces land in "
-        "DIR/utrace/ and are indexed in manifest.json",
-    )
-    obs_flags.add_argument(
         "--store",
         metavar="DIR",
         default=None,
@@ -229,35 +211,10 @@ def _parser() -> argparse.ArgumentParser:
                            help="persistent simulation cache maintenance")
     cache.add_argument("action", choices=("stats", "clear"))
 
-    trace = sub.add_parser(
-        "trace", parents=[obs_flags],
-        help="run one experiment with microarchitectural tracing "
-        "(Chrome/Perfetto + Kanata exports, stall attribution, "
-        "energy audit)",
-    )
-    trace.add_argument("benchmark", choices=benchmark_names())
-    trace.add_argument("--target", default="L", choices=sorted(_TARGETS))
-    trace.add_argument("--profile-input", default="train",
-                       choices=("train", "ref"))
-    trace.add_argument("--quick", action="store_true",
-                       help="trace only the first 50k cycles "
-                       "(CI smoke mode; overridden by --trace-window)")
-    trace.add_argument("--format", action="append", default=None,
-                       choices=("chrome", "kanata"), dest="formats",
-                       help="export format(s) to write (default: both; "
-                       "repeatable)")
-    trace.add_argument("--max-insts", type=int, default=None,
-                       metavar="N",
-                       help="cap on recorded instruction lifecycles per "
-                       "simulation (default 200000)")
-    trace.add_argument("--no-energy-audit", action="store_true",
-                       help="skip per-event energy accumulation and the "
-                       "E1-E8 cross-check")
-
     report = sub.add_parser(
         "report", parents=[obs_flags],
         help="render a self-contained HTML report from a run "
-        "directory's manifest/results/utrace artifacts",
+        "directory's manifest and results",
     )
     report.add_argument("dir", nargs="?", default=None,
                         help="run directory to render (default: --out)")
@@ -296,7 +253,7 @@ def _parser() -> argparse.ArgumentParser:
                          choices=("gmean", "mean", "sum", "count",
                                   "min", "max"))
     a_query.add_argument("--kind", default="result",
-                         choices=("result", "run", "trace"),
+                         choices=("result", "run"),
                          help="row family (default result)")
     a_query.add_argument("--where", action="append", default=None,
                          metavar="COL=VALUE",
@@ -430,14 +387,6 @@ def _write_artifacts(
         return
     degraded = any(row.get("failed") for row in rows)
     extra.setdefault("degraded", degraded)
-    if utrace.enabled():
-        files = utrace.drain_artifacts()
-        extra.setdefault("utrace", {
-            "config": utrace.encode(),
-            "n_files": len(files),
-            "total_bytes": sum(int(a.get("bytes", 0)) for a in files),
-            "files": files,
-        })
     try:
         faults.raise_os_if("manifest.write", key=args.command)
         writer = obs.RunWriter(
@@ -544,34 +493,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --resume requires --out DIR", file=sys.stderr)
         return 2
 
-    traced = False
-    if args.command == "trace" or getattr(args, "trace_window", None):
-        if args.command == "trace" and not args.out:
-            args.out = f"trace_{args.benchmark}"
-        if not args.out:
-            print("error: --trace-window requires --out DIR",
-                  file=sys.stderr)
-            return 2
-        try:
-            window = None
-            if getattr(args, "trace_window", None):
-                window = utrace.parse_window(args.trace_window)
-            elif args.command == "trace" and args.quick:
-                window = (0, 50_000)
-            utrace.configure(
-                out_dir=args.out,
-                window=window,
-                formats=tuple(args.formats)
-                if getattr(args, "formats", None) else None,
-                energy_audit=not getattr(args, "no_energy_audit", False),
-                max_insts=getattr(args, "max_insts", None)
-                or utrace.DEFAULT_MAX_INSTS,
-            )
-            traced = True
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     policy = RetryPolicy(
         max_attempts=(
             args.retries
@@ -618,8 +539,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # into a later in-process invocation (tests call main directly).
         if getattr(args, "inject_fault", None):
             faults.reset()
-        if traced:  # same hygiene for the tracing configuration
-            utrace.disable()
         if getattr(args, "quiet", False):
             obs.set_quiet(False)
 
@@ -663,25 +582,6 @@ def _dispatch(
                 print(result.selection.describe())
                 print()
             print(format_table([result.summary_row()]))
-        _write_artifacts(args, argv, [row])
-        return 0
-
-    if args.command == "trace":
-        result = run_experiment(
-            args.benchmark,
-            target=_TARGETS[args.target],
-            profile_input=args.profile_input,
-        )
-        row = result_row(result)
-        if args.json:
-            print(render_json_lines([row]))
-        else:
-            print(format_table([result.summary_row()]))
-        for art in result.trace_artifacts:
-            print(
-                f"  {art['kind']:<16} {art['bytes']:>12,} B  {art['path']}",
-                file=sys.stderr,
-            )
         _write_artifacts(args, argv, [row])
         return 0
 
@@ -840,6 +740,15 @@ def _dispatch(
                 file=sys.stderr,
             )
             return 1
+        if row.get("requests") and not row.get("ok"):
+            # Sheds and drops are not failures, so a run that delivered
+            # nothing would otherwise pass the failure-rate bound.
+            print(
+                f"error: none of {row['requests']} request(s) "
+                "delivered a result",
+                file=sys.stderr,
+            )
+            return 1
         return 0
 
     raise AssertionError("unreachable")  # pragma: no cover
@@ -850,7 +759,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
     drain gracefully, exit 0."""
     from repro.server import (
         AdmissionController,
-        CircuitBreaker,
         ExperimentServer,
         JobQueue,
         ServerState,
@@ -869,19 +777,13 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
 
     workers = args.workers or args.jobs or 2
     state = ServerState(args.state)
-    pool_breaker = CircuitBreaker("pool")
-    cache_breaker = CircuitBreaker("simcache")
     admission = AdmissionController(
-        max_queue_depth=args.max_queue,
-        workers=workers,
-        pool_breaker=pool_breaker,
+        max_queue_depth=args.max_queue, workers=workers
     )
     queue = JobQueue(
         state,
         workers=workers,
         admission=admission,
-        pool_breaker=pool_breaker,
-        cache_breaker=cache_breaker,
         default_deadline_s=args.deadline,
     )
     server = ExperimentServer(

@@ -25,7 +25,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro import faults, obs
-from repro.obs import utrace
 from repro.branch.btb import BTB
 from repro.branch.predictors import HybridPredictor
 from repro.config import MachineConfig
@@ -325,8 +324,6 @@ class Pipeline:
         self.stats = SimStats()
         self.warm = warm
         self._ran = False
-        #: Artifact records written by utrace when tracing is enabled.
-        self.trace_artifacts: List[Dict[str, object]] = []
 
     def _warm_caches(self) -> None:
         """Functional warm-up pass, mirroring the paper's sampled-run cache
@@ -443,29 +440,6 @@ class Pipeline:
         now = 0
         committed = 0
 
-        # Microarchitectural tracing (repro.obs.utrace): one collector
-        # per traced run.  The disabled fast path is a single hoisted
-        # boolean -- every hook below hides behind ``if trace_on``, the
-        # same pattern as the debug heartbeat, so an untraced simulation
-        # pays one local load per guarded site and no calls.
-        tracer = utrace.collector_for(cfg)
-        trace_on = tracer is not None
-        if trace_on:
-            tr_fetch_main = tracer.fetch_main
-            tr_fetch_pth = tracer.fetch_pth
-            tr_fetch_block = tracer.fetch_block
-            tr_bpred = tracer.bpred
-            tr_dispatch = tracer.dispatch
-            tr_issue = tracer.issue
-            tr_alu = tracer.alu
-            tr_mem = tracer.mem
-            tr_retire = tracer.retire
-            tr_commit = tracer.committed
-            tr_replay = tracer.replay
-            tr_redirect = tracer.redirect
-            tr_spawn = tracer.spawn
-            tr_idle = tracer.idle
-
         # -------------------------------------------------------------- #
         # Helpers (closures over the hot state).
         # -------------------------------------------------------------- #
@@ -517,8 +491,6 @@ class Pipeline:
                 fetch_active.append(_Context(spawn, next_uid, now))
                 next_uid += len(spawn.insts)
                 stats.spawns_started += 1
-                if trace_on:
-                    tr_spawn(now, spawn.static_id, trigger_seq)
 
         # -------------------------------------------------------------- #
         # Pipeline stages.
@@ -540,12 +512,8 @@ class Pipeline:
                     phys_used -= 1
                 committed += 1
                 n += 1
-                if trace_on:
-                    tr_retire(now, head)
             if n:
                 act.committed_main += n
-                if trace_on:
-                    tr_commit(n)
             return n
 
         def process_completions() -> bool:
@@ -569,11 +537,6 @@ class Pipeline:
                 )
                 if result.retry:
                     return False
-                if trace_on:
-                    tr_mem(
-                        entry.is_pth,
-                        result.l2_accessed or result.mem_access,
-                    )
                 if entry.is_pth:
                     act.dmem_accesses_pth += 1
                     if result.l2_accessed or result.mem_access:
@@ -606,8 +569,6 @@ class Pipeline:
                         stats.covered_misses_full += 1
                         stats.useful_prefetches += 1
                 schedule_completion(entry.uid, result.complete_at)
-                if trace_on:
-                    tr_issue(now, entry.uid, result.complete_at)
             elif kind == _STORE:
                 result = data_access(entry.addr, now, is_write=True)
                 if result.retry:
@@ -615,27 +576,18 @@ class Pipeline:
                 act.dmem_accesses_main += 1
                 if result.l2_accessed or result.mem_access:
                     act.l2_accesses_main += 1
-                if trace_on:
-                    tr_mem(False, result.l2_accessed or result.mem_access)
-                    tr_issue(now, entry.uid, now + 1)
                 # Stores drain through the store buffer off the critical path.
                 schedule_completion(entry.uid, now + 1)
             elif kind == _MUL:
                 schedule_completion(entry.uid, now + mul_latency)
-                if trace_on:
-                    tr_issue(now, entry.uid, now + mul_latency)
             else:  # ALU or BRANCH
                 schedule_completion(entry.uid, now + 1)
-                if trace_on:
-                    tr_issue(now, entry.uid, now + 1)
                 if kind == _BRANCH and entry.seq == pending_redirect:
                     redirect_clear_at = now + 1
             if entry.is_pth:
                 stats.pinsts_executed += 1
                 if kind in (_ALU, _MUL):
                     act.alu_ops_pth += 1
-                    if trace_on:
-                        tr_alu(True)
                 if entry.hint_seq >= 0:
                     done = (
                         p_completion.get(entry.uid)
@@ -650,8 +602,6 @@ class Pipeline:
             else:
                 if kind in (_ALU, _MUL, _BRANCH):
                     act.alu_ops_main += 1
-                    if trace_on:
-                        tr_alu(False)
             return True
 
         def do_issue() -> bool:
@@ -692,8 +642,6 @@ class Pipeline:
                     issued += 1
                 else:
                     # MSHR-blocked: the access will replay next chance.
-                    if trace_on:
-                        tr_replay(now, entry.uid)
                     retry.append(entry)
             deferred.extend(retry)
             return issued > 0
@@ -717,8 +665,6 @@ class Pipeline:
                 frontend_pipe.popleft()
                 rob.append(seq)
                 act.dispatched_main += 1
-                if trace_on:
-                    tr_dispatch(now, seq, False)
                 if writes:
                     phys_used += 1
                 if needs_rs:
@@ -742,8 +688,6 @@ class Pipeline:
                 act.dispatched_pth += 1
                 spec = ctx.spawn.insts[idx]
                 uid = ctx.uid_base + idx
-                if trace_on:
-                    tr_dispatch(now, uid, True)
                 entry = _Entry(
                     uid,
                     _PCLASS_TO_KIND[spec.klass],
@@ -785,11 +729,6 @@ class Pipeline:
                         ctx.fetched_all = True
                         fetch_active.remove(ctx)
                     act.fetch_blocks_pth += 1
-                    if trace_on:
-                        tr_fetch_block(True)
-                        sid = ctx.spawn.static_id
-                        for idx in range(block_start, block_end):
-                            tr_fetch_pth(now, ctx.uid_base + idx, sid)
                     return True
 
             # Main thread.
@@ -819,8 +758,6 @@ class Pipeline:
                 return False
 
             act.fetch_blocks_main += 1
-            if trace_on:
-                tr_fetch_block(False)
             fetched = 0
             while (
                 fetched < width
@@ -834,15 +771,11 @@ class Pipeline:
                 frontend_pipe.append((now + frontend_depth, idx))
                 next_seq += 1
                 fetched += 1
-                if trace_on:
-                    tr_fetch_main(now, idx, pc)
                 ctrl = ctrl_arr[idx]
                 if ctrl == _CTRL_BRANCH:
                     taken = taken_arr[idx]
                     stats.branches += 1
                     act.bpred_accesses += 1
-                    if trace_on:
-                        tr_bpred()
                     predicted = predict_and_update(pc, taken)
                     hint = branch_hints.get(idx)
                     if hint is not None and hint[0] <= now:
@@ -855,8 +788,6 @@ class Pipeline:
                         stats.mispredictions += 1
                         pending_redirect = idx
                         redirect_clear_at = None
-                        if trace_on:
-                            tr_redirect(now, idx)
                         break
                     if taken:
                         branch_next_pc = next_pc_arr[idx]
@@ -903,8 +834,6 @@ class Pipeline:
             nonlocal bd_mem, bd_l2, bd_exec, bd_commit, bd_fetch
             nonlocal sl_retire, sl_fetch, sl_branch, sl_load
             nonlocal sl_rob, sl_rs, sl_pth, sl_exec
-            if trace_on:
-                tr_idle(n)
             r = retired if retired < width else width
             sl_retire += r
             slots = width * n - r
@@ -1047,13 +976,6 @@ class Pipeline:
         stalls.pthread_contention += sl_pth
         stalls.exec += sl_exec
 
-        if trace_on:
-            # Traced runs self-check the slot invariant, then audit the
-            # per-event energy and export the trace artifacts -- all loud
-            # on failure.
-            stalls.verify(width, now)
-            self.trace_artifacts = tracer.finalize(stats)
-
         record_run(stats, time.perf_counter() - wall_start)
         return stats
 
@@ -1061,19 +983,13 @@ class Pipeline:
 def use_reference() -> bool:
     """Whether a simulation must run on the reference :class:`Pipeline`.
 
-    Three observable cases: microarchitectural tracing is on (the
-    utrace hooks live only in :class:`Pipeline`), the ``pipeline.step``
-    fault site is armed (it fires from inside the reference loop), or
-    the compiled ``kernel`` library does not load (no C toolchain,
-    ``REPRO_NATIVE=0``).
+    Two observable cases: the ``pipeline.step`` fault site is armed (it
+    fires from inside the reference loop), or the compiled ``kernel``
+    library does not load (no C toolchain, ``REPRO_NATIVE=0``).
     """
     from repro.cpu import nativebuild
 
-    return (
-        utrace.enabled()
-        or faults.site_active("pipeline.step")
-        or nativebuild.load() is None
-    )
+    return faults.site_active("pipeline.step") or nativebuild.load() is None
 
 
 def simulate(

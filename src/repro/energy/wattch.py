@@ -11,14 +11,13 @@ component only "deep sleep" could recover).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.config import EnergyConfig, MachineConfig
 from repro.cpu.stats import ActivityCounts
-from repro.energy.breakdown import CATEGORIES, EnergyBreakdown
+from repro.energy.breakdown import EnergyBreakdown
 from repro.energy.cacti import l2_access_energy_scale
-from repro.errors import EnergyAuditError
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,6 @@ class EnergyModel:
 
     # ------------------------------------------------------------------ #
 
-    def audit(self) -> "EnergyAudit":
-        """A per-event energy auditor calibrated to this model."""
-        return EnergyAudit(self)
-
     def pthsel_constants(self) -> Dict[str, float]:
         """The external energy parameters PTHSEL+E consumes (equation E8).
 
@@ -141,162 +136,3 @@ class EnergyModel:
             "e_l2": self._e_l2,
             "e_idle": self._e_idle_cycle,
         }
-
-
-# --------------------------------------------------------------------- #
-# Energy audit: per-event accumulation cross-checked against the
-# closed-form E1-E8 evaluation.
-# --------------------------------------------------------------------- #
-
-
-@dataclass
-class EnergyAuditReport:
-    """Outcome of one event-stream vs closed-form energy cross-check."""
-
-    ok: bool
-    tolerance: float
-    max_rel_error: float
-    event_total_joules: float
-    closed_form_joules: float
-    per_category: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "tolerance": self.tolerance,
-            "max_rel_error": self.max_rel_error,
-            "event_total_joules": self.event_total_joules,
-            "closed_form_joules": self.closed_form_joules,
-            "per_category": self.per_category,
-        }
-
-
-class EnergyAudit:
-    """Accumulates per-structure energy one microarchitectural event at a
-    time, in event-stream order.
-
-    The timing simulator's closed-form accounting
-    (:meth:`EnergyModel.evaluate`) multiplies end-of-run activity counts
-    by per-access energies.  Under tracing, this auditor instead charges
-    each individual event as it happens; :meth:`compare` then
-    cross-checks the two against each other within a tight relative
-    tolerance (default 0.1%), failing loudly on divergence.  Agreement
-    proves the event stream covers every access the aggregate counters
-    saw -- the property the per-instruction trace exporters depend on.
-    """
-
-    __slots__ = ("model", "joules", "events")
-
-    def __init__(self, model: EnergyModel) -> None:
-        self.model = model
-        self.joules: Dict[str, float] = {c: 0.0 for c in CATEGORIES}
-        self.events = 0
-
-    # Per-event charges; one call per microarchitectural event, mirroring
-    # the ActivityCounts increments in the pipeline exactly.
-
-    def fetch_block(self, is_pth: bool) -> None:
-        self.events += 1
-        key = "imem_pth" if is_pth else "imem_main"
-        self.joules[key] += self.model._e_icache_block
-
-    def bpred_access(self) -> None:
-        self.events += 1
-        self.joules["rob_bpred"] += self.model._e_bpred
-
-    def dispatch(self, is_pth: bool) -> None:
-        self.events += 1
-        m = self.model
-        per_inst = m._e_window + m._e_regfile + m._e_clock
-        if is_pth:
-            self.joules["ooo_pth"] += per_inst
-        else:
-            self.joules["ooo_main"] += per_inst
-            self.joules["rob_bpred"] += m._e_rob
-
-    def alu_op(self, is_pth: bool) -> None:
-        self.events += 1
-        key = "ooo_pth" if is_pth else "ooo_main"
-        self.joules[key] += self.model._e_alu
-
-    def dmem_access(self, is_pth: bool) -> None:
-        self.events += 1
-        key = "dmem_pth" if is_pth else "dmem_main"
-        self.joules[key] += self.model._e_dcache
-
-    def l2_access(self, is_pth: bool) -> None:
-        self.events += 1
-        key = "l2_pth" if is_pth else "l2_main"
-        self.joules[key] += self.model._e_l2
-
-    def commit(self, n: int) -> None:
-        self.events += n
-        self.joules["rob_bpred"] += n * self.model._e_rob
-
-    def idle_cycles(self, n: int) -> None:
-        self.joules["idle"] += n * self.model._e_idle_cycle
-
-    # ----------------------------------------------------------------- #
-
-    def compare(
-        self,
-        activity: ActivityCounts,
-        tolerance: float = 1e-3,
-        raise_on_divergence: bool = True,
-    ) -> EnergyAuditReport:
-        """Cross-check accumulated event energy against the closed form.
-
-        Per category and in total, the relative error must stay within
-        ``tolerance``.  Tiny categories (below one part per million of
-        the run total) are compared absolutely against that same floor,
-        so an all-zero category cannot produce a spurious 100% error.
-        """
-        closed = self.model.evaluate(activity).breakdown.joules
-        closed_total = sum(closed.values())
-        event_total = sum(self.joules.values())
-        floor = max(closed_total, event_total) * 1e-6
-        max_rel = 0.0
-        per_category: Dict[str, Dict[str, float]] = {}
-        for cat in CATEGORIES:
-            ev = self.joules[cat]
-            cf = closed[cat]
-            err = abs(ev - cf)
-            rel = 0.0 if err <= floor else err / max(abs(cf), floor)
-            max_rel = max(max_rel, rel)
-            per_category[cat] = {
-                "event_joules": ev,
-                "closed_form_joules": cf,
-                "rel_error": rel,
-            }
-        total_err = abs(event_total - closed_total)
-        total_rel = (
-            0.0
-            if total_err <= floor
-            else total_err / max(closed_total, floor)
-        )
-        max_rel = max(max_rel, total_rel)
-        report = EnergyAuditReport(
-            ok=max_rel <= tolerance,
-            tolerance=tolerance,
-            max_rel_error=max_rel,
-            event_total_joules=event_total,
-            closed_form_joules=closed_total,
-            per_category=per_category,
-        )
-        if not report.ok and raise_on_divergence:
-            worst = max(
-                per_category.items(), key=lambda kv: kv[1]["rel_error"]
-            )
-            raise EnergyAuditError(
-                f"per-event energy diverges from the closed-form E1-E8 "
-                f"totals: max relative error {max_rel:.2e} > tolerance "
-                f"{tolerance:.1e} (worst category {worst[0]!r}: event "
-                f"{worst[1]['event_joules']:.6e} J vs closed-form "
-                f"{worst[1]['closed_form_joules']:.6e} J)",
-                max_rel_error=max_rel,
-                tolerance=tolerance,
-                worst_category=worst[0],
-                event_total_joules=event_total,
-                closed_form_joules=closed_total,
-            )
-        return report

@@ -92,8 +92,8 @@ class FaultInjectedError(StructuredError):
 
 
 class AdmissionRejectedError(StructuredError):
-    """The experiment server shed this request (queue full or a circuit
-    breaker open).  Maps to HTTP 429/503 with a ``Retry-After`` header;
+    """The experiment server shed this request (queue full or
+    draining).  Maps to HTTP 429/503 with a ``Retry-After`` header;
     retryable by definition -- that is what the header promises.
 
     Context: ``reason``, ``retry_after_s``, ``queue_depth``.
@@ -105,25 +105,6 @@ class JobCancelledError(StructuredError):
 
     Deterministically final: retrying a cancellation reproduces it.
     Context: ``job_id``.
-    """
-
-
-class EnergyAuditError(StructuredError):
-    """Per-event accumulated energy diverged from the closed-form E1-E8
-    totals beyond the audit tolerance.
-
-    A deterministic accounting bug, never a transient: the simulator's
-    event stream and its aggregate activity counters disagree.  Context:
-    ``max_rel_error``, ``tolerance``, ``worst_category``,
-    ``event_total_joules``, ``closed_form_joules``.
-    """
-
-
-class TraceExportError(StructuredError):
-    """A microarchitectural trace artifact could not be written or failed
-    format validation.
-
-    Context: ``path`` and/or ``reason``.
     """
 
 
@@ -151,10 +132,6 @@ NON_RETRYABLE = (
     ConfigError,
     SelectionError,
     WorkloadError,
-    # Accounting/export divergence is a code bug, not a transient: a
-    # retry replays the same deterministic simulation and fails again.
-    EnergyAuditError,
-    TraceExportError,
     # A cancellation is an explicit, final decision about that job.
     JobCancelledError,
 )

@@ -23,8 +23,8 @@ Members whose baseline is already cached (LRU or the persistent
 simulation cache) are skipped, so re-runs and journal resumes do not
 re-simulate.  The engine only invokes the pass on the sequential path
 when :func:`repro.cpu.pipeline.use_reference` is false (the reference
-engine is the tracing and fault-injection oracle and must observe every
-simulation itself); everything here is bit-identical to the per-cell
+engine is the fault-injection oracle and must observe every simulation
+itself); everything here is bit-identical to the per-cell
 path because :func:`simulate_batch` runs the same kernel on the same
 memoized trace objects.
 """
@@ -173,10 +173,9 @@ def maybe_prewarm(jobs: List) -> Optional[Dict[str, object]]:
 
     Skipped when fewer than two jobs, or whenever simulations must run
     through :class:`~repro.cpu.pipeline.Pipeline` itself
-    (:func:`~repro.cpu.pipeline.use_reference`: microarchitectural
-    tracing -- a prewarmed baseline would emit no trace artifacts -- an
-    armed ``pipeline.step`` fault site, or no compiled cycle kernel to
-    batch on).
+    (:func:`~repro.cpu.pipeline.use_reference`: an armed
+    ``pipeline.step`` fault site, or no compiled cycle kernel to batch
+    on).
     """
     if len(jobs) < 2:
         return None

@@ -9,13 +9,11 @@ diagnostics of Figure 3.
 
 from __future__ import annotations
 
-import contextlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.obs import utrace
 from repro.config import (
     EnergyConfig,
     MachineConfig,
@@ -68,11 +66,6 @@ class ExperimentResult:
     #: Wall-clock seconds per harness phase (profile/select/augment/...),
     #: collected by :func:`run_experiment` via ``obs.span``.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: utrace artifact records (path/bytes/events/window per file) when
-    #: the experiment ran with microarchitectural tracing enabled.  The
-    #: list pickles across parallel-engine workers so the parent can
-    #: register every worker-side trace file in the run manifest.
-    trace_artifacts: List[Dict[str, object]] = field(default_factory=list)
     #: Where each layer of this result came from -- ``result``:
     #: computed|simcache, ``baseline``: simulated|memo|batch|simcache,
     #: ``optimized``: simulated|memo, ``trace``: interpreted|memo (did
@@ -188,10 +181,7 @@ def _baseline_sim(
     program = get_program(benchmark, input_name)
     program_fp = program.fingerprint()
     key = (program_fp, machine, sim.max_instructions)
-    # Tracing bypasses every stats cache: a cached SimStats carries no
-    # event stream, so serving it would silently produce no trace files.
-    tracing = utrace.enabled()
-    hit = None if tracing else _BASELINE_CACHE.get(key)
+    hit = _BASELINE_CACHE.get(key)
     if hit is not None:
         _BASELINE_CACHE.move_to_end(key)
         _CACHE_HITS.add()
@@ -201,7 +191,7 @@ def _baseline_sim(
             "trace": 0.0, "sim": 0.0, "src": src, "src_trace": "memo",
         }
     _CACHE_MISSES.add()
-    disk = None if tracing else simcache.get_cache()
+    disk = simcache.get_cache()
     material = _baseline_material(
         benchmark, input_name, program_fp, machine, sim
     )
@@ -221,12 +211,7 @@ def _baseline_sim(
                 stats = cached
         if stats is None:
             src = "simulated"
-            label_ctx = (
-                utrace.scope(label=f"{benchmark}.{input_name}.baseline")
-                if tracing
-                else contextlib.nullcontext()
-            )
-            with label_ctx, obs.span("timing_sim") as sim_sp:
+            with obs.span("timing_sim") as sim_sp:
                 stats = simulate(trace, machine)
             t_sim = sim_sp.wall_s
             if disk is not None:
@@ -431,12 +416,8 @@ def run_experiment(
 
     # Whole-result persistent cache: an experiment is a deterministic
     # function of workload content + configuration, so a warm cache
-    # answers repeat sweep cells without simulating anything.  Under
-    # tracing the cache is bypassed end to end -- trace artifacts only
-    # exist if the simulations actually run.
-    tracing = utrace.enabled()
-    trace_mark = utrace.artifact_mark() if tracing else 0
-    disk = None if tracing else simcache.get_cache()
+    # answers repeat sweep cells without simulating anything.
+    disk = simcache.get_cache()
     material: Optional[Dict[str, object]] = None
     if disk is not None:
         run_fp = get_program(benchmark, run_input).fingerprint()
@@ -481,14 +462,8 @@ def run_experiment(
 
     with obs.span("experiment", benchmark=benchmark,
                   target=target.label) as sp_total:
-        # Baseline measurement on the run input.  The utrace energy
-        # scope makes traced baselines audit against *this* experiment's
-        # energy configuration (idle-factor sweeps vary it per cell).
-        energy_ctx = (
-            utrace.scope(energy=energy) if tracing
-            else contextlib.nullcontext()
-        )
-        with energy_ctx, obs.span("baseline") as sp:
+        # Baseline measurement on the run input.
+        with obs.span("baseline") as sp:
             run_trace, run_stats, base_phases = _baseline_sim(
                 benchmark, run_input, machine, sim
             )
@@ -505,14 +480,9 @@ def run_experiment(
             if profile_input == run_input:
                 profile_trace, profile_stats = run_trace, run_stats
             else:
-                profile_ctx = (
-                    utrace.scope(energy=energy) if tracing
-                    else contextlib.nullcontext()
+                profile_trace, profile_stats, profile_phases = (
+                    _baseline_sim(benchmark, profile_input, machine, sim)
                 )
-                with profile_ctx:
-                    profile_trace, profile_stats, profile_phases = (
-                        _baseline_sim(benchmark, profile_input, machine, sim)
-                    )
                 t_trace += profile_phases["trace"]
                 t_sim += profile_phases["sim"]
                 if profile_phases.get("src_trace") == "interpreted":
@@ -568,15 +538,9 @@ def run_experiment(
                 _pthread_signature(result.pthreads),
             )
             aug_key = ("augment",) + base
-            opt_key = None
-            opt_stats: Optional[SimStats] = None
+            opt_key = ("optimized", machine.fingerprint) + base
+            opt_stats: Optional[SimStats] = _OPT_CACHE.get(opt_key)
             augmented: Optional[AugmentedProgram] = None
-            # The augmented *expansion* is cache-safe under tracing (it
-            # is program transformation, not simulation); the
-            # optimized-stats cache is not.
-            if not tracing:
-                opt_key = ("optimized", machine.fingerprint) + base
-                opt_stats = _OPT_CACHE.get(opt_key)
             if opt_stats is not None:
                 _OPT_CACHE.move_to_end(opt_key)
                 _OPT_HITS.add()
@@ -602,22 +566,12 @@ def run_experiment(
 
         with obs.span("simulate") as sp:
             if opt_stats is None:
-                opt_ctx = (
-                    utrace.scope(
-                        label=f"{benchmark}.{target.label}.optimized",
-                        energy=energy,
-                    )
-                    if tracing
-                    else contextlib.nullcontext()
+                opt_stats = simulate(
+                    augmented.trace, machine, augmented.pthreads
                 )
-                with opt_ctx:
-                    opt_stats = simulate(
-                        augmented.trace, machine, augmented.pthreads
-                    )
-                if opt_key is not None:
-                    while len(_OPT_CACHE) >= _OPT_CACHE_LIMIT:
-                        _OPT_CACHE.popitem(last=False)
-                    _OPT_CACHE[opt_key] = opt_stats
+                while len(_OPT_CACHE) >= _OPT_CACHE_LIMIT:
+                    _OPT_CACHE.popitem(last=False)
+                _OPT_CACHE[opt_key] = opt_stats
             optimized = RunMeasurement(
                 stats=opt_stats, energy=model.evaluate(opt_stats.activity)
             )
@@ -662,8 +616,6 @@ def run_experiment(
             "trace": src_trace,
         },
     )
-    if tracing:
-        experiment.trace_artifacts = utrace.artifacts_since(trace_mark)
     if disk is not None and material is not None:
         disk.put(material, experiment)
     return experiment

@@ -5,10 +5,8 @@ evaluation command left in its ``--out`` directory:
 
 - ``manifest.json``      -- provenance header (command, argv, versions,
   configuration fingerprints, wall time);
-- ``results.jsonl``      -- the per-(benchmark, target) result table and
-  the phase-timing stacks;
-- ``utrace/*.summary.json`` -- top-down stall-attribution stacks and the
-  per-event energy-audit stacks of every traced simulation.
+- ``results.jsonl``      -- the per-(benchmark, target) result table,
+  the phase-timing stacks and any load-test rows.
 
 The output is deliberately dependency-free: inline CSS, no JavaScript,
 no external fonts or images, so the file can be archived as a CI
@@ -17,44 +15,16 @@ artifact and opened anywhere (including the GitHub artifact viewer).
 
 from __future__ import annotations
 
-import glob
 import html
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro import obs
 from repro.errors import ConfigError
 from repro.obs.manifest import MANIFEST_NAME, RESULTS_NAME
 
 REPORT_NAME = "report.html"
-
-#: Fixed colors per top-down stall category (order = stacking order).
-STALL_COLORS = (
-    ("retiring", "#4caf50"),
-    ("fetch_starved", "#90caf9"),
-    ("branch_recovery", "#ff7043"),
-    ("load_miss", "#ef5350"),
-    ("rob_full", "#ab47bc"),
-    ("rs_full", "#7e57c2"),
-    ("pthread_contention", "#ffb300"),
-    ("exec", "#78909c"),
-)
-
-#: Fixed colors per energy category (main structures, then p-thread).
-ENERGY_COLORS = (
-    ("imem_main", "#1e88e5"),
-    ("dmem_main", "#43a047"),
-    ("l2_main", "#00897b"),
-    ("ooo_main", "#8e24aa"),
-    ("rob_bpred", "#f4511e"),
-    ("idle", "#bdbdbd"),
-    ("imem_pth", "#90caf9"),
-    ("dmem_pth", "#a5d6a7"),
-    ("l2_pth", "#80cbc4"),
-    ("ooo_pth", "#ce93d8"),
-)
 
 #: Phase-timing palette (cycled over whatever ``t_*`` columns exist).
 PHASE_PALETTE = (
@@ -78,11 +48,10 @@ class RunData:
     run_dir: str
     manifest: Optional[Dict[str, Any]] = None
     rows: List[Dict[str, Any]] = field(default_factory=list)
-    summaries: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def load_run(run_dir: str) -> RunData:
-    """Read manifest/results/utrace summaries; loud when nothing exists.
+    """Read manifest and results; loud when neither exists.
 
     A directory holding neither a manifest nor results is almost always
     a typo'd path, so that raises :class:`~repro.errors.ConfigError`;
@@ -100,17 +69,6 @@ def load_run(run_dir: str) -> RunData:
                 line = line.strip()
                 if line:
                     data.rows.append(json.loads(line))
-    pattern = os.path.join(run_dir, "utrace", "*.summary.json")
-    for path in sorted(glob.glob(pattern)):
-        # A corrupt or half-written summary must not take the whole
-        # report down; the trace sections simply lose that entry.
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data.summaries.append(json.load(fh))
-        except (OSError, ValueError):
-            obs.log_event(
-                "report_summary_unreadable", level="warning", path=path
-            )
     if data.manifest is None and not data.rows:
         raise ConfigError(
             f"no run artifacts in {run_dir!r}: expected "
@@ -284,80 +242,6 @@ def _phases_section(data: RunData) -> str:
     return legend + "".join(bars)
 
 
-def _stalls_section(data: RunData) -> str:
-    if not data.summaries:
-        return (
-            "<p class='muted'>(untraced run) -- no utrace summaries; "
-            "run with <code>repro trace</code> or "
-            "<code>--trace-window</code> to collect stall "
-            "attribution</p>"
-        )
-    colors = dict(STALL_COLORS)
-    bars = []
-    for s in data.summaries:
-        fractions = s.get("stall_fractions") or {}
-        parts = [
-            (name, float(fractions.get(name, 0.0)), color)
-            for name, color in STALL_COLORS
-        ]
-        ipc = s.get("ipc")
-        bars.append(
-            f"<div class='barrow'><span class='barlabel'>"
-            f"{_esc(s.get('label'))} (ipc {ipc})</span>"
-            + _stack_bar(parts, title=str(s.get("label"))) + "</div>"
-        )
-    legend = _legend(
-        [(name, colors[name]) for name, _ in STALL_COLORS]
-    )
-    note = (
-        "<p class='muted'>every issue slot of every cycle charged to "
-        "exactly one cause (slots = width &times; cycles)</p>"
-    )
-    return note + legend + "".join(bars)
-
-
-def _energy_section(data: RunData) -> str:
-    audited = [s for s in data.summaries if s.get("energy_audit")]
-    if not audited:
-        return (
-            "<p class='muted'>(untraced run) -- no energy audits; "
-            "traced runs with the audit disabled, or no traces at "
-            "all</p>"
-        )
-    colors = dict(ENERGY_COLORS)
-    bars = []
-    for s in audited:
-        audit = s["energy_audit"]
-        per_cat = audit.get("per_category") or {}
-        joules = {
-            name: float((per_cat.get(name) or {}).get("event", 0.0))
-            for name, _ in ENERGY_COLORS
-        }
-        total = sum(joules.values()) or 1.0
-        parts = [
-            (name, joules[name] / total, color)
-            for name, color in ENERGY_COLORS
-        ]
-        badge = (
-            "<span class='ok'>audit ok</span>"
-            if audit.get("ok")
-            else "<span class='bad'>audit FAILED</span>"
-        )
-        err = audit.get("max_rel_error", 0.0)
-        bars.append(
-            f"<div class='barrow'><span class='barlabel'>"
-            f"{_esc(s.get('label'))} ({total:.3f} J) {badge} "
-            f"<span class='muted'>max rel err {err:.2e}</span></span>"
-            + _stack_bar(parts, title=str(s.get("label"))) + "</div>"
-        )
-    legend = _legend([(n, colors[n]) for n, _ in ENERGY_COLORS])
-    note = (
-        "<p class='muted'>per-event accumulated energy, cross-checked "
-        "against the closed-form E1&ndash;E8 model</p>"
-    )
-    return note + legend + "".join(bars)
-
-
 #: Load-test columns shown first, in this order, when present.
 LOADTEST_LEAD_COLUMNS = (
     "mode", "benchmark", "requests", "ok", "shed", "dropped", "failed",
@@ -404,30 +288,6 @@ def _loadtest_section(data: RunData) -> str:
     return out
 
 
-def _traces_section(data: RunData) -> str:
-    if not data.summaries:
-        return ""
-    rows = []
-    for s in data.summaries:
-        window = s.get("window")
-        if not (isinstance(window, (list, tuple)) and len(window) == 2):
-            window = ("?", "?")
-        rows.append({
-            "label": s.get("label"),
-            "window": "{}..{}".format(*window),
-            "cycles": s.get("cycles"),
-            "committed": s.get("committed"),
-            "insts_recorded": s.get("insts_recorded"),
-            "insts_dropped": s.get("insts_dropped"),
-            "events": s.get("events"),
-            "replays": s.get("replays"),
-            "redirects": s.get("redirects"),
-            "spawns": s.get("spawns"),
-        })
-    columns = list(rows[0].keys())
-    return "<h2>Trace inventory</h2>" + _table(rows, columns)
-
-
 _CSS = """
 body { font: 14px/1.5 -apple-system, 'Segoe UI', Roboto, sans-serif;
        margin: 2em auto; max-width: 72em; padding: 0 1em; color: #222; }
@@ -453,8 +313,6 @@ tr.failed td { background: #ffebee; }
 .facts dd { margin-left: 12em; font-family: monospace;
             word-break: break-all; }
 .muted { color: #888; }
-.ok { color: #2e7d32; font-weight: 600; }
-.bad { color: #c62828; font-weight: 700; }
 code { background: #f5f5f5; padding: .1em .3em; border-radius: 3px; }
 """
 
@@ -468,14 +326,11 @@ def render_html(data: RunData) -> str:
         ("Run", _header_section(data)),
         ("Results", _results_section(data)),
         ("Phase timings", _phases_section(data)),
-        ("Top-down stall attribution", _stalls_section(data)),
-        ("Energy audit", _energy_section(data)),
         ("Load test", _loadtest_section(data)),
     ]
     body = "".join(
         f"<h2>{_esc(name)}</h2>{content}" for name, content in sections
     )
-    body += _traces_section(data)
     return (
         "<!DOCTYPE html>\n<html lang='en'><head>"
         "<meta charset='utf-8'>"

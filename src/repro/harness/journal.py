@@ -151,24 +151,11 @@ class Journal:
         """The journaled result payload for ``key``, or ``None``.
 
         A record whose payload no longer unpickles is treated as absent
-        (the cell simply re-runs).  Likewise a record whose journaled
-        ``trace_artifacts`` no longer exist on disk: a traced cell is
-        only "done" if its trace files survived, so a wiped output
-        directory re-traces instead of resuming to dangling manifest
-        paths.
+        (the cell simply re-runs).
         """
         record = self._entries.get(key)
         if record is None:
             return None
-        for path in record.get("trace_artifacts") or ():
-            if not os.path.exists(path):
-                obs.log_event(
-                    "journal_trace_artifact_missing",
-                    level="warning",
-                    key=key,
-                    path=path,
-                )
-                return None
         try:
             payload = pickle.loads(
                 base64.b64decode(record["result_b64"])

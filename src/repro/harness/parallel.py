@@ -75,7 +75,6 @@ from typing import (
 )
 
 from repro import faults, obs
-from repro.obs import utrace
 from repro.config import (
     EnergyConfig,
     MachineConfig,
@@ -342,7 +341,6 @@ def _worker_init(
     log_level: str,
     fault_specs: Sequence[str],
     fail_start: bool,
-    utrace_payload: Optional[Dict[str, object]] = None,
     quiet: bool = False,
 ) -> None:
     simcache.configure(cache_dir=cache_dir, enabled=cache_enabled)
@@ -350,10 +348,6 @@ def _worker_init(
         obs.configure(level=log_level)
     # --quiet must silence heartbeats in the workers too.
     obs.set_quiet(quiet)
-    # Microarchitectural tracing configuration must survive spawn too;
-    # worker-side trace files land in the same --out directory and the
-    # artifact records ride back on the ExperimentResult.
-    utrace.apply_encoded(utrace_payload)
     faults.configure(fault_specs)
     if fail_start:
         # The parent drew the worker.start fault for this pool epoch
@@ -380,11 +374,6 @@ def _execute_job(
             "worker.hang", key="hang"
         ):
             time.sleep(HANG_SECONDS)
-        if utrace.enabled():
-            # Distinct sweep cells can share a benchmark+target label;
-            # the cell key disambiguates their trace file names.
-            with utrace.scope(cell=cell_key[:12]):
-                return job.run()
         return job.run()
 
 
@@ -475,21 +464,7 @@ def _journal_record(
             "attempts": attempts,
             "elapsed_s": round(elapsed_s, 3),
         }
-        arts = getattr(result, "trace_artifacts", None)
-        if arts:
-            # Resume treats a traced cell as complete only while its
-            # trace files exist (Journal.result_for checks these paths).
-            meta["trace_artifacts"] = [a["path"] for a in arts]
         journal.record(key, result, **meta)
-
-
-def _adopt_trace_artifacts(result: object) -> None:
-    """Register trace artifacts produced outside this process's utrace
-    registry (worker-side runs, journal-resumed cells) so the CLI's
-    manifest drain sees every file of the grid."""
-    arts = getattr(result, "trace_artifacts", None)
-    if arts:
-        utrace.register_artifacts(list(arts))
 
 
 def _make_failure(
@@ -590,7 +565,6 @@ def _new_pool(workers: int, epoch: int) -> ProcessPoolExecutor:
             obs.current_level(),
             faults.encode_plan(),
             fail_start,
-            utrace.encode(),
             obs.is_quiet(),
         ),
     )
@@ -663,8 +637,6 @@ def run_experiments(
             cached = journal.result_for(key)
             if cached is not None:
                 results[index] = cached
-                if utrace.enabled():
-                    _adopt_trace_artifacts(cached)
                 _CELLS_RESUMED.add()
                 obs.log_event(
                     "cell_resumed",
@@ -810,9 +782,7 @@ def _run_pool(
         any failure here just logs and moves on (a broken pool is
         rebuilt, everything else is retried implicitly by the jobs
         themselves)."""
-        # Under tracing there is nothing to share: the stats caches are
-        # bypassed so each traced cell must simulate its own baseline.
-        if simcache.get_cache() is None or utrace.enabled():
+        if simcache.get_cache() is None:
             return
         shared = _dedupe_baselines([job for _, job, _ in to_run])
         if not shared:
@@ -941,9 +911,6 @@ def _run_pool(
                     flight.attempt,
                     time.monotonic() - started_at[flight.index],
                 )
-                # Worker-side trace files are registered here in the
-                # parent: the worker's registry dies with the process.
-                _adopt_trace_artifacts(result)
                 results[flight.index] = result
 
             if broken:

@@ -8,12 +8,7 @@ The subsystem the rest of the stack reports through:
   counters and gauges;
 - :mod:`repro.obs.manifest` -- :class:`RunWriter`, which turns result
   rows into ``manifest.json`` / ``results.jsonl`` / ``run_table.csv``
-  artifacts with configuration fingerprints;
-- :mod:`repro.obs.utrace` -- opt-in microarchitectural tracing
-  (instruction lifecycles, stall attribution, per-event energy audit),
-  imported lazily by the pipeline so the off path costs nothing;
-- :mod:`repro.obs.export` -- Chrome trace-event and Kanata exporters
-  for utrace collections, with built-in schema validation.
+  artifacts with configuration fingerprints.
 
 Typical harness usage::
 

@@ -12,8 +12,8 @@ abuse*:
   engine, with in-flight dedup of identical cells;
 - :mod:`repro.server.admission` -- bounded queue depth and load
   shedding (429 + ``Retry-After`` derived from observed p95);
-- :mod:`repro.server.breaker`   -- circuit breakers around the worker
-  pool and the simcache;
+- :mod:`repro.server.breaker`   -- the circuit breaker around the
+  simcache;
 - :mod:`repro.server.state`     -- crash-safe accept/complete journals,
   every record fsynced before its call returns, so ``repro serve
   --resume`` recovers every acknowledged job exactly once after a

@@ -6,9 +6,6 @@ rather than by timing out accepted work (slow, ambiguous, wasteful).
 
 - **Bounded queue depth**: beyond ``max_queue_depth`` waiting jobs the
   submit is shed with HTTP 429.
-- **Breaker-aware**: while the worker-pool breaker is open, submits are
-  shed with HTTP 503 (the dependency is known-broken; queueing onto it
-  would just convert the client's error into a timeout).
 - **Honest Retry-After**: derived from the observed p95 service time
   and the current backlog -- ``retry_after = p95 * (depth + 1) /
   workers`` (ProjectScylla's latency-budget discipline,
@@ -27,10 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro import obs
-from repro.server.breaker import CircuitBreaker
 
 _SHED_QUEUE_FULL = obs.counters.counter("server.admission.shed_queue_full")
-_SHED_BREAKER = obs.counters.counter("server.admission.shed_breaker_open")
 _ADMITTED = obs.counters.counter("server.admission.admitted")
 
 #: Clamp bounds for the Retry-After hint.
@@ -43,7 +38,7 @@ class AdmissionDecision:
     """The verdict for one submit."""
 
     admitted: bool
-    #: ``queue_full`` | ``breaker_open`` when shed, '' when admitted.
+    #: ``queue_full`` when shed, '' when admitted.
     reason: str = ""
     #: Populated when shed: the honest wait hint (whole seconds).
     retry_after_s: int = 0
@@ -57,7 +52,6 @@ class AdmissionController:
         self,
         max_queue_depth: int = 64,
         workers: int = 1,
-        pool_breaker: Optional[CircuitBreaker] = None,
         default_service_s: float = 5.0,
         latency_window: Optional[obs.LatencyWindow] = None,
     ) -> None:
@@ -65,7 +59,6 @@ class AdmissionController:
             raise ValueError("max_queue_depth must be >= 1")
         self.max_queue_depth = max_queue_depth
         self.workers = max(1, workers)
-        self.pool_breaker = pool_breaker
         self.default_service_s = default_service_s
         #: Observed per-job service times (seconds); fed by the queue on
         #: every completion, read here for the Retry-After estimate.
@@ -91,25 +84,6 @@ class AdmissionController:
     def admit(self, queue_depth: int) -> AdmissionDecision:
         """The verdict for a submit arriving with ``queue_depth`` jobs
         already waiting."""
-        if self.pool_breaker is not None and not self.pool_breaker.allow():
-            _SHED_BREAKER.add()
-            retry = max(
-                int(self.pool_breaker.retry_after_s()),
-                self.retry_after_s(queue_depth) if queue_depth else 1,
-            )
-            obs.log_event(
-                "admission_shed",
-                level="warning",
-                reason="breaker_open",
-                retry_after_s=retry,
-                queue_depth=queue_depth,
-            )
-            return AdmissionDecision(
-                admitted=False,
-                reason="breaker_open",
-                retry_after_s=retry,
-                queue_depth=queue_depth,
-            )
         if queue_depth >= self.max_queue_depth:
             _SHED_QUEUE_FULL.add()
             retry = self.retry_after_s(queue_depth)

@@ -14,7 +14,7 @@ DELETE    ``/v1/experiments/<id>``       Best-effort cancel.
 GET       ``/v1/jobs``                   All job snapshots (no results).
 GET       ``/v1/stats``                  Queue/breaker/admission snapshot.
 GET       ``/healthz``                   Liveness: the process answers.
-GET       ``/readyz``                    Readiness: accepting and healthy.
+GET       ``/readyz``                    Readiness: accepting (not draining).
 ========  =============================  ====================================
 
 **Error contract** (:func:`status_for_error`): every engine/server error
@@ -86,8 +86,8 @@ def status_for_error(exc: BaseException) -> Tuple[int, Optional[int]]:
     if isinstance(exc, JobCancelledError):
         return 410, None
     if not is_retryable(exc):
-        # ExecutionError, EnergyAuditError, TraceExportError, ...:
-        # deterministic internal failures.
+        # ExecutionError, PipelineDeadlockError, ...: deterministic
+        # internal failures.
         return 500, None
     # Transients: a retry draws fresh luck (fresh worker, fresh cache
     # read, fresh fault sample).
@@ -258,16 +258,11 @@ class _Handler(BaseHTTPRequestHandler):
     # Endpoints
 
     def _readyz(self) -> None:
-        stats = self.server.queue.stats()
-        pool_state = stats["breakers"][0]["state"]
-        ready = not stats["draining"] and pool_state != "open"
+        draining = self.server.queue.stats()["draining"]
+        ready = not draining
         self._send_json(
             200 if ready else 503,
-            {
-                "ready": ready,
-                "draining": stats["draining"],
-                "pool_breaker": pool_state,
-            },
+            {"ready": ready, "draining": draining},
             retry_after_s=None if ready else 5,
         )
 

@@ -145,13 +145,17 @@ class ServerClient:
         poll_s: float = 0.1,
     ) -> Response:
         """Poll until the job reaches a terminal state (or timeout);
-        returns the final *result* response."""
+        returns the final *result* response.
+
+        A poll the transport dropped (status ``0``) is polled again, like
+        a pending one: ``GET .../result`` is idempotent, so a lost
+        answer costs only a retry.  At the deadline the last response is
+        returned as it is, pending or dropped.
+        """
         deadline = time.monotonic() + timeout_s
         while True:
             resp = self.result(job_id)
-            # 202 = still pending; anything else is terminal (including
-            # transport drops, which the caller must judge).
-            if resp.status != 202:
+            if resp.status not in (0, 202):
                 return resp
             if time.monotonic() >= deadline:
                 return resp

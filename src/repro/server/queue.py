@@ -18,12 +18,10 @@ sequencing:
   A job that has started runs to completion: it runs on the worker
   thread itself, and an in-thread simulation cannot be preempted, so no
   wall-clock bound applies to the run.
-- **Breaker feedback**: infrastructure failures
-  (:class:`WorkerCrashError`, :class:`SimulationTimeoutError`) feed the
-  ``pool`` breaker that admission control sheds on; cache corruption
-  feeds the ``simcache`` breaker, and while that breaker is open jobs
-  run with the persistent cache bypassed rather than being shed --
-  correctness never depended on the cache, only latency did.
+- **Breaker feedback**: cache corruption feeds the ``simcache``
+  breaker, and while that breaker is open jobs run with the persistent
+  cache bypassed rather than being shed -- correctness never depended
+  on the cache, only latency did.
 """
 
 from __future__ import annotations
@@ -63,12 +61,6 @@ _CORRUPT = obs.counters.counter("harness.simcache.corrupt_entries")
 
 _WAIT_HIST = obs.counters.histogram("server.queue.wait_seconds")
 _SERVICE_HIST = obs.counters.histogram("server.queue.service_seconds")
-
-#: Error class names that indicate the *worker pool* (not the job's own
-#: configuration) is unhealthy, and should trip the pool breaker.
-_POOL_FAULT_ERRORS = frozenset(
-    {"WorkerCrashError", "SimulationTimeoutError", "BrokenProcessPool"}
-)
 
 _STOP = object()
 
@@ -156,17 +148,15 @@ class JobQueue:
         runner: Optional[Runner] = None,
         workers: int = 2,
         admission: Optional[AdmissionController] = None,
-        pool_breaker: Optional[CircuitBreaker] = None,
         cache_breaker: Optional[CircuitBreaker] = None,
         default_deadline_s: Optional[float] = None,
     ) -> None:
         self.state = state
         self._runner: Runner = runner or (lambda job: job.run())
         self.workers = max(1, workers)
-        self.pool_breaker = pool_breaker or CircuitBreaker("pool")
         self.cache_breaker = cache_breaker or CircuitBreaker("simcache")
         self.admission = admission or AdmissionController(
-            workers=self.workers, pool_breaker=self.pool_breaker
+            workers=self.workers
         )
         self.default_deadline_s = default_deadline_s
         self._tasks: "queue_mod.Queue" = queue_mod.Queue()
@@ -267,8 +257,8 @@ class JobQueue:
     ) -> JobRecord:
         """Validate, admit, durably record, and enqueue one job.
 
-        Raises :class:`AdmissionRejectedError` when shed (queue full,
-        breaker open, or draining) -- *before* anything was journaled,
+        Raises :class:`AdmissionRejectedError` when shed (queue full or
+        draining) -- *before* anything was journaled,
         so a shed submit leaves no trace to recover.
         """
         spec = normalize_spec(raw_spec)
@@ -359,10 +349,7 @@ class JobQueue:
                 "jobs": by_state,
                 "draining": self._closed,
                 "admission": self.admission.snapshot(),
-                "breakers": [
-                    self.pool_breaker.snapshot(),
-                    self.cache_breaker.snapshot(),
-                ],
+                "breakers": [self.cache_breaker.snapshot()],
             }
 
     # ------------------------------------------------------------- #
@@ -456,13 +443,12 @@ class JobQueue:
                 result = self._runner(job)
         except Exception as exc:  # noqa: BLE001 - classified below
             _SERVICE_HIST.observe(time.monotonic() - started)
-            self._note_breakers(exc, use_cache, corrupt_before)
+            self._note_cache_breaker(exc, use_cache, corrupt_before)
             with self._lock:
                 self._fail(record, exc)
         else:
             elapsed = time.monotonic() - started
             _SERVICE_HIST.observe(elapsed)
-            self.pool_breaker.record_success()
             if use_cache:
                 if _CORRUPT.value > corrupt_before:
                     self.cache_breaker.record_failure()
@@ -481,15 +467,9 @@ class JobQueue:
             with self._lock:
                 self._running_count -= 1
 
-    def _note_breakers(
+    def _note_cache_breaker(
         self, exc: Exception, use_cache: bool, corrupt_before: int
     ) -> None:
-        name = type(exc).__name__
-        if name in _POOL_FAULT_ERRORS:
-            self.pool_breaker.record_failure()
-        else:
-            # A deterministic job error says nothing about pool health.
-            self.pool_breaker.record_success()
         if isinstance(exc, CacheCorruptionError) or (
             use_cache and _CORRUPT.value > corrupt_before
         ):

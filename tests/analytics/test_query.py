@@ -21,7 +21,6 @@ from repro.analytics.query import (
     gmean_trend,
     phase_walls,
     select_rows,
-    stall_drift,
 )
 from repro.analytics.store import RunStore
 
@@ -213,16 +212,11 @@ def test_named_queries(tmp_path):
     store = _store(tmp_path)
     _seed_store(store, runs=2)
     store.append_rows(
-        [{"kind": "trace", "benchmark": "gap", "stall_load_miss": 0.6,
-          "stall_retiring": 0.4},
-         {"kind": "run", "cache_hit_rate": 0.75, "wall_s": 3.0}],
+        [{"kind": "run", "cache_hit_rate": 0.75, "wall_s": 3.0}],
         run_id="extra",
     )
     trend = gmean_trend(store)
     assert {row["target"] for row in trend.rows} == {"L", "E"}
-    drift = stall_drift(store)
-    assert set(drift) == {"stall_load_miss", "stall_retiring"}
-    assert drift["stall_load_miss"].rows[0]["value"] == 0.6
     hits = cache_hit_rate(store)
     assert hits.rows[0]["value"] == 0.75
     walls = phase_walls(store)

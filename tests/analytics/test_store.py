@@ -17,6 +17,7 @@ import pytest
 from repro.config import MachineConfig
 from repro.errors import ConfigError
 from repro.obs.manifest import RESULTS_SCHEMA_VERSION, RunWriter
+from repro.analytics.query import aggregate
 from repro.analytics.store import (
     RUN_FORMAT,
     RunStore,
@@ -289,22 +290,24 @@ def test_ingest_mixed_schema_versions(tmp_path):
     assert schemas == [1, RESULTS_SCHEMA_VERSION]
 
 
-def test_ingest_trace_summaries(tmp_path):
-    out = _write_run_dir(tmp_path)
-    os.makedirs(out / "utrace")
-    summary = {"label": "gap.L.optimized", "ipc": 1.5, "cycles": 20000,
-               "committed": 30000,
-               "stall_fractions": {"retiring": 0.25, "load_miss": 0.75}}
-    (out / "utrace" / "gap.L.optimized.abc.summary.json").write_text(
-        json.dumps(summary)
-    )
-    (out / "utrace" / "broken.zz.summary.json").write_text("{ nope")
+def test_store_with_legacy_trace_rows_aggregates_results(tmp_path):
+    """A store that already holds ``kind: "trace"`` rows from older
+    ingests still loads, and its result and run rows still aggregate."""
     store = _store(tmp_path)
-    report = store.ingest_run(str(out))
-    assert report.rows_ingested == 3  # result + trace + run
-    (trace,) = [r for r in store.rows() if r["kind"] == "trace"]
-    assert trace["benchmark"] == "gap"
-    assert trace["stall_load_miss"] == pytest.approx(0.75)
+    store.append_rows(
+        [{"kind": "trace", "label": "gap.L.optimized", "benchmark": "gap",
+          "ipc": 1.5, "stall_load_miss": 0.75}],
+        run_id="legacy-trace",
+    )
+    store.ingest_run(str(_write_run_dir(tmp_path)))
+
+    reopened = RunStore(store.root)
+    kinds = sorted(r["kind"] for r in reopened.rows())
+    assert kinds == ["result", "run", "trace"]
+    result = aggregate(reopened, "ed2_save_pct", agg="mean", kind="result")
+    assert sum(row["n"] for row in result.rows) == 1
+    walls = aggregate(reopened, "wall_s", agg="mean", kind="run")
+    assert sum(row["n"] for row in walls.rows) == 1
 
 
 def test_ingest_empty_directory_skips(tmp_path):

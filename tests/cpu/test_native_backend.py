@@ -20,7 +20,6 @@ from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import batchplan, experiment, simcache
 from repro.harness.experiment import clear_baseline_cache, run_experiment
-from repro.obs import utrace
 from repro.pthsel.targets import Target
 from repro.workloads.registry import get_program
 
@@ -129,16 +128,6 @@ class TestDispatch:
             with pytest.raises(FaultInjectedError) as err:
                 simulate(trace)
         assert err.value.site == "pipeline.step"
-        assert spy.built == 1
-
-    def test_utrace_routes_to_pipeline(self, monkeypatch, tmp_path):
-        spy = _PipelineSpy(monkeypatch)
-        trace = _gap_trace()
-        utrace.configure(str(tmp_path), window=(0, 500))
-        try:
-            simulate(trace)
-        finally:
-            utrace.disable()
         assert spy.built == 1
 
 

@@ -1,8 +1,7 @@
-"""Admission control: bounded queue depth, breaker-aware shedding, and
-the p95-derived Retry-After estimate."""
+"""Admission control: bounded queue depth and the p95-derived
+Retry-After estimate."""
 
 from repro.server.admission import AdmissionController
-from repro.server.breaker import CircuitBreaker
 
 
 def test_admits_below_depth_bound():
@@ -46,23 +45,6 @@ def test_retry_after_clamped_to_bounds():
     for _ in range(20):
         admission.observe_service_time(300.0)
     assert admission.retry_after_s(queue_depth=7) == 120  # ceiling
-
-
-def test_open_pool_breaker_sheds():
-    breaker = CircuitBreaker("pool", failure_threshold=1)
-    breaker.record_failure()
-    admission = AdmissionController(max_queue_depth=8, pool_breaker=breaker)
-    decision = admission.admit(queue_depth=0)
-    assert not decision.admitted
-    assert decision.reason == "breaker_open"
-    assert decision.retry_after_s >= 1
-
-
-def test_breaker_shed_takes_precedence_over_depth():
-    breaker = CircuitBreaker("pool", failure_threshold=1)
-    breaker.record_failure()
-    admission = AdmissionController(max_queue_depth=1, pool_breaker=breaker)
-    assert admission.admit(queue_depth=5).reason == "breaker_open"
 
 
 def test_snapshot_shape():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.server.app import ExperimentServer
-from repro.server.client import Response
+from repro.server.client import Response, ServerClient
 from repro.server.loadtest import _classify, run_loadtest
 from repro.server.queue import JobQueue
 from repro.server.state import ServerState
@@ -85,3 +85,42 @@ def test_classification_rules():
     assert _classify(failed, accepted) == "failed"
     # A request still pending at wait-timeout is not a success.
     assert _classify(accepted, accepted) == "failed"
+
+
+class _DropFirstPolls(ServerClient):
+    """A client whose first ``drops`` result polls lose the connection."""
+
+    def __init__(self, drops):
+        super().__init__("http://127.0.0.1:1")
+        self.drops = drops
+        self.polls = 0
+
+    def result(self, job_id):
+        self.polls += 1
+        if self.polls <= self.drops:
+            return Response(status=0, transport_error="reset")
+        return Response(status=200, body={"job_id": job_id})
+
+
+def test_wait_retries_a_dropped_poll():
+    client = _DropFirstPolls(drops=2)
+    final = client.wait("job-000001", timeout_s=10.0, poll_s=0.0)
+    assert final.status == 200
+    assert final.body["job_id"] == "job-000001"
+    assert client.polls == 3
+
+
+def test_wait_returns_the_drop_at_its_deadline():
+    client = _DropFirstPolls(drops=10**9)
+    final = client.wait("job-000001", timeout_s=0.0, poll_s=0.0)
+    assert final.dropped
+
+
+def test_loadtest_cli_fails_when_nothing_is_delivered(capsys):
+    from repro.cli import main
+
+    # Nothing listens on port 1: every submit is a transport drop, so
+    # failure_rate is 0.0 but no request ended ok.
+    assert main(["loadtest", "--server", "http://127.0.0.1:1",
+                 "--requests", "2", "--concurrency", "1", "--json"]) == 1
+    assert "none of 2 request(s)" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from repro.errors import (
     CacheCorruptionError,
     ExecutionError,
     FaultInjectedError,
-    WorkerCrashError,
 )
 from repro.server.admission import AdmissionController
 from repro.server.breaker import CircuitBreaker
@@ -230,43 +229,19 @@ def test_deadline_expires_queued_job(tmp_path):
         q.close()
 
 
-def test_worker_crashes_trip_pool_breaker_then_shed(tmp_path):
-    def crash(job):
-        raise WorkerCrashError("worker died", benchmark=job.benchmark)
-
-    pool = CircuitBreaker("pool", failure_threshold=2)
-    admission = AdmissionController(max_queue_depth=8, pool_breaker=pool)
-    q = _queue(
-        tmp_path, runner=crash, workers=1,
-        pool_breaker=pool, admission=admission,
-    )
-    try:
-        first = q.submit({"benchmark": "gcc"})
-        assert q.wait_idle(10.0)
-        second = q.submit({"benchmark": "mcf"})
-        assert q.wait_idle(10.0)
-        assert first.state == JobState.FAILED
-        assert second.state == JobState.FAILED
-        assert pool.state() == "open"
-        with pytest.raises(AdmissionRejectedError) as excinfo:
-            q.submit({"benchmark": "parser"})
-        assert excinfo.value.context["reason"] == "breaker_open"
-    finally:
-        q.close()
-
-
-def test_deterministic_job_error_does_not_trip_pool_breaker(tmp_path):
+def test_deterministic_job_error_does_not_trip_cache_breaker(tmp_path):
     def bad_job(job):
-        raise ExecutionError("this job is broken, the pool is fine")
+        raise ExecutionError("this job is broken, the cache is fine")
 
-    pool = CircuitBreaker("pool", failure_threshold=1)
-    q = _queue(tmp_path, runner=bad_job, workers=1, pool_breaker=pool)
+    cache = CircuitBreaker("simcache", failure_threshold=1)
+    q = _queue(tmp_path, runner=bad_job, workers=1, cache_breaker=cache)
     try:
         record = q.submit({"benchmark": "gcc"})
         assert q.wait_idle(10.0)
         assert record.state == JobState.FAILED
         assert record.error["retryable"] is False
-        assert pool.state() == "closed"
+        assert cache.state() == "closed"
+        assert q.stats()["breakers"] == [cache.snapshot()]
     finally:
         q.close()
 

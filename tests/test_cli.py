@@ -137,60 +137,48 @@ def test_fault_plan_does_not_leak_between_invocations(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# Microarchitectural tracing (repro trace / --trace-window) and the
-# HTML run report (repro report).
+# The HTML run report (repro report), and the tracing surface that is
+# gone: ``repro trace`` and ``--trace-window`` are argparse errors.
 # --------------------------------------------------------------------- #
 
 
-def test_trace_window_without_out_exits_2(capsys):
-    assert main(["run", "gap", "--trace-window", "0:1000"]) == 2
-    assert "--trace-window requires --out" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["trace", "gap"],
+    ["trace", "gap", "--quick", "--out", "t"],
+])
+def test_trace_command_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'trace'" in capsys.readouterr().err
 
 
-def test_trace_bad_window_exits_2(tmp_path, capsys):
-    out = str(tmp_path / "t")
-    assert main(["trace", "gap", "--out", out,
-                 "--trace-window", "9:5"]) == 2
-    assert "bad trace window" in capsys.readouterr().err
+def test_trace_range_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "gap", "--out", str(tmp_path / "t"),
+              "--trace-window", "0:1000"])
+    assert excinfo.value.code == 2
+    assert "--trace-window" in capsys.readouterr().err
 
 
-def test_trace_then_report_end_to_end(tmp_path, capsys):
-    import json
+def test_run_then_report_end_to_end(tmp_path, capsys):
     import os
 
-    from repro.obs import utrace
-    from repro.obs.export import validate_chrome_file
-
-    out = str(tmp_path / "t")
-    assert main(["trace", "gap", "--out", out,
-                 "--trace-window", "0:3000"]) == 0
-    captured = capsys.readouterr()
-    assert "speedup_pct" in captured.out
-    assert "chrome_trace" in captured.err
-
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
-    section = manifest["utrace"]
-    assert section["n_files"] == 6  # baseline + optimized, 3 files each
-    assert section["config"]["window"] == [0, 3000]
-    kinds = {f["kind"] for f in section["files"]}
-    assert kinds == {"chrome_trace", "kanata_log", "utrace_summary"}
-    for record in section["files"]:
-        assert os.path.getsize(record["path"]) == record["bytes"]
-        if record["kind"] == "chrome_trace":
-            validate_chrome_file(record["path"])
-        elif record["kind"] == "utrace_summary":
-            summary = json.load(open(record["path"]))
-            assert summary["energy_audit"]["ok"] is True
-
-    # tracing configuration must not leak out of main()
-    assert not utrace.enabled()
+    out = str(tmp_path / "run-gap")
+    assert main(["run", "gap", "--quiet", "--out", out]) == 0
+    assert "speedup_pct" in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == [
+        "manifest.json", "results.jsonl", "run_table.csv",
+    ]
 
     assert main(["report", out]) == 0
     report_path = capsys.readouterr().out.strip()
     assert report_path == os.path.join(out, "report.html")
     doc = open(report_path).read()
-    assert "Top-down stall attribution" in doc
-    assert "audit ok" in doc
+    for section in ("Run", "Results", "Phase timings"):
+        assert f"<h2>{section}</h2>" in doc
+    assert "gap" in doc
+    assert "Top-down stall attribution" not in doc
 
 
 def test_report_missing_dir_exits_2(tmp_path, capsys):
