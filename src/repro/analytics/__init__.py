@@ -1,43 +1,18 @@
-"""Result analytics: a run store and cross-run queries.
+"""Result analytics: cross-run queries over run directories.
 
-Every evaluation command leaves per-run artifacts (``manifest.json``,
-``results.jsonl``, ``run_table.csv``) in its own directory.  This
-package collects them so longitudinal questions have an answer ("how
-has gmean ED² moved over the last N commits?", "how often did the
-simulation cache hit?"):
+Every evaluation command with ``--out`` leaves its rows in its own
+directory (``manifest.json``, ``results.jsonl``, ``run_table.csv``).
+Those directories are the only copy: queries read them directly through
+:func:`repro.obs.manifest.read_runs`, so longitudinal questions ("how
+has gmean ED² moved across these runs?", "how often did the simulation
+cache hit?") are group-by reductions over the runs given.
 
-- :mod:`repro.analytics.store` -- an append-only run store: each
-  ingested run directory becomes one JSON run file of row dicts,
-  written with an atomic temp+fsync+rename.  Degraded runs ingest as
-  flagged rows, never dropped; torn tails and damaged lines are
-  tolerated and counted.
 - :mod:`repro.analytics.query` -- group-by / filter / gmean
-  aggregation over the store: gmean trends per objective, simcache
-  hit rates, phase-wall trajectories.
+  aggregation over those rows.
 
-The CLI front door is ``repro analytics ingest|query|stats``;
-evaluation commands with ``--out`` also auto-ingest their run on
-completion unless ``REPRO_ANALYTICS=0``.
+The CLI front door is ``repro analytics query RUN_DIR...``.
 """
 
-from repro.analytics.store import (
-    IngestReport,
-    RUN_FORMAT,
-    RunStore,
-    STORE_SCHEMA_VERSION,
-    default_store_dir,
-    ingest_enabled,
-)
-from repro.analytics.query import QueryResult, aggregate, gmean_trend
+from repro.analytics.query import QueryResult, aggregate
 
-__all__ = [
-    "IngestReport",
-    "QueryResult",
-    "RUN_FORMAT",
-    "RunStore",
-    "STORE_SCHEMA_VERSION",
-    "aggregate",
-    "default_store_dir",
-    "gmean_trend",
-    "ingest_enabled",
-]
+__all__ = ["QueryResult", "aggregate"]

@@ -1,6 +1,7 @@
-"""Cross-run queries over the run store.
+"""Cross-run queries over run-directory rows.
 
-Aggregations are group-by reductions over the store's row dicts --
+Aggregations are group-by reductions over the row dicts
+:func:`repro.obs.manifest.read_runs` returns --
 
 - ``gmean``  -- the paper's geometric-mean percentage improvement
   (via :func:`repro.harness.report.geometric_mean_pct` semantics);
@@ -9,11 +10,6 @@ Aggregations are group-by reductions over the store's row dicts --
 Failed (flagged) rows and missing values never contribute to an
 aggregate, but they are *counted*, so a degraded run still summarizes
 honestly.
-
-The canonical cross-run questions get named helpers:
-:func:`gmean_trend` (gmean ED²/ED/energy per objective per run),
-:func:`cache_hit_rate`, :func:`phase_walls`
-(t_trace/t_analysis/t_sim trajectories).
 """
 
 from __future__ import annotations
@@ -21,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from repro.errors import ConfigError
-from repro.analytics.store import RunStore
 
 #: Aggregations supported by :func:`aggregate`.
 AGGREGATIONS = ("gmean", "mean", "sum", "count", "min", "max")
@@ -39,11 +34,11 @@ def _as_float(value: Any) -> Optional[float]:
 
 
 def select_rows(
-    store: RunStore,
+    rows: Iterable[Mapping[str, Any]],
     kind: Optional[str] = None,
     where: Optional[Mapping[str, Any]] = None,
-) -> Iterator[Dict[str, Any]]:
-    """The store's rows of row family ``kind`` passing every filter.
+) -> Iterator[Mapping[str, Any]]:
+    """The ``rows`` of row family ``kind`` passing every filter.
 
     A ``where`` filter matches a row when the values are equal as
     numbers (when both parse as numbers) or equal as strings; a row
@@ -53,7 +48,7 @@ def select_rows(
         (name, str(wanted), _as_float(wanted))
         for name, wanted in (where or {}).items()
     ]
-    for row in store.rows():
+    for row in rows:
         if kind is not None and row.get("kind") != kind:
             continue
         for name, wanted_s, wanted_f in filters:
@@ -91,7 +86,7 @@ class QueryResult:
 
 
 def aggregate(
-    store: RunStore,
+    rows: Iterable[Mapping[str, Any]],
     metric: str,
     group_by: Sequence[str] = ("run_seq",),
     agg: str = "gmean",
@@ -99,7 +94,7 @@ def aggregate(
     where: Optional[Mapping[str, Any]] = None,
     include_failed: bool = False,
 ) -> QueryResult:
-    """Group-by reduction of ``metric`` over the store.
+    """Group-by reduction of ``metric`` over ``rows``.
 
     Returns one row per group: the group columns, ``value`` (the
     aggregate), and ``n`` (values that contributed).  Rows flagged
@@ -114,7 +109,7 @@ def aggregate(
     result = QueryResult()
     # group key -> [sum, count, min, max], in first-seen order
     groups: Dict[Tuple, List[float]] = {}
-    for row in select_rows(store, kind=kind, where=where):
+    for row in select_rows(rows, kind=kind, where=where):
         result.n_input_rows += 1
         key = tuple(_group_value(row.get(g)) for g in group_by)
         acc = groups.get(key)
@@ -173,52 +168,3 @@ def _sort_key(value: Any):
         return (0, float(value))
     except (TypeError, ValueError):
         return (1, str(value))
-
-
-# --------------------------------------------------------------------- #
-# Named cross-run queries.
-# --------------------------------------------------------------------- #
-
-
-def gmean_trend(
-    store: RunStore,
-    metric: str = "ed2_save_pct",
-    group_by: Sequence[str] = ("target",),
-    where: Optional[Mapping[str, Any]] = None,
-) -> QueryResult:
-    """GMean of ``metric`` per objective per run: the headline trend.
-
-    Rows come back ordered by ingest sequence then group, so the
-    ``value`` series of one ``target`` is its trajectory across runs.
-    """
-    return aggregate(
-        store,
-        metric,
-        group_by=("run_seq", *group_by),
-        agg="gmean",
-        kind="result",
-        where=where,
-    )
-
-
-def cache_hit_rate(store: RunStore) -> QueryResult:
-    """Simulation-cache hit rate per run (from manifest counters)."""
-    return aggregate(
-        store, "cache_hit_rate",
-        group_by=("run_seq",), agg="mean", kind="run",
-    )
-
-
-def phase_walls(
-    store: RunStore,
-    phases: Sequence[str] = ("t_trace", "t_analysis", "t_sim"),
-) -> Dict[str, QueryResult]:
-    """Total per-phase wall seconds per run: where the time goes."""
-    return {
-        phase: aggregate(
-            store, phase, group_by=("run_seq",), agg="sum",
-            kind="result",
-        )
-        for phase in phases
-    }
-

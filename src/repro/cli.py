@@ -12,12 +12,10 @@ Commands mirror the paper's evaluation:
 - ``cache stats|clear``  inspect / empty the persistent simulation cache
 - ``report [DIR]``       render a self-contained HTML report from a run
   directory's manifest and results
-- ``analytics ingest|query|stats``  the result analytics layer:
-  ingest run directories into the run store and aggregate cross-run
-  trends (gmean per objective, stall-mix drift, phase walls).  Runs
-  with ``--out`` auto-ingest on completion unless
-  ``REPRO_ANALYTICS=0``; ``--store DIR`` (or ``REPRO_ANALYTICS_DIR``)
-  picks the store location
+- ``analytics query RUN_DIR...``  the result analytics layer:
+  aggregate the rows of ``--out`` run directories across runs (gmean
+  per objective, cache hit rates, phase walls); the run directories
+  are the only copy of the rows
 
 Every evaluation command accepts the global observability flags:
 
@@ -76,7 +74,7 @@ from repro.config import (
     SelectionConfig,
     SimulationConfig,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, JournalError
 from repro.harness import figures, simcache
 from repro.harness.experiment import run_experiment
 from repro.harness.figures import result_row
@@ -169,14 +167,6 @@ def _parser() -> argparse.ArgumentParser:
         help="deterministically inject faults at SITE with probability "
         "PROB (repeatable; sites: " + ", ".join(faults.SITES) + ")",
     )
-    obs_flags.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="analytics run store directory (default: "
-        "REPRO_ANALYTICS_DIR or ~/.cache/repro-analytics); runs with "
-        "--out auto-ingest into it unless REPRO_ANALYTICS=0",
-    )
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -226,23 +216,17 @@ def _parser() -> argparse.ArgumentParser:
     # (argparse re-applies defaults), so the flags live on the actions.
     analytics = sub.add_parser(
         "analytics",
-        help="result analytics: ingest runs into the run store and "
-        "query cross-run trends",
+        help="result analytics: query cross-run trends over run "
+        "directories",
     )
     asub = analytics.add_subparsers(dest="action", required=True)
-    a_ingest = asub.add_parser(
-        "ingest", parents=[obs_flags],
-        help="ingest run directories",
-    )
-    a_ingest.add_argument("paths", nargs="+", metavar="PATH",
-                          help="run directory (--out style)")
-    a_ingest.add_argument("--force", action="store_true",
-                          help="re-ingest runs whose run_id is already "
-                          "in the store")
     a_query = asub.add_parser(
         "query", parents=[obs_flags],
-        help="group-by aggregation over the store",
+        help="group-by aggregation over the rows of run directories",
     )
+    a_query.add_argument("paths", nargs="+", metavar="RUN_DIR",
+                         help="--out run directory; each run written "
+                         "into it is one run_seq")
     a_query.add_argument("--metric", default="ed2_save_pct",
                          help="numeric column to aggregate "
                          "(default ed2_save_pct)")
@@ -259,10 +243,6 @@ def _parser() -> argparse.ArgumentParser:
                          metavar="COL=VALUE",
                          help="exact-match filter, numeric or string "
                          "(repeatable)")
-    asub.add_parser(
-        "stats", parents=[obs_flags],
-        help="store occupancy (runs, rows, bytes)",
-    )
 
     chaos = sub.add_parser(
         "chaos", parents=[obs_flags],
@@ -412,39 +392,6 @@ def _write_artifacts(
         return
     print(f"wrote {len(rows)} rows to {args.out} "
           f"(manifest: {path})", file=sys.stderr)
-    _auto_ingest(args)
-
-
-def _auto_ingest(args: argparse.Namespace) -> None:
-    """Ingest the finished run into the analytics store.
-
-    On by default for every ``--out`` run; ``REPRO_ANALYTICS=0``
-    disables it (and any store failure is warn-and-continue -- the
-    run's own artifacts are already on disk and must stay the source
-    of truth).
-    """
-    from repro.analytics import RunStore, ingest_enabled
-
-    if not args.out or not ingest_enabled():
-        return
-    try:
-        store = RunStore(getattr(args, "store", None))
-        report = store.ingest_run(args.out)
-    except Exception as exc:
-        obs.log_event(
-            "analytics_auto_ingest_failed",
-            level="warning",
-            dir=args.out,
-            error=type(exc).__name__,
-            detail=str(exc),
-        )
-        return
-    if not report.skipped:
-        print(
-            f"ingested {report.rows_ingested} rows into analytics "
-            f"store {store.root} (run_seq {report.run_seq})",
-            file=sys.stderr,
-        )
 
 
 def _emit_rows(args: argparse.Namespace,
@@ -595,7 +542,7 @@ def _dispatch(
             return 2
         try:
             path = render_report(run_dir, output=args.output)
-        except (ConfigError, OSError, ValueError) as exc:
+        except (ConfigError, JournalError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(path)
@@ -809,84 +756,45 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
 
 
 def _dispatch_analytics(args: argparse.Namespace) -> int:
-    """``repro analytics ingest|query|stats``."""
-    from repro.analytics import RunStore
+    """``repro analytics query RUN_DIR...``."""
     from repro.analytics.query import aggregate
+    from repro.obs.manifest import read_runs
 
-    store = RunStore(getattr(args, "store", None))
-
-    if args.action == "ingest":
-        reports = []
-        for path in args.paths:
-            try:
-                report = store.ingest_path(path, force=args.force)
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            reports.append(report.to_dict())
-            status = (
-                f"skipped ({report.reason})" if report.skipped
-                else f"run_seq {report.run_seq}: "
-                f"{report.rows_ingested} rows"
-                + (f", {report.rows_flagged} flagged"
-                   if report.rows_flagged else "")
-                + (f", {report.lines_damaged} damaged lines"
-                   if report.lines_damaged else "")
-                + (f", {report.rows_rejected} rejected"
-                   if report.rows_rejected else "")
-            )
-            print(f"{path}: {status}")
-        if args.json:
-            print(render_json_lines(reports))
-        return 0
-
-    if args.action == "query":
-        group_by = tuple(
-            c.strip() for c in args.group_by.split(",") if c.strip()
+    group_by = tuple(
+        c.strip() for c in args.group_by.split(",") if c.strip()
+    )
+    where = {}
+    for spec in args.where or ():
+        if "=" not in spec:
+            print(f"error: bad --where {spec!r} (COL=VALUE)",
+                  file=sys.stderr)
+            return 2
+        key, _, value = spec.partition("=")
+        where[key.strip()] = value.strip()
+    try:
+        result = aggregate(
+            read_runs(args.paths), args.metric, group_by=group_by,
+            agg=args.agg, kind=args.kind, where=where or None,
         )
-        where = {}
-        for spec in args.where or ():
-            if "=" not in spec:
-                print(f"error: bad --where {spec!r} (COL=VALUE)",
-                      file=sys.stderr)
-                return 2
-            key, _, value = spec.partition("=")
-            where[key.strip()] = value.strip()
-        try:
-            result = aggregate(
-                store, args.metric, group_by=group_by, agg=args.agg,
-                kind=args.kind, where=where or None,
-            )
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        rows = [
-            {k: (round(v, 4) if isinstance(v, float) else v)
-             for k, v in row.items()}
-            for row in result.rows
-        ]
-        if args.json:
-            print(render_json_lines(rows))
-        else:
-            print(format_table(rows) if rows else "(no rows)")
-            print(
-                f"# {result.n_input_rows} input rows, "
-                f"{result.n_failed_skipped} failed skipped, "
-                f"{result.n_missing_skipped} missing skipped",
-                file=sys.stderr,
-            )
-        return 0
-
-    if args.action == "stats":
-        try:
-            stats = store.stats()
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(stats, indent=1, sort_keys=True))
-        return 0
-
-    raise AssertionError("unreachable")  # pragma: no cover
+    except (ConfigError, JournalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rows = [
+        {k: (round(v, 4) if isinstance(v, float) else v)
+         for k, v in row.items()}
+        for row in result.rows
+    ]
+    if args.json:
+        print(render_json_lines(rows))
+    else:
+        print(format_table(rows) if rows else "(no rows)")
+        print(
+            f"# {result.n_input_rows} input rows, "
+            f"{result.n_failed_skipped} failed skipped, "
+            f"{result.n_missing_skipped} missing skipped",
+            file=sys.stderr,
+        )
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,7 +6,10 @@ evaluation command left in its ``--out`` directory:
 - ``manifest.json``      -- provenance header (command, argv, versions,
   configuration fingerprints, wall time);
 - ``results.jsonl``      -- the per-(benchmark, target) result table,
-  the phase-timing stacks and any load-test rows.
+  the phase-timing stacks and any load-test rows, read through
+  :func:`~repro.obs.manifest.read_runs` (so a torn last line is
+  dropped).  A directory reused by several runs shows the manifest's
+  run, so the header and the tables describe the same run.
 
 The output is deliberately dependency-free: inline CSS, no JavaScript,
 no external fonts or images, so the file can be archived as a CI
@@ -16,13 +19,18 @@ artifact and opened anywhere (including the GitHub artifact viewer).
 from __future__ import annotations
 
 import html
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.obs.manifest import MANIFEST_NAME, RESULTS_NAME
+from repro.obs.manifest import (
+    MANIFEST_NAME,
+    RESULTS_NAME,
+    STAMPED_KEYS,
+    read_manifest,
+    read_runs,
+)
 
 REPORT_NAME = "report.html"
 
@@ -51,24 +59,25 @@ class RunData:
 
 
 def load_run(run_dir: str) -> RunData:
-    """Read manifest and results; loud when neither exists.
+    """Read manifest and the result rows of one run; loud when neither
+    exists.
 
-    A directory holding neither a manifest nor results is almost always
-    a typo'd path, so that raises :class:`~repro.errors.ConfigError`;
-    any one artifact missing on its own just leaves its section out.
+    The run shown is the manifest's (the one its ``run`` row belongs
+    to) or, without a manifest, the last run written.  A directory
+    holding neither a manifest nor results is almost always a typo'd
+    path, so that raises :class:`~repro.errors.ConfigError`; any one
+    artifact missing on its own just leaves its section out.
     """
-    data = RunData(run_dir=run_dir)
-    manifest_path = os.path.join(run_dir, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            data.manifest = json.load(fh)
-    results_path = os.path.join(run_dir, RESULTS_NAME)
-    if os.path.exists(results_path):
-        with open(results_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    data.rows.append(json.loads(line))
+    rows = read_runs([run_dir]) if os.path.isdir(run_dir) else []
+    data = RunData(run_dir=run_dir, manifest=read_manifest(run_dir) or None)
+    shown = next(
+        (row["run_id"] for row in rows if row["kind"] == "run"),
+        rows[-1]["run_id"] if rows else None,
+    )
+    data.rows = [
+        row for row in rows
+        if row["kind"] == "result" and row["run_id"] == shown
+    ]
     if data.manifest is None and not data.rows:
         raise ConfigError(
             f"no run artifacts in {run_dir!r}: expected "
@@ -201,7 +210,7 @@ def _results_section(data: RunData) -> str:
     columns += sorted(
         k for k in seen
         if k not in columns and not k.startswith("t_")
-        and k not in ("failed", "error", "detail")
+        and k not in STAMPED_KEYS and k not in ("error", "detail")
     )
     out = _table(rows, columns)
     if failed:
@@ -261,9 +270,9 @@ def _loadtest_section(data: RunData) -> str:
     columns = [c for c in LOADTEST_LEAD_COLUMNS if c in seen]
     columns += sorted(
         k for k in seen
-        if k not in columns
-        and k not in ("schema", "latency_budget_s",
-                      "max_concurrent_in_budget", "target")
+        if k not in columns and k not in STAMPED_KEYS
+        and k not in ("latency_budget_s", "max_concurrent_in_budget",
+                      "target")
     )
     out = _table(rows, columns)
     # The latency-budget arithmetic: how many concurrent clients the

@@ -1,18 +1,13 @@
-"""Checkpoint/resume journal for experiment grids, and the append-only
-JSON-lines file discipline it shares with the server's accept ledger.
+"""Checkpoint/resume journal for experiment grids.
 
 A grid run with an output directory appends one JSON line per completed
 cell to ``<out>/journal.jsonl`` *as it finishes*, so an interrupted run
 (crash, ^C, SIGTERM, power loss) can restart with ``--resume`` and skip
 every cell that already completed:
 
-- **Append-only, fsynced per record**: :func:`append_record` writes,
-  flushes and fsyncs one line before it returns, so every record a
-  call reported written survives a crash or power loss; a crash can
-  tear at most the final line.
-- **Torn-tail tolerant**: :func:`read_records` ignores a truncated or
-  garbage trailing line (and counts damaged interior lines) instead of
-  refusing to resume.
+- **Append-only, fsynced per record, torn-tail tolerant**: the
+  JSON-lines discipline of :mod:`repro.obs.jsonl`, so a crash can tear
+  at most the final line and resuming drops it instead of refusing.
 - **Self-describing**: records carry the cell key (a content hash of
   the job's full configuration, :meth:`ExperimentJob.cell_key`), a
   human-readable summary, and the pickled :class:`ExperimentResult`
@@ -30,15 +25,14 @@ Only *successful* cells are journaled; failed cells re-run on resume.
 from __future__ import annotations
 
 import base64
-import json
 import os
 import pickle
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional
 
 from repro import obs
 from repro.errors import JournalError
 from repro.harness.simcache import code_version
-from repro.obs.metrics import Counter
+from repro.obs.jsonl import append_record, read_records
 
 #: Bump when the record layout changes.
 JOURNAL_SCHEMA = 1
@@ -49,72 +43,6 @@ _RECORDS = obs.counters.counter("harness.journal.records")
 _RESUMED = obs.counters.counter("harness.journal.cells_resumed")
 _DAMAGED = obs.counters.counter("harness.journal.damaged_lines")
 _DEGRADED = obs.counters.counter("harness.journal.degradations")
-_FSYNCS = obs.counters.counter("harness.journal.fsyncs")
-
-
-def append_record(path: str, record: Dict[str, Any]) -> None:
-    """Append ``record`` to ``path`` as one JSON line: write, flush and
-    fsync before returning.  I/O failure raises :class:`OSError`; each
-    caller decides what a lost record costs."""
-    line = json.dumps(record, default=str, separators=(",", ":"))
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    _FSYNCS.add()
-
-
-def read_records(
-    path: str,
-    required: Sequence[str],
-    damaged: Counter,
-    what: str,
-) -> List[Dict[str, Any]]:
-    """Every well-formed record of the JSON-lines file ``path``, in
-    file order.
-
-    A record is well-formed when it is a JSON object carrying every key
-    in ``required``.  A missing file has no records.  A malformed last
-    line is the torn tail a crash mid-append leaves and is dropped
-    silently; a malformed line elsewhere is counted on the ``damaged``
-    counter, logged and skipped.  An unreadable file raises
-    :class:`JournalError` naming ``what`` -- the caller asked to resume
-    from it, so silent loss would be worse than failing.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        return []
-    except OSError as exc:
-        raise JournalError(
-            f"cannot read {what} {path}: {exc}",
-            path=path,
-            reason=str(exc),
-        ) from exc
-    records: List[Dict[str, Any]] = []
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            record = None
-        if isinstance(record, dict) and all(k in record for k in required):
-            records.append(record)
-        elif i < len(lines) - 1:
-            damaged.add()
-            obs.log_event(
-                "journal_damaged_line",
-                level="warning",
-                path=path,
-                line=i + 1,
-            )
-    return records
 
 
 class Journal:

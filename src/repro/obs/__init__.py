@@ -8,7 +8,10 @@ The subsystem the rest of the stack reports through:
   counters and gauges;
 - :mod:`repro.obs.manifest` -- :class:`RunWriter`, which turns result
   rows into ``manifest.json`` / ``results.jsonl`` / ``run_table.csv``
-  artifacts with configuration fingerprints.
+  artifacts with configuration fingerprints, and ``read_runs``, which
+  reads run directories back;
+- :mod:`repro.obs.jsonl` -- the fsynced append and torn-tail read every
+  JSON-lines file shares.
 
 Typical harness usage::
 

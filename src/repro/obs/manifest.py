@@ -6,7 +6,8 @@ output directory::
     <out>/manifest.json    -- provenance: command, argv, config
                               fingerprints, package/python versions,
                               timestamps, counters snapshot
-    <out>/results.jsonl    -- one JSON object per (benchmark, target)
+    <out>/results.jsonl    -- one JSON object per (benchmark, target),
+                              stamped with its run's ``run_id``
     <out>/run_table.csv    -- the same rows, appendable across runs
                               (mubench-style run table: header written
                               once, later runs append)
@@ -15,6 +16,10 @@ Rows are plain dicts -- whatever :meth:`ExperimentResult.summary_row`
 plus the phase timings produced.  The CSV reuses the header of an
 existing file so accumulated tables stay rectangular even when a later
 version adds columns.
+
+The run directory is the only copy of a run's rows:
+:class:`RunWriter` writes them and :func:`read_runs` reads them back
+for ``repro analytics query`` and ``repro report``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ import sys
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from repro.errors import ConfigError
+from repro.obs.jsonl import append_record, read_records
+from repro.obs.log import log_event
+from repro.obs.metrics import counters
+
 #: Identity columns always ordered first in ``run_table.csv``.
 RUN_TABLE_LEAD_COLUMNS = ("run_id", "command", "benchmark", "target")
 
@@ -38,14 +48,20 @@ RUN_TABLE_NAME = "run_table.csv"
 
 #: Layout version of the run artifacts (manifest + results.jsonl rows).
 #: Stamped into ``manifest.json`` as ``schema_version`` and into every
-#: ``results.jsonl`` record as a ``schema`` header field, so consumers
-#: (the :mod:`repro.analytics` ingester first among them) can reject or
-#: upgrade old layouts instead of mis-parsing them.
+#: ``results.jsonl`` record as a ``schema`` header field, so
+#: :func:`read_runs` can reject newer layouts instead of mis-parsing
+#: them.
 #:
 #: - 1: the implicit PR 1-5 layout (no stamp anywhere);
 #: - 2: stamped records; manifest carries ``schema_version`` and a
 #:   best-effort ``git_commit``.
 RESULTS_SCHEMA_VERSION = 2
+
+#: Keys :func:`read_runs` stamps on every row it returns.
+STAMPED_KEYS = ("run_seq", "run_id", "commit", "kind", "schema", "failed")
+
+_DAMAGED = counters.counter("results.damaged_lines")
+_REJECTED = counters.counter("results.rejected_rows")
 
 
 def stable_json(obj: Any) -> str:
@@ -108,7 +124,9 @@ class RunWriter:
 
     ``out_dir`` is created on construction; ``results.jsonl`` and
     ``run_table.csv`` are appended (repeat runs into the same directory
-    accumulate), ``manifest.json`` describes the latest run.
+    accumulate), ``manifest.json`` describes the latest run.  Every
+    ``results.jsonl`` record carries the writer's ``run_id``, so a
+    reused directory splits back into its runs.
     """
 
     def __init__(
@@ -155,14 +173,14 @@ class RunWriter:
         ``results.jsonl`` immediately (crash-safe partial results)."""
         row = dict(row)
         self.rows.append(row)
-        # The JSONL record carries a ``schema`` header field the
-        # in-memory row does not: run_table.csv and figure rows keep
-        # their historical shape, while on-disk records self-describe
-        # their layout version for the analytics ingester.
+        # The JSONL record carries ``schema`` and ``run_id`` header
+        # fields the in-memory row does not: run_table.csv and figure
+        # rows keep their historical shape, while on-disk records name
+        # their layout version and the run that wrote them.
         record = {"schema": RESULTS_SCHEMA_VERSION}
         record.update(row)
-        with open(self.results_path, "a", encoding="utf-8") as fh:
-            fh.write(stable_json(record) + "\n")
+        record["run_id"] = self.run_id
+        append_record(self.results_path, record)
 
     def add_rows(self, rows: Sequence[Mapping[str, Any]]) -> None:
         """Record a batch of rows (see :meth:`add_row`)."""
@@ -237,3 +255,117 @@ class RunWriter:
             json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
         return self.manifest_path
+
+
+# --------------------------------------------------------------------- #
+# Reading run directories back.
+# --------------------------------------------------------------------- #
+
+
+def read_manifest(run_dir: str) -> Dict[str, Any]:
+    """``run_dir``'s manifest, or ``{}`` when it has none.  An
+    unreadable manifest is logged and read as none."""
+    path = os.path.join(run_dir, MANIFEST_NAME)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError) as exc:
+        log_event("manifest_unreadable", level="warning", path=path,
+                  error=str(exc))
+        return {}
+    return manifest if isinstance(manifest, dict) else {}
+
+
+def _run_row(manifest: Mapping[str, Any]) -> Dict[str, Any]:
+    """The run-level row: wall time, degradation, simcache rates."""
+    run_counters = manifest.get("counters") or {}
+    hits = float(run_counters.get("harness.simcache.hits", 0) or 0)
+    misses = float(run_counters.get("harness.simcache.misses", 0) or 0)
+    row: Dict[str, Any] = {
+        "kind": "run",
+        "command": manifest.get("command", ""),
+        "wall_s": manifest.get("wall_s"),
+        "n_rows": manifest.get("n_rows"),
+        "degraded": bool(manifest.get("degraded")),
+        "interrupted": bool(manifest.get("interrupted")),
+        "cache_hits": hits,
+        "cache_misses": misses,
+    }
+    if hits + misses:
+        row["cache_hit_rate"] = hits / (hits + misses)
+    return row
+
+
+def read_runs(run_dirs: Sequence[str]) -> List[Dict[str, Any]]:
+    """Every row of the ``--out`` run directories ``run_dirs``, run by
+    run.
+
+    Each directory's ``results.jsonl`` is read torn-tail tolerant
+    (:func:`~repro.obs.jsonl.read_records`) and split into runs by the
+    records' ``run_id``.  A record without one, from an older
+    directory, belongs to the manifest's run, or to the directory name
+    when there is no manifest.  The manifest's run gets one more row of
+    kind ``run`` (:func:`_run_row`).  A record stamped with a schema
+    newer than :data:`RESULTS_SCHEMA_VERSION` is counted, logged and
+    skipped, never guessed at.
+
+    Every row carries the :data:`STAMPED_KEYS`: ``run_seq`` (the run's
+    position among all runs read, from 1), ``run_id``, ``commit`` (the
+    manifest's, for its run only), ``kind`` (``result`` or ``run``),
+    ``schema`` (1 for unstamped records) and ``failed`` (1 for
+    ``JobFailure`` rows, else 0; a load-test summary keeps its count).
+    """
+    rows: List[Dict[str, Any]] = []
+    run_seq = 0
+    for run_dir in run_dirs:
+        if not os.path.isdir(run_dir):
+            raise ConfigError(
+                f"not a run directory: {run_dir!r} (expected an --out "
+                "directory)"
+            )
+        manifest = read_manifest(run_dir)
+        manifest_run = str(
+            manifest.get("run_id")
+            or os.path.basename(os.path.normpath(run_dir))
+        )
+        runs: Dict[str, List[Dict[str, Any]]] = {}
+        path = os.path.join(run_dir, RESULTS_NAME)
+        for record in read_records(path, (), _DAMAGED, "results"):
+            try:
+                schema = int(record.get("schema", 1))
+            except (TypeError, ValueError):
+                schema = 0
+            if not 1 <= schema <= RESULTS_SCHEMA_VERSION:
+                _REJECTED.add()
+                log_event("results_row_rejected", level="warning",
+                          path=path, schema=record.get("schema"),
+                          supported=RESULTS_SCHEMA_VERSION)
+                continue
+            record["schema"] = schema
+            run_id = str(record.pop("run_id", None) or manifest_run)
+            runs.setdefault(run_id, []).append(record)
+        if manifest:
+            runs.setdefault(manifest_run, []).append(_run_row(manifest))
+        for run_id, records in runs.items():
+            run_seq += 1
+            commit = ""
+            if run_id == manifest_run:
+                commit = manifest.get("git_commit") or ""
+            for record in records:
+                failed = record.pop("failed", 0)
+                row = {
+                    "run_seq": run_seq,
+                    "run_id": run_id,
+                    "commit": commit,
+                    "kind": record.pop("kind", "result"),
+                    "schema": record.pop("schema", 1),
+                    # A load-test summary's ``failed`` is its count of
+                    # failed requests and stays one.
+                    "failed": failed if type(failed) is int
+                    else int(bool(failed)),
+                }
+                row.update(record)
+                rows.append(row)
+    return rows

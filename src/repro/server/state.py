@@ -33,7 +33,8 @@ from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.errors import JournalError
-from repro.harness.journal import Journal, append_record, read_records
+from repro.harness.journal import Journal
+from repro.obs.jsonl import append_record, read_records
 
 ACCEPT_SCHEMA = 1
 ACCEPTED_NAME = "accepted.jsonl"

@@ -6,6 +6,7 @@ from html.parser import HTMLParser
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.manifest import RunWriter
 from repro.harness.htmlreport import (
     REPORT_NAME,
     load_run,
@@ -108,3 +109,18 @@ def test_render_report_custom_output(tmp_path):
     assert render_report(str(tmp_path), output=str(out)) == str(out)
     assert out.exists()
 
+
+
+def test_report_shows_the_manifest_run(tmp_path):
+    for run_id, bench in (("first", "mcf"), ("second", "gap")):
+        writer = RunWriter(str(tmp_path), command="run", run_id=run_id)
+        writer.add_row({"benchmark": bench, "target": "L",
+                        "speedup_pct": 1.0})
+        writer.finalize()
+    data = load_run(str(tmp_path))
+    assert data.manifest["run_id"] == "second"
+    assert [r["benchmark"] for r in data.rows] == ["gap"]
+    doc = render_html(data)
+    assert "mcf" not in doc
+    # The reader's stamps are bookkeeping, not result columns.
+    assert "<th>run_seq</th>" not in doc and "<th>schema</th>" not in doc

@@ -181,6 +181,23 @@ def test_run_then_report_end_to_end(tmp_path, capsys):
     assert "Top-down stall attribution" not in doc
 
 
+def test_report_survives_a_torn_tail(tmp_path, capsys):
+    from repro.obs.manifest import RunWriter
+
+    out = str(tmp_path / "run")
+    writer = RunWriter(out, command="figure3")
+    for bench in ("gap", "mcf"):
+        writer.add_row({"benchmark": bench, "target": "L",
+                        "speedup_pct": 1.0})
+    writer.finalize()
+    with open(f"{out}/results.jsonl", "a") as fh:
+        fh.write('{"benchmark": "vortex", "tar')  # crash mid-append
+    assert main(["report", out]) == 0
+    doc = open(capsys.readouterr().out.strip()).read()
+    assert "gap" in doc and "mcf" in doc
+    assert "vortex" not in doc
+
+
 def test_report_missing_dir_exits_2(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nope")]) == 2
     assert "no run artifacts" in capsys.readouterr().err
