@@ -81,9 +81,6 @@ class QueryResult:
     n_failed_skipped: int = 0
     n_missing_skipped: int = 0
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return list(self.rows)
-
 
 def aggregate(
     rows: Iterable[Mapping[str, Any]],

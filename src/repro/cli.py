@@ -17,7 +17,9 @@ Commands mirror the paper's evaluation:
   per objective, cache hit rates, phase walls); the run directories
   are the only copy of the rows
 
-Every evaluation command accepts the global observability flags:
+Every evaluation command accepts the global observability flags
+(``analytics query`` takes only ``--log-level``, ``--json`` and
+``--quiet``, since it runs and writes nothing):
 
 - ``--log-level LEVEL``  emit JSON-lines telemetry (spans, heartbeats,
   simulator throughput) to stderr at ``debug|info|warning|error``;
@@ -30,7 +32,7 @@ Every evaluation command accepts the global observability flags:
 - ``--quiet``            suppress heartbeat/progress telemetry.
 
 ``repro serve`` runs the engine as an HTTP/JSON service (``/v1/stats``
-reports its queue, simcache breaker and admission state);
+reports its queue and admission state);
 ``repro loadtest`` drives one with a load model.
 
 the performance flags:
@@ -92,24 +94,27 @@ _TARGETS = {t.label: t for t in Target}
 
 
 def _parser() -> argparse.ArgumentParser:
-    obs_flags = argparse.ArgumentParser(add_help=False)
-    obs_flags.add_argument(
+    # view_flags: how a command reports; obs_flags adds the run flags
+    # (artifacts, engine, cache, faults) for commands that run or write.
+    view_flags = argparse.ArgumentParser(add_help=False)
+    view_flags.add_argument(
         "--log-level",
         default="off",
         choices=obs.LEVEL_NAMES,
         help="emit JSON-lines telemetry to stderr at this level",
     )
-    obs_flags.add_argument(
+    view_flags.add_argument(
         "--json",
         action="store_true",
         help="print result rows as JSON lines instead of text tables",
     )
-    obs_flags.add_argument(
+    view_flags.add_argument(
         "--quiet",
         action="store_true",
         help="suppress heartbeat/progress telemetry (and, for run, the "
         "selection description)",
     )
+    obs_flags = argparse.ArgumentParser(add_help=False, parents=[view_flags])
     obs_flags.add_argument(
         "--out",
         metavar="DIR",
@@ -221,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     asub = analytics.add_subparsers(dest="action", required=True)
     a_query = asub.add_parser(
-        "query", parents=[obs_flags],
+        "query", parents=[view_flags],
         help="group-by aggregation over the rows of run directories",
     )
     a_query.add_argument("paths", nargs="+", metavar="RUN_DIR",
@@ -363,7 +368,7 @@ def _write_artifacts(
     and swallowed: the results were already printed, and dying while
     writing provenance would turn a finished run into a failed one.
     """
-    if not args.out:
+    if not getattr(args, "out", None):
         return
     degraded = any(row.get("failed") for row in rows)
     extra.setdefault("degraded", degraded)

@@ -52,8 +52,6 @@ HEARTBEAT_CYCLES = 250_000
 _SIM_RUNS = obs.counters.counter("cpu.pipeline.simulations")
 _SIM_CYCLES = obs.counters.counter("cpu.pipeline.cycles_total")
 _SIM_RETIRED = obs.counters.counter("cpu.pipeline.retired_total")
-_SIM_RETIRE_RATE = obs.counters.gauge("cpu.pipeline.retired_per_sec")
-_SIM_CYCLE_RATE = obs.counters.gauge("cpu.pipeline.cycles_per_sec")
 
 _NOT_DONE = -1
 
@@ -287,9 +285,6 @@ def record_run(stats: SimStats, wall_s: float) -> None:
     _SIM_RUNS.add()
     _SIM_CYCLES.add(now)
     _SIM_RETIRED.add(committed)
-    if wall_s > 0:
-        _SIM_RETIRE_RATE.set(round(committed / wall_s))
-        _SIM_CYCLE_RATE.set(round(now / wall_s))
     if obs.is_enabled("info"):
         obs.log_event(
             "sim.done",

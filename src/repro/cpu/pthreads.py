@@ -204,13 +204,5 @@ class PThreadProgram:
             self._view = view
         return view
 
-    @property
-    def total_spawns(self) -> int:
-        return len(self.sp_trigger)
-
-    @property
-    def total_pinsts(self) -> int:
-        return len(self.pi_kind)
-
     def empty(self) -> bool:
         return not len(self.sp_trigger)

@@ -52,14 +52,6 @@ class LoadClassification:
     branch_counts: Dict[int, List[int]] = field(default_factory=dict)
     total_l2_misses: int = 0
 
-    def miss_seqs_of(self, pc: int, trace: Trace) -> List[int]:
-        """Sequence numbers of the L2-missing instances of static pc."""
-        return [
-            seq
-            for seq in trace.occurrences(pc)
-            if self.service.get(seq) == MEM
-        ]
-
     def miss_rate_l1(self, pc: int) -> float:
         """L1 miss rate of a static load (used by equation E7)."""
         total = self.load_counts.get(pc, 0)

@@ -28,10 +28,6 @@ class EnergyResult:
     idle_joules: float
     breakdown: EnergyBreakdown
 
-    @property
-    def dynamic_joules(self) -> float:
-        return self.total_joules - self.idle_joules
-
 
 class EnergyModel:
     """Maps activity counts to energy for one machine configuration."""

@@ -67,15 +67,6 @@ class WorkerCrashError(StructuredError):
     """
 
 
-class CacheCorruptionError(StructuredError):
-    """A persistent cache entry failed to read back or validate.
-
-    Context: ``path``, ``reason``.  The cache treats this as a miss and
-    evicts the entry; the error object exists to give the telemetry
-    event and counters a typed payload.
-    """
-
-
 class JournalError(StructuredError):
     """A run journal could not be opened, appended, or parsed.
 

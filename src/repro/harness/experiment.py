@@ -597,10 +597,6 @@ def run_experiment(
             cache=baseline_cache_stats(),
         )
     phase_seconds["total"] = sp_total.wall_s
-    for phase in ("trace", "analysis", "sim", "total"):
-        obs.counters.histogram(f"harness.phase.{phase}_seconds").observe(
-            phase_seconds[phase]
-        )
     experiment = ExperimentResult(
         benchmark=benchmark,
         target=target,

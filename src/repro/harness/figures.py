@@ -101,11 +101,6 @@ class FigureData:
     latency_stacks: List[Dict[str, object]] = field(default_factory=list)
     energy_stacks: List[Dict[str, object]] = field(default_factory=list)
 
-    @property
-    def failed_rows(self) -> List[Dict[str, object]]:
-        """Failure rows from a degraded grid (empty when all cells ran)."""
-        return [row for row in self.rows if row.get("failed")]
-
     def gmeans(self, metric: str = "speedup_pct") -> Dict[str, float]:
         """Geometric-mean improvement per target across benchmarks.
 

@@ -196,15 +196,17 @@ def _header_section(data: RunData) -> str:
 
 
 def _results_section(data: RunData) -> str:
-    # Load-test rows (identified by throughput_rps) render in their own
-    # section; keep the experiment-results table for experiment rows.
+    # A load test writes a summary row (throughput_rps) that renders in
+    # its own section, and one sample row per request (request), which
+    # is not a result; keep the results table for experiment rows.
     experiment_rows = [
-        r for r in data.rows if "throughput_rps" not in r
+        r for r in data.rows
+        if "throughput_rps" not in r and "request" not in r
     ]
     rows = [r for r in experiment_rows if not r.get("failed")]
     failed = [r for r in experiment_rows if r.get("failed")]
     if not experiment_rows:
-        return "<p class='muted'>no results.jsonl rows</p>"
+        return "<p class='muted'>no experiment rows</p>"
     seen = {k for row in experiment_rows for k in row}
     columns = [c for c in LEAD_COLUMNS if c in seen]
     columns += sorted(

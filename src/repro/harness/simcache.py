@@ -45,7 +45,6 @@ import tempfile
 from typing import Any, Dict, Iterator, Optional
 
 from repro import faults, obs
-from repro.errors import CacheCorruptionError
 from repro.obs.manifest import stable_json
 
 #: Bump when the envelope layout or the meaning of cached payloads changes.
@@ -195,17 +194,12 @@ class SimCache:
             return None
         except Exception as exc:
             # Corrupt, truncated, or version-skewed entry: drop it.
-            corruption = CacheCorruptionError(
-                f"unreadable cache entry {path}: {exc}",
-                path=path,
-                reason=str(exc),
-            )
             _CORRUPT.add()
             obs.log_event(
                 "simcache_corrupt_entry",
                 level="warning",
-                error=type(corruption).__name__,
-                **corruption.context,
+                path=path,
+                reason=str(exc),
             )
             self._evict(path)
             _MISSES.add()
@@ -367,8 +361,12 @@ def reset() -> None:
 
 @contextlib.contextmanager
 def disabled() -> Iterator[None]:
-    """Temporarily disable caching (the bench harness measures the
-    uncached path this way)."""
+    """Temporarily disable caching.
+
+    The switch is process-wide: every thread sees the cache off until
+    the block exits.  It is meant for single-threaded callers (the
+    chaos drill's golden runs, tests), never for one job among several
+    running concurrently."""
     global _enabled_override
     previous = _enabled_override
     _enabled_override = False

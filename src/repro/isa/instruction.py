@@ -149,11 +149,6 @@ class Program:
     def __iter__(self) -> Iterator[StaticInst]:
         return iter(self.instructions)
 
-    @property
-    def static_loads(self) -> List[StaticInst]:
-        """All static load instructions, in program order."""
-        return [inst for inst in self.instructions if inst.op.is_load]
-
     def fingerprint(self) -> str:
         """SHA-256 of the program *content*: code, data image, entry, and
         initial registers (the name is deliberately excluded).

@@ -5,7 +5,7 @@ The subsystem the rest of the stack reports through:
 - :mod:`repro.obs.log` -- JSON-lines event logger plus the hierarchical
   :func:`span` phase timer (off-by-default; spans still measure time);
 - :mod:`repro.obs.metrics` -- the always-on :data:`counters` registry of
-  counters and gauges;
+  event counters, plus the ``LatencyWindow`` percentile ring;
 - :mod:`repro.obs.manifest` -- :class:`RunWriter`, which turns result
   rows into ``manifest.json`` / ``results.jsonl`` / ``run_table.csv``
   artifacts with configuration fingerprints, and ``read_runs``, which
@@ -46,20 +46,15 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
-    Histogram,
     LatencyWindow,
     MetricsRegistry,
     counters,
-    snapshot_delta,
 )
 
 __all__ = [
     "LEVELS",
     "LEVEL_NAMES",
     "Counter",
-    "Gauge",
-    "Histogram",
     "LatencyWindow",
     "MetricsRegistry",
     "RESULTS_SCHEMA_VERSION",
@@ -75,7 +70,6 @@ __all__ = [
     "log_event",
     "reset",
     "set_quiet",
-    "snapshot_delta",
     "span",
     "stable_json",
 ]

@@ -182,11 +182,6 @@ class RunWriter:
         record["run_id"] = self.run_id
         append_record(self.results_path, record)
 
-    def add_rows(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        """Record a batch of rows (see :meth:`add_row`)."""
-        for row in rows:
-            self.add_row(row)
-
     def _append_run_table(self) -> None:
         lead = [c for c in RUN_TABLE_LEAD_COLUMNS]
         extra = sorted(

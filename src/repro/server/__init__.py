@@ -12,8 +12,6 @@ abuse*:
   engine, with in-flight dedup of identical cells;
 - :mod:`repro.server.admission` -- bounded queue depth and load
   shedding (429 + ``Retry-After`` derived from observed p95);
-- :mod:`repro.server.breaker`   -- the circuit breaker around the
-  simcache;
 - :mod:`repro.server.state`     -- crash-safe accept/complete journals,
   every record fsynced before its call returns, so ``repro serve
   --resume`` recovers every acknowledged job exactly once after a
@@ -25,18 +23,19 @@ abuse*:
   (``throughput_rps`` / ``p95_latency_ms`` / ``failure_rate``).
 
 Served jobs run on the queue's worker threads, in the server process.
+Cache faults are the simcache's own business: a corrupt entry is an
+evicted miss, an I/O failure degrades the cache to a no-op, and a
+served job never turns the cache off.
 """
 
 from repro.server.admission import AdmissionController
 from repro.server.app import ExperimentServer
-from repro.server.breaker import CircuitBreaker
 from repro.server.client import ServerClient
 from repro.server.queue import JobQueue, JobState
 from repro.server.state import ServerState
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "ExperimentServer",
     "JobQueue",
     "JobState",

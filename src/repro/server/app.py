@@ -12,7 +12,7 @@ GET       ``/v1/experiments/<id>/result``  200 row when done; 202 while
                                          pending; error status when failed.
 DELETE    ``/v1/experiments/<id>``       Best-effort cancel.
 GET       ``/v1/jobs``                   All job snapshots (no results).
-GET       ``/v1/stats``                  Queue/breaker/admission snapshot.
+GET       ``/v1/stats``                  Queue and admission snapshot.
 GET       ``/healthz``                   Liveness: the process answers.
 GET       ``/readyz``                    Readiness: accepting (not draining).
 ========  =============================  ====================================

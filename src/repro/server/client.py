@@ -160,13 +160,3 @@ class ServerClient:
             if time.monotonic() >= deadline:
                 return resp
             time.sleep(poll_s)
-
-    def wait_ready(self, timeout_s: float = 10.0) -> bool:
-        """Poll ``/readyz`` until the server answers ready."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            resp = self.readyz()
-            if resp.ok and resp.body.get("ready"):
-                return True
-            time.sleep(0.05)
-        return False

@@ -18,15 +18,15 @@ sequencing:
   A job that has started runs to completion: it runs on the worker
   thread itself, and an in-thread simulation cannot be preempted, so no
   wall-clock bound applies to the run.
-- **Breaker feedback**: cache corruption feeds the ``simcache``
-  breaker, and while that breaker is open jobs run with the persistent
-  cache bypassed rather than being shed -- correctness never depended
-  on the cache, only latency did.
+- **No cache policy of its own**: jobs always run with the
+  process-wide simcache as configured.  The cache itself turns a
+  corrupt entry into an evicted miss and an I/O failure into a
+  degraded no-op, so a worker thread never switches it off for the
+  others.
 """
 
 from __future__ import annotations
 
-import contextlib
 import queue as queue_mod
 import threading
 import time
@@ -36,14 +36,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import faults, obs
 from repro.errors import (
     AdmissionRejectedError,
-    CacheCorruptionError,
     SimulationTimeoutError,
     is_retryable,
 )
-from repro.harness import simcache
 from repro.harness.figures import result_row
 from repro.server.admission import AdmissionController
-from repro.server.breaker import CircuitBreaker
 from repro.server.jobspec import job_from_spec, normalize_spec
 from repro.server.state import ServerState
 
@@ -54,13 +51,7 @@ _COMPLETED = obs.counters.counter("server.queue.completed")
 _FAILED = obs.counters.counter("server.queue.failed")
 _CANCELLED = obs.counters.counter("server.queue.cancelled")
 _EXPIRED = obs.counters.counter("server.queue.expired")
-_CACHE_BYPASSED = obs.counters.counter("server.queue.cache_bypassed")
 _RECOVERED = obs.counters.counter("server.queue.jobs_recovered")
-
-_CORRUPT = obs.counters.counter("harness.simcache.corrupt_entries")
-
-_WAIT_HIST = obs.counters.histogram("server.queue.wait_seconds")
-_SERVICE_HIST = obs.counters.histogram("server.queue.service_seconds")
 
 _STOP = object()
 
@@ -148,13 +139,11 @@ class JobQueue:
         runner: Optional[Runner] = None,
         workers: int = 2,
         admission: Optional[AdmissionController] = None,
-        cache_breaker: Optional[CircuitBreaker] = None,
         default_deadline_s: Optional[float] = None,
     ) -> None:
         self.state = state
         self._runner: Runner = runner or (lambda job: job.run())
         self.workers = max(1, workers)
-        self.cache_breaker = cache_breaker or CircuitBreaker("simcache")
         self.admission = admission or AdmissionController(
             workers=self.workers
         )
@@ -349,7 +338,6 @@ class JobQueue:
                 "jobs": by_state,
                 "draining": self._closed,
                 "admission": self.admission.snapshot(),
-                "breakers": [self.cache_breaker.snapshot()],
             }
 
     # ------------------------------------------------------------- #
@@ -427,34 +415,13 @@ class JobQueue:
             record.started_at = round(time.time(), 3)
             self._running_count += 1
         started = time.monotonic()
-        _WAIT_HIST.observe(max(0.0, started - record._enqueued_mono))
-        use_cache = self.cache_breaker.allow()
-        if not use_cache:
-            _CACHE_BYPASSED.add()
-        corrupt_before = _CORRUPT.value
         try:
-            job = job_from_spec(record.spec)
-            ctx = (
-                contextlib.nullcontext()
-                if use_cache
-                else simcache.disabled()
-            )
-            with ctx:
-                result = self._runner(job)
-        except Exception as exc:  # noqa: BLE001 - classified below
-            _SERVICE_HIST.observe(time.monotonic() - started)
-            self._note_cache_breaker(exc, use_cache, corrupt_before)
+            result = self._runner(job_from_spec(record.spec))
+        except Exception as exc:  # noqa: BLE001 - classified in _fail
             with self._lock:
                 self._fail(record, exc)
         else:
-            elapsed = time.monotonic() - started
-            _SERVICE_HIST.observe(elapsed)
-            if use_cache:
-                if _CORRUPT.value > corrupt_before:
-                    self.cache_breaker.record_failure()
-                else:
-                    self.cache_breaker.record_success()
-            self.admission.observe_service_time(elapsed)
+            self.admission.observe_service_time(time.monotonic() - started)
             self.state.record_completion(
                 record.cell_key,
                 result,
@@ -466,14 +433,6 @@ class JobQueue:
         finally:
             with self._lock:
                 self._running_count -= 1
-
-    def _note_cache_breaker(
-        self, exc: Exception, use_cache: bool, corrupt_before: int
-    ) -> None:
-        if isinstance(exc, CacheCorruptionError) or (
-            use_cache and _CORRUPT.value > corrupt_before
-        ):
-            self.cache_breaker.record_failure()
 
     # ------------------------------------------------------------- #
     # Completion fan-out (caller holds the lock)

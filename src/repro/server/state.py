@@ -168,9 +168,6 @@ class ServerState:
             )
         return live
 
-    def accepted_records(self) -> Dict[str, Dict[str, Any]]:
-        return dict(self._accepted)
-
     def max_job_number(self) -> int:
         """The highest ``job-N`` ordinal in the ledger, so restarted
         servers keep issuing unique, monotonically increasing IDs."""

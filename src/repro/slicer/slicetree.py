@@ -119,10 +119,6 @@ class SliceTree:
         """DCtrig: dynamic executions of the node's (trigger's) static PC."""
         return self.trigger_counts[node.pc]
 
-    @property
-    def n_candidates(self) -> int:
-        return sum(1 for _ in self.candidates())
-
 
 #: Columns of the compiled miner's exported node table, in
 #: ``_slicetree.c``'s F_* order.

@@ -54,11 +54,6 @@ def benchmark_names() -> Tuple[str, ...]:
 _PROGRAM_MEMO: Dict[Tuple[object, object], Program] = {}
 
 
-def clear_program_memo() -> None:
-    """Drop memoized programs."""
-    _PROGRAM_MEMO.clear()
-
-
 def get_program(name: str, input_name: str = "train") -> Program:
     """Build benchmark ``name`` with the given input set ("train"/"ref")."""
     try:

@@ -124,3 +124,24 @@ def test_report_shows_the_manifest_run(tmp_path):
     assert "mcf" not in doc
     # The reader's stamps are bookkeeping, not result columns.
     assert "<th>run_seq</th>" not in doc and "<th>schema</th>" not in doc
+
+
+def test_report_keeps_loadtest_rows_out_of_results(tmp_path):
+    from repro.cli import main
+
+    # Nothing listens on port 1, so both requests drop fast; the
+    # directory still holds what every load test writes: one summary
+    # row and one sample row per request.
+    out = tmp_path / "lt"
+    main(["loadtest", "--server", "http://127.0.0.1:1", "--requests", "2",
+          "--concurrency", "1", "--json", "--out", str(out)])
+    data = load_run(str(out))
+    assert sum("request" in r for r in data.rows) == 2
+    doc = render_html(data)
+    _assert_well_formed(doc)
+    for column in ("request", "outcome", "latency_s"):
+        assert f"<th>{column}</th>" not in doc
+    results = doc.split("<h2>Results</h2>")[1].split("<h2>")[0]
+    assert "no experiment rows" in results
+    load = doc.split("<h2>Load test</h2>")[1]
+    assert "<th>throughput_rps</th>" in load

@@ -1,5 +1,7 @@
 """Tests for the parallel experiment engine and baseline-cache identity."""
 
+import json
+
 import pytest
 
 from repro import obs
@@ -15,6 +17,7 @@ from repro.harness.parallel import (
     resolve_jobs,
     run_experiments,
 )
+from repro.obs import RunWriter
 from repro.pthsel.targets import Target
 from repro.workloads import registry
 
@@ -134,6 +137,30 @@ def test_parallel_merges_worker_counters():
     assert delta.get("cpu.pipeline.simulations", 0) > 0
     assert delta.get("harness.parallel.jobs_dispatched", 0) == 2
     assert delta.get("harness.parallel.pools_started", 0) == 1
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_counters_and_manifest_hold_only_numbers(n_jobs, tmp_path):
+    clear_baseline_cache()
+    run_experiments(
+        [ExperimentJob("gap", target=t, sim=SIM)
+         for t in (Target.LATENCY, Target.ENERGY)],
+        n_jobs=n_jobs,
+    )
+    snapshot = obs.counters.snapshot()
+    manifest_path = RunWriter(str(tmp_path), command="figure3").finalize(
+        counters=snapshot
+    )
+    with open(manifest_path, encoding="utf-8") as fh:
+        written = json.load(fh)["counters"]
+    assert written.keys() == snapshot.keys()
+    for values in (snapshot, written):
+        bad = {
+            name: value
+            for name, value in values.items()
+            if isinstance(value, bool) or not isinstance(value, (int, float))
+        }
+        assert bad == {}
 
 
 def test_single_job_grid_stays_in_process():

@@ -1,13 +1,6 @@
-"""Tests for the counters/gauges/histograms registry."""
+"""Tests for the counters registry."""
 
-import pytest
-
-from repro.obs.metrics import (
-    HISTOGRAM_BOUNDS,
-    Histogram,
-    MetricsRegistry,
-    snapshot_delta,
-)
+from repro.obs.metrics import MetricsRegistry
 
 
 def test_counter_get_or_create_identity():
@@ -20,21 +13,13 @@ def test_counter_get_or_create_identity():
     assert b.value == 5
 
 
-def test_gauge_set_last_value_wins():
-    reg = MetricsRegistry()
-    g = reg.gauge("x.rate")
-    g.set(10.0)
-    g.set(3.5)
-    assert g.value == 3.5
-
-
 def test_snapshot_is_sorted_and_complete():
     reg = MetricsRegistry()
     reg.counter("b.count").add(2)
-    reg.gauge("a.rate").set(1.5)
+    reg.counter("a.count").add(1)
     snap = reg.snapshot()
-    assert list(snap) == ["a.rate", "b.count"]
-    assert snap == {"a.rate": 1.5, "b.count": 2}
+    assert list(snap) == ["a.count", "b.count"]
+    assert snap == {"a.count": 1, "b.count": 2}
 
 
 def test_reset_zeroes_but_keeps_references():
@@ -54,25 +39,13 @@ def test_clear_drops_registrations():
     assert reg.snapshot() == {}
 
 
-def test_kind_conflict_raises():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
-
-
-def test_delta_since_counters_diff_gauges_report_current():
+def test_delta_since_reports_only_the_change():
     reg = MetricsRegistry()
     reg.counter("sims").add(3)
-    reg.gauge("rate").set(100.0)
     before = reg.snapshot()
     reg.counter("sims").add(2)
-    reg.gauge("rate").set(250.0)
-    delta = reg.delta_since(before)
-    # Counter: only the change.  Gauge: its current (last) value, not
-    # the numeric difference -- a reused worker's rate gauge must not
-    # merge as "rate went up by 150".
-    assert delta == {"sims": 2, "rate": 250.0}
+    reg.counter("fresh").add(1)  # new since the snapshot: counts from 0
+    assert reg.delta_since(before) == {"fresh": 1, "sims": 2}
 
 
 def test_delta_since_drops_unchanged():
@@ -82,14 +55,12 @@ def test_delta_since_drops_unchanged():
     assert reg.delta_since(before) == {}
 
 
-def test_merge_adds_counters_and_sets_gauges():
+def test_merge_adds_counters():
     reg = MetricsRegistry()
     reg.counter("sims").add(1)
-    reg.gauge("rate").set(10.0)
-    reg.merge({"sims": 5, "rate": 99.0, "fresh.counter": 2})
+    reg.merge({"sims": 5, "fresh.counter": 2})
     snap = reg.snapshot()
     assert snap["sims"] == 6
-    assert snap["rate"] == 99.0
     # Unknown names become counters (worker saw a code path the parent
     # has not touched yet) and merge additively thereafter.
     assert snap["fresh.counter"] == 2
@@ -97,122 +68,15 @@ def test_merge_adds_counters_and_sets_gauges():
     assert reg.snapshot()["fresh.counter"] == 5
 
 
-def test_snapshot_delta_roundtrip_through_merge():
+def test_delta_since_roundtrip_through_merge():
     worker = MetricsRegistry()
     before = worker.snapshot()
     worker.counter("a").add(7)
     worker.counter("b").add(0)  # never moved: dropped from the delta
-    delta = snapshot_delta(before, worker.snapshot())
+    delta = worker.delta_since(before)
     assert delta == {"a": 7}
 
     parent = MetricsRegistry()
     parent.counter("a").add(1)
     parent.merge(delta)
     assert parent.snapshot()["a"] == 8
-
-
-# --------------------------------------------------------------------- #
-# Histograms.
-
-
-#: A latency sample set spanning several decades of the fixed bounds,
-#: including edge values that land exactly on bucket boundaries.
-_SAMPLES = [
-    0.0004, 0.001, 0.0017, 0.004, 0.009, 0.02, 0.02, 0.11, 0.3, 0.5,
-    0.77, 1.2, 2.0, 4.9, 9.0, 30.0, 120.0, 1000.0,
-]
-
-
-def test_histogram_observe_counts_and_state_shape():
-    h = Histogram("lat")
-    for s in _SAMPLES:
-        h.observe(s)
-    state = h.state()
-    assert len(state["buckets"]) == len(HISTOGRAM_BOUNDS) + 1
-    assert sum(state["buckets"]) == len(_SAMPLES) == state["count"]
-    assert state["sum"] == pytest.approx(sum(_SAMPLES))
-    # The overflow (+Inf) bucket caught the 1000s outlier.
-    assert state["buckets"][-1] == 1
-
-
-def test_histogram_worker_delta_merge_across_jobs_equals_sequential():
-    # The parallel engine's contract: each of jobs=4 workers observes
-    # its shard, ships delta_since(before), and the parent merge must
-    # equal one sequential registry observing everything -- bucket for
-    # bucket, not just in total.
-    sequential = MetricsRegistry()
-    seq_hist = sequential.histogram("harness.phase.sim_seconds")
-    for s in _SAMPLES:
-        seq_hist.observe(s)
-
-    parent = MetricsRegistry()
-    shards = [_SAMPLES[i::4] for i in range(4)]
-    assert all(shards)  # jobs=4 really split the work
-    for shard in shards:
-        worker = MetricsRegistry()
-        before = worker.snapshot()
-        for s in shard:
-            worker.histogram("harness.phase.sim_seconds").observe(s)
-        parent.merge(worker.delta_since(before))
-
-    merged = parent.histogram("harness.phase.sim_seconds").state()
-    expect = seq_hist.state()
-    assert merged["buckets"] == expect["buckets"]
-    assert merged["count"] == expect["count"]
-    assert merged["sum"] == pytest.approx(expect["sum"])
-
-
-def test_histogram_delta_drops_unmoved_and_merge_is_incremental():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat")
-    h.observe(0.5)
-    before = reg.snapshot()
-    assert reg.delta_since(before) == {}  # unmoved histogram: dropped
-    h.observe(3.0)
-    delta = reg.delta_since(before)
-    assert delta["lat"]["count"] == 1  # only the new observation
-    other = MetricsRegistry()
-    other.merge(delta)
-    assert other.histogram("lat").state()["count"] == 1
-
-
-def test_histogram_quantile_within_one_bucket_width():
-    h = Histogram("lat")
-    for s in _SAMPLES:
-        if s <= 500.0:  # keep everything in finite buckets
-            h.observe(s)
-    finite = sorted(s for s in _SAMPLES if s <= 500.0)
-    for q in (10.0, 50.0, 90.0, 95.0, 99.0):
-        estimate = h.quantile(q)
-        # Nearest-rank (ceil) ground truth, same convention as the
-        # histogram's estimator.
-        rank = max(1, -(-int(len(finite) * q) // 100))
-        true_value = finite[rank - 1]
-        # The estimate is the upper edge of the true value's bucket:
-        # within one bucket width by construction.
-        idx = next(
-            i for i, b in enumerate(HISTOGRAM_BOUNDS) if true_value <= b
-        )
-        lower = HISTOGRAM_BOUNDS[idx - 1] if idx else 0.0
-        upper = HISTOGRAM_BOUNDS[idx]
-        assert lower < estimate <= upper, (q, estimate, true_value)
-        assert true_value <= estimate
-
-
-def test_histogram_reset_and_scalar_merge():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat")
-    h.observe(1.0)
-    reg.reset()
-    assert h.state()["count"] == 0
-    # A scalar arriving for an existing histogram name is treated as
-    # one observation, never a corruption of bucket state.
-    reg.merge({"lat": 0.25})
-    assert h.state()["count"] == 1
-
-
-def test_histogram_kind_conflict_raises():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.histogram("x")

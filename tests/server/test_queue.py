@@ -1,7 +1,8 @@
 """Job-queue semantics with injectable stub runners: dedup, cancel,
-deadlines, breaker feedback, drain, and the exactly-once ledger."""
+deadlines, cache faults, drain, and the exactly-once ledger."""
 
 import json
+import os
 import queue
 import sys
 import threading
@@ -9,15 +10,14 @@ import time
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.errors import (
     AdmissionRejectedError,
-    CacheCorruptionError,
     ExecutionError,
     FaultInjectedError,
 )
+from repro.harness import simcache
 from repro.server.admission import AdmissionController
-from repro.server.breaker import CircuitBreaker
 from repro.server.jobspec import job_from_spec, normalize_spec
 from repro.server.queue import JobQueue, JobState
 from repro.server.state import ACCEPT_SCHEMA, ServerState
@@ -229,46 +229,88 @@ def test_deadline_expires_queued_job(tmp_path):
         q.close()
 
 
-def test_deterministic_job_error_does_not_trip_cache_breaker(tmp_path):
+def test_deterministic_job_error_fails_non_retryably(tmp_path):
     def bad_job(job):
-        raise ExecutionError("this job is broken, the cache is fine")
+        raise ExecutionError("this job is broken")
 
-    cache = CircuitBreaker("simcache", failure_threshold=1)
-    q = _queue(tmp_path, runner=bad_job, workers=1, cache_breaker=cache)
+    q = _queue(tmp_path, runner=bad_job, workers=1)
     try:
         record = q.submit({"benchmark": "gcc"})
         assert q.wait_idle(10.0)
         assert record.state == JobState.FAILED
+        assert record.error["error"] == "ExecutionError"
         assert record.error["retryable"] is False
-        assert cache.state() == "closed"
-        assert q.stats()["breakers"] == [cache.snapshot()]
     finally:
         q.close()
 
 
-def test_cache_corruption_opens_cache_breaker_and_bypasses(tmp_path):
-    calls = []
+def test_corrupt_cache_entries_never_switch_the_cache_off(tmp_path):
+    """Corrupt simcache entries are the cache's own business (evicted
+    misses): after three jobs in a row read one, two jobs whose runs
+    overlap -- A enters, B enters, A exits, B exits -- still see the
+    configured cache, during and after, and every job ends DONE."""
+    simcache.reset()
+    simcache.configure(cache_dir=str(tmp_path / "cache"))
+    cache = simcache.get_cache()
+    seen = []
+    a_running = threading.Event()
+    b_running = threading.Event()
+    jobs = {}
 
-    def flaky_cache(job):
-        calls.append(job.benchmark)
-        if len(calls) == 1:
-            raise CacheCorruptionError("bad pickle", key="k")
+    def runner(job):
+        seen.append(simcache.get_cache())
+        if job.benchmark == "gap":  # A: hold until B is running too
+            a_running.set()
+            assert b_running.wait(10.0)
+        elif job.benchmark == "gcc":  # B: outlive A's whole run
+            assert a_running.wait(10.0)
+            b_running.set()
+            deadline = time.monotonic() + 10.0
+            while (
+                jobs["gap"].state != JobState.DONE
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+        else:  # plant a garbage entry and read it back
+            material = {"planted": job.benchmark}
+            path = cache._path(cache.key(material))
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(b"not a pickle")
+            assert cache.get(material) is None
+        seen.append(simcache.get_cache())
         return _row(job)
 
-    cache = CircuitBreaker("simcache", failure_threshold=1)
-    q = _queue(tmp_path, runner=flaky_cache, workers=1, cache_breaker=cache)
+    corrupt_before = obs.counters.counter(
+        "harness.simcache.corrupt_entries"
+    ).value
+    q = _queue(tmp_path, runner=runner, workers=2)
     try:
-        first = q.submit({"benchmark": "gcc"})
-        assert q.wait_idle(10.0)
-        assert first.state == JobState.FAILED
-        assert cache.state() == "open"
-        # Jobs are NOT shed while the cache breaker is open -- they run
-        # with the cache bypassed instead.
-        second = q.submit({"benchmark": "mcf"})
-        assert q.wait_idle(10.0)
-        assert second.state == JobState.DONE
+        for name in ("mcf", "parser", "twolf"):
+            record = q.submit({"benchmark": name})
+            assert q.wait_idle(10.0)
+            assert record.state == JobState.DONE
+        assert (
+            obs.counters.counter("harness.simcache.corrupt_entries").value
+            - corrupt_before
+            == 3
+        )
+        jobs["gap"] = q.submit({"benchmark": "gap"})
+        jobs["gcc"] = q.submit({"benchmark": "gcc"})
+        assert q.wait_idle(20.0)
+        assert [r.state for r in jobs.values()] == [JobState.DONE] * 2
+        assert jobs["gcc"].result_payload()["row"] == {
+            "benchmark": "gcc",
+            "target": "L",
+        }
+        assert seen and all(c is cache for c in seen)
+        assert simcache.get_cache() is cache
+        assert "breakers" not in q.stats()
     finally:
+        a_running.set()
+        b_running.set()
         q.close()
+        simcache.reset()
 
 
 def test_queue_full_sheds_with_retry_after(tmp_path):

@@ -206,3 +206,13 @@ def test_report_missing_dir_exits_2(tmp_path, capsys):
 def test_report_requires_some_dir(capsys):
     assert main(["report"]) == 2
     assert "run directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--out", "X"], ["--jobs", "4"], ["--resume"], ["--no-sim-cache"],
+])
+def test_analytics_query_rejects_run_flags(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analytics", "query", str(tmp_path), *flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
