@@ -10,7 +10,7 @@ Commands mirror the paper's evaluation:
 - ``table3``             model validation ratios
 - ``list``               available benchmarks
 - ``cache stats|clear``  inspect / empty the persistent simulation cache
-- ``report [DIR]``       render a self-contained HTML report from a run
+- ``report DIR``         render a self-contained HTML report from a run
   directory's manifest and results
 - ``analytics query RUN_DIR...``  the result analytics layer:
   aggregate the rows of ``--out`` run directories across runs (gmean
@@ -18,8 +18,9 @@ Commands mirror the paper's evaluation:
   are the only copy of the rows
 
 Every evaluation command accepts the global observability flags
-(``analytics query`` takes only ``--log-level``, ``--json`` and
-``--quiet``, since it runs and writes nothing):
+(``analytics query``, ``cache`` and ``report`` take only
+``--log-level``, ``--json`` and ``--quiet``, plus ``cache --cache-dir``
+and ``report --output``, since they run no experiment):
 
 - ``--log-level LEVEL``  emit JSON-lines telemetry (spans, heartbeats,
   simulator throughput) to stderr at ``debug|info|warning|error``;
@@ -202,17 +203,20 @@ def _parser() -> argparse.ArgumentParser:
                    help="model validation ratios")
     sub.add_parser("list", parents=[obs_flags], help="list benchmarks")
 
-    cache = sub.add_parser("cache", parents=[obs_flags],
+    cache = sub.add_parser("cache", parents=[view_flags],
                            help="persistent simulation cache maintenance")
     cache.add_argument("action", choices=("stats", "clear"))
+    cache.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="persistent simulation cache directory "
+                       "(default ~/.cache/repro-sim)")
 
     report = sub.add_parser(
-        "report", parents=[obs_flags],
+        "report", parents=[view_flags],
         help="render a self-contained HTML report from a run "
         "directory's manifest and results",
     )
     report.add_argument("dir", nargs="?", default=None,
-                        help="run directory to render (default: --out)")
+                        help="run directory to render")
     report.add_argument("--output", default=None, metavar="PATH",
                         help="HTML output path (default: DIR/report.html)")
 
@@ -426,7 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                                    False):
         simcache.configure(
             cache_dir=args.cache_dir,
-            enabled=False if args.no_sim_cache else None,
+            enabled=False if getattr(args, "no_sim_cache", False) else None,
         )
     jobs = getattr(args, "jobs", None)
 
@@ -540,13 +544,12 @@ def _dispatch(
     if args.command == "report":
         from repro.harness.htmlreport import render_report
 
-        run_dir = args.dir or args.out
-        if not run_dir:
-            print("error: report needs a run directory "
-                  "(positional DIR or --out DIR)", file=sys.stderr)
+        if not args.dir:
+            print("error: report needs a run directory (DIR)",
+                  file=sys.stderr)
             return 2
         try:
-            path = render_report(run_dir, output=args.output)
+            path = render_report(args.dir, output=args.output)
         except (ConfigError, JournalError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

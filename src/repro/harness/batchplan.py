@@ -15,25 +15,26 @@ explicit:
 - :func:`prewarm` advances each multi-config group through
   :func:`repro.cpu.batch.simulate_batch` in one pass over the shared
   trace-pure kernel inputs (per-config ``SimStats`` fully independent), and
-  hands every result to :func:`repro.harness.experiment.adopt_baseline`
-  so the subsequent per-cell experiments are served from the baseline
-  LRU and the results fan back out as ordinary per-cell rows.
+  hands every result to :func:`repro.harness.experiment.adopt_baseline`,
+  which stores it on the shared trace, so the subsequent per-cell
+  experiments are served from there and the results fan back out as
+  ordinary per-cell rows.  The pass reports only through the
+  ``harness.batchplan.*`` counters.
 
-Members whose baseline is already cached (LRU or the persistent
-simulation cache) are skipped, so re-runs and journal resumes do not
-re-simulate.  The engine only invokes the pass on the sequential path
-when :func:`repro.cpu.pipeline.use_reference` is false (the reference
-engine is the fault-injection oracle and must observe every simulation
-itself); everything here is bit-identical to the per-cell
-path because :func:`simulate_batch` runs the same kernel on the same
-memoized trace objects.
+Members whose baseline is already cached (on the trace the store holds,
+or in the persistent simulation cache) are skipped, so re-runs and
+journal resumes do not re-simulate.  The engine only invokes the pass
+on the sequential path when :func:`repro.cpu.pipeline.use_reference` is
+false (the reference engine is the fault-injection oracle and must
+observe every simulation itself); everything here is bit-identical to
+the per-cell path because :func:`simulate_batch` runs the same kernel on
+the same memoized trace objects.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro import obs
 from repro.config import MachineConfig, SimulationConfig
@@ -107,28 +108,17 @@ def plan_batches(jobs: Iterable) -> List[BatchGroup]:
     return list(groups.values())
 
 
-def prewarm(jobs: Iterable) -> Dict[str, object]:
+def prewarm(jobs: Iterable) -> None:
     """Batch-simulate every multi-config shared-trace group of ``jobs``.
 
-    Returns an accounting dict.  Single-config groups are left to the
-    per-cell path -- a batch of one is just a simulation with extra
-    bookkeeping.
+    Single-config groups are left to the per-cell path -- a batch of one
+    is just a simulation with extra bookkeeping.
     """
-    t0 = time.perf_counter()
-    stats: Dict[str, object] = {
-        "groups": 0,
-        "members": 0,
-        "simulated": 0,
-        "cached": 0,
-        "wall_s": 0.0,
-    }
     from repro.cpu.batch import simulate_batch
 
     for group in plan_batches(jobs):
         if len(group) < 2:
             continue
-        stats["groups"] += 1
-        stats["members"] += len(group)
         _GROUPS_PLANNED.add()
         need: List[BatchMember] = []
         for member in group.members:
@@ -136,7 +126,6 @@ def prewarm(jobs: Iterable) -> Dict[str, object]:
                 member.benchmark, member.input_name, member.machine,
                 member.sim,
             ):
-                stats["cached"] += 1
                 _MEMBERS_CACHED.add()
             else:
                 need.append(member)
@@ -162,13 +151,10 @@ def prewarm(jobs: Iterable) -> Dict[str, object]:
                 trace,
                 sim_stats,
             )
-        stats["simulated"] += len(need)
         _MEMBERS_SIMULATED.add(len(need))
-    stats["wall_s"] = round(time.perf_counter() - t0, 3)
-    return stats
 
 
-def maybe_prewarm(jobs: List) -> Optional[Dict[str, object]]:
+def maybe_prewarm(jobs: List) -> None:
     """Gate and run :func:`prewarm` for the sequential engine path.
 
     Skipped when fewer than two jobs, or whenever simulations must run
@@ -177,8 +163,5 @@ def maybe_prewarm(jobs: List) -> Optional[Dict[str, object]]:
     ``pipeline.step`` fault site, or no compiled cycle kernel to batch
     on).
     """
-    if len(jobs) < 2:
-        return None
-    if pipeline.use_reference():
-        return None
-    return prewarm(jobs)
+    if len(jobs) >= 2 and not pipeline.use_reference():
+        prewarm(jobs)

@@ -9,7 +9,6 @@ diagnostics of Figure 3.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -118,31 +117,31 @@ class ExperimentResult:
 
 
 # --------------------------------------------------------------------- #
-# Baseline caching: sensitivity sweeps re-simulate the same baseline for
+# Baseline sharing: sensitivity sweeps re-simulate the same baseline for
 # several targets.  Two layers:
 #
-# - an in-process LRU holding (trace, stats), keyed by the workload's
-#   *content* fingerprint plus the machine configuration -- two programs
-#   registered under the same benchmark name can never alias;
+# - the trace itself: ``trace.derived[("baseline", machine fingerprint)]``
+#   holds the stats, so they live and die with the trace in
+#   :mod:`repro.frontend.tracestore`, which keys traces by the workload's
+#   *content* fingerprint -- two programs registered under the same
+#   benchmark name can never alias;
 # - the persistent :mod:`repro.harness.simcache`, holding the SimStats
 #   only (traces are cheap to re-interpret, expensive to store), shared
 #   across processes and CLI invocations.
 # --------------------------------------------------------------------- #
 
-_BASELINE_CACHE: "OrderedDict[Tuple, Tuple[Trace, SimStats]]" = OrderedDict()
-_BASELINE_CACHE_LIMIT = 24
-#: Baseline-cache keys seeded by the batch prewarm pass
-#: (:mod:`repro.harness.batchplan`) rather than a per-cell simulation;
-#: rows served from these carry ``src_baseline == "batch"``.
-_ADOPTED_KEYS: set = set()
-
 _CACHE_HITS = obs.counters.counter("harness.experiment.baseline_cache.hits")
 _CACHE_MISSES = obs.counters.counter(
     "harness.experiment.baseline_cache.misses"
 )
-_CACHE_EVICTIONS = obs.counters.counter(
-    "harness.experiment.baseline_cache.evictions"
-)
+
+
+def _baseline_slot(machine: MachineConfig) -> Tuple[str, str]:
+    """The ``trace.derived`` key of one machine's baseline stats.  Its
+    value is ``(stats, adopted)``; ``adopted`` marks stats the batch
+    prewarm (:mod:`repro.harness.batchplan`) installed, whose rows carry
+    ``src_baseline == "batch"``."""
+    return ("baseline", machine.fingerprint)
 
 
 def _baseline_material(
@@ -171,37 +170,36 @@ def _baseline_sim(
 ) -> Tuple[Trace, SimStats, Dict[str, float]]:
     """Trace + baseline stats + cold phase walls ({"trace": s, "sim": s}).
 
-    The phase walls are 0.0 for work served from a cache (the LRU, the
-    trace memo, or the persistent stats cache): they measure what *this
-    call* built, which is what a cold-path phase breakdown wants.  The
-    dict also carries ``src`` (where the *stats* came from) and
-    ``src_trace`` (``"interpreted"`` when this call ran the interpreter,
-    ``"memo"`` otherwise) so a zero wall is always explainable.
+    The phase walls are 0.0 for work served from a cache (the trace
+    memo, the stats on the trace, or the persistent stats cache): they
+    measure what *this call* built, which is what a cold-path phase
+    breakdown wants.  The dict also carries ``src`` (where the *stats*
+    came from) and ``src_trace`` (``"interpreted"`` when this call ran
+    the interpreter, ``"memo"`` otherwise) so a zero wall is always
+    explainable.
     """
     program = get_program(benchmark, input_name)
-    program_fp = program.fingerprint()
-    key = (program_fp, machine, sim.max_instructions)
-    hit = _BASELINE_CACHE.get(key)
-    if hit is not None:
-        _BASELINE_CACHE.move_to_end(key)
+    # The trace is machine-independent: the per-process memo shares it
+    # across every (machine, target) cell of a sweep.
+    trace, t_trace, trace_src = tracestore.get_trace_tagged(
+        program, sim.max_instructions
+    )
+    slot = _baseline_slot(machine)
+    held = trace.derived.get(slot)
+    if held is not None:
         _CACHE_HITS.add()
-        trace, stats = hit
-        src = "batch" if key in _ADOPTED_KEYS else "memo"
+        stats, adopted = held
         return trace, stats, {
-            "trace": 0.0, "sim": 0.0, "src": src, "src_trace": "memo",
+            "trace": 0.0, "sim": 0.0, "src": "batch" if adopted else "memo",
+            "src_trace": "memo",
         }
     _CACHE_MISSES.add()
     disk = simcache.get_cache()
     material = _baseline_material(
-        benchmark, input_name, program_fp, machine, sim
+        benchmark, input_name, program.fingerprint(), machine, sim
     )
     with obs.span("baseline_sim", benchmark=benchmark,
                   input=input_name) as sp:
-        # The trace is machine-independent: the per-process memo shares it
-        # across every (machine, target) cell of a sweep.
-        trace, t_trace, trace_src = tracestore.get_trace_tagged(
-            program, sim.max_instructions
-        )
         t_sim = 0.0
         src = "simcache"
         stats: Optional[SimStats] = None
@@ -217,11 +215,7 @@ def _baseline_sim(
             if disk is not None:
                 disk.put(material, stats)
         sp.annotate(cycles=stats.cycles, committed=stats.committed)
-    while len(_BASELINE_CACHE) >= _BASELINE_CACHE_LIMIT:
-        evicted, _ = _BASELINE_CACHE.popitem(last=False)
-        _ADOPTED_KEYS.discard(evicted)
-        _CACHE_EVICTIONS.add()
-    _BASELINE_CACHE[key] = (trace, stats)
+    trace.derived[slot] = (stats, False)
     return trace, stats, {
         "trace": t_trace, "sim": t_sim, "src": src, "src_trace": trace_src,
     }
@@ -233,9 +227,10 @@ def warm_baseline(
     machine: Optional[MachineConfig] = None,
     sim: Optional[SimulationConfig] = None,
 ) -> SimStats:
-    """Ensure one baseline simulation is cached (LRU + disk); returns its
-    stats.  The parallel engine fans these out before dispatching full
-    experiments so identical baselines are simulated exactly once."""
+    """Ensure one baseline simulation is cached (on its trace and on
+    disk); returns its stats.  The parallel engine fans these out before
+    dispatching full experiments so identical baselines are simulated
+    exactly once."""
     _, stats, _ = _baseline_sim(
         benchmark,
         input_name,
@@ -251,26 +246,6 @@ _RESULT_MISSES = obs.counters.counter(
 )
 
 
-def baseline_cache_stats() -> Dict[str, int]:
-    """Current baseline-cache occupancy and hit/miss/eviction counts."""
-    return {
-        "entries": len(_BASELINE_CACHE),
-        "limit": _BASELINE_CACHE_LIMIT,
-        "hits": _CACHE_HITS.value,
-        "misses": _CACHE_MISSES.value,
-        "evictions": _CACHE_EVICTIONS.value,
-    }
-
-
-def clear_baseline_cache() -> None:
-    """Drop memoized baseline simulations, augmented expansions, and
-    optimized-run stats (tests use this)."""
-    _BASELINE_CACHE.clear()
-    _ADOPTED_KEYS.clear()
-    _AUG_CACHE.clear()
-    _OPT_CACHE.clear()
-
-
 def baseline_cached(
     benchmark: str,
     input_name: str,
@@ -279,19 +254,22 @@ def baseline_cached(
 ) -> bool:
     """Whether a baseline simulation is already served without running.
 
-    Probes the in-process LRU and the persistent cache (existence only,
-    no deserialization).  The batch planner uses this to skip members of
-    a shared-trace group that a previous run, journal resume, or earlier
-    group already produced.
+    Probes the trace the store already holds (never interpreting) and
+    the persistent cache (existence only, no deserialization).  The
+    batch planner uses this to skip members of a shared-trace group that
+    a previous run, journal resume, or earlier group already produced.
     """
-    program_fp = get_program(benchmark, input_name).fingerprint()
-    if (program_fp, machine, sim.max_instructions) in _BASELINE_CACHE:
+    program = get_program(benchmark, input_name)
+    trace = tracestore.peek(program, sim.max_instructions)
+    if trace is not None and _baseline_slot(machine) in trace.derived:
         return True
     disk = simcache.get_cache()
     if disk is None:
         return False
     return disk.contains(
-        _baseline_material(benchmark, input_name, program_fp, machine, sim)
+        _baseline_material(
+            benchmark, input_name, program.fingerprint(), machine, sim
+        )
     )
 
 
@@ -303,51 +281,35 @@ def adopt_baseline(
     trace: Trace,
     stats: SimStats,
 ) -> None:
-    """Install a batch-prewarmed baseline simulation into the caches.
+    """Install a batch-prewarmed baseline simulation on its trace.
 
     The lock-step pass (:mod:`repro.harness.batchplan`) produces stats
     bit-identical to what :func:`_baseline_sim` would have computed for
-    the same ``(trace, machine)``; adopting them seeds the LRU (and the
-    persistent cache, when enabled) so per-cell experiments are cache
-    hits.  Adopted keys are remembered for row provenance.
+    the same ``(trace, machine)``; adopting them (and writing them to
+    the persistent cache, when enabled) makes per-cell experiments
+    cache hits whose rows say ``batch``.
     """
-    key = (
-        get_program(benchmark, input_name).fingerprint(),
-        machine,
-        sim.max_instructions,
-    )
     disk = simcache.get_cache()
     if disk is not None:
+        program_fp = get_program(benchmark, input_name).fingerprint()
         disk.put(
-            _baseline_material(benchmark, input_name, key[0], machine, sim),
+            _baseline_material(benchmark, input_name, program_fp, machine, sim),
             stats,
         )
-    while len(_BASELINE_CACHE) >= _BASELINE_CACHE_LIMIT:
-        evicted, _ = _BASELINE_CACHE.popitem(last=False)
-        _ADOPTED_KEYS.discard(evicted)
-        _CACHE_EVICTIONS.add()
-    _BASELINE_CACHE[key] = (trace, stats)
-    _ADOPTED_KEYS.add(key)
+    trace.derived[_baseline_slot(machine)] = (stats, True)
 
 
 # --------------------------------------------------------------------- #
 # Optimized-run sharing: a sweep frequently selects the *same* p-thread
 # set in several cells (e.g. two targets agreeing at one latency, or one
 # target agreeing across latencies).  The augmented expansion depends
-# only on (program, p-threads, budget) -- not the machine -- and the
-# optimized timing run additionally on the machine, so both are shared
-# at exactly that granularity.  Keyed by p-thread *content*, never by
-# how the set was selected.
+# only on (run trace, p-threads) -- not the machine -- and the optimized
+# timing run additionally on the machine, so both live on the run trace
+# at exactly that granularity:
+# ``run_trace.derived[("augment", signature)]`` and
+# ``run_trace.derived[("optimized", machine fingerprint, signature)]``.
+# Keyed by p-thread *content*, never by how the set was selected.
 # --------------------------------------------------------------------- #
-
-# Sized for a full figure sweep: figure5's 9 benchmark x target cells
-# select ~13 distinct p-thread signatures, which thrash an LRU of 8 --
-# and a retained AugmentedProgram also keeps its trace's derived
-# simulation inputs alive across sweep cells.
-_AUG_CACHE: "OrderedDict[Tuple, AugmentedProgram]" = OrderedDict()
-_AUG_CACHE_LIMIT = 32
-_OPT_CACHE: "OrderedDict[Tuple, SimStats]" = OrderedDict()
-_OPT_CACHE_LIMIT = 64
 
 _AUG_HITS = obs.counters.counter("harness.experiment.aug_cache.hits")
 _OPT_HITS = obs.counters.counter("harness.experiment.opt_cache.hits")
@@ -526,41 +488,31 @@ def run_experiment(
             sp.annotate(n_pthreads=result.n_pthreads)
         phase_seconds["select"] = sp.wall_s
 
-        # Augment the run program and measure.  Both layers are shared
-        # across sweep cells that selected an identical p-thread set:
-        # the expansion machine-independently, the timing run per
-        # machine.
+        # Augment the run program and measure.  Both layers live on the
+        # run trace, shared across sweep cells that selected an identical
+        # p-thread set: the expansion machine-independently, the timing
+        # run per machine.  The replay adopts the run trace, whichever
+        # input the p-threads were profiled on.
         with obs.span("augment") as sp:
-            program = get_program(benchmark, run_input)
-            base = (
-                program.fingerprint(),
-                sim.max_instructions,
-                _pthread_signature(result.pthreads),
-            )
-            aug_key = ("augment",) + base
-            opt_key = ("optimized", machine.fingerprint) + base
-            opt_stats: Optional[SimStats] = _OPT_CACHE.get(opt_key)
+            signature = _pthread_signature(result.pthreads)
+            aug_slot = ("augment", signature)
+            opt_slot = ("optimized", machine.fingerprint, signature)
+            opt_stats: Optional[SimStats] = run_trace.derived.get(opt_slot)
             augmented: Optional[AugmentedProgram] = None
             if opt_stats is not None:
-                _OPT_CACHE.move_to_end(opt_key)
                 _OPT_HITS.add()
             else:
-                augmented = _AUG_CACHE.get(aug_key)
+                augmented = run_trace.derived.get(aug_slot)
                 if augmented is not None:
-                    _AUG_CACHE.move_to_end(aug_key)
                     _AUG_HITS.add()
                 else:
                     augmented = expand_pthreads(
-                        program,
+                        get_program(benchmark, run_input),
                         result.pthreads,
                         max_instructions=sim.max_instructions,
-                        reference_trace=(
-                            run_trace if run_input == profile_input else None
-                        ),
+                        reference_trace=run_trace,
                     )
-                    while len(_AUG_CACHE) >= _AUG_CACHE_LIMIT:
-                        _AUG_CACHE.popitem(last=False)
-                    _AUG_CACHE[aug_key] = augmented
+                    run_trace.derived[aug_slot] = augmented
         phase_seconds["augment"] = 0.0 if opt_stats is not None else sp.wall_s
         opt_cached = opt_stats is not None
 
@@ -569,9 +521,7 @@ def run_experiment(
                 opt_stats = simulate(
                     augmented.trace, machine, augmented.pthreads
                 )
-                while len(_OPT_CACHE) >= _OPT_CACHE_LIMIT:
-                    _OPT_CACHE.popitem(last=False)
-                _OPT_CACHE[opt_key] = opt_stats
+                run_trace.derived[opt_slot] = opt_stats
             optimized = RunMeasurement(
                 stats=opt_stats, energy=model.evaluate(opt_stats.activity)
             )
@@ -594,7 +544,6 @@ def run_experiment(
         sp_total.annotate(
             cycles=opt_stats.cycles,
             speedup_pct=round(metrics["speedup_pct"], 2),
-            cache=baseline_cache_stats(),
         )
     phase_seconds["total"] = sp_total.wall_s
     experiment = ExperimentResult(

@@ -652,9 +652,9 @@ def run_experiments(
         if n <= 1 or len(to_run) <= 1:
             # Sequential path: advance shared-trace cells' baselines in
             # lock-step batches first (no-op whenever simulations must
-            # run on the reference engine); each cell then hits the
-            # baseline LRU.  The
-            # pool path instead fans baselines out across workers below.
+            # run on the reference engine); each cell then finds its
+            # baseline on the shared trace.  The pool path instead fans
+            # baselines out across workers below.
             from repro.harness import batchplan
 
             batchplan.maybe_prewarm([job for _, job, _ in to_run])

@@ -87,18 +87,12 @@ def select_pthreads(
     machine: Optional[MachineConfig] = None,
     energy: Optional[EnergyConfig] = None,
     selection: Optional[SelectionConfig] = None,
-    classification: Optional[LoadClassification] = None,
 ) -> SelectionResult:
     """Select p-threads for ``trace`` under the given target."""
     machine = machine or MachineConfig()
     energy = energy or EnergyConfig()
     selection = selection or SelectionConfig()
-    # Sweep-cell sharing is only sound when the classification is the
-    # canonical one for (trace, machine); a caller-supplied profile may
-    # have been built differently, so it opts the call out of the memos.
-    memo = classification is None
-    if classification is None:
-        classification = classify_trace_cached(trace, machine)
+    classification = classify_trace_cached(trace, machine)
 
     problem_pcs = identify_problem_loads(classification, selection)
     obs.counters.counter("pthsel.framework.problem_loads").add(
@@ -122,13 +116,12 @@ def select_pthreads(
         # dependence-graph passes) but not on the target: the targets of
         # one sweep cell share them.  Values are frozen dataclasses.
         cost_key = ("loadcost", machine.fingerprint, tuple(problem_pcs))
-        cost_functions = trace.derived.get(cost_key) if memo else None
+        cost_functions = trace.derived.get(cost_key)
         if cost_functions is None:
             cost_functions = build_cost_functions(
                 trace, classification, problem_pcs, machine
             )
-            if memo:
-                trace.derived[cost_key] = cost_functions
+            trace.derived[cost_key] = cost_functions
 
     latency_model = LatencyModel(
         LatencyParams.from_machine(machine, baseline.ipc),
@@ -164,7 +157,7 @@ def select_pthreads(
         selection.slicing_window,
         selection.max_pthread_insts,
     )
-    trees: Dict[int, object] = trace.derived.setdefault(tree_key, {}) if memo else {}
+    trees: Dict[int, object] = trace.derived.setdefault(tree_key, {})
     for pc in problem_pcs:
         tree = trees.get(pc)
         if tree is None:

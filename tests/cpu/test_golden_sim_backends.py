@@ -32,7 +32,6 @@ from repro.energy.wattch import EnergyModel
 from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import figures, simcache
-from repro.harness.experiment import clear_baseline_cache
 from repro.pthsel.framework import BaselineEstimates, select_pthreads
 from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
@@ -66,11 +65,9 @@ def _clean_state(monkeypatch):
         lambda: _engine["name"] == "reference" or real(),
     )
     tracestore.clear()
-    clear_baseline_cache()
     yield
     _engine["name"] = None
     tracestore.clear()
-    clear_baseline_cache()
 
 
 def _use(name):
@@ -171,7 +168,6 @@ def test_figure_rows_identical_across_backends():
         reference_rows = _tiny_grid()
         for backend in BACKENDS[1:]:
             tracestore.clear()
-            clear_baseline_cache()
             _use(backend)
             assert _tiny_grid() == reference_rows, (
                 f"{backend}: figure rows diverge from the reference engine"

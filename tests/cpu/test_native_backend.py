@@ -10,7 +10,7 @@ compiled cases -- never fail.
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.config import MachineConfig, SimulationConfig
 from repro.cpu import kerneldriver, nativebuild, pipeline
 from repro.cpu.batch import simulate_batch
@@ -19,7 +19,7 @@ from repro.errors import FaultInjectedError
 from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import batchplan, experiment, simcache
-from repro.harness.experiment import clear_baseline_cache, run_experiment
+from repro.harness.experiment import run_experiment
 from repro.pthsel.targets import Target
 from repro.workloads.registry import get_program
 
@@ -31,11 +31,9 @@ SIM = SimulationConfig(max_instructions=150_000)
 @pytest.fixture(autouse=True)
 def _clean_state():
     tracestore.clear()
-    clear_baseline_cache()
     yield
     nativebuild.reset_probe()
     tracestore.clear()
-    clear_baseline_cache()
 
 
 @pytest.fixture()
@@ -190,10 +188,12 @@ class TestNativePrewarm:
         with simcache.disabled():
             per_cell_rows = self._rows()
         tracestore.clear()
-        clear_baseline_cache()
         with simcache.disabled():
-            stats = batchplan.prewarm(self._jobs())
-            assert stats["simulated"] == 2
+            before = obs.counters.snapshot()
+            batchplan.prewarm(self._jobs())
+            assert obs.counters.delta_since(before).get(
+                "harness.batchplan.simulated"
+            ) == 2
             for job in self._jobs():
                 for key in job.baseline_keys():
                     assert experiment.baseline_cached(*key)

@@ -17,7 +17,6 @@ from repro.cpu.stats import (
     StallBreakdown,
 )
 from repro.frontend import tracestore
-from repro.harness.experiment import clear_baseline_cache
 from repro.harness.parallel import ExperimentJob, run_experiments
 from repro.pthsel.targets import Target
 from repro.workloads.registry import get_program
@@ -63,9 +62,9 @@ class TestEngineIdentity:
                           sim=SimulationConfig())
             for benchmark in ("gap", "gcc")
         ]
-        clear_baseline_cache()
+        tracestore.clear()
         sequential = run_experiments(grid, n_jobs=1)
-        clear_baseline_cache()
+        tracestore.clear()
         parallel = run_experiments(grid, n_jobs=4)
         for seq, par in zip(sequential, parallel):
             assert (

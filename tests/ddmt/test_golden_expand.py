@@ -6,12 +6,15 @@ spawn columns directly; on the object-path reference interpreter each
 plan calls ``_expand_body``.  For every p-thread set ``run_experiment`` selects
 (targets O/L/E on train, branch p-threads on L, and the ref->train
 profile path) both must give the same spawns field by field, the same
-trace columns and the same ``spawn_counts``.  Where a direct oracle
-derives something its own way -- branch hint targets, the replay
-without a reference trace -- the Python replay must also equal it: the
-hooked replay calling ``_expand_body`` with hint targets taken from a
-plain interpretation, merged in (trigger, position) order.  The C legs skip, with the
-loader's reason, when the library does not load.
+trace columns and the same ``spawn_counts``.  ``run_experiment`` always
+passes the run trace as the reference, so each ref->train set is
+replayed once more without it, which covers the ``reference_trace=None``
+replay.  Where a direct oracle derives something its own way -- branch
+hint targets, the replay without a reference trace -- the Python replay
+must also equal it: the hooked replay calling ``_expand_body`` with hint
+targets taken from a plain interpretation, merged in (trigger, position)
+order.  The C legs skip, with the loader's reason, when the library does
+not load.
 """
 
 import bisect
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from repro.cpu import nativebuild
 from repro.cpu.pthreads import COLUMNS, PThreadProgram
 from repro.ddmt import augment
+from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret_reference
 from repro.harness import experiment
 from repro.isa.instruction import Program, StaticInst
@@ -40,11 +44,13 @@ class _Captured(Exception):
 
 
 def _selected_sets():
-    """Every distinct expand_pthreads call run_experiment makes."""
+    """Every distinct expand_pthreads call run_experiment makes, plus
+    each ref->train call without its reference trace."""
     calls = {}
+    last = []
 
-    def capture(program, pthreads, max_instructions=2_000_000,
-                reference_trace=None, require_halt=True):
+    def record(program, pthreads, max_instructions, reference_trace,
+               require_halt):
         key = (
             program.fingerprint(), max_instructions,
             reference_trace is not None, require_halt,
@@ -58,6 +64,12 @@ def _selected_sets():
             program, list(pthreads), max_instructions, reference_trace,
             require_halt,
         ))
+
+    def capture(program, pthreads, max_instructions=2_000_000,
+                reference_trace=None, require_halt=True):
+        last[:] = [program, pthreads, max_instructions, reference_trace,
+                   require_halt]
+        record(*last)
         raise _Captured
 
     cells = [
@@ -74,9 +86,12 @@ def _selected_sets():
             for cell in cells:
                 with pytest.raises(_Captured):
                     experiment.run_experiment(benchmark, **cell)
+                if cell.get("profile_input") == "ref":
+                    program, pthreads, budget, _, halt = last
+                    record(program, pthreads, budget, None, halt)
     finally:
         experiment.expand_pthreads = real
-        experiment.clear_baseline_cache()
+        tracestore.clear()
     return list(calls.values())
 
 
@@ -172,8 +187,8 @@ def lib():
 
 def _needs_oracle(call):
     """Sets whose hints or replay the oracle derives differently: branch
-    p-threads (hint targets) and the ref->train path (no reference
-    trace).  Elsewhere it makes the Python replay's own ``_expand_body``
+    p-threads (hint targets) and the ref->train replays without a
+    reference trace.  Elsewhere it makes the Python replay's own ``_expand_body``
     calls, in the same order."""
     _, pthreads, _, reference_trace, _ = call
     return reference_trace is None or any(
@@ -195,7 +210,7 @@ def expansions(selected_sets):
 
 def test_selected_sets_cover_every_path(selected_sets):
     assert any(p.is_branch_pthread for c in selected_sets for p in c[1])
-    assert any(c[3] is None for c in selected_sets)  # ref->train
+    assert any(c[3] is None for c in selected_sets)  # ref->train, no ref
     assert any(c[3] is not None and c[1] for c in selected_sets)
 
 

@@ -16,7 +16,6 @@ from repro.energy.wattch import EnergyModel
 from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret, interpret_reference
 from repro.harness import figures, simcache
-from repro.harness.experiment import clear_baseline_cache
 from repro.pthsel.framework import BaselineEstimates, select_pthreads
 from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
@@ -33,10 +32,8 @@ COLUMN_NAMES = ("pc", "op_code", "src1", "src2", "addr", "taken", "next_pc")
 @pytest.fixture(autouse=True)
 def _clean_state():
     tracestore.clear()
-    clear_baseline_cache()
     yield
     tracestore.clear()
-    clear_baseline_cache()
 
 
 def _columns_as_lists(trace):
@@ -116,7 +113,6 @@ def test_figure_rows_identical_across_paths(monkeypatch):
         monkeypatch.setattr(tracestore, "interpret", interpret)
         monkeypatch.setattr(augment, "interpret", interpret)
         tracestore.clear()
-        clear_baseline_cache()
         assert _tiny_grid() == reference_rows, (
             "figure rows diverge from the object-path reference"
         )

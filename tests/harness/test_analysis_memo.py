@@ -12,7 +12,6 @@ from repro.critpath.classify import (
 from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import figures, simcache
-from repro.harness.experiment import clear_baseline_cache
 from repro.pthsel.targets import Target
 from repro.workloads.registry import get_program
 
@@ -20,10 +19,8 @@ from repro.workloads.registry import get_program
 @pytest.fixture(autouse=True)
 def _clean_state():
     tracestore.clear()
-    clear_baseline_cache()
     yield
     tracestore.clear()
-    clear_baseline_cache()
 
 
 @pytest.fixture()
@@ -64,7 +61,6 @@ def test_classification_memo_matches_direct_classify(trace):
 
 def _tiny_grid(latencies=(100, 200)):
     tracestore.clear()
-    clear_baseline_cache()
     return [
         {
             k: v

@@ -1,5 +1,4 @@
-"""End-to-end tests: CLI artifacts, telemetry wiring, and the LRU
-baseline cache."""
+"""End-to-end tests: CLI artifacts and telemetry wiring."""
 
 import csv
 import json
@@ -8,7 +7,8 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.config import MachineConfig, SimulationConfig
+from repro.config import MachineConfig
+from repro.frontend import tracestore
 from repro.harness import experiment
 from repro.harness.figures import FigureData
 
@@ -84,7 +84,7 @@ def test_run_log_level_emits_span_events(capsys):
     # Earlier tests in this process may have warmed the in-process
     # caches for this exact experiment; the span assertions below need
     # the simulations to actually run.
-    experiment.clear_baseline_cache()
+    tracestore.clear()
     assert main(["run", "gap", "--quiet", "--log-level", "info"]) == 0
     err = capsys.readouterr().err
     events = [json.loads(line) for line in err.splitlines() if line]
@@ -133,55 +133,3 @@ def test_phase_seconds_on_experiment_result():
     assert {"baseline", "profile", "select", "augment", "simulate",
             "total"} <= set(result.phase_seconds)
     assert result.phase_seconds["total"] >= result.phase_seconds["simulate"]
-
-
-# --------------------------------------------------------------------- #
-# LRU baseline cache.
-# --------------------------------------------------------------------- #
-
-
-class _FakeStats:
-    cycles = 100
-    committed = 10
-
-
-def test_baseline_cache_is_lru_not_fifo(monkeypatch):
-    experiment.clear_baseline_cache()
-    monkeypatch.setattr(experiment, "_BASELINE_CACHE_LIMIT", 2)
-    class _FakeProgram(str):
-        # The baseline cache keys on workload *content*; here each
-        # name stands in for distinct content.
-        def fingerprint(self):
-            return str(self)
-
-    monkeypatch.setattr(
-        experiment, "get_program", lambda b, i: _FakeProgram(b)
-    )
-    monkeypatch.setattr(
-        experiment.tracestore, "get_trace_tagged",
-        lambda program, max_instructions: (f"trace-{program}", 0.0, "memo"),
-    )
-    monkeypatch.setattr(
-        experiment, "simulate", lambda trace, machine: _FakeStats()
-    )
-    machine, sim = MachineConfig(), SimulationConfig()
-    hits0 = experiment._CACHE_HITS.value
-    misses0 = experiment._CACHE_MISSES.value
-    evict0 = experiment._CACHE_EVICTIONS.value
-
-    experiment._baseline_sim("aa", "train", machine, sim)  # miss
-    experiment._baseline_sim("bb", "train", machine, sim)  # miss
-    experiment._baseline_sim("aa", "train", machine, sim)  # hit -> aa is MRU
-    experiment._baseline_sim("cc", "train", machine, sim)  # miss, evicts bb
-
-    keys = [k[0] for k in experiment._BASELINE_CACHE]
-    assert "aa" in keys, "LRU must keep the recently-hit entry"
-    assert "bb" not in keys, "LRU must evict the least-recently-used entry"
-    assert "cc" in keys
-    assert experiment._CACHE_HITS.value - hits0 == 1
-    assert experiment._CACHE_MISSES.value - misses0 == 3
-    assert experiment._CACHE_EVICTIONS.value - evict0 == 1
-
-    stats = experiment.baseline_cache_stats()
-    assert stats["entries"] == 2 and stats["limit"] == 2
-    experiment.clear_baseline_cache()

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.config import MachineConfig, SimulationConfig
 from repro.cpu import nativebuild, pipeline
 from repro.frontend import tracestore
 from repro.harness import batchplan, experiment, simcache
-from repro.harness.experiment import clear_baseline_cache, run_experiment
+from repro.harness.experiment import run_experiment
 from repro.pthsel.targets import Target
 
 #: The batch pass runs the compiled cycle kernel; without it (no C
@@ -36,10 +36,17 @@ class _Job:
 @pytest.fixture(autouse=True)
 def _clean_state():
     tracestore.clear()
-    clear_baseline_cache()
     yield
     tracestore.clear()
-    clear_baseline_cache()
+
+
+def _prewarm_counts(before):
+    """``harness.batchplan.*`` counter growth since ``before``."""
+    delta = obs.counters.delta_since(before)
+    return {
+        name: delta.get(f"harness.batchplan.{name}", 0)
+        for name in ("groups", "simulated", "cached")
+    }
 
 
 def _latency_jobs(benchmark="mcf", latencies=(100, 200)):
@@ -79,9 +86,11 @@ class TestPrewarm:
     def test_prewarm_adopts_baselines(self):
         jobs = _latency_jobs()
         with simcache.disabled():
-            stats = batchplan.prewarm(jobs)
-            assert stats["groups"] == 1
-            assert stats["simulated"] == 2
+            before = obs.counters.snapshot()
+            batchplan.prewarm(jobs)
+            assert _prewarm_counts(before) == {
+                "groups": 1, "simulated": 2, "cached": 0,
+            }
             for job in jobs:
                 for key in job.baseline_keys():
                     assert experiment.baseline_cached(*key)
@@ -99,26 +108,38 @@ class TestPrewarm:
         jobs = _latency_jobs()
         with simcache.disabled():
             batchplan.prewarm(jobs)
-            again = batchplan.prewarm(jobs)
-        assert again["simulated"] == 0
-        assert again["cached"] == 2
+            before = obs.counters.snapshot()
+            batchplan.prewarm(jobs)
+        assert _prewarm_counts(before) == {
+            "groups": 1, "simulated": 0, "cached": 2,
+        }
 
     def test_single_member_groups_left_alone(self):
+        before = obs.counters.snapshot()
         with simcache.disabled():
-            stats = batchplan.prewarm(_latency_jobs(latencies=(100,)))
-        assert stats["groups"] == 0
-        assert stats["simulated"] == 0
+            batchplan.prewarm(_latency_jobs(latencies=(100,)))
+        assert _prewarm_counts(before) == {
+            "groups": 0, "simulated": 0, "cached": 0,
+        }
 
 
 class TestMaybePrewarm:
+    NOTHING = {"groups": 0, "simulated": 0, "cached": 0}
+
+    def _gated(self, jobs):
+        before = obs.counters.snapshot()
+        with simcache.disabled():
+            batchplan.maybe_prewarm(jobs)
+        return _prewarm_counts(before)
+
     def test_reference_backend_gates_off(self, monkeypatch):
         monkeypatch.setattr(pipeline, "use_reference", lambda: True)
-        assert batchplan.maybe_prewarm(_latency_jobs()) is None
+        assert self._gated(_latency_jobs()) == self.NOTHING
 
     def test_armed_step_fault_gates_off(self):
         # Every simulation must reach the reference engine's fault site.
         with faults.active(["pipeline.step:0.5"]):
-            assert batchplan.maybe_prewarm(_latency_jobs()) is None
+            assert self._gated(_latency_jobs()) == self.NOTHING
 
     def test_no_compiled_kernel_gates_off(self, monkeypatch):
         # Without the C kernel every simulation runs on the reference,
@@ -126,15 +147,15 @@ class TestMaybePrewarm:
         monkeypatch.setenv("REPRO_NATIVE", "0")
         nativebuild.reset_probe()
         try:
-            assert batchplan.maybe_prewarm(_latency_jobs()) is None
+            assert self._gated(_latency_jobs()) == self.NOTHING
         finally:
             nativebuild.reset_probe()
 
     def test_single_job_gates_off(self):
-        assert batchplan.maybe_prewarm(_latency_jobs(latencies=(100,))) is None
+        assert self._gated(_latency_jobs(latencies=(100,))) == self.NOTHING
 
     @needs_native
     def test_sequential_grid_runs_prewarm(self):
-        with simcache.disabled():
-            stats = batchplan.maybe_prewarm(_latency_jobs())
-        assert stats is not None and stats["simulated"] == 2
+        assert self._gated(_latency_jobs()) == {
+            "groups": 1, "simulated": 2, "cached": 0,
+        }

@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.config import MachineConfig
-from repro.harness.experiment import (
-    clear_baseline_cache,
-    run_baseline,
-    run_experiment,
-)
+from repro.config import MachineConfig, SimulationConfig
+from repro.frontend import tracestore
+from repro.harness import experiment
+from repro.harness.experiment import run_baseline, run_experiment
 from repro.pthsel.targets import Target
+from repro.workloads.registry import get_program
 
 
 @pytest.fixture(scope="module")
 def gap_latency():
-    clear_baseline_cache()
+    tracestore.clear()
     return run_experiment("gap", target=Target.LATENCY)
 
 
@@ -54,7 +53,7 @@ def test_summary_row_keys(gap_latency):
 
 
 def test_baseline_cache_reused():
-    clear_baseline_cache()
+    tracestore.clear()
     a = run_baseline("gcc")
     b = run_baseline("gcc")
     assert a.stats is b.stats  # memoized simulation object
@@ -68,7 +67,7 @@ def test_realistic_profiling_runs():
 
 
 def test_machine_override_changes_baseline():
-    clear_baseline_cache()
+    tracestore.clear()
     slow = run_baseline("gap",
                         machine=MachineConfig().with_memory_latency(300))
     fast = run_baseline("gap",
@@ -84,3 +83,31 @@ def test_invalid_config_fails_before_simulating():
         ConfigError, match=r"MachineConfig\.pipeline_stages"
     ):
         run_experiment("gap", machine=MachineConfig(pipeline_stages=3))
+
+
+def test_realistic_profiling_adopts_the_run_trace(monkeypatch):
+    # The augmented replay of a ref->train cell runs the train program,
+    # so it adopts the train run trace instead of building a second copy.
+    tracestore.clear()
+    seen = []
+    real = experiment.expand_pthreads
+
+    def spy(program, pthreads, **kwargs):
+        seen.append((program, pthreads, kwargs))
+        return real(program, pthreads, **kwargs)
+
+    monkeypatch.setattr(experiment, "expand_pthreads", spy)
+    run_experiment("gap", target=Target.LATENCY, profile_input="ref")
+    sim = SimulationConfig()
+    run_trace, build_s = tracestore.get_trace(get_program("gap", "train"),
+                                              sim.max_instructions)
+    ((program, pthreads, kwargs),) = seen
+    assert build_s == 0.0  # the experiment's own run trace
+    assert kwargs["reference_trace"] is run_trace
+    # Adoption is sound: the replay without the reference builds the
+    # same trace and the same spawns.
+    fresh = real(program, pthreads,
+                 max_instructions=kwargs["max_instructions"])
+    adopted = real(program, pthreads, **kwargs)
+    assert fresh.trace.as_lists() == run_trace.as_lists()
+    assert fresh.spawn_counts == adopted.spawn_counts

@@ -6,10 +6,8 @@ import pytest
 
 from repro import obs
 from repro.config import MachineConfig, SimulationConfig
-from repro.harness.experiment import (
-    _baseline_sim,
-    clear_baseline_cache,
-)
+from repro.frontend import tracestore
+from repro.harness.experiment import _baseline_sim
 from repro.harness.figures import result_row
 from repro.harness.parallel import (
     ExperimentJob,
@@ -115,9 +113,9 @@ def _grid():
 
 
 def test_jobs4_matches_jobs1():
-    clear_baseline_cache()
+    tracestore.clear()
     sequential = run_experiments(_grid(), n_jobs=1)
-    clear_baseline_cache()
+    tracestore.clear()
     parallel = run_experiments(_grid(), n_jobs=4)
 
     assert len(sequential) == len(parallel) == 4
@@ -128,7 +126,7 @@ def test_jobs4_matches_jobs1():
 
 
 def test_parallel_merges_worker_counters():
-    clear_baseline_cache()
+    tracestore.clear()
     before = obs.counters.snapshot()
     run_experiments(_grid()[:2], n_jobs=2)
     delta = obs.counters.delta_since(before)
@@ -141,7 +139,7 @@ def test_parallel_merges_worker_counters():
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_counters_and_manifest_hold_only_numbers(n_jobs, tmp_path):
-    clear_baseline_cache()
+    tracestore.clear()
     run_experiments(
         [ExperimentJob("gap", target=t, sim=SIM)
          for t in (Target.LATENCY, Target.ENERGY)],
@@ -164,7 +162,7 @@ def test_counters_and_manifest_hold_only_numbers(n_jobs, tmp_path):
 
 
 def test_single_job_grid_stays_in_process():
-    clear_baseline_cache()
+    tracestore.clear()
     before = obs.counters.snapshot()
     results = run_experiments(
         [ExperimentJob("gcc", sim=SIM)], n_jobs=4
@@ -180,7 +178,7 @@ def test_single_job_grid_stays_in_process():
 
 
 def test_baseline_cache_keyed_by_workload_content(monkeypatch):
-    clear_baseline_cache()
+    tracestore.clear()
     machine = MachineConfig()
     _, gcc_stats, _ = _baseline_sim("gcc", "train", machine, SIM)
     # Re-register "gcc" to build a different program.  A cache keyed on
@@ -193,7 +191,7 @@ def test_baseline_cache_keyed_by_workload_content(monkeypatch):
 
     _, twolf_stats, _ = _baseline_sim("twolf", "train", machine, SIM)
     assert swapped_stats.cycles == twolf_stats.cycles
-    clear_baseline_cache()
+    tracestore.clear()
 
 
 # --------------------------------------------------------------------- #

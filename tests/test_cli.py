@@ -216,3 +216,25 @@ def test_analytics_query_rejects_run_flags(flag, tmp_path, capsys):
         main(["analytics", "query", str(tmp_path), *flag])
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--out", "X"], ["--jobs", "4"], ["--retries", "2"], ["--resume"],
+    ["--no-sim-cache"],
+])
+def test_cache_rejects_run_flags(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "stats", "--cache-dir", str(tmp_path), *flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ``--out X`` is argparse's abbreviation of ``report --output X``.
+@pytest.mark.parametrize("flag", [
+    ["--jobs", "4"], ["--resume"], ["--retries", "2"], ["--cache-dir", "X"],
+])
+def test_report_rejects_run_flags(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", str(tmp_path), *flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
