@@ -25,7 +25,7 @@ from repro.slicer import identify_problem_loads
 from repro.workloads import get_program
 
 
-def test_ablation_load_cost_model(run_once, results_dir):
+def test_ablation_flat_vs_criticality_load_cost(run_once, results_dir):
     def run():
         flat = run_experiment("twolf", target=Target.ORIGINAL)
         crit = run_experiment("twolf", target=Target.LATENCY)

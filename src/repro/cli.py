@@ -47,10 +47,10 @@ the performance flags:
 and the robustness flags:
 
 - ``--retries N``        attempts per grid cell before it becomes a
-  failure row (default 3);
-- ``--job-timeout S``    per-job wall-clock timeout in seconds (the
-  worker pool is rebuilt around hung cells; ``repro serve`` refuses
-  it, see ``--deadline``);
+  failure row (N >= 1, default 3);
+- ``--job-timeout S``    per-job wall-clock timeout in seconds (S > 0;
+  the worker pool is rebuilt around hung cells; ``repro serve``
+  refuses it, see ``--deadline``);
 - ``--resume``           with ``--out DIR``, skip cells already recorded
   in ``DIR/journal.jsonl`` by a previous (interrupted) run;
 - ``--inject-fault SITE:prob[:seed]``  deterministically inject faults
@@ -58,7 +58,8 @@ and the robustness flags:
 
 ``repro chaos`` runs a grid twice -- fault-free and under injected
 faults -- and reports whether recovery was complete, bit-identical, and
-fully accounted.
+fully accounted; its ``--retries`` is the faulted run's attempt budget
+(default 8).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import json
 import signal
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import faults, obs
 from repro.config import (
@@ -92,6 +93,19 @@ from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
 
 _TARGETS = {t.label: t for t in Target}
+
+
+def _positive(kind: type) -> Callable[[str], object]:
+    """An argparse ``type`` parsing ``kind`` and refusing values <= 0."""
+
+    def parse(text: str) -> object:
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value"
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -145,15 +159,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     obs_flags.add_argument(
         "--retries",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="attempts per grid cell before it degrades to a failure "
-        "row (default 3)",
+        "row, >= 1 (default 3; chaos: the faulted run's budget, "
+        "default 8)",
     )
     obs_flags.add_argument(
         "--job-timeout",
-        type=float,
+        type=_positive(float),
         default=None,
         metavar="SECONDS",
         help="per-job wall-clock timeout; hung workers are killed and "
@@ -266,10 +281,6 @@ def _parser() -> argparse.ArgumentParser:
                        metavar="SITE:PROB[:SEED]",
                        help="fault spec(s) for the chaotic run "
                        "(default worker.run:0.3)")
-    chaos.add_argument("--max-attempts", type=int, default=None,
-                       metavar="N",
-                       help="retry budget for the chaotic run "
-                       "(default 8)")
     chaos.add_argument("--server", action="store_true",
                        help="server drill instead: kill -9 a faulted "
                        "repro serve mid-grid, --resume it, verify every "
@@ -450,11 +461,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     policy = RetryPolicy(
-        max_attempts=(
-            args.retries
-            if getattr(args, "retries", None)
-            else RetryPolicy.max_attempts
-        ),
+        max_attempts=getattr(args, "retries", None)
+        or RetryPolicy.max_attempts,
         timeout_s=getattr(args, "job_timeout", None),
     )
     journal = None
@@ -630,8 +638,8 @@ def _dispatch(
             "timeout_s": args.job_timeout,
             "quick": args.quick,
         }
-        if args.max_attempts:
-            kwargs["max_attempts"] = args.max_attempts
+        if args.retries:
+            kwargs["max_attempts"] = args.retries
         report = run_chaos(**kwargs)  # type: ignore[arg-type]
         print(json.dumps(report, indent=1, sort_keys=True))
         _write_artifacts(

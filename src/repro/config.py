@@ -9,7 +9,13 @@ Defaults reproduce the paper's experimental setup (Section 3.1):
   64-entry I/D TLBs, 16-byte buses with the memory bus at 1/4 core clock,
   a 200-cycle infinite main memory, 2 load + 1 store ports, 16 MSHRs;
 - an 8K-entry hybrid branch predictor with a 2K-entry BTB;
-- Wattch-style energy with a 5% idle energy factor at 100nm / 3GHz / 1.2V.
+- Wattch-style energy with a 5% idle energy factor (the paper's 100nm /
+  3GHz / 1.2V design point enters only through the energy calibration).
+
+Every field is one the program reads.  Each config checks all of its
+fields in ``__post_init__``, raising a :class:`ConfigError` that names
+the offending field and its legal range, so an invalid config cannot be
+built.
 """
 
 from __future__ import annotations
@@ -25,11 +31,28 @@ def _require(
     owner: str, field_name: str, value: object, ok: bool, legal: str
 ) -> None:
     """Raise a :class:`ConfigError` naming the offending field and its
-    legal range -- the contract of every ``validate()`` below."""
+    legal range; every config's ``__post_init__`` checks through this."""
     if not ok:
         raise ConfigError(
             f"{owner}.{field_name} = {value!r} is invalid; legal: {legal}"
         )
+
+
+def _require_at_least(config: object, floor: int, *names: str) -> None:
+    """Require each named field of ``config`` to be ``>= floor``."""
+    owner = type(config).__name__
+    for name in names:
+        value = getattr(config, name)
+        _require(owner, name, value, value >= floor, f">= {floor}")
+
+
+def _require_power_of_two(config: object, *names: str) -> None:
+    """Require each named field of ``config`` to be a power of two."""
+    owner = type(config).__name__
+    for name in names:
+        value = getattr(config, name)
+        _require(owner, name, value, _power_of_two(value),
+                 "a power of two >= 1")
 
 
 def _power_of_two(n: int) -> bool:
@@ -56,57 +79,22 @@ class CacheConfig(_Fingerprinted):
     hit_latency: int
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.assoc <= 0 or self.line_bytes <= 0:
-            raise ConfigError("cache geometry values must be positive")
+        _require_at_least(self, 1, "size_bytes", "assoc", "hit_latency")
+        _require_power_of_two(self, "line_bytes")
         n_lines = self.size_bytes // self.line_bytes
-        if n_lines % self.assoc:
-            raise ConfigError(
-                f"cache of {n_lines} lines not divisible into {self.assoc} ways"
-            )
-        n_sets = n_lines // self.assoc
-        if n_sets & (n_sets - 1):
-            raise ConfigError(f"number of sets must be a power of two, got {n_sets}")
-        if self.hit_latency < 1:
-            raise ConfigError("hit latency must be at least one cycle")
+        _require(
+            "CacheConfig",
+            "size_bytes",
+            self.size_bytes,
+            n_lines % self.assoc == 0 and _power_of_two(n_lines // self.assoc),
+            f"a size giving a whole, power-of-two number of sets "
+            f"(got {n_lines} lines for assoc={self.assoc}, "
+            f"line_bytes={self.line_bytes})",
+        )
 
     @property
     def n_sets(self) -> int:
         return self.size_bytes // (self.line_bytes * self.assoc)
-
-    def validate(self, owner: str = "CacheConfig") -> "CacheConfig":
-        """Field-by-field validation with named-field diagnostics.
-
-        ``__post_init__`` keeps obviously broken geometry from ever being
-        constructed; this re-checks with messages that name the offending
-        field and its legal range, so a bad sweep axis fails at experiment
-        start with an actionable error instead of deep in a worker.
-        """
-        _require(owner, "size_bytes", self.size_bytes, self.size_bytes >= 1, ">= 1")
-        _require(owner, "assoc", self.assoc, self.assoc >= 1, ">= 1")
-        _require(
-            owner,
-            "line_bytes",
-            self.line_bytes,
-            _power_of_two(self.line_bytes),
-            "a power of two >= 1",
-        )
-        _require(
-            owner,
-            "hit_latency",
-            self.hit_latency,
-            self.hit_latency >= 1,
-            ">= 1 cycle",
-        )
-        _require(
-            owner,
-            "size_bytes",
-            self.size_bytes,
-            _power_of_two(self.n_sets),
-            f"a size giving a power-of-two set count "
-            f"(got {self.n_sets} sets for assoc={self.assoc}, "
-            f"line_bytes={self.line_bytes})",
-        )
-        return self
 
 
 @dataclass(frozen=True)
@@ -157,20 +145,6 @@ class MachineConfig(_Fingerprinted):
     pthread_fill_l1: bool = False
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.commit_width < 1:
-            raise ConfigError("pipeline widths must be positive")
-        if self.thread_contexts < 1:
-            raise ConfigError("at least one thread context is required")
-        if self.memory_latency < 1:
-            raise ConfigError("memory latency must be positive")
-        if self.rob_entries < self.width:
-            raise ConfigError("ROB must hold at least one fetch group")
-
-    def validate(self) -> "MachineConfig":
-        """Validate every field (and the cache sub-configs), raising a
-        :class:`ConfigError` that names the offending field and its legal
-        range.  Called at experiment start so misconfigured sweeps fail
-        before any simulation work is dispatched."""
         owner = "MachineConfig"
         _require(owner, "width", self.width, 1 <= self.width <= 64, "1..64")
         _require(
@@ -180,29 +154,20 @@ class MachineConfig(_Fingerprinted):
             self.pipeline_stages >= 6,
             ">= 6 (frontend depth must be positive)",
         )
-        _require(
-            owner,
-            "commit_width",
-            self.commit_width,
-            self.commit_width >= 1,
-            ">= 1",
+        _require_at_least(
+            self, 1, "commit_width", "rs_entries", "thread_contexts",
+            "load_ports", "store_ports", "mshr_entries", "int_alus",
+            "mul_latency", "itlb_entries", "dtlb_entries", "memory_latency",
+            "memory_bus_divisor", "btb_entries",
         )
+        _require_at_least(self, 0, "tlb_miss_latency")
+        _require_power_of_two(self, "page_bytes", "bus_bytes", "bpred_entries")
         _require(
             owner,
             "rob_entries",
             self.rob_entries,
             self.rob_entries >= self.width,
             f">= width ({self.width}): the ROB must hold a full fetch group",
-        )
-        _require(
-            owner, "rs_entries", self.rs_entries, self.rs_entries >= 1, ">= 1"
-        )
-        _require(
-            owner,
-            "pthread_rs_reserve",
-            self.pthread_rs_reserve,
-            0 <= self.pthread_rs_reserve < self.rs_entries,
-            f"0..rs_entries-1 (rs_entries={self.rs_entries})",
         )
         _require(
             owner,
@@ -213,98 +178,10 @@ class MachineConfig(_Fingerprinted):
         )
         _require(
             owner,
-            "thread_contexts",
-            self.thread_contexts,
-            self.thread_contexts >= 1,
-            ">= 1",
-        )
-        _require(
-            owner, "load_ports", self.load_ports, self.load_ports >= 1, ">= 1"
-        )
-        _require(
-            owner,
-            "store_ports",
-            self.store_ports,
-            self.store_ports >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "mshr_entries",
-            self.mshr_entries,
-            self.mshr_entries >= 1,
-            ">= 1",
-        )
-        _require(owner, "int_alus", self.int_alus, self.int_alus >= 1, ">= 1")
-        _require(
-            owner,
-            "mul_latency",
-            self.mul_latency,
-            self.mul_latency >= 1,
-            ">= 1 cycle",
-        )
-        _require(
-            owner,
-            "itlb_entries",
-            self.itlb_entries,
-            self.itlb_entries >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "dtlb_entries",
-            self.dtlb_entries,
-            self.dtlb_entries >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "page_bytes",
-            self.page_bytes,
-            _power_of_two(self.page_bytes),
-            "a power of two >= 1",
-        )
-        _require(
-            owner,
-            "tlb_miss_latency",
-            self.tlb_miss_latency,
-            self.tlb_miss_latency >= 0,
-            ">= 0 cycles",
-        )
-        _require(
-            owner,
-            "memory_latency",
-            self.memory_latency,
-            self.memory_latency >= 1,
-            ">= 1 cycle",
-        )
-        _require(
-            owner,
-            "bus_bytes",
-            self.bus_bytes,
-            _power_of_two(self.bus_bytes),
-            "a power of two >= 1",
-        )
-        _require(
-            owner,
-            "memory_bus_divisor",
-            self.memory_bus_divisor,
-            self.memory_bus_divisor >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "bpred_entries",
-            self.bpred_entries,
-            _power_of_two(self.bpred_entries),
-            "a power of two >= 1 (predictor tables are index-masked)",
-        )
-        _require(
-            owner,
-            "btb_entries",
-            self.btb_entries,
-            self.btb_entries >= 1,
-            ">= 1",
+            "pthread_rs_reserve",
+            self.pthread_rs_reserve,
+            0 <= self.pthread_rs_reserve < self.rs_entries,
+            f"0..rs_entries-1 (rs_entries={self.rs_entries})",
         )
         _require(
             owner,
@@ -313,10 +190,6 @@ class MachineConfig(_Fingerprinted):
             0.0 < self.pthread_fetch_ipc <= float(self.width),
             f"in (0, width] (width={self.width})",
         )
-        self.icache.validate("MachineConfig.icache")
-        self.dcache.validate("MachineConfig.dcache")
-        self.l2.validate("MachineConfig.l2")
-        return self
 
     @property
     def frontend_depth(self) -> int:
@@ -352,14 +225,15 @@ PAPER_STRUCTURE_SHARES: Dict[str, float] = {
 class EnergyConfig(_Fingerprinted):
     """Wattch-style energy model parameters.
 
-    All per-access / per-cycle constants are expressed as fractions of the
-    maximum per-cycle energy consumption ``e_max_per_cycle`` (Section 4.2,
-    equation E8 lists the fractions used by PTHSEL+E).
+    Per-structure energies are fractions of the maximum per-cycle energy
+    ``e_max_per_cycle``.  PTHSEL+E's external constants (Section 4.2,
+    equation E8) are derived from this same calibration by
+    :meth:`repro.energy.wattch.EnergyModel.pthsel_constants`.
     """
 
-    #: Absolute scale in joules for one maximum-activity cycle.  100nm, 3GHz,
-    #: 1.2V; chosen so that full-activity power is ~60W, in line with
-    #: high-end 2005 desktop parts.  Only ratios matter for the results.
+    #: Absolute scale in joules for one maximum-activity cycle, chosen so
+    #: that full-activity power is ~60W at 3GHz, in line with high-end
+    #: 2005 desktop parts.  Only ratios matter for the results.
     e_max_per_cycle: float = 20e-9
 
     #: Fraction of a structure's max energy drawn even when unused
@@ -372,34 +246,7 @@ class EnergyConfig(_Fingerprinted):
         default_factory=lambda: dict(PAPER_STRUCTURE_SHARES)
     )
 
-    # PTHSEL+E external parameters (equation E8), as fractions of
-    # e_max_per_cycle: fetch 9%, all-execute 4.9%, ALU 0.8%, load 3.8%,
-    # L2 13.6%, idle 5%.
-    e_fetch_access: float = 0.09
-    e_xall_access: float = 0.049
-    e_xalu_access: float = 0.008
-    e_xload_access: float = 0.038
-    e_l2_access: float = 0.136
-    # e_idle_per_cycle defaults to idle_factor; kept separate so the
-    # selection model can be fed a wrong constant in validation studies.
-
-    process_nm: int = 100
-    frequency_ghz: float = 3.0
-    vdd: float = 1.2
-
     def __post_init__(self) -> None:
-        if not 0.0 <= self.idle_factor <= 1.0:
-            raise ConfigError("idle_factor must be within [0, 1]")
-        if self.e_max_per_cycle <= 0:
-            raise ConfigError("e_max_per_cycle must be positive")
-        total = sum(self.structure_shares.values())
-        if not math.isclose(total, 1.0, abs_tol=0.02):
-            raise ConfigError(
-                f"structure shares must sum to ~1.0, got {total:.3f}"
-            )
-
-    def validate(self) -> "EnergyConfig":
-        """Validate every field, naming the offender and its legal range."""
         owner = "EnergyConfig"
         _require(
             owner,
@@ -415,21 +262,6 @@ class EnergyConfig(_Fingerprinted):
             0.0 <= self.idle_factor <= 1.0,
             "in [0, 1]",
         )
-        for field_name in (
-            "e_fetch_access",
-            "e_xall_access",
-            "e_xalu_access",
-            "e_xload_access",
-            "e_l2_access",
-        ):
-            value = getattr(self, field_name)
-            _require(
-                owner,
-                field_name,
-                value,
-                0.0 <= value <= 1.0,
-                "in [0, 1] (a fraction of e_max_per_cycle)",
-            )
         total = sum(self.structure_shares.values())
         _require(
             owner,
@@ -438,57 +270,22 @@ class EnergyConfig(_Fingerprinted):
             math.isclose(total, 1.0, abs_tol=0.02),
             "shares summing to 1.0 +/- 0.02",
         )
-        _require(
-            owner,
-            "process_nm",
-            self.process_nm,
-            self.process_nm >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "frequency_ghz",
-            self.frequency_ghz,
-            self.frequency_ghz > 0,
-            "> 0",
-        )
-        _require(owner, "vdd", self.vdd, self.vdd > 0, "> 0 volts")
-        return self
-
-    @property
-    def e_idle_per_cycle(self) -> float:
-        """Idle energy per cycle as a fraction of max per-cycle energy."""
-        return self.idle_factor
 
     def with_idle_factor(self, factor: float) -> "EnergyConfig":
         """Return a copy with a different idle energy factor (Figure 5 top)."""
         return replace(self, idle_factor=factor)
 
-    def joules(self, fraction_cycles: float) -> float:
-        """Convert an energy expressed in max-cycle fractions to joules."""
-        return fraction_cycles * self.e_max_per_cycle
-
-
-class LoadCostModel:
-    """Which latency-reduction -> execution-time-reduction model to use.
-
-    ``FLAT`` is original PTHSEL's cycle-for-cycle assumption; ``CRITICALITY``
-    is the Section 4.1 model built from averaged pessimistic/optimistic
-    critical-path estimates.
-    """
-
-    FLAT = "flat"
-    CRITICALITY = "criticality"
-
 
 @dataclass(frozen=True)
 class SelectionConfig(_Fingerprinted):
-    """PTHSEL / PTHSEL+E algorithm parameters (Section 3.1 defaults)."""
+    """PTHSEL / PTHSEL+E algorithm parameters (Section 3.1 defaults).
+
+    The target (:class:`repro.pthsel.targets.Target`) picks the load cost
+    model and the composition weight W.
+    """
 
     slicing_window: int = 2048
     max_pthread_insts: int = 64
-    max_unroll: int = 8
-    load_cost_model: str = LoadCostModel.CRITICALITY
     #: Problem loads below this share of total L2 misses are not targeted.
     min_miss_share: float = 0.02
     #: Candidates whose modeled execution-time gain per covered miss is
@@ -506,22 +303,8 @@ class SelectionConfig(_Fingerprinted):
     max_problem_loads: int = 12
     merge_triggers: bool = True
     overlap_discount: bool = True
-    #: Composition weight W (C2): 1 = latency, 0 = energy, 0.5 = ED,
-    #: 0.67 = ED^2.  Set by the Target used at the framework level.
-    composition_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.slicing_window < 2:
-            raise ConfigError("slicing window must cover at least 2 instructions")
-        if self.max_pthread_insts < 1:
-            raise ConfigError("p-threads must be allowed at least 1 instruction")
-        if not 0.0 <= self.composition_weight <= 1.0:
-            raise ConfigError("composition weight W must be in [0, 1]")
-        if self.load_cost_model not in (LoadCostModel.FLAT, LoadCostModel.CRITICALITY):
-            raise ConfigError(f"unknown load cost model {self.load_cost_model!r}")
-
-    def validate(self) -> "SelectionConfig":
-        """Validate every field, naming the offender and its legal range."""
         owner = "SelectionConfig"
         _require(
             owner,
@@ -530,28 +313,7 @@ class SelectionConfig(_Fingerprinted):
             self.slicing_window >= 2,
             ">= 2 instructions",
         )
-        _require(
-            owner,
-            "max_pthread_insts",
-            self.max_pthread_insts,
-            self.max_pthread_insts >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "max_unroll",
-            self.max_unroll,
-            self.max_unroll >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "load_cost_model",
-            self.load_cost_model,
-            self.load_cost_model
-            in (LoadCostModel.FLAT, LoadCostModel.CRITICALITY),
-            f"'{LoadCostModel.FLAT}' or '{LoadCostModel.CRITICALITY}'",
-        )
+        _require_at_least(self, 1, "max_pthread_insts", "max_problem_loads")
         _require(
             owner,
             "min_miss_share",
@@ -573,43 +335,13 @@ class SelectionConfig(_Fingerprinted):
             self.embedded_latency_factor >= 1.0,
             ">= 1.0 (a derating multiplier)",
         )
-        _require(
-            owner,
-            "max_problem_loads",
-            self.max_problem_loads,
-            self.max_problem_loads >= 1,
-            ">= 1",
-        )
-        _require(
-            owner,
-            "composition_weight",
-            self.composition_weight,
-            0.0 <= self.composition_weight <= 1.0,
-            "in [0, 1] (1 = latency, 0 = energy)",
-        )
-        return self
 
 
 @dataclass(frozen=True)
 class SimulationConfig(_Fingerprinted):
-    """How much of a workload to run and how."""
+    """How much of a workload to run."""
 
     max_instructions: int = 400_000
-    seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_instructions < 1:
-            raise ConfigError("max_instructions must be positive")
-
-    def validate(self) -> "SimulationConfig":
-        """Validate every field, naming the offender and its legal range."""
-        owner = "SimulationConfig"
-        _require(
-            owner,
-            "max_instructions",
-            self.max_instructions,
-            self.max_instructions >= 1,
-            ">= 1",
-        )
-        _require(owner, "seed", self.seed, self.seed >= 0, ">= 0")
-        return self
+        _require_at_least(self, 1, "max_instructions")

@@ -23,7 +23,6 @@ from repro.isa.instruction import Program
 from repro.isa.opcodes import (
     BRANCH_CODES,
     CLASS_BY_CODE,
-    LD_CODE,
     Op,
     OpClass,
     OPS_BY_CODE,
@@ -257,16 +256,6 @@ class Trace:
         """Dynamic instruction counts per op class."""
         self._materialize_stats()
         return dict(self._class_counts)
-
-    def dynamic_loads_by_pc(self) -> Dict[int, List[int]]:
-        """Map static load PC -> sequence numbers of its dynamic instances."""
-        self._materialize_stats()
-        code_l = self.as_lists().op_code
-        return {
-            pc: list(seqs)
-            for pc, seqs in self._pc_index.items()
-            if code_l[seqs[0]] == LD_CODE
-        }
 
     def occurrences(self, pc: int) -> List[int]:
         """Sequence numbers of all dynamic instances of static PC ``pc``.

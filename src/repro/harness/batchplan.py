@@ -76,7 +76,8 @@ def plan_batches(jobs: Iterable) -> List[BatchGroup]:
     """Group a grid's baseline needs by shared trace content.
 
     ``jobs`` is any iterable of objects with ``baseline_keys()`` (the
-    :class:`~repro.harness.parallel.ExperimentJob` protocol).  Within a
+    :class:`~repro.harness.parallel.ExperimentJob` protocol), whose
+    configs were checked when they were built.  Within a
     group, machine configurations are deduplicated by fingerprint while
     preserving first-appearance order, so the lock-step pass simulates
     each distinct machine exactly once.
@@ -85,8 +86,6 @@ def plan_batches(jobs: Iterable) -> List[BatchGroup]:
     seen: Dict[Tuple, set] = {}
     for job in jobs:
         for benchmark, input_name, machine, sim in job.baseline_keys():
-            machine = machine.validate()
-            sim = sim.validate()
             program_fp = get_program(benchmark, input_name).fingerprint()
             gkey = (benchmark, input_name, program_fp, sim.max_instructions)
             group = groups.get(gkey)

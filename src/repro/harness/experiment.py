@@ -5,6 +5,10 @@ benchmark, select p-threads with PTHSEL(+E) under some target, augment
 the program, run baseline and augmented timing+energy simulations, and
 report relative latency/energy/ED metrics plus the pre-execution
 diagnostics of Figure 3.
+
+A ``None`` config means the paper's default.  A config that is passed
+in is already checked: each config validates every field when it is
+built, so an invalid one never reaches a simulation.
 """
 
 from __future__ import annotations
@@ -234,8 +238,8 @@ def warm_baseline(
     _, stats, _ = _baseline_sim(
         benchmark,
         input_name,
-        (machine or MachineConfig()).validate(),
-        (sim or SimulationConfig()).validate(),
+        machine or MachineConfig(),
+        sim or SimulationConfig(),
     )
     return stats
 
@@ -341,9 +345,9 @@ def run_baseline(
     sim: Optional[SimulationConfig] = None,
 ) -> RunMeasurement:
     """Simulate a benchmark without pre-execution."""
-    machine = (machine or MachineConfig()).validate()
-    energy = (energy or EnergyConfig()).validate()
-    sim = (sim or SimulationConfig()).validate()
+    machine = machine or MachineConfig()
+    energy = energy or EnergyConfig()
+    sim = sim or SimulationConfig()
     _, stats, _ = _baseline_sim(benchmark, input_name, machine, sim)
     model = EnergyModel(energy, machine)
     return RunMeasurement(stats=stats, energy=model.evaluate(stats.activity))
@@ -371,10 +375,10 @@ def run_experiment(
     p-threads (the paper's Section 7 extension) alongside the load
     prefetching ones.
     """
-    machine = (machine or MachineConfig()).validate()
-    energy = (energy or EnergyConfig()).validate()
-    selection = (selection or SelectionConfig()).validate()
-    sim = (sim or SimulationConfig()).validate()
+    machine = machine or MachineConfig()
+    energy = energy or EnergyConfig()
+    selection = selection or SelectionConfig()
+    sim = sim or SimulationConfig()
 
     # Whole-result persistent cache: an experiment is a deterministic
     # function of workload content + configuration, so a warm cache

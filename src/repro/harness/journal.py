@@ -27,7 +27,7 @@ from __future__ import annotations
 import base64
 import os
 import pickle
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 from repro import obs
 from repro.errors import JournalError
@@ -71,9 +71,6 @@ class Journal:
             ):
                 self._entries[record["key"]] = record
         return self._entries
-
-    def completed_keys(self) -> Iterable[str]:
-        return self._entries.keys()
 
     def result_for(self, key: str) -> Optional[Any]:
         """The journaled result payload for ``key``, or ``None``.

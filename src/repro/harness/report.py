@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 
 def geometric_mean_pct(percent_gains: Iterable[float]) -> float:
@@ -91,23 +91,3 @@ def render_json_lines(rows: Iterable[Mapping[str, object]]) -> str:
         json.dumps(dict(row), default=str, sort_keys=False) for row in rows
     )
 
-
-def format_breakdown_stack(
-    label: str,
-    categories: Sequence[str],
-    percent_by_category: Mapping[str, float],
-) -> str:
-    """One normalized breakdown bar as text, e.g. ``mem=52.1 l2=3.0 ...``."""
-    parts = [f"{c}={percent_by_category.get(c, 0.0):.1f}" for c in categories]
-    return f"{label:16s} " + " ".join(parts)
-
-
-def summarize(results: List[Dict[str, float]], key: str) -> Dict[str, float]:
-    """Min/mean/gmean/max of one metric column across rows."""
-    values = [float(r[key]) for r in results]
-    return {
-        "min": min(values),
-        "mean": sum(values) / len(values),
-        "gmean": geometric_mean_pct(values),
-        "max": max(values),
-    }

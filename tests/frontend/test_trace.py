@@ -31,13 +31,6 @@ def test_count_by_class(mixed_trace):
     assert counts[OpClass.BRANCH] == 2
 
 
-def test_dynamic_loads_by_pc(mixed_trace):
-    by_pc = mixed_trace.dynamic_loads_by_pc()
-    (pc, seqs), = by_pc.items()
-    assert len(seqs) == 2
-    assert all(mixed_trace[s].is_load for s in seqs)
-
-
 def test_repr_is_stable(mixed_trace):
     dyn = mixed_trace[0]
     assert f"seq={dyn.seq}" in repr(dyn)

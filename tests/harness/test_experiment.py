@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.config import MachineConfig, SimulationConfig
+from repro import obs
+from repro.config import EnergyConfig, MachineConfig, SimulationConfig
 from repro.frontend import tracestore
 from repro.harness import experiment
 from repro.harness.experiment import run_baseline, run_experiment
+from repro.harness.figures import result_row
 from repro.pthsel.targets import Target
 from repro.workloads.registry import get_program
 
@@ -75,14 +77,41 @@ def test_machine_override_changes_baseline():
     assert slow.cycles > fast.cycles
 
 
-def test_invalid_config_fails_before_simulating():
-    from repro.errors import ConfigError
-    from repro.harness.experiment import run_experiment
+def test_optimized_run_memo_serves_cells_with_the_same_pthreads():
+    # The idle factor changes only the energy model, so gap's L cells at
+    # three idle factors select the same p-threads and share one
+    # optimized timing run, held on the run trace.
+    tracestore.clear()
+    hits = "harness.experiment.opt_cache.hits"
+    before = obs.counters.snapshot().get(hits, 0)
+    rows = [
+        result_row(run_experiment(
+            "gap", target=Target.LATENCY,
+            energy=EnergyConfig().with_idle_factor(factor),
+        ))
+        for factor in (0.0, 0.05, 0.10)
+    ]
+    assert obs.counters.snapshot().get(hits, 0) - before == 2
+    assert [r["src_optimized"] for r in rows] == [
+        "simulated", "memo", "memo"
+    ]
+    assert [r["n_pthreads"] for r in rows] == [2, 2, 2]
+    assert len({r["speedup_pct"] for r in rows}) == 1
+    assert len({r["energy_save_pct"] for r in rows}) == 3
 
-    with pytest.raises(
-        ConfigError, match=r"MachineConfig\.pipeline_stages"
-    ):
-        run_experiment("gap", machine=MachineConfig(pipeline_stages=3))
+    # The memo-served cell is the cell a fresh process computes.
+    tracestore.clear()
+    fresh = result_row(run_experiment(
+        "gap", target=Target.LATENCY,
+        energy=EnergyConfig().with_idle_factor(0.05),
+    ))
+    assert fresh["src_optimized"] == "simulated"
+
+    def payload(row):
+        return {k: v for k, v in row.items()
+                if not k.startswith(("t_", "src_"))}
+
+    assert payload(fresh) == payload(rows[1])
 
 
 def test_realistic_profiling_adopts_the_run_trace(monkeypatch):

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.harness.report import (
-    format_breakdown_stack,
-    format_table,
-    geometric_mean_pct,
-    summarize,
-)
+from repro.harness.report import format_table, geometric_mean_pct
 
 
 class TestGeometricMean:
@@ -53,15 +48,3 @@ class TestFormatTable:
     def test_float_digits(self):
         text = format_table([{"x": 1.23456}], float_digits=3)
         assert "1.235" in text
-
-
-def test_breakdown_stack_rendering():
-    text = format_breakdown_stack("gcc/N", ("mem", "l2"), {"mem": 52.18})
-    assert "mem=52.2" in text and "l2=0.0" in text
-
-
-def test_summarize():
-    rows = [{"v": 10.0}, {"v": 20.0}]
-    s = summarize(rows, "v")
-    assert s["min"] == 10.0 and s["max"] == 20.0
-    assert s["mean"] == 15.0

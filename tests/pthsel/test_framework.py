@@ -84,7 +84,8 @@ def test_zero_idle_factor_kills_energy_target(gap_setup):
 
 def test_no_problem_loads_yields_empty_selection(gap_setup):
     trace, base = gap_setup
-    config = SelectionConfig(min_miss_share=1.1)  # impossible threshold
+    # No gap load accounts for every L2 miss on its own.
+    config = SelectionConfig(min_miss_share=1.0)
     result = select_pthreads(trace, base, selection=config)
     assert result.n_pthreads == 0
     assert result.problem_pcs == []

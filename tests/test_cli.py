@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import main
-from repro.harness import simcache
+from repro.harness import chaos, simcache
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +102,44 @@ def test_inject_fault_malformed_prob_exits_2(capsys):
 def test_resume_without_out_exits_2(capsys):
     assert main(["figure3", "--resume"]) == 2
     assert "--resume requires --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--retries", "0"], ["--retries", "-2"],
+    ["--job-timeout", "0"], ["--job-timeout", "-1"],
+])
+def test_nonpositive_retry_flags_exit_2(flag, monkeypatch, capsys):
+    # Zero attempts or a non-positive timeout leaves no budget to run a
+    # cell in, so argparse refuses them before any grid starts.
+    monkeypatch.setattr(cli, "_dispatch", lambda *args: 0)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure3", "--benchmarks", "gap", *flag])
+    assert excinfo.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_chaos_retries_is_the_faulted_runs_budget(monkeypatch):
+    calls = []
+
+    def run_chaos(**kwargs):
+        calls.append(kwargs)
+        return {"ok": True, "failed_cells": []}
+
+    monkeypatch.setattr(chaos, "run_chaos", run_chaos)
+    assert main(["chaos", "--quick", "--retries", "5"]) == 0
+    assert main(["chaos", "--quick"]) == 0
+    assert calls[0]["max_attempts"] == 5
+    assert "max_attempts" not in calls[1]  # run_chaos' own default
+
+
+def test_chaos_has_one_retry_flag(capsys):
+    # --retries is chaos' only attempt budget.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "--help"])
+    assert excinfo.value.code == 0
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert "--retries" in flags
+    assert not [flag for flag in flags if "attempt" in flag]
 
 
 def test_serve_refuses_job_timeout(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Validation tests for the configuration dataclasses."""
 
+import ast
+import dataclasses
+import pathlib
+
 import pytest
 
 from repro.config import (
@@ -62,11 +66,11 @@ class TestMachineConfig:
         assert hash(MachineConfig()) == hash(MachineConfig())
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"MachineConfig\.width ="):
             MachineConfig(width=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="memory_latency"):
             MachineConfig(memory_latency=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="rob_entries"):
             MachineConfig(rob_entries=2)
 
 
@@ -77,21 +81,17 @@ class TestEnergyConfig:
         )
 
     def test_idle_factor_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="idle_factor"):
             EnergyConfig(idle_factor=1.5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="idle_factor"):
             EnergyConfig(idle_factor=-0.1)
 
     def test_with_idle_factor(self):
         cfg = EnergyConfig().with_idle_factor(0.1)
-        assert cfg.e_idle_per_cycle == 0.1
-
-    def test_joules_conversion(self):
-        cfg = EnergyConfig()
-        assert cfg.joules(2.0) == pytest.approx(2.0 * cfg.e_max_per_cycle)
+        assert cfg.idle_factor == 0.1
 
     def test_bad_shares_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="structure_shares"):
             EnergyConfig(structure_shares={"bpred": 0.5})
 
 
@@ -102,82 +102,135 @@ class TestSelectionConfig:
         assert s.max_pthread_insts == 64
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="slicing_window"):
             SelectionConfig(slicing_window=1)
-        with pytest.raises(ConfigError):
-            SelectionConfig(composition_weight=2.0)
-        with pytest.raises(ConfigError):
-            SelectionConfig(load_cost_model="magic")
 
 
 class TestSimulationConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="max_instructions"):
             SimulationConfig(max_instructions=0)
 
 
 class TestValidate:
-    """``validate()`` names the offending field and its legal range,
-    catching values that pass ``__post_init__``'s coarse checks."""
+    """Each config checks every field when it is built, naming the
+    offending field and its legal range."""
 
     def test_defaults_all_validate(self):
-        assert MachineConfig().validate() is not None
-        assert EnergyConfig().validate() is not None
-        assert SelectionConfig().validate() is not None
-        assert SimulationConfig().validate() is not None
-
-    def test_validate_returns_self(self):
-        machine = MachineConfig()
-        assert machine.validate() is machine
+        MachineConfig()
+        EnergyConfig()
+        SelectionConfig()
+        SimulationConfig()
 
     def test_error_names_field_and_range(self):
         with pytest.raises(
             ConfigError, match=r"MachineConfig\.pipeline_stages = 3"
         ):
-            MachineConfig(pipeline_stages=3).validate()
+            MachineConfig(pipeline_stages=3)
+
+    def test_invalid_config_fails_before_simulating(self):
+        from repro.harness.experiment import run_experiment
+
+        with pytest.raises(
+            ConfigError, match=r"MachineConfig\.pipeline_stages"
+        ):
+            run_experiment("gap", machine=MachineConfig(pipeline_stages=3))
+
+    @pytest.mark.parametrize(
+        "kwargs, field_name",
+        [
+            (dict(width=65), "width"),
+            (dict(commit_width=0), "commit_width"),
+            (dict(thread_contexts=0), "thread_contexts"),
+            (dict(tlb_miss_latency=-1), "tlb_miss_latency"),
+            (dict(bus_bytes=12), "bus_bytes"),
+        ],
+    )
+    def test_machine_field_ranges(self, kwargs, field_name):
+        with pytest.raises(ConfigError, match=rf"MachineConfig\.{field_name} ="):
+            MachineConfig(**kwargs)
 
     def test_machine_cross_field_constraints(self):
         with pytest.raises(ConfigError, match="pthread_rs_reserve"):
-            MachineConfig(rs_entries=8, pthread_rs_reserve=8).validate()
+            MachineConfig(rs_entries=8, pthread_rs_reserve=8)
         with pytest.raises(ConfigError, match="physical_registers"):
-            MachineConfig(physical_registers=64).validate()
+            MachineConfig(physical_registers=64)
 
     def test_machine_power_of_two_fields(self):
         with pytest.raises(ConfigError, match="page_bytes"):
-            MachineConfig(page_bytes=3000).validate()
+            MachineConfig(page_bytes=3000)
         with pytest.raises(ConfigError, match="bpred_entries"):
-            MachineConfig(bpred_entries=1000).validate()
+            MachineConfig(bpred_entries=1000)
 
     def test_machine_pthread_fetch_ipc_bounds(self):
         with pytest.raises(ConfigError, match="pthread_fetch_ipc"):
-            MachineConfig(pthread_fetch_ipc=0.0).validate()
+            MachineConfig(pthread_fetch_ipc=0.0)
         with pytest.raises(ConfigError, match="pthread_fetch_ipc"):
-            MachineConfig(pthread_fetch_ipc=7.5).validate()
+            MachineConfig(pthread_fetch_ipc=7.5)
 
-    def test_machine_validates_cache_subconfigs(self):
-        bad_l2 = CacheConfig(256 * 1024, 4, 64, 12)
-        object.__setattr__(bad_l2, "hit_latency", 0)
-        with pytest.raises(ConfigError, match=r"l2\.hit_latency"):
-            MachineConfig(l2=bad_l2).validate()
-
-    def test_energy_access_fraction_bounds(self):
-        with pytest.raises(ConfigError, match="e_l2_access"):
-            EnergyConfig(e_l2_access=1.5).validate()
+    @pytest.mark.parametrize(
+        "args, field_name",
+        [
+            ((0, 2, 64, 1), "size_bytes"),
+            ((1024, 0, 64, 1), "assoc"),
+            ((1024, 2, 48, 1), "line_bytes"),
+            ((1024, 2, 64, 0), "hit_latency"),
+            ((1000, 2, 64, 1), "size_bytes"),
+            # 5 lines in 2 ways: not a whole number of sets.
+            ((320, 2, 64, 1), "size_bytes"),
+        ],
+    )
+    def test_cache_field_ranges(self, args, field_name):
+        with pytest.raises(ConfigError, match=rf"CacheConfig\.{field_name} ="):
+            CacheConfig(*args)
 
     def test_energy_physical_parameters(self):
-        with pytest.raises(ConfigError, match="frequency_ghz"):
-            EnergyConfig(frequency_ghz=0.0).validate()
-        with pytest.raises(ConfigError, match="vdd"):
-            EnergyConfig(vdd=-1.0).validate()
+        with pytest.raises(ConfigError, match="e_max_per_cycle"):
+            EnergyConfig(e_max_per_cycle=0.0)
+        with pytest.raises(ConfigError, match="e_max_per_cycle"):
+            EnergyConfig(e_max_per_cycle=-1e-9)
 
     def test_selection_ranges(self):
         with pytest.raises(ConfigError, match="min_miss_share"):
-            SelectionConfig(min_miss_share=1.5).validate()
+            SelectionConfig(min_miss_share=1.5)
         with pytest.raises(ConfigError, match="embedded_latency_factor"):
-            SelectionConfig(embedded_latency_factor=0.5).validate()
+            SelectionConfig(embedded_latency_factor=0.5)
         with pytest.raises(ConfigError, match="min_gain_cycles"):
-            SelectionConfig(min_gain_cycles=-1).validate()
+            SelectionConfig(min_gain_cycles=-1)
+        with pytest.raises(ConfigError, match="max_problem_loads"):
+            SelectionConfig(max_problem_loads=0)
+        with pytest.raises(ConfigError, match="max_pthread_insts"):
+            SelectionConfig(max_pthread_insts=0)
 
-    def test_simulation_seed_non_negative(self):
-        with pytest.raises(ConfigError, match="seed"):
-            SimulationConfig(seed=-1).validate()
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _attribute_reads(tree):
+    return {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_config_field_is_read():
+    # A field nothing reads only changes the config's fingerprint (and so
+    # the cell and cache keys), never a run.  A field counts as read if
+    # some module other than config.py accesses it, directly or through
+    # a config.py property or method that is itself accessed there (e.g.
+    # pipeline_stages via MachineConfig.frontend_depth).
+    config_py = _SRC / "config.py"
+    read = set()
+    for path in _SRC.rglob("*.py"):
+        if path != config_py:
+            read |= _attribute_reads(ast.parse(path.read_text()))
+    for node in ast.walk(ast.parse(config_py.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name in read:
+            read |= _attribute_reads(node)
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (CacheConfig, MachineConfig, EnergyConfig,
+                    SelectionConfig, SimulationConfig)
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    ]
+    assert unread == []
