@@ -19,18 +19,19 @@ Commands mirror the paper's evaluation:
 
 Every evaluation command accepts the global observability flags
 (``analytics query``, ``cache`` and ``report`` take only
-``--log-level``, ``--json`` and ``--quiet``, plus ``cache --cache-dir``
-and ``report --output``, since they run no experiment):
+``--log-level`` and ``--json``, plus ``cache --cache-dir`` and
+``report --output``, since they run no experiment):
 
-- ``--log-level LEVEL``  emit JSON-lines telemetry (spans, heartbeats,
-  simulator throughput) to stderr at ``debug|info|warning|error``;
+- ``--log-level LEVEL``  emit JSON-lines telemetry (spans, simulator
+  throughput) to stderr at ``debug|info|warning|error``;
 - ``--json``             print result rows as JSON lines instead of the
   rendered text table;
 - ``--out DIR``          write machine-readable artifacts into ``DIR``:
   ``manifest.json`` (provenance + config fingerprints + counters),
   ``results.jsonl`` (one row per (benchmark, target)) and an
-  appendable ``run_table.csv``;
-- ``--quiet``            suppress heartbeat/progress telemetry.
+  appendable ``run_table.csv``.
+
+``run --quiet`` prints the result table without the selection listing.
 
 ``repro serve`` runs the engine as an HTTP/JSON service (``/v1/stats``
 reports its queue and admission state);
@@ -38,28 +39,32 @@ reports its queue and admission state);
 
 the performance flags:
 
-- ``--jobs N``           worker processes for figure grids (default:
-  ``REPRO_JOBS`` or ``os.cpu_count()``; ``1`` = fully sequential);
+- ``--jobs N``           worker processes for figure grids, N >= 1
+  (default: ``REPRO_JOBS`` or ``os.cpu_count()``; ``1`` = fully
+  sequential);
 - ``--cache-dir DIR``    persistent simulation cache location
   (default ``~/.cache/repro-sim``);
 - ``--no-sim-cache``     disable the persistent cache for this run;
 
-and the robustness flags:
+and ``--inject-fault SITE:prob[:seed]``, which deterministically
+injects faults (repeatable; see ``repro.faults`` for sites).
+
+The grid commands (``figure2``-``figure5``, ``table3``) also take the
+robustness flags:
 
 - ``--retries N``        attempts per grid cell before it becomes a
   failure row (N >= 1, default 3);
 - ``--job-timeout S``    per-job wall-clock timeout in seconds (S > 0;
-  the worker pool is rebuilt around hung cells; ``repro serve``
-  refuses it, see ``--deadline``);
+  the worker pool is rebuilt around hung cells);
 - ``--resume``           with ``--out DIR``, skip cells already recorded
-  in ``DIR/journal.jsonl`` by a previous (interrupted) run;
-- ``--inject-fault SITE:prob[:seed]``  deterministically inject faults
-  (repeatable; see ``repro.faults`` for sites).
+  in ``DIR/journal.jsonl`` by a previous (interrupted) run.
 
 ``repro chaos`` runs a grid twice -- fault-free and under injected
 faults -- and reports whether recovery was complete, bit-identical, and
-fully accounted; its ``--retries`` is the faulted run's attempt budget
-(default 8).
+fully accounted; it takes ``--retries`` (the faulted run's attempt
+budget, default 8) and ``--job-timeout``, but ``chaos --server`` takes
+neither.  ``repro serve --resume`` resumes from its ``--state``
+directory.
 """
 
 from __future__ import annotations
@@ -110,7 +115,9 @@ def _positive(kind: type) -> Callable[[str], object]:
 
 def _parser() -> argparse.ArgumentParser:
     # view_flags: how a command reports; obs_flags adds the run flags
-    # (artifacts, engine, cache, faults) for commands that run or write.
+    # (artifacts, engine, cache, faults) for commands that run or write;
+    # attempt_flags and grid_flags add the per-cell retry budget and
+    # journal resume, for the commands that run cells through the engine.
     view_flags = argparse.ArgumentParser(add_help=False)
     view_flags.add_argument(
         "--log-level",
@@ -123,12 +130,6 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print result rows as JSON lines instead of text tables",
     )
-    view_flags.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress heartbeat/progress telemetry (and, for run, the "
-        "selection description)",
-    )
     obs_flags = argparse.ArgumentParser(add_help=False, parents=[view_flags])
     obs_flags.add_argument(
         "--out",
@@ -139,7 +140,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     obs_flags.add_argument(
         "--jobs",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="worker processes for experiment grids "
@@ -158,6 +159,15 @@ def _parser() -> argparse.ArgumentParser:
         help="disable the persistent simulation cache for this run",
     )
     obs_flags.add_argument(
+        "--inject-fault",
+        action="append",
+        default=None,
+        metavar="SITE:PROB[:SEED]",
+        help="deterministically inject faults at SITE with probability "
+        "PROB (repeatable; sites: " + ", ".join(faults.SITES) + ")",
+    )
+    attempt_flags = argparse.ArgumentParser(add_help=False)
+    attempt_flags.add_argument(
         "--retries",
         type=_positive(int),
         default=None,
@@ -166,7 +176,7 @@ def _parser() -> argparse.ArgumentParser:
         "row, >= 1 (default 3; chaos: the faulted run's budget, "
         "default 8)",
     )
-    obs_flags.add_argument(
+    attempt_flags.add_argument(
         "--job-timeout",
         type=_positive(float),
         default=None,
@@ -174,19 +184,14 @@ def _parser() -> argparse.ArgumentParser:
         help="per-job wall-clock timeout; hung workers are killed and "
         "their cells retried (default: none)",
     )
-    obs_flags.add_argument(
+    grid_flags = argparse.ArgumentParser(
+        add_help=False, parents=[obs_flags, attempt_flags]
+    )
+    grid_flags.add_argument(
         "--resume",
         action="store_true",
         help="with --out DIR: skip cells already completed in "
         "DIR/journal.jsonl (from a previous interrupted run)",
-    )
-    obs_flags.add_argument(
-        "--inject-fault",
-        action="append",
-        default=None,
-        metavar="SITE:PROB[:SEED]",
-        help="deterministically inject faults at SITE with probability "
-        "PROB (repeatable; sites: " + ", ".join(faults.SITES) + ")",
     )
 
     parser = argparse.ArgumentParser(
@@ -203,18 +208,21 @@ def _parser() -> argparse.ArgumentParser:
                      choices=("train", "ref"))
     run.add_argument("--branch-pthreads", action="store_true",
                      help="also select branch-outcome p-threads (Section 7)")
+    run.add_argument("--quiet", action="store_true",
+                     help="print the result table without the selection "
+                     "listing")
 
-    sub.add_parser("figure2", parents=[obs_flags],
+    sub.add_parser("figure2", parents=[grid_flags],
                    help="N vs O breakdowns")
-    fig3 = sub.add_parser("figure3", parents=[obs_flags],
+    fig3 = sub.add_parser("figure3", parents=[grid_flags],
                           help="O/L/E/P retargeting study")
     fig3.add_argument("--benchmarks", nargs="*", default=None)
-    sub.add_parser("figure4", parents=[obs_flags],
+    sub.add_parser("figure4", parents=[grid_flags],
                    help="realistic profiling study")
-    fig5 = sub.add_parser("figure5", parents=[obs_flags],
+    fig5 = sub.add_parser("figure5", parents=[grid_flags],
                           help="sensitivity panels")
     fig5.add_argument("panel", choices=("idle", "memlat", "l2"))
-    sub.add_parser("table3", parents=[obs_flags],
+    sub.add_parser("table3", parents=[grid_flags],
                    help="model validation ratios")
     sub.add_parser("list", parents=[obs_flags], help="list benchmarks")
 
@@ -269,7 +277,7 @@ def _parser() -> argparse.ArgumentParser:
                          "(repeatable)")
 
     chaos = sub.add_parser(
-        "chaos", parents=[obs_flags],
+        "chaos", parents=[obs_flags, attempt_flags],
         help="prove fault recovery: run a grid fault-free and under "
         "injected faults, compare",
     )
@@ -284,8 +292,9 @@ def _parser() -> argparse.ArgumentParser:
     chaos.add_argument("--server", action="store_true",
                        help="server drill instead: kill -9 a faulted "
                        "repro serve mid-grid, --resume it, verify every "
-                       "acknowledged job completes bit-identically")
-    chaos.add_argument("--kill-after", type=int, default=None,
+                       "acknowledged job completes bit-identically "
+                       "(takes no --retries or --job-timeout)")
+    chaos.add_argument("--kill-after", type=_positive(int), default=None,
                        metavar="N",
                        help="with --server: SIGKILL the server after N "
                        "acknowledged submits (default 2: the first "
@@ -303,21 +312,27 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument("--state", metavar="DIR", default="serve_state",
                        help="state directory for the accept ledger and "
                        "completion journal (default ./serve_state)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
+    serve.add_argument("--workers", type=_positive(int), default=None,
+                       metavar="N",
                        help="job worker threads (default: --jobs or 2)")
-    serve.add_argument("--max-queue", type=int, default=64, metavar="N",
+    serve.add_argument("--max-queue", type=_positive(int), default=64,
+                       metavar="N",
                        help="admission-control queue depth bound; "
                        "beyond it submits shed with 429 + Retry-After "
                        "(default 64)")
-    serve.add_argument("--deadline", type=float, default=None,
+    serve.add_argument("--deadline", type=_positive(float), default=None,
                        metavar="SECONDS",
                        help="default per-job deadline: jobs still "
                        "queued after SECONDS fail instead of running "
-                       "(default: none)")
+                       "(default: none; serve has no --job-timeout, "
+                       "since a running job cannot be preempted)")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="graceful-shutdown budget for in-flight "
                        "jobs on SIGTERM/^C (default 30)")
+    serve.add_argument("--resume", action="store_true",
+                       help="resume from the --state directory: re-queue "
+                       "every acknowledged job that has not completed")
 
     loadtest = sub.add_parser(
         "loadtest", parents=[obs_flags],
@@ -332,12 +347,12 @@ def _parser() -> argparse.ArgumentParser:
                           help="closed: N workers with one outstanding "
                           "request each; open: fixed-rate arrivals "
                           "regardless of completions (default closed)")
-    loadtest.add_argument("--requests", type=int, default=None,
+    loadtest.add_argument("--requests", type=_positive(int), default=None,
                           metavar="N", help="total requests to issue")
-    loadtest.add_argument("--concurrency", type=int, default=None,
-                          metavar="N",
+    loadtest.add_argument("--concurrency", type=_positive(int),
+                          default=None, metavar="N",
                           help="closed-loop worker count (default 3)")
-    loadtest.add_argument("--rate", type=float, default=2.0,
+    loadtest.add_argument("--rate", type=_positive(float), default=2.0,
                           metavar="RPS",
                           help="open-loop arrival rate (default 2.0)")
     loadtest.add_argument("--benchmarks", nargs="*", default=None)
@@ -346,11 +361,12 @@ def _parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--quick", action="store_true",
                           help="CI smoke: one benchmark, 6 requests, "
                           "concurrency 3")
-    loadtest.add_argument("--budget", type=float, default=None,
+    loadtest.add_argument("--budget", type=_positive(float), default=None,
                           metavar="SECONDS",
                           help="latency budget for the report's "
                           "max-concurrency math (default 60)")
-    loadtest.add_argument("--wait-timeout", type=float, default=180.0,
+    loadtest.add_argument("--wait-timeout", type=_positive(float),
+                          default=180.0,
                           metavar="SECONDS",
                           help="per-request completion wait (default 180)")
     loadtest.add_argument("--max-failure-rate", type=float, default=0.0,
@@ -429,13 +445,17 @@ _GRID_COMMANDS = ("figure2", "figure3", "figure4", "figure5", "table3")
 
 def main(argv: Optional[List[str]] = None) -> int:
     started = time.time()
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     args._started = started
+    if args.command == "chaos" and args.server and (
+        args.retries is not None or args.job_timeout is not None
+    ):
+        # The server drill has no attempt budget: served jobs run once.
+        parser.error("chaos --server takes no --retries or --job-timeout")
 
     if getattr(args, "log_level", "off") != "off":
         obs.configure(level=args.log_level)
-    if getattr(args, "quiet", False):
-        obs.set_quiet(True)
 
     if getattr(args, "cache_dir", None) or getattr(args, "no_sim_cache",
                                                    False):
@@ -445,18 +465,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     jobs = getattr(args, "jobs", None)
 
-    if getattr(args, "inject_fault", None):
-        try:
+    try:
+        if getattr(args, "inject_fault", None):
             faults.configure(args.inject_fault)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        else:
+            # Resolve REPRO_FAULTS now: a bad spec exits 2 here even when
+            # no fault site is ever consulted.
+            faults.current_plan()
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    if (
-        getattr(args, "resume", False)
-        and not getattr(args, "out", None)
-        and args.command != "serve"  # serve resumes from --state instead
-    ):
+    grid = args.command in _GRID_COMMANDS
+    if grid and args.resume and not args.out:
         print("error: --resume requires --out DIR", file=sys.stderr)
         return 2
 
@@ -466,7 +487,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         timeout_s=getattr(args, "job_timeout", None),
     )
     journal = None
-    if getattr(args, "out", None) and args.command in _GRID_COMMANDS:
+    if grid and args.out:
         journal = Journal.for_run_dir(args.out)
         if args.resume:
             resumed = len(journal.load())
@@ -503,8 +524,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # into a later in-process invocation (tests call main directly).
         if getattr(args, "inject_fault", None):
             faults.reset()
-        if getattr(args, "quiet", False):
-            obs.set_quiet(False)
 
 
 def _dispatch(
@@ -726,17 +745,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         JobQueue,
         ServerState,
     )
-
-    if args.job_timeout is not None:
-        # Served jobs run on the queue's worker threads, and a running
-        # in-thread simulation cannot be preempted.
-        print(
-            "error: --job-timeout does not apply to repro serve (a "
-            "running job cannot be preempted); use --deadline to fail "
-            "jobs that wait too long in the queue",
-            file=sys.stderr,
-        )
-        return 2
 
     workers = args.workers or args.jobs or 2
     state = ServerState(args.state)

@@ -7,12 +7,10 @@
  * p-thread program into the C_* config block and flat columns, and
  * rebuilds SimStats from the O_* counter block plus the ordered
  * missed/misspc uid streams and (on deadlock) the fetch-state snapshot
- * this kernel returns.  A non-NULL progress callback is called every
- * cfg[C_HEARTBEAT_CYCLES] simulated cycles with (cycles, committed,
- * spawns_started).  Built opportunistically by repro/cpu/nativebuild.py
- * and loaded through ctypes; every constant below must stay
- * value-identical to kerneldriver's (KERNEL_ABI is checked at load
- * time).  tests/cpu/test_golden_sim_backends.py gates bit-identical
+ * this kernel returns.  Built opportunistically by
+ * repro/cpu/nativebuild.py and loaded through ctypes; every constant
+ * below must stay value-identical to kerneldriver's (KERNEL_ABI is
+ * checked at load time).  tests/cpu/test_golden_sim_backends.py gates bit-identical
  * SimStats against the reference.
  *
  * Where the loop departs from the reference's per-cycle stage closures.
@@ -71,7 +69,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define KERNEL_ABI 2
+#define KERNEL_ABI 3
 #define NOT_DONE (-1LL)
 #define NO_FILL (1LL << 62)
 
@@ -103,7 +101,6 @@ enum {
     C_MSHR_ENTRIES, C_MEMORY_LATENCY,
     C_L2BUS_CYC_DLINE, C_L2BUS_CYC_ILINE, C_MEMBUS_CYC_L2LINE,
     C_N_SPAWNS, C_N_PINSTS, C_DEP_LEN, C_LIVE_LEN,
-    C_HEARTBEAT_CYCLES,
     C_LEN,
 };
 
@@ -526,9 +523,6 @@ static int64_t inst_fetch(Mem *m, int64_t addr, int64_t now) {
 
 int64_t repro_kernel_abi(void) { return KERNEL_ABI; }
 
-/* Progress hook: (cycles, committed, spawns_started). */
-typedef void (*progress_fn)(int64_t, int64_t, int64_t);
-
 #define MAX_ALLOCS 64
 
 typedef struct {
@@ -554,8 +548,7 @@ int repro_kernel_simulate(
     int64_t *out,
     int64_t *missed_out,
     int64_t *misspc_out,
-    int64_t *fa_out,
-    progress_fn progress
+    int64_t *fa_out
 ) {
     Arena ar = { {0}, 0 };
 #define ALLOC64(var, count) \
@@ -879,15 +872,7 @@ int repro_kernel_simulate(
         wk_tail[producer_] = nn_;                                        \
     } while (0)
 
-    const int64_t hb_cycles = cfg[C_HEARTBEAT_CYCLES];
-    int64_t hb_next = progress ? hb_cycles : NO_FILL;
-
     while (committed < n_main) {
-        if (now >= hb_next) {
-            progress(now, committed, st_spawns_started);
-            hb_next = now + hb_cycles;
-        }
-
         /* ---- wakeup ------------------------------------------- */
         if (n_events_t1) {
             for (int64_t i = 0; i < n_events_t1; i++) {

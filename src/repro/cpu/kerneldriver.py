@@ -1,11 +1,10 @@
 """Marshal/unmarshal driver for the compiled C cycle kernel.
 
-:func:`repro.cpu.pipeline.simulate` routes every run here that does not
-need the reference engine (:func:`repro.cpu.pipeline.use_reference`,
-which also routes every run to the reference when the ``kernel``
-library does not load), and :func:`repro.cpu.batch.simulate_batch`
-calls it once per machine config.  It drives ``cpu/_kernel.c``, loaded
-by :mod:`repro.cpu.nativebuild`, and owns the marshaled layout the two
+:func:`repro.cpu.pipeline.simulate` routes every run here when the
+``kernel`` library loads (:func:`repro.cpu.pipeline.use_reference`),
+and :func:`repro.cpu.batch.simulate_batch` calls it once per machine
+config.  It drives ``cpu/_kernel.c``, loaded by
+:mod:`repro.cpu.nativebuild`, and owns the marshaled layout the two
 share: the ``C_*`` config block and ``O_*`` counter block indices, the
 status codes and the entry-kind enums below.  All object traffic stops
 at this boundary: the driver hands the kernel the trace's sealed
@@ -104,10 +103,8 @@ assert NOT_DONE == _ref._NOT_DONE
     C_L2BUS_CYC_DLINE, C_L2BUS_CYC_ILINE, C_MEMBUS_CYC_L2LINE,
     # p-thread program shape
     C_N_SPAWNS, C_N_PINSTS, C_DEP_LEN, C_LIVE_LEN,
-    # progress hook interval (simulated cycles)
-    C_HEARTBEAT_CYCLES,
     C_LEN,
-) = range(60)
+) = range(59)
 
 # out block indices, in _kernel.c's O_* order.
 (
@@ -373,11 +370,10 @@ def _cfg_block(
     c[C_N_PINSTS] = len(pth.pi_kind)
     c[C_DEP_LEN] = len(pth.dep_flat)
     c[C_LIVE_LEN] = len(pth.live_flat)
-    c[C_HEARTBEAT_CYCLES] = _ref.HEARTBEAT_CYCLES
     return c
 
 
-def _run_native(lib, cfg_block, columns, warm, pth, n_loads, progress):
+def _run_native(lib, cfg_block, columns, warm, pth, n_loads):
     """Run the C kernel; returns ``(out, missed, misspc, fetch_state)``."""
     (kind_b, ctrl_b, writes_b, pc_a, addr_a, src1_a, src2_a, taken_a,
      next_pc_a, line_a, pred_b, btb_b) = columns
@@ -431,14 +427,9 @@ def _run_native(lib, cfg_block, columns, warm, pth, n_loads, progress):
         bp(kind_b), bp(ctrl_b), bp(writes_b), bp(taken_a),
         bp(pred_b), bp(btb_b), bp(pth.pi_kind), bp(pth.pi_hint_taken),
     )
-    callback = (
-        nativebuild.PROGRESS_FN(progress)
-        if progress is not None
-        else nativebuild.PROGRESS_FN()  # NULL: no progress calls
-    )
     rc = lib.repro_kernel_simulate(
         ip(cfg_a), i_tbl, b_tbl, ip(out), ip(missed_out), ip(misspc_out),
-        ip(fa_out), callback,
+        ip(fa_out),
     )
     if rc != 0:
         raise MemoryError(f"native kernel failed to allocate (rc={rc})")
@@ -468,9 +459,7 @@ def simulate_kernel(
     ``kernel`` library (:func:`repro.cpu.nativebuild.load`); without it
     this raises, and :func:`repro.cpu.pipeline.simulate` never calls
     here (:func:`repro.cpu.pipeline.use_reference` routes the run to
-    the reference).  Progress heartbeats are emitted through the
-    kernel's progress hook when
-    :func:`repro.cpu.pipeline.heartbeat_wanted` says so.
+    the reference).
     """
     lib = nativebuild.load()
     if lib is None:
@@ -510,7 +499,6 @@ def simulate_kernel(
     cfg_block = _cfg_block(
         cfg, n_main, pth, do_warm, has_spawns, has_hints, use_btb_col
     )
-    progress = _ref.Heartbeat(n_main) if _ref.heartbeat_wanted() else None
 
     columns = (
         kind_b, ctrl_b, writes_b, cols.pc, cols.addr, cols.src1, cols.src2,
@@ -518,7 +506,7 @@ def simulate_kernel(
     )
     out, missed, misspc, dead_fa = _run_native(
         lib, cfg_block, columns, warm_image, pth,
-        kind_b.count(K_LOAD), progress,
+        kind_b.count(K_LOAD),
     )
 
     status = out[O_STATUS]

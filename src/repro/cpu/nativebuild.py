@@ -67,7 +67,7 @@ B_LEN = 8
 #: Must match _kernel.c's KERNEL_ABI; bumped whenever the marshaled
 #: layout (kerneldriver's C_*/O_* blocks, array meanings, packing)
 #: changes.
-KERNEL_ABI = 2
+KERNEL_ABI = 3
 
 #: Must match _slicetree.c's SLICETREE_ABI.
 SLICETREE_ABI = 1
@@ -81,11 +81,6 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _I8P = ctypes.POINTER(ctypes.c_int8)
 
-#: The kernel's progress hook: ``(cycles, committed, spawns_started)``.
-PROGRESS_FN = ctypes.CFUNCTYPE(
-    None, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
-)
-
 
 def _configure_kernel(lib: ctypes.CDLL) -> None:
     lib.repro_kernel_simulate.restype = ctypes.c_int
@@ -97,7 +92,6 @@ def _configure_kernel(lib: ctypes.CDLL) -> None:
         _I64P,                                    # missed_out
         _I64P,                                    # misspc_out
         _I64P,                                    # fa_out
-        PROGRESS_FN,                              # progress (or None)
     ]
 
 

@@ -24,7 +24,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro import faults, obs
+from repro import obs
 from repro.branch.btb import BTB
 from repro.branch.predictors import HybridPredictor
 from repro.config import MachineConfig
@@ -42,12 +42,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 
 #: Bytes per instruction when mapping PCs into the I-cache address space.
 INST_BYTES = 4
-
-#: Simulated-cycle interval between progress heartbeat events (emitted
-#: only when debug-level telemetry is enabled, so the hot loop pays one
-#: comparison otherwise).  Read at simulation start
-#: by both the reference engine and the kernel driver.
-HEARTBEAT_CYCLES = 250_000
 
 _SIM_RUNS = obs.counters.counter("cpu.pipeline.simulations")
 _SIM_CYCLES = obs.counters.counter("cpu.pipeline.cycles_total")
@@ -222,60 +216,6 @@ def _deadlock_error(
         rob_head=rob_head,
         fetch_state=fetch_state,
     )
-
-
-def heartbeat_wanted() -> bool:
-    """Whether simulations should emit progress heartbeats: debug
-    telemetry on, and not silenced by ``--quiet``."""
-    return obs.is_enabled("debug") and not obs.is_quiet()
-
-
-class Heartbeat:
-    """Turns periodic ``(cycles, committed, spawns)`` progress calls into
-    ``sim_heartbeat`` events for one simulation of ``n_main``
-    instructions."""
-
-    def __init__(self, n_main: int) -> None:
-        self.n_main = n_main
-        self.start = self.last_wall = time.perf_counter()
-        self.last_cycles = 0
-        self.last_committed = 0
-
-    def __call__(self, cycles: int, committed: int, spawns: int) -> None:
-        n_main = self.n_main
-        wall_now = time.perf_counter()
-        wall_s = wall_now - self.start
-        # Interval rates (since the previous heartbeat) drive the ETA:
-        # committed instructions are monotone toward n_main, so the
-        # retired-rate projection converges even when the cycle rate
-        # swings between miss-bound and compute-bound program phases.
-        dt = wall_now - self.last_wall
-        retired_rate = (
-            (committed - self.last_committed) / dt if dt > 0 else 0.0
-        )
-        eta_s = (
-            (n_main - committed) / retired_rate if retired_rate > 0 else None
-        )
-        obs.log_event(
-            "sim_heartbeat",
-            level="debug",
-            cycles=cycles,
-            committed=committed,
-            progress_pct=round(100.0 * committed / n_main, 2)
-            if n_main
-            else 100.0,
-            spawns=spawns,
-            wall_s=round(wall_s, 3),
-            cycles_per_sec=round(cycles / wall_s) if wall_s else 0,
-            interval_cycles_per_sec=round((cycles - self.last_cycles) / dt)
-            if dt > 0
-            else 0,
-            interval_retired_per_sec=round(retired_rate),
-            eta_s=round(eta_s, 1) if eta_s is not None else None,
-        )
-        self.last_wall = wall_now
-        self.last_cycles = cycles
-        self.last_committed = committed
 
 
 def record_run(stats: SimStats, wall_s: float) -> None:
@@ -880,23 +820,7 @@ class Pipeline:
 
         safety_limit = 400 * n_main + 10_000_000
         wall_start = time.perf_counter()
-        # Progress heartbeats: only when wanted (see heartbeat_wanted),
-        # so the disabled fast path costs one boolean test per iteration.
-        heartbeat = Heartbeat(n_main) if heartbeat_wanted() else None
-        heartbeat_cycles = HEARTBEAT_CYCLES
-        heartbeat_next = heartbeat_cycles
-        # The ``pipeline.step`` fault site costs one hoisted boolean test
-        # per iteration when inactive; when armed it is sampled once at
-        # simulation start and then at heartbeat-sized cycle intervals.
-        fault_step = faults.site_active("pipeline.step")
-        fault_next = 0
         while committed < n_main:
-            if fault_step and now >= fault_next:
-                fault_next = now + HEARTBEAT_CYCLES
-                faults.raise_if("pipeline.step", key=f"cycle:{now}")
-            if heartbeat is not None and now >= heartbeat_next:
-                heartbeat(now, committed, stats.spawns_started)
-                heartbeat_next = now + heartbeat_cycles
             if completion_events and completion_events[0][0] <= now:
                 process_completions()
             ncommitted = do_commit()
@@ -976,15 +900,13 @@ class Pipeline:
 
 
 def use_reference() -> bool:
-    """Whether a simulation must run on the reference :class:`Pipeline`.
-
-    Two observable cases: the ``pipeline.step`` fault site is armed (it
-    fires from inside the reference loop), or the compiled ``kernel``
-    library does not load (no C toolchain, ``REPRO_NATIVE=0``).
+    """Whether a simulation must run on the reference :class:`Pipeline`:
+    exactly when the compiled ``kernel`` library does not load (no C
+    toolchain, ``REPRO_NATIVE=0``).
     """
     from repro.cpu import nativebuild
 
-    return faults.site_active("pipeline.step") or nativebuild.load() is None
+    return nativebuild.load() is None
 
 
 def simulate(
@@ -993,10 +915,10 @@ def simulate(
     pthreads: Optional[PThreadProgram] = None,
     warm: bool = True,
 ) -> SimStats:
-    """Run one timing simulation on the cycle engine the run allows.
+    """Run one timing simulation on the cycle engine that loads.
 
     Runs the compiled cycle kernel (:mod:`repro.cpu.kerneldriver`)
-    unless :func:`use_reference` routes the run to :class:`Pipeline`.  The two
+    when it loads, and :class:`Pipeline` otherwise.  The two
     are bit-identical (``tests/cpu/test_golden_sim_backends``), so
     nothing downstream can observe the dispatch.
     """

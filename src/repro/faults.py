@@ -13,7 +13,6 @@ reproducible schedule:
   the whole pool (exercises ``BrokenProcessPool`` rebuild + resubmit);
 - ``worker.hang``     -- an experiment job sleeps forever (exercises
   per-job wall-clock timeouts);
-- ``pipeline.step``   -- the timing simulator crashes mid-simulation;
 - ``manifest.write``  -- writing run artifacts raises ``OSError``;
 - ``server.accept`` / ``queue.enqueue`` / ``server.respond`` -- the
   experiment server drops a connection before parsing, fails an enqueue
@@ -54,7 +53,6 @@ SITES = (
     "worker.run",
     "worker.start",
     "worker.hang",
-    "pipeline.step",
     "manifest.write",
     # Experiment-server sites (repro serve): drop the connection before
     # the request is parsed, fail the enqueue after admission but before
@@ -164,8 +162,8 @@ class FaultPlan:
         ``"<cell>:<attempt>"`` -- for draws that must be reproducible
         across processes and retries.  The ambient :func:`scoped` scope
         (set by workers to ``"<cell>:<attempt>"``) is mixed into every
-        key, so a deterministic replay under retry -- e.g. the pipeline
-        reaching the same cycle -- draws a fresh sample and converges.
+        key, so a deterministic replay under retry -- e.g. the cache
+        re-reading the same key -- draws a fresh sample and converges.
         """
         spec = self.by_site.get(site)
         if spec is None or spec.probability <= 0.0:
@@ -215,9 +213,9 @@ def scoped(scope: Optional[str]) -> Iterator[None]:
 
     The parallel engine's workers scope each job to
     ``"<cell_key>:<attempt>"`` so that faults inside deterministic replays
-    (the timing simulator re-reaching the same cycle, the cache re-reading
-    the same key) re-draw on retry instead of permafailing.  The scope is
-    thread-local: concurrent server worker threads each carry their own."""
+    (the cache re-reading the same key) re-draw on retry instead of
+    permafailing.  The scope is thread-local: concurrent server worker
+    threads each carry their own."""
     previous = current_scope()
     _scope_local.scope = scope
     try:
@@ -305,7 +303,7 @@ def pristine() -> Iterator[None]:
 
 
 def site_active(site: str) -> bool:
-    """Cheap pre-check call sites hoist out of hot loops."""
+    """Whether ``site`` is armed with a nonzero probability (no draw)."""
     plan = current_plan()
     return plan is not None and plan.site_active(site)
 

@@ -24,11 +24,10 @@ explicit:
 Members whose baseline is already cached (on the trace the store holds,
 or in the persistent simulation cache) are skipped, so re-runs and
 journal resumes do not re-simulate.  The engine only invokes the pass
-on the sequential path when :func:`repro.cpu.pipeline.use_reference` is
-false (the reference engine is the fault-injection oracle and must
-observe every simulation itself); everything here is bit-identical to
-the per-cell path because :func:`simulate_batch` runs the same kernel on
-the same memoized trace objects.
+on the sequential path when the compiled cycle kernel loads
+(:func:`repro.cpu.pipeline.use_reference` is false); everything here is
+bit-identical to the per-cell path because :func:`simulate_batch` runs
+the same kernel on the same memoized trace objects.
 """
 
 from __future__ import annotations
@@ -156,11 +155,8 @@ def prewarm(jobs: Iterable) -> None:
 def maybe_prewarm(jobs: List) -> None:
     """Gate and run :func:`prewarm` for the sequential engine path.
 
-    Skipped when fewer than two jobs, or whenever simulations must run
-    through :class:`~repro.cpu.pipeline.Pipeline` itself
-    (:func:`~repro.cpu.pipeline.use_reference`: an armed
-    ``pipeline.step`` fault site, or no compiled cycle kernel to batch
-    on).
+    Skipped when fewer than two jobs, or when there is no compiled cycle
+    kernel to batch on (:func:`~repro.cpu.pipeline.use_reference`).
     """
     if len(jobs) >= 2 and not pipeline.use_reference():
         prewarm(jobs)

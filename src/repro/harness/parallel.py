@@ -341,13 +341,10 @@ def _worker_init(
     log_level: str,
     fault_specs: Sequence[str],
     fail_start: bool,
-    quiet: bool = False,
 ) -> None:
     simcache.configure(cache_dir=cache_dir, enabled=cache_enabled)
     if log_level != "off":
         obs.configure(level=log_level)
-    # --quiet must silence heartbeats in the workers too.
-    obs.set_quiet(quiet)
     faults.configure(fault_specs)
     if fail_start:
         # The parent drew the worker.start fault for this pool epoch
@@ -364,7 +361,7 @@ def _execute_job(
     Draw keys include the attempt number, so a retried cell samples
     independently and recovery converges.  The whole job runs under a
     ``faults.scoped`` context for the same reason: sites deep inside the
-    job (``pipeline.step``, ``simcache.*``) key their draws on replayed
+    job (``simcache.*``) key their draws on replayed
     deterministic state, and only the mixed-in scope makes a retry a
     fresh sample instead of a permafail.
     """
@@ -565,7 +562,6 @@ def _new_pool(workers: int, epoch: int) -> ProcessPoolExecutor:
             obs.current_level(),
             faults.encode_plan(),
             fail_start,
-            obs.is_quiet(),
         ),
     )
     _POOLS_STARTED.add()

@@ -32,10 +32,8 @@ from repro.obs.log import (
     current_level,
     current_span_path,
     is_enabled,
-    is_quiet,
     log_event,
     reset,
-    set_quiet,
     span,
 )
 from repro.obs.manifest import (
@@ -66,10 +64,8 @@ __all__ = [
     "current_level",
     "current_span_path",
     "is_enabled",
-    "is_quiet",
     "log_event",
     "reset",
-    "set_quiet",
     "span",
     "stable_json",
 ]

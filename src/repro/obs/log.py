@@ -39,17 +39,14 @@ LEVEL_NAMES = tuple(LEVELS)
 
 
 class _State:
-    """Process-wide logger state (threshold + sink + quiet flag)."""
+    """Process-wide logger state (threshold + sink)."""
 
-    __slots__ = ("threshold", "stream", "lock", "quiet")
+    __slots__ = ("threshold", "stream", "lock")
 
     def __init__(self) -> None:
         self.threshold = LEVELS["off"]
         self.stream: Optional[IO[str]] = None  # None -> sys.stderr
         self.lock = threading.Lock()
-        #: ``--quiet``: suppresses *progress chatter* (simulator
-        #: heartbeats) without lowering the log threshold.
-        self.quiet = False
 
 
 _state = _State()
@@ -75,18 +72,7 @@ def reset() -> None:
     """Return to the off-by-default state (tests use this)."""
     _state.threshold = LEVELS["off"]
     _state.stream = None
-    _state.quiet = False
     _local.stack = []
-
-
-def set_quiet(flag: bool) -> None:
-    """Toggle progress-chatter suppression (``--quiet``)."""
-    _state.quiet = bool(flag)
-
-
-def is_quiet() -> bool:
-    """Should progress chatter (heartbeats) stay silent?"""
-    return _state.quiet
 
 
 def is_enabled(level: str = "info") -> bool:

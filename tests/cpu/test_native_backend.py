@@ -1,11 +1,11 @@
 """The compiled cycle engine: dispatch, loading, and batch identity.
 
 Covers which runs :func:`simulate` routes to the reference
-:class:`Pipeline` (every run when the compiled kernel cannot load),
-that the compiled kernel reads the sealed trace columns without
-building Python lists, and, where the compiled artifact loads,
-``simulate_batch``/``batchplan`` equivalence with per-cell simulation.  Toolchain-less environments skip the
-compiled cases -- never fail.
+:class:`Pipeline` (every run when the compiled kernel cannot load, and
+no other), that the compiled kernel reads the sealed trace columns
+without building Python lists, and, where the compiled artifact loads,
+``simulate_batch``/``batchplan`` equivalence with per-cell simulation.
+Toolchain-less environments skip the compiled cases -- never fail.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.config import MachineConfig, SimulationConfig
 from repro.cpu import kerneldriver, nativebuild, pipeline
 from repro.cpu.batch import simulate_batch
 from repro.cpu.pipeline import simulate
-from repro.errors import FaultInjectedError
 from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import batchplan, experiment, simcache
@@ -50,6 +49,23 @@ def _gap_trace():
         get_program("gap", "train"), max_instructions=20_000,
         require_halt=False,
     )
+
+
+class _BaselineJob:
+    """The one method :mod:`batchplan` asks of a grid job."""
+
+    def __init__(self, benchmark, machine):
+        self._keys = [(benchmark, "train", machine, SIM)]
+
+    def baseline_keys(self):
+        return list(self._keys)
+
+
+def _mcf_latency_jobs():
+    return [
+        _BaselineJob("mcf", MachineConfig(memory_latency=lat))
+        for lat in (100, 200)
+    ]
 
 
 class TestEngineErrors:
@@ -119,14 +135,22 @@ class TestDispatch:
         simulate(_gap_trace())
         assert spy.built == 1
 
-    def test_pipeline_step_fault_routes_to_pipeline(self, monkeypatch):
-        spy = _PipelineSpy(monkeypatch)
-        trace = _gap_trace()
-        with faults.active(["pipeline.step:1.0"]):
-            with pytest.raises(FaultInjectedError) as err:
-                simulate(trace)
-        assert err.value.site == "pipeline.step"
-        assert spy.built == 1
+
+@pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
+def test_no_fault_plan_changes_the_engine(monkeypatch):
+    # Arming a fault site changes where a run may fail, never what it
+    # executes: simulations stay on the kernel and the prewarm batches.
+    trace = _gap_trace()
+    clean = simulate(trace)
+    spy = _PipelineSpy(monkeypatch)
+    groups = "harness.batchplan.groups"
+    with faults.active([f"{site}:1e-9" for site in faults.SITES]):
+        assert simulate(trace) == clean
+        before = obs.counters.snapshot()
+        with simcache.disabled():
+            batchplan.maybe_prewarm(_mcf_latency_jobs())
+        assert obs.counters.delta_since(before).get(groups) == 1
+    assert spy.built == 0
 
 
 @pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
@@ -157,19 +181,6 @@ class TestNativeAvailable:
 
 @pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
 class TestNativePrewarm:
-    class _Job:
-        def __init__(self, benchmark, machine):
-            self._keys = [(benchmark, "train", machine, SIM)]
-
-        def baseline_keys(self):
-            return list(self._keys)
-
-    def _jobs(self):
-        return [
-            self._Job("mcf", MachineConfig(memory_latency=lat))
-            for lat in (100, 200)
-        ]
-
     def _rows(self):
         return [
             run_experiment(
@@ -190,11 +201,11 @@ class TestNativePrewarm:
         tracestore.clear()
         with simcache.disabled():
             before = obs.counters.snapshot()
-            batchplan.prewarm(self._jobs())
+            batchplan.prewarm(_mcf_latency_jobs())
             assert obs.counters.delta_since(before).get(
                 "harness.batchplan.simulated"
             ) == 2
-            for job in self._jobs():
+            for job in _mcf_latency_jobs():
                 for key in job.baseline_keys():
                     assert experiment.baseline_cached(*key)
             prewarmed_rows = self._rows()

@@ -211,25 +211,6 @@ class TestPThreadExecution:
 
 
 class TestFaultsAndDeadlockDiagnostics:
-    def test_pipeline_step_fault_aborts_simulation(self):
-        from repro import faults
-        from repro.errors import FaultInjectedError
-
-        trace = _alu_loop(20)
-        with faults.active(["pipeline.step:1.0"]):
-            with pytest.raises(FaultInjectedError) as exc_info:
-                simulate(trace)
-        assert exc_info.value.site == "pipeline.step"
-
-    def test_pipeline_step_inactive_plan_is_harmless(self):
-        from repro import faults
-
-        trace = _alu_loop(20)
-        baseline = simulate(trace)
-        # An armed-but-never-firing plan must not perturb timing.
-        with faults.active(["pipeline.step:0.0"]):
-            assert simulate(trace).cycles == baseline.cycles
-
     def test_deadlock_error_carries_machine_state(self):
         from collections import deque
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import faults, obs
+from repro import obs
 from repro.config import MachineConfig, SimulationConfig
 from repro.cpu import nativebuild, pipeline
 from repro.frontend import tracestore
@@ -135,11 +135,6 @@ class TestMaybePrewarm:
     def test_reference_backend_gates_off(self, monkeypatch):
         monkeypatch.setattr(pipeline, "use_reference", lambda: True)
         assert self._gated(_latency_jobs()) == self.NOTHING
-
-    def test_armed_step_fault_gates_off(self):
-        # Every simulation must reach the reference engine's fault site.
-        with faults.active(["pipeline.step:0.5"]):
-            assert self._gated(_latency_jobs()) == self.NOTHING
 
     def test_no_compiled_kernel_gates_off(self, monkeypatch):
         # Without the C kernel every simulation runs on the reference,

@@ -140,3 +140,50 @@ def test_realistic_profiling_adopts_the_run_trace(monkeypatch):
     adopted = real(program, pthreads, **kwargs)
     assert fresh.trace.as_lists() == run_trace.as_lists()
     assert fresh.spawn_counts == adopted.spawn_counts
+
+
+def test_crash_partway_through_a_cell_retries_to_the_same_row(monkeypatch):
+    # A simulator crash after the baseline and the augmented program
+    # already sit on the run trace: the retry reuses both, simulates the
+    # optimized program afresh, and yields the fault-free row.
+    from repro.errors import FaultInjectedError
+    from repro.harness import simcache
+    from repro.harness.parallel import (
+        ExperimentJob,
+        RetryPolicy,
+        run_experiments,
+    )
+
+    job = ExperimentJob("gap", target=Target.LATENCY)
+    policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
+    with simcache.disabled():
+        tracestore.clear()
+        (clean,) = run_experiments([job], n_jobs=1, policy=policy,
+                                   degrade=False)
+
+        real = experiment.simulate
+        crashed = []
+
+        def crash_once(trace, machine=None, pthreads=None, **kwargs):
+            if pthreads is not None and not crashed:
+                crashed.append(trace)
+                raise FaultInjectedError("simulator crash", site="test")
+            return real(trace, machine, pthreads, **kwargs)
+
+        monkeypatch.setattr(experiment, "simulate", crash_once)
+        tracestore.clear()
+        before = obs.counters.snapshot()
+        (retried,) = run_experiments([job], n_jobs=1, policy=policy,
+                                     degrade=False)
+    delta = obs.counters.delta_since(before)
+    assert crashed
+    assert delta.get("harness.parallel.retries") == 1
+    assert delta.get("harness.experiment.aug_cache.hits") == 1
+
+    def payload(row):
+        return {k: v for k, v in row.items()
+                if not k.startswith(("t_", "src_"))}
+
+    clean_row, retried_row = result_row(clean), result_row(retried)
+    assert retried_row["src_optimized"] == "simulated"
+    assert payload(retried_row) == payload(clean_row)

@@ -161,14 +161,14 @@ def test_encode_plan_ships_specs():
 
 def test_scope_changes_draws():
     """The ambient scope makes retried deterministic replays re-draw."""
-    spec = FaultSpec("pipeline.step", 0.5, seed=0)
+    spec = FaultSpec("worker.run", 0.5, seed=0)
     faults.configure([spec])
     plan = faults.current_plan()
 
     def fire(scope):
         with faults.scoped(scope):
             return [
-                plan.should_fault("pipeline.step", key=f"cycle:{c}")
+                plan.should_fault("worker.run", key=f"run:{c}")
                 for c in range(0, 64)
             ]
 

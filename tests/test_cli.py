@@ -94,6 +94,21 @@ def test_inject_fault_bad_spec_exits_2(capsys):
     assert "unknown fault site" in err
 
 
+def test_fault_env_bad_spec_exits_2(monkeypatch, capsys):
+    # REPRO_FAULTS is checked up front, not when a site is first drawn
+    # (a run may consult no site at all).
+    from repro import faults
+
+    monkeypatch.setenv(faults.ENV_VAR, "worker.nap:0.5")
+    monkeypatch.setattr(cli, "_dispatch", lambda *args: 0)
+    faults.reset()
+    try:
+        assert main(["run", "gap"]) == 2
+    finally:
+        faults.reset()
+    assert "unknown fault site" in capsys.readouterr().err
+
+
 def test_inject_fault_malformed_prob_exits_2(capsys):
     assert main(["run", "gap", "--inject-fault", "worker.run:lots"]) == 2
     assert "expected SITE:prob" in capsys.readouterr().err
@@ -104,18 +119,53 @@ def test_resume_without_out_exits_2(capsys):
     assert "--resume requires --out" in capsys.readouterr().err
 
 
+_FIG3 = ["figure3", "--benchmarks", "gap"]
+
+
+# Each ``flag`` is a whole command line ending in the refused flag.
 @pytest.mark.parametrize("flag", [
-    ["--retries", "0"], ["--retries", "-2"],
-    ["--job-timeout", "0"], ["--job-timeout", "-1"],
+    [*_FIG3, "--retries", "0"], [*_FIG3, "--retries", "-2"],
+    [*_FIG3, "--job-timeout", "0"], [*_FIG3, "--job-timeout", "-1"],
+    [*_FIG3, "--jobs", "0"], [*_FIG3, "--jobs", "-3"],
+    ["serve", "--max-queue", "0"], ["serve", "--workers", "0"],
+    ["serve", "--deadline", "0"],
+    ["loadtest", "--rate", "0"], ["loadtest", "--requests", "0"],
+    ["loadtest", "--concurrency", "0"], ["loadtest", "--wait-timeout", "0"],
+    ["loadtest", "--budget", "0"],
+    ["chaos", "--server", "--kill-after", "0"],
 ])
 def test_nonpositive_retry_flags_exit_2(flag, monkeypatch, capsys):
-    # Zero attempts or a non-positive timeout leaves no budget to run a
-    # cell in, so argparse refuses them before any grid starts.
+    # A count, rate or budget of zero or less leaves nothing to run, so
+    # argparse refuses it before any grid, server or load test starts.
     monkeypatch.setattr(cli, "_dispatch", lambda *args: 0)
     with pytest.raises(SystemExit) as excinfo:
-        main(["figure3", "--benchmarks", "gap", *flag])
+        main(flag)
     assert excinfo.value.code == 2
-    assert flag[0] in capsys.readouterr().err
+    assert flag[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "gap", "--retries", "2"],
+    ["list", "--job-timeout", "5"],
+    ["serve", "--retries", "2"],
+    ["loadtest", "--resume", "--out", "X"],
+    ["figure2", "--quiet"],
+])
+def test_flags_only_on_commands_that_read_them(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_dispatch", lambda *args: 0)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_server_chaos_refuses_attempt_flags(monkeypatch, capsys):
+    # The server drill runs each served job once: no attempt budget.
+    monkeypatch.setattr(chaos, "run_server_chaos", lambda **kw: {"ok": True})
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "--server", "--retries", "2"])
+    assert excinfo.value.code == 2
+    assert "--retries" in capsys.readouterr().err
 
 
 def test_chaos_retries_is_the_faulted_runs_budget(monkeypatch):
@@ -144,11 +194,13 @@ def test_chaos_has_one_retry_flag(capsys):
 
 def test_serve_refuses_job_timeout(tmp_path, capsys):
     # A served job runs on a queue thread and cannot be preempted, so
-    # the flag is refused before any state directory or socket exists.
+    # serve has no such flag (its --deadline bounds the queue wait).
     state = tmp_path / "state"
-    assert main(["serve", "--port", "0", "--state", str(state),
-                 "--job-timeout", "5"]) == 2
-    assert "--deadline" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--port", "0", "--state", str(state),
+              "--job-timeout", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not state.exists()
 
 
