@@ -29,7 +29,9 @@ Every evaluation command accepts the global observability flags
 - ``--out DIR``          write machine-readable artifacts into ``DIR``:
   ``manifest.json`` (provenance + config fingerprints + counters),
   ``results.jsonl`` (one row per (benchmark, target)) and an
-  appendable ``run_table.csv``.
+  appendable ``run_table.csv``;
+- ``--inject-fault SITE:prob[:seed]``  deterministically inject faults
+  (repeatable; see ``repro.faults`` for sites).
 
 ``run --quiet`` prints the result table without the selection listing.
 
@@ -37,20 +39,18 @@ Every evaluation command accepts the global observability flags
 reports its queue and admission state);
 ``repro loadtest`` drives one with a load model.
 
-the performance flags:
+Every command that simulates (all of the above but ``list``) also
+takes the cache flags:
 
-- ``--jobs N``           worker processes for figure grids, N >= 1
-  (default: ``REPRO_JOBS`` or ``os.cpu_count()``; ``1`` = fully
-  sequential);
 - ``--cache-dir DIR``    persistent simulation cache location
   (default ``~/.cache/repro-sim``);
-- ``--no-sim-cache``     disable the persistent cache for this run;
+- ``--no-sim-cache``     disable the persistent cache for this run.
 
-and ``--inject-fault SITE:prob[:seed]``, which deterministically
-injects faults (repeatable; see ``repro.faults`` for sites).
-
-The grid commands (``figure2``-``figure5``, ``table3``) also take the
-robustness flags:
+The grid commands (``figure2``-``figure5``, ``table3``) and ``chaos``
+take ``--jobs N``, the worker processes for the grid, N >= 1 (default:
+``REPRO_JOBS``, which must be a positive integer, or
+``os.cpu_count()``; ``1`` runs in-process unless ``--job-timeout`` is
+set).  The grid commands also take the robustness flags:
 
 - ``--retries N``        attempts per grid cell before it becomes a
   failure row (N >= 1, default 3);
@@ -88,7 +88,11 @@ from repro.harness import figures, simcache
 from repro.harness.experiment import run_experiment
 from repro.harness.figures import result_row
 from repro.harness.journal import Journal
-from repro.harness.parallel import RetryPolicy, engine_options
+from repro.harness.parallel import (
+    RetryPolicy,
+    engine_options,
+    resolve_jobs,
+)
 from repro.harness.report import (
     format_table,
     render_json_lines,
@@ -114,10 +118,11 @@ def _positive(kind: type) -> Callable[[str], object]:
 
 
 def _parser() -> argparse.ArgumentParser:
-    # view_flags: how a command reports; obs_flags adds the run flags
-    # (artifacts, engine, cache, faults) for commands that run or write;
-    # attempt_flags and grid_flags add the per-cell retry budget and
-    # journal resume, for the commands that run cells through the engine.
+    # view_flags: how a command reports; out_flags adds artifacts and
+    # faults for commands that write; obs_flags adds the cache for
+    # commands that simulate; engine_flags (worker count, per-cell retry
+    # budget and timeout) and grid_flags (journal resume) are for the
+    # commands that run cells through the engine.
     view_flags = argparse.ArgumentParser(add_help=False)
     view_flags.add_argument(
         "--log-level",
@@ -130,22 +135,23 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print result rows as JSON lines instead of text tables",
     )
-    obs_flags = argparse.ArgumentParser(add_help=False, parents=[view_flags])
-    obs_flags.add_argument(
+    out_flags = argparse.ArgumentParser(add_help=False, parents=[view_flags])
+    out_flags.add_argument(
         "--out",
         metavar="DIR",
         default=None,
         help="write manifest.json/results.jsonl and append run_table.csv "
         "under DIR",
     )
-    obs_flags.add_argument(
-        "--jobs",
-        type=_positive(int),
+    out_flags.add_argument(
+        "--inject-fault",
+        action="append",
         default=None,
-        metavar="N",
-        help="worker processes for experiment grids "
-        "(default: REPRO_JOBS or cpu count; 1 = sequential)",
+        metavar="SITE:PROB[:SEED]",
+        help="deterministically inject faults at SITE with probability "
+        "PROB (repeatable; sites: " + ", ".join(faults.SITES) + ")",
     )
+    obs_flags = argparse.ArgumentParser(add_help=False, parents=[out_flags])
     obs_flags.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -158,16 +164,16 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the persistent simulation cache for this run",
     )
-    obs_flags.add_argument(
-        "--inject-fault",
-        action="append",
+    engine_flags = argparse.ArgumentParser(add_help=False)
+    engine_flags.add_argument(
+        "--jobs",
+        type=_positive(int),
         default=None,
-        metavar="SITE:PROB[:SEED]",
-        help="deterministically inject faults at SITE with probability "
-        "PROB (repeatable; sites: " + ", ".join(faults.SITES) + ")",
+        metavar="N",
+        help="worker processes for the grid (default: REPRO_JOBS or "
+        "cpu count; 1 = in-process unless --job-timeout is set)",
     )
-    attempt_flags = argparse.ArgumentParser(add_help=False)
-    attempt_flags.add_argument(
+    engine_flags.add_argument(
         "--retries",
         type=_positive(int),
         default=None,
@@ -176,7 +182,7 @@ def _parser() -> argparse.ArgumentParser:
         "row, >= 1 (default 3; chaos: the faulted run's budget, "
         "default 8)",
     )
-    attempt_flags.add_argument(
+    engine_flags.add_argument(
         "--job-timeout",
         type=_positive(float),
         default=None,
@@ -185,7 +191,7 @@ def _parser() -> argparse.ArgumentParser:
         "their cells retried (default: none)",
     )
     grid_flags = argparse.ArgumentParser(
-        add_help=False, parents=[obs_flags, attempt_flags]
+        add_help=False, parents=[obs_flags, engine_flags]
     )
     grid_flags.add_argument(
         "--resume",
@@ -224,7 +230,7 @@ def _parser() -> argparse.ArgumentParser:
     fig5.add_argument("panel", choices=("idle", "memlat", "l2"))
     sub.add_parser("table3", parents=[grid_flags],
                    help="model validation ratios")
-    sub.add_parser("list", parents=[obs_flags], help="list benchmarks")
+    sub.add_parser("list", parents=[out_flags], help="list benchmarks")
 
     cache = sub.add_parser("cache", parents=[view_flags],
                            help="persistent simulation cache maintenance")
@@ -277,7 +283,7 @@ def _parser() -> argparse.ArgumentParser:
                          "(repeatable)")
 
     chaos = sub.add_parser(
-        "chaos", parents=[obs_flags, attempt_flags],
+        "chaos", parents=[obs_flags, engine_flags],
         help="prove fault recovery: run a grid fault-free and under "
         "injected faults, compare",
     )
@@ -312,9 +318,9 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument("--state", metavar="DIR", default="serve_state",
                        help="state directory for the accept ledger and "
                        "completion journal (default ./serve_state)")
-    serve.add_argument("--workers", type=_positive(int), default=None,
+    serve.add_argument("--workers", type=_positive(int), default=2,
                        metavar="N",
-                       help="job worker threads (default: --jobs or 2)")
+                       help="job worker threads (default 2)")
     serve.add_argument("--max-queue", type=_positive(int), default=64,
                        metavar="N",
                        help="admission-control queue depth bound; "
@@ -463,7 +469,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_dir=args.cache_dir,
             enabled=False if getattr(args, "no_sim_cache", False) else None,
         )
-    jobs = getattr(args, "jobs", None)
+    jobs: Optional[int] = None
+    if hasattr(args, "jobs"):
+        # Resolve REPRO_JOBS now too: a bad value exits 2, like --jobs 0.
+        try:
+            jobs = resolve_jobs(args.jobs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     try:
         if getattr(args, "inject_fault", None):
@@ -746,14 +759,13 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         ServerState,
     )
 
-    workers = args.workers or args.jobs or 2
     state = ServerState(args.state)
     admission = AdmissionController(
-        max_queue_depth=args.max_queue, workers=workers
+        max_queue_depth=args.max_queue, workers=args.workers
     )
     queue = JobQueue(
         state,
-        workers=workers,
+        workers=args.workers,
         admission=admission,
         default_deadline_s=args.deadline,
     )
@@ -765,7 +777,7 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
     # format stable and flush it before serve_forever blocks.
     print(
         f"serving on {server.url} (state: {args.state}, "
-        f"workers: {workers}, resumed: {resumed})",
+        f"workers: {args.workers}, resumed: {resumed})",
         flush=True,
     )
     try:

@@ -1,6 +1,6 @@
 """Deterministic, seeded fault injection for robustness testing.
 
-The harness's recovery paths (retry/backoff, pool rebuilds, cache
+The harness's recovery paths (retries, pool rebuilds, cache
 degradation, checkpoint/resume) have to be *provable*, not hopeful, so
 this registry lets a run inject failures at named sites with a seeded,
 reproducible schedule:
@@ -8,7 +8,7 @@ reproducible schedule:
 - ``simcache.read`` / ``simcache.write``  -- the persistent simulation
   cache raises ``OSError`` (exercises the degrade-to-no-cache path);
 - ``worker.run``      -- an experiment job crashes in its worker process
-  (exercises retry with backoff);
+  (exercises the retry path);
 - ``worker.start``    -- a pool's worker initializer crashes, breaking
   the whole pool (exercises ``BrokenProcessPool`` rebuild + resubmit);
 - ``worker.hang``     -- an experiment job sleeps forever (exercises
@@ -112,10 +112,8 @@ class FaultSpec:
 def unit(material: str) -> float:
     """A deterministic uniform sample in [0, 1) from ``material``.
 
-    The single source of pseudo-randomness for every robustness
-    mechanism that must replay identically across processes, retries,
-    and ``--resume``: fault draws here, retry-backoff jitter in
-    :class:`repro.harness.parallel.RetryPolicy`.
+    The single source of pseudo-randomness for fault draws, which must
+    replay identically across processes, retries, and ``--resume``.
     """
     digest = hashlib.sha256(material.encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults, obs
 from repro.faults import FaultSpec, draw
+from repro.frontend import tracestore
 from repro.harness import simcache
 from repro.harness.figures import result_row
 from repro.harness.parallel import (
@@ -128,9 +129,9 @@ def run_chaos(
 ) -> Dict[str, object]:
     """Run the chaos experiment and return the recovery report.
 
-    Both runs disable the persistent cache: a cache hit would let the
-    faulted run answer from the reference run's results, proving nothing
-    about recovery.
+    Both runs disable the persistent cache and start from an empty
+    trace store: a cache or memo hit would let the faulted run answer
+    from the reference run's results, proving nothing about recovery.
     """
     if benchmarks is None:
         benchmarks = (
@@ -162,14 +163,10 @@ def run_chaos(
                 grid, run_specs[0], max_attempts
             )
 
-    policy = RetryPolicy(
-        max_attempts=max_attempts,
-        base_delay_s=0.01,
-        max_delay_s=0.25,
-        timeout_s=timeout_s,
-    )
+    policy = RetryPolicy(max_attempts=max_attempts, timeout_s=timeout_s)
 
     with simcache.disabled():
+        tracestore.clear()
         started = time.monotonic()
         # faults.pristine(): the reference grid must be fault-free even
         # when the process carries an ambient plan (CLI --inject-fault,
@@ -181,6 +178,9 @@ def run_chaos(
             )
         reference_wall_s = time.monotonic() - started
 
+        # In-process cells (--jobs 1) would otherwise read the reference
+        # run's baselines and optimized stats back from the trace store.
+        tracestore.clear()
         before = obs.counters.snapshot()
         started = time.monotonic()
         with faults.active(plan_specs):

@@ -225,25 +225,6 @@ def _baseline_sim(
     }
 
 
-def warm_baseline(
-    benchmark: str,
-    input_name: str = "train",
-    machine: Optional[MachineConfig] = None,
-    sim: Optional[SimulationConfig] = None,
-) -> SimStats:
-    """Ensure one baseline simulation is cached (on its trace and on
-    disk); returns its stats.  The parallel engine fans these out before
-    dispatching full experiments so identical baselines are simulated
-    exactly once."""
-    _, stats, _ = _baseline_sim(
-        benchmark,
-        input_name,
-        machine or MachineConfig(),
-        sim or SimulationConfig(),
-    )
-    return stats
-
-
 _RESULT_HITS = obs.counters.counter("harness.experiment.result_cache.hits")
 _RESULT_MISSES = obs.counters.counter(
     "harness.experiment.result_cache.misses"

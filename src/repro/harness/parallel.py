@@ -4,17 +4,15 @@ Every paper figure is a grid of *independent* experiments -- benchmark x
 target x sweep point -- so the harness fans them out over a
 :class:`concurrent.futures.ProcessPoolExecutor`:
 
-- ``jobs=1`` (or a single-job grid) preserves the in-process sequential
-  path exactly: no pool, no pickling, byte-identical behavior to the
-  pre-parallel harness.
+- One worker and no per-job timeout runs the grid in-process: no
+  pool, no pickling.  A timeout always runs in a pool, of one worker if
+  need be, because only a worker process can be killed when it hangs.
 - ``jobs=N`` dispatches whole experiments to worker processes.  The
   simulators are deterministic, so results are bit-identical to the
-  sequential path regardless of worker count, completion order, or how
+  in-process path regardless of worker count, completion order, or how
   many retries a cell needed (results are returned in submission order).
-- Identical baseline simulations are **deduplicated before dispatch**:
-  a sweep that reuses one baseline across many targets warms it exactly
-  once (through :mod:`repro.harness.simcache`) instead of simulating it
-  concurrently in several workers.
+  Workers share baselines only through :mod:`repro.harness.simcache`
+  and their own trace store; the pool runs nothing but cells.
 - Worker telemetry is not dropped: each job returns the
   :mod:`repro.obs` counter delta it produced -- *also on failure* -- and
   the parent merges it into its own registry, so run manifests account
@@ -23,16 +21,15 @@ target x sweep point -- so the harness fans them out over a
 Long sweeps must survive partial failure, so the engine layers four
 recovery mechanisms on top of the fan-out:
 
-- **Bounded retries with exponential backoff + deterministic jitter**
-  (:class:`RetryPolicy`): transient job failures re-run up to
-  ``max_attempts`` times; deterministic errors (:data:`NON_RETRYABLE`)
-  fail fast.
+- **Bounded retries** (:class:`RetryPolicy`): transient job failures
+  re-run at once, up to ``max_attempts`` times in all; deterministic
+  errors (:data:`NON_RETRYABLE`) fail fast.
 - **Per-job wall-clock timeouts**: a hung worker cannot be cancelled,
   so the engine terminates the pool, rebuilds it, and re-submits every
   outstanding job (the timed-out cell with its attempt count bumped).
 - **BrokenProcessPool recovery**: a crashed worker (or a failed worker
   initializer) breaks the whole pool; the engine rebuilds it -- at most
-  ``max_pool_rebuilds`` times -- and re-submits outstanding jobs.
+  :data:`MAX_POOL_REBUILDS` times -- and re-submits outstanding jobs.
 - **Graceful degradation**: with ``degrade=True``, a cell that exhausts
   its attempts yields a structured :class:`JobFailure` row (error
   class, attempts, elapsed) instead of aborting the grid.
@@ -43,15 +40,15 @@ skips every finished cell.  ``KeyboardInterrupt``/``SIGTERM`` terminate
 and join all workers (no orphans) before propagating, with the journal
 already flushed per record.
 
-The worker count resolves as: explicit argument > ``REPRO_JOBS``
-environment variable > ``os.cpu_count()``.
+The worker count resolves as: explicit argument (floored at 1) >
+``REPRO_JOBS`` environment variable (a positive integer) >
+``os.cpu_count()``, capped at the number of cells left to run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import heapq
 import os
 import time
 from collections import deque
@@ -88,18 +85,11 @@ from repro.errors import (
     is_retryable,
 )
 from repro.harness import simcache
-from repro.harness.experiment import (
-    ExperimentResult,
-    run_experiment,
-    warm_baseline,
-)
+from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.journal import Journal
 from repro.pthsel.targets import Target
 
 _JOBS_DISPATCHED = obs.counters.counter("harness.parallel.jobs_dispatched")
-_BASELINES_DEDUPED = obs.counters.counter(
-    "harness.parallel.baselines_deduped"
-)
 _POOLS_STARTED = obs.counters.counter("harness.parallel.pools_started")
 _RETRIES = obs.counters.counter("harness.parallel.retries")
 _RECOVERIES = obs.counters.counter("harness.parallel.recoveries")
@@ -113,38 +103,20 @@ _CELLS_RESUMED = obs.counters.counter("harness.parallel.cells_resumed")
 #: sane per-job timeout, so the timeout path always fires first.
 HANG_SECONDS = 600.0
 
+#: Pool rebuilds (worker crashes, hangs, failed initializers) tolerated
+#: before the whole grid is declared unrunnable.
+MAX_POOL_REBUILDS = 5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the engine retries, backs off, and times out grid jobs."""
+    """How many times the engine tries a grid job, and for how long."""
 
-    #: Total tries per cell (1 = no retries).
+    #: Total tries per cell (1 = no retries); a retry runs at once.
     max_attempts: int = 3
-    #: First backoff delay; doubles per attempt up to ``max_delay_s``.
-    base_delay_s: float = 0.1
-    max_delay_s: float = 2.0
-    #: +/- fraction of the backoff applied as deterministic jitter.
-    jitter: float = 0.25
-    #: Per-job wall clock; ``None`` disables (and the in-process
-    #: sequential path cannot enforce one either way).
+    #: Per-job wall clock; ``None`` disables.  Set, it puts every grid
+    #: in a worker pool, since a hung in-process job cannot be killed.
     timeout_s: Optional[float] = None
-    #: Pool rebuilds (worker crashes, hangs, failed initializers)
-    #: tolerated before the whole grid is declared unrunnable.
-    max_pool_rebuilds: int = 5
-
-    def delay_for(self, attempt: int, key: str) -> float:
-        """Backoff before retry number ``attempt`` (1-based), jittered
-        deterministically from the ``cell:attempt`` key -- the same
-        material :func:`repro.faults.scoped` mixes into fault draws --
-        so a ``--resume`` (or any rerun of the same cell) replays an
-        identical backoff schedule while a burst of failed cells still
-        doesn't retry in lockstep."""
-        base = min(
-            self.base_delay_s * (2.0 ** max(0, attempt - 1)),
-            self.max_delay_s,
-        )
-        sample = faults.unit(f"backoff|{key}:{attempt}")
-        return max(0.0, base * (1.0 + self.jitter * (2.0 * sample - 1.0)))
 
 
 @dataclass
@@ -228,7 +200,7 @@ class ExperimentJob:
     def cell_key(self) -> str:
         """Content hash of the cell's full configuration.
 
-        Used as the journal key and the fault/jitter draw key, so two
+        Used as the journal key and the fault draw key, so two
         jobs are the same cell iff every input that could change the
         result is the same.
         """
@@ -255,19 +227,25 @@ GridResult = Union[ExperimentResult, JobFailure]
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: argument > ``REPRO_JOBS`` > ``os.cpu_count()``."""
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_JOBS must be an integer, got {env!r}"
-                ) from None
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    return max(1, jobs)
+    """Worker count: argument > ``REPRO_JOBS`` > ``os.cpu_count()``.
+
+    An explicit argument is floored at 1; ``REPRO_JOBS`` must be a
+    positive integer, else :class:`ValueError`.
+    """
+    if jobs is not None:
+        return max(1, jobs)
+    env = os.environ.get("REPRO_JOBS", "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(
+            f"REPRO_JOBS must be a positive integer, got {env!r}"
+        )
+    return jobs
 
 
 # --------------------------------------------------------------------- #
@@ -400,38 +378,9 @@ def _worker_experiment(
     return result, failure, obs.counters.delta_since(before)
 
 
-def _worker_warm(
-    key: Tuple[str, str, MachineConfig, SimulationConfig],
-) -> Dict[str, float]:
-    benchmark, input_name, machine, sim = key
-    before = obs.counters.snapshot()
-    warm_baseline(benchmark, input_name, machine=machine, sim=sim)
-    return obs.counters.delta_since(before)
-
-
 # --------------------------------------------------------------------- #
 # Parent side.
 # --------------------------------------------------------------------- #
-
-
-def _dedupe_baselines(
-    jobs: Sequence[ExperimentJob],
-) -> List[Tuple[str, str, MachineConfig, SimulationConfig]]:
-    """Unique baseline sims the grid needs, in first-appearance order;
-    only keys needed by more than one job are worth pre-warming."""
-    counts: Dict[Tuple, int] = {}
-    order: List[Tuple[str, str, MachineConfig, SimulationConfig]] = []
-    for job in jobs:
-        for key in job.baseline_keys():
-            if key not in counts:
-                order.append(key)
-            counts[key] = counts.get(key, 0) + 1
-    shared = [key for key in order if counts[key] > 1]
-    if shared:
-        _BASELINES_DEDUPED.add(
-            sum(counts[key] - 1 for key in shared)
-        )
-    return shared
 
 
 @dataclass
@@ -519,9 +468,7 @@ def _failure_exception(jf: JobFailure) -> ReproError:
     )
 
 
-def _log_retry(
-    job: ExperimentJob, attempt: int, error: str, delay: float
-) -> None:
+def _log_retry(job: ExperimentJob, attempt: int, error: str) -> None:
     _RETRIES.add()
     obs.log_event(
         "job_retry",
@@ -530,7 +477,6 @@ def _log_retry(
         target=job.target.label,
         attempt=attempt,
         error=error,
-        backoff_s=round(delay, 3),
     )
 
 
@@ -608,7 +554,7 @@ def run_experiments(
     """Run a grid of experiments, in parallel when ``n_jobs > 1``.
 
     Results come back in submission order and are bit-identical to the
-    sequential path (the grid cells are independent deterministic
+    in-process path (the grid cells are independent deterministic
     simulations; retries re-run the same pure function).  Worker counter
     deltas are merged into this process's :data:`repro.obs.counters`
     registry.
@@ -644,13 +590,13 @@ def run_experiments(
 
     if to_run:
         _JOBS_DISPATCHED.add(len(to_run))
-        n = min(resolve_jobs(n_jobs), max(1, len(to_run)))
-        if n <= 1 or len(to_run) <= 1:
-            # Sequential path: advance shared-trace cells' baselines in
+        n = min(resolve_jobs(n_jobs), len(to_run))
+        if n <= 1 and policy.timeout_s is None:
+            # In-process path: advance shared-trace cells' baselines in
             # lock-step batches first (no-op whenever simulations must
             # run on the reference engine); each cell then finds its
-            # baseline on the shared trace.  The pool path instead fans
-            # baselines out across workers below.
+            # baseline on the shared trace.  Only a pool worker can be
+            # killed, so a per-job timeout takes the pool path below.
             from repro.harness import batchplan
 
             batchplan.maybe_prewarm([job for _, job, _ in to_run])
@@ -670,7 +616,8 @@ def _run_sequential(
     results: List[Optional[GridResult]],
 ) -> None:
     """The in-process path: same retry semantics, no timeouts (a hung
-    simulation in this process cannot be preempted)."""
+    simulation in this process cannot be preempted, so
+    :func:`run_experiments` never brings a timeout here)."""
     for index, job, key in to_run:
         started = time.monotonic()
         attempt = 1
@@ -682,9 +629,7 @@ def _run_sequential(
             except Exception as exc:
                 failure = _describe_failure(exc)
                 if failure.retryable and attempt < policy.max_attempts:
-                    delay = policy.delay_for(attempt, key)
-                    _log_retry(job, attempt, failure.error, delay)
-                    time.sleep(delay)
+                    _log_retry(job, attempt, failure.error)
                     attempt += 1
                     continue
                 elapsed = time.monotonic() - started
@@ -719,9 +664,6 @@ def _run_pool(
     pending: Deque[Tuple[int, ExperimentJob, str, int]] = deque(
         (index, job, key, 1) for index, job, key in to_run
     )
-    #: Min-heap of (due_monotonic, seq, index, job, key, attempt).
-    backoff: List[Tuple[float, int, int, ExperimentJob, str, int]] = []
-    backoff_seq = 0
     inflight: Dict[Future, _Flight] = {}
     started_at: Dict[int, float] = {}
 
@@ -729,7 +671,7 @@ def _run_pool(
         nonlocal pool, epoch
         _kill_pool(pool)
         epoch += 1
-        if epoch > policy.max_pool_rebuilds:
+        if epoch > MAX_POOL_REBUILDS:
             raise WorkerCrashError(
                 f"process pool broke {epoch} times (last: {reason}); "
                 f"giving up on the grid",
@@ -749,23 +691,11 @@ def _run_pool(
         attempt: int,
         failure: _WorkerFailure,
     ) -> None:
-        """Retry a failed attempt, or finalize it as a JobFailure."""
-        nonlocal backoff_seq
+        """Retry a failed attempt at once, or finalize it as a
+        JobFailure."""
         if failure.retryable and attempt < policy.max_attempts:
-            delay = policy.delay_for(attempt, key)
-            _log_retry(job, attempt, failure.error, delay)
-            backoff_seq += 1
-            heapq.heappush(
-                backoff,
-                (
-                    time.monotonic() + delay,
-                    backoff_seq,
-                    index,
-                    job,
-                    key,
-                    attempt + 1,
-                ),
-            )
+            _log_retry(job, attempt, failure.error)
+            pending.append((index, job, key, attempt + 1))
             return
         elapsed = time.monotonic() - started_at.get(index, time.monotonic())
         jf = _make_failure(job, key, failure, attempt, elapsed)
@@ -773,46 +703,8 @@ def _run_pool(
             raise _failure_exception(jf)
         results[index] = jf
 
-    def warm_shared() -> None:
-        """Pre-warm deduplicated baselines; purely an optimization, so
-        any failure here just logs and moves on (a broken pool is
-        rebuilt, everything else is retried implicitly by the jobs
-        themselves)."""
-        if simcache.get_cache() is None:
-            return
-        shared = _dedupe_baselines([job for _, job, _ in to_run])
-        if not shared:
-            return
-        try:
-            futures = [pool.submit(_worker_warm, key) for key in shared]
-            for future in futures:
-                try:
-                    obs.counters.merge(future.result())
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:
-                    obs.log_event(
-                        "baseline_warm_failed",
-                        level="warning",
-                        error=type(exc).__name__,
-                        detail=str(exc),
-                    )
-        except BrokenProcessPool:
-            rebuild("broken_pool_during_warm")
-
     try:
-        # Phase 1: warm shared baselines once each.  Without a
-        # persistent cache there is no medium to share them through,
-        # so skip straight to dispatch.
-        warm_shared()
-
-        # Phase 2: fan out the experiments with retry/timeout/rebuild.
-        while pending or backoff or inflight:
-            now = time.monotonic()
-            while backoff and backoff[0][0] <= now:
-                _, _, index, job, key, attempt = heapq.heappop(backoff)
-                pending.append((index, job, key, attempt))
-
+        while pending or inflight:
             broken = False
             while pending and len(inflight) < n:
                 index, job, key, attempt = pending.popleft()
@@ -844,24 +736,15 @@ def _run_pool(
                 rebuild("broken_pool_on_submit")
                 continue
 
-            if not inflight:
-                if backoff:
-                    time.sleep(
-                        max(0.0, backoff[0][0] - time.monotonic())
-                    )
-                continue
-
-            # Wait for completions, bounded by the nearest job deadline
-            # and the nearest backoff expiry.
+            # Wait for completions, bounded by the nearest job deadline.
             wait_s = 1.0
-            now = time.monotonic()
             deadlines = [
                 f.deadline for f in inflight.values() if f.deadline
             ]
             if deadlines:
-                wait_s = min(wait_s, max(0.0, min(deadlines) - now))
-            if backoff:
-                wait_s = min(wait_s, max(0.0, backoff[0][0] - now))
+                wait_s = min(
+                    wait_s, max(0.0, min(deadlines) - time.monotonic())
+                )
             done, _ = wait(
                 set(inflight),
                 timeout=max(wait_s, 0.01),

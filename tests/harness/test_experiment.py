@@ -155,7 +155,7 @@ def test_crash_partway_through_a_cell_retries_to_the_same_row(monkeypatch):
     )
 
     job = ExperimentJob("gap", target=Target.LATENCY)
-    policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
+    policy = RetryPolicy(max_attempts=2)
     with simcache.disabled():
         tracestore.clear()
         (clean,) = run_experiments([job], n_jobs=1, policy=policy,

@@ -7,11 +7,11 @@ import pytest
 from repro import obs
 from repro.config import MachineConfig, SimulationConfig
 from repro.frontend import tracestore
+from repro.harness import parallel, simcache
 from repro.harness.experiment import _baseline_sim
 from repro.harness.figures import result_row
 from repro.harness.parallel import (
     ExperimentJob,
-    _dedupe_baselines,
     resolve_jobs,
     run_experiments,
 )
@@ -59,27 +59,8 @@ def test_resolve_jobs_floor_is_one():
 
 
 # --------------------------------------------------------------------- #
-# Baseline dedup
+# Baseline keys
 # --------------------------------------------------------------------- #
-
-
-def test_dedupe_baselines_finds_shared_keys():
-    jobs = [
-        ExperimentJob("gcc", target=t, sim=SIM)
-        for t in (Target.LATENCY, Target.ENERGY, Target.ED)
-    ]
-    shared = _dedupe_baselines(jobs)
-    # One benchmark, one input, three targets: one shared baseline.
-    assert len(shared) == 1
-    assert shared[0][0] == "gcc"
-
-
-def test_dedupe_baselines_ignores_singletons():
-    jobs = [
-        ExperimentJob("gcc", sim=SIM),
-        ExperimentJob("twolf", sim=SIM),
-    ]
-    assert _dedupe_baselines(jobs) == []
 
 
 def test_baseline_keys_include_profile_input():
@@ -172,6 +153,38 @@ def test_single_job_grid_stays_in_process():
     assert delta.get("harness.parallel.pools_started", 0) == 0
 
 
+def test_pool_submits_only_cells(tmp_path, monkeypatch):
+    # Two cells sharing one baseline: the pool runs the two cells and
+    # nothing else; they share the baseline through the simcache.
+    submitted = []
+    real_new_pool = parallel._new_pool
+
+    def recording_pool(workers, epoch):
+        pool = real_new_pool(workers, epoch)
+        submit = pool.submit
+
+        def recording_submit(fn, *args, **kwargs):
+            submitted.append(fn.__name__)
+            return submit(fn, *args, **kwargs)
+
+        pool.submit = recording_submit
+        return pool
+
+    monkeypatch.setattr(parallel, "_new_pool", recording_pool)
+    tracestore.clear()
+    simcache.configure(cache_dir=str(tmp_path))
+    try:
+        results = run_experiments(
+            [ExperimentJob("gcc", target=t, sim=SIM)
+             for t in (Target.LATENCY, Target.ENERGY)],
+            n_jobs=2,
+        )
+    finally:
+        simcache.reset()
+    assert [r.benchmark for r in results] == ["gcc", "gcc"]
+    assert submitted == ["_worker_experiment", "_worker_experiment"]
+
+
 # --------------------------------------------------------------------- #
 # Baseline-cache identity: same configs, different programs never alias.
 # --------------------------------------------------------------------- #
@@ -192,42 +205,3 @@ def test_baseline_cache_keyed_by_workload_content(monkeypatch):
     _, twolf_stats, _ = _baseline_sim("twolf", "train", machine, SIM)
     assert swapped_stats.cycles == twolf_stats.cycles
     tracestore.clear()
-
-
-# --------------------------------------------------------------------- #
-# Retry backoff jitter: deterministic, shared with the fault source
-
-
-def test_backoff_jitter_is_deterministic_per_cell_and_attempt():
-    from repro.harness.parallel import RetryPolicy
-
-    policy = RetryPolicy(max_attempts=5, base_delay_s=0.1, max_delay_s=2.0)
-    key = "somecellkey123"
-    first = [policy.delay_for(attempt, key) for attempt in (1, 2, 3, 4)]
-    again = [policy.delay_for(attempt, key) for attempt in (1, 2, 3, 4)]
-    assert first == again  # replays identically across calls/processes
-
-
-def test_backoff_jitter_derives_from_the_shared_unit_source():
-    from repro import faults
-    from repro.harness.parallel import RetryPolicy
-
-    policy = RetryPolicy(base_delay_s=0.1, max_delay_s=2.0, jitter=0.25)
-    key, attempt = "cellkey", 2
-    sample = faults.unit(f"backoff|{key}:{attempt}")
-    base = min(0.1 * 2.0 ** (attempt - 1), 2.0)
-    expected = base * (1.0 + 0.25 * (2.0 * sample - 1.0))
-    assert policy.delay_for(attempt, key) == pytest.approx(expected)
-
-
-def test_backoff_jitter_decorrelates_cells():
-    from repro.harness.parallel import RetryPolicy
-
-    policy = RetryPolicy(base_delay_s=0.1, max_delay_s=2.0, jitter=0.25)
-    delays_a = [policy.delay_for(a, "cell-a") for a in (1, 2, 3)]
-    delays_b = [policy.delay_for(a, "cell-b") for a in (1, 2, 3)]
-    assert delays_a != delays_b  # a thundering herd spreads out
-    for attempt, (a, b) in enumerate(zip(delays_a, delays_b), start=1):
-        base = min(0.1 * 2.0 ** (attempt - 1), 2.0)
-        for delay in (a, b):  # ...but stays inside the jitter band
-            assert base * 0.75 <= delay <= base * 1.25

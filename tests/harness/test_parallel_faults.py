@@ -1,16 +1,19 @@
-"""Tests for the engine's recovery paths: retry, backoff, degradation,
-pool rebuilds, timeouts, and checkpoint/resume.
+"""Tests for the engine's recovery paths: retry, degradation, pool
+rebuilds, timeouts, and checkpoint/resume.
 
 These use fake (instant) jobs -- ``ExperimentJob.run`` is monkeypatched
 before any pool exists, and the fork start method carries the patch into
 workers -- so they exercise the engine machinery, not the simulator.
 """
 
+import time
+
 import pytest
 
 from repro import faults, obs
 from repro.errors import FaultInjectedError, ProgramError, WorkerCrashError
 from repro.faults import FaultSpec, draw
+from repro.harness import parallel
 from repro.harness.journal import Journal
 from repro.harness.parallel import (
     ExperimentJob,
@@ -20,8 +23,7 @@ from repro.harness.parallel import (
 )
 from repro.pthsel.targets import Target
 
-#: Tiny backoffs keep the retry tests fast without changing semantics.
-FAST = RetryPolicy(max_attempts=3, base_delay_s=0.001, max_delay_s=0.005)
+FAST = RetryPolicy(max_attempts=3)
 
 
 @pytest.fixture(autouse=True)
@@ -56,19 +58,22 @@ def _run_key(job, attempt):
     return f"{job.cell_key()}:{attempt}|run"
 
 
-def _seed_faulting_once(job, probability=0.5):
-    """A seed where ``job`` faults on attempt 1 but not attempt 2."""
+def _seed_faulting_once(job, probability=0.5, clean=None):
+    """A seed where ``job`` faults on attempt 1 but not attempt 2 (and
+    the job ``clean``, if given, does not fault on attempt 1)."""
     for seed in range(512):
         spec = FaultSpec("worker.run", probability, seed)
-        if draw(spec, _run_key(job, 1)) and not draw(
-            spec, _run_key(job, 2)
+        if (
+            draw(spec, _run_key(job, 1))
+            and not draw(spec, _run_key(job, 2))
+            and not (clean and draw(spec, _run_key(clean, 1)))
         ):
             return seed
     raise AssertionError("no such seed in 512 tries")
 
 
 # --------------------------------------------------------------------- #
-# Retry and backoff
+# Retry
 # --------------------------------------------------------------------- #
 
 
@@ -85,6 +90,35 @@ def test_sequential_retry_recovers(fake_jobs):
     assert delta.get("harness.parallel.retries") == 1
     assert delta.get("harness.parallel.recoveries") == 1
     assert delta.get("faults.injected.worker.run") == 1
+
+
+class _NoSleep:
+    """Stands in for the engine's ``time`` module: a retry must not
+    wait, so any sleep is an error."""
+
+    monotonic = staticmethod(time.monotonic)
+
+    @staticmethod
+    def sleep(seconds):
+        raise AssertionError(f"engine slept {seconds}s before a retry")
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_retry_does_not_wait(n_jobs, fake_jobs, monkeypatch):
+    seed = _seed_faulting_once(fake_jobs[0], clean=fake_jobs[1])
+    monkeypatch.setattr(parallel, "time", _NoSleep)
+    before = obs.counters.snapshot()
+    with faults.active([f"worker.run:0.5:{seed}"]):
+        results = run_experiments(
+            fake_jobs, n_jobs=n_jobs, policy=FAST, degrade=False
+        )
+    assert results == [
+        {"benchmark": "gcc", "target": "L"},
+        {"benchmark": "mcf", "target": "E"},
+    ]
+    delta = _delta(before)
+    assert delta.get("harness.parallel.retries") == 1
+    assert delta.get("harness.parallel.recoveries") == 1
 
 
 def test_pool_retry_recovers_bit_identical(fake_jobs):
@@ -186,12 +220,11 @@ def test_broken_pool_is_rebuilt(fake_jobs):
     assert delta.get("faults.injected.worker.start") == 1
 
 
-def test_unrebuildable_pool_gives_up(fake_jobs):
+def test_unrebuildable_pool_gives_up(fake_jobs, monkeypatch):
     # Generous per-cell attempts so the pool-rebuild budget -- not
     # retry exhaustion -- is deterministically what trips first.
-    policy = RetryPolicy(
-        max_attempts=10, base_delay_s=0.001, max_pool_rebuilds=2
-    )
+    monkeypatch.setattr(parallel, "MAX_POOL_REBUILDS", 2)
+    policy = RetryPolicy(max_attempts=10)
     with faults.active(["worker.start:1.0"]):
         with pytest.raises(WorkerCrashError, match="giving up"):
             run_experiments(
@@ -217,9 +250,7 @@ def _seed_hanging_once(job, other, probability=0.5):
 
 def test_hung_job_times_out_and_recovers(fake_jobs):
     seed = _seed_hanging_once(fake_jobs[0], fake_jobs[1])
-    policy = RetryPolicy(
-        max_attempts=3, base_delay_s=0.001, timeout_s=0.5
-    )
+    policy = RetryPolicy(max_attempts=3, timeout_s=0.5)
     before = obs.counters.snapshot()
     with faults.active([f"worker.hang:0.5:{seed}"]):
         results = run_experiments(
@@ -232,6 +263,19 @@ def test_hung_job_times_out_and_recovers(fake_jobs):
     delta = _delta(before)
     assert delta.get("harness.parallel.timeouts") == 1
     assert delta.get("harness.parallel.pool_rebuilds", 0) >= 1
+
+
+def test_timeout_holds_with_one_worker(fake_jobs, monkeypatch):
+    # A single-cell grid still runs in a pool when a timeout is set:
+    # an in-process hang could not be cut short.
+    monkeypatch.setattr(parallel, "HANG_SECONDS", 2.0)
+    policy = RetryPolicy(max_attempts=1, timeout_s=0.5)
+    with faults.active(["worker.hang:1.0"]):
+        (result,) = run_experiments(
+            [fake_jobs[0]], n_jobs=4, policy=policy, degrade=True
+        )
+    assert isinstance(result, JobFailure)
+    assert result.error == "SimulationTimeoutError"
 
 
 # --------------------------------------------------------------------- #

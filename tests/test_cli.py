@@ -150,6 +150,11 @@ def test_nonpositive_retry_flags_exit_2(flag, monkeypatch, capsys):
     ["serve", "--retries", "2"],
     ["loadtest", "--resume", "--out", "X"],
     ["figure2", "--quiet"],
+    ["run", "gap", "--jobs", "2"],
+    ["list", "--jobs", "2"],
+    ["list", "--no-sim-cache"],
+    ["loadtest", "--jobs", "2"],
+    ["serve", "--jobs", "2"],
 ])
 def test_flags_only_on_commands_that_read_them(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_dispatch", lambda *args: 0)
@@ -157,6 +162,27 @@ def test_flags_only_on_commands_that_read_them(argv, monkeypatch, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "lots"])
+def test_bad_repro_jobs_exits_2(value, monkeypatch, capsys):
+    # REPRO_JOBS is held to the same rule as --jobs: a positive integer.
+    monkeypatch.setenv("REPRO_JOBS", value)
+    monkeypatch.setattr(cli, "_dispatch", lambda *args: 0)
+    assert main(["figure2"]) == 2
+    assert "REPRO_JOBS" in capsys.readouterr().err
+
+
+def test_jobs_resolve_once_before_dispatch(monkeypatch):
+    seen = []
+    monkeypatch.setenv("REPRO_JOBS", "3")
+    monkeypatch.setattr(
+        cli, "_dispatch", lambda args, argv, jobs: seen.append(jobs) or 0
+    )
+    assert main(["figure2"]) == 0
+    assert main(["figure2", "--jobs", "2"]) == 0
+    assert main(["run", "gap"]) == 0  # takes no --jobs
+    assert seen == [3, 2, None]
 
 
 def test_server_chaos_refuses_attempt_flags(monkeypatch, capsys):
