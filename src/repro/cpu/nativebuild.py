@@ -1,6 +1,6 @@
 """Opportunistic build + ctypes loader for the compiled C sources.
 
-Three hot loops are compiled C that runs whenever its library can be
+Four hot loops are compiled C that runs whenever its library can be
 loaded:
 
 - ``kernel``: ``cpu/_kernel.c``, the flat-array cycle kernel behind
@@ -13,7 +13,10 @@ loaded:
 - ``interp``: ``frontend/_interp.c``, the functional interpreter behind
   :func:`repro.frontend.interpreter.interpret`, which also expands
   p-thread spawns for :func:`repro.ddmt.augment.expand_pthreads`, with
-  the reference interpreter and Python expansion running otherwise.
+  the reference interpreter and Python expansion running otherwise;
+- ``critpath``: ``critpath/_critpath.c``, the dependence-graph forward
+  pass behind :meth:`repro.critpath.graph.ForwardPass.run`, which prices
+  the load-cost functions, with the Python loop running otherwise.
 
 This module owns every library's lifecycle through one build-and-load
 path:
@@ -35,9 +38,9 @@ Environment knobs (shared by every library):
   library and source version (default ``~/.cache/repro-native``);
 - ``REPRO_NATIVE=0`` -- never load a compiled library (probes report
   unavailable; every simulation runs on the reference ``Pipeline``,
-  every slice tree is mined by the Python loop, and every program is
+  every slice tree is mined by the Python loop, every program is
   interpreted by the reference interpreter and every spawn expanded in
-  Python);
+  Python, and every forward pass runs the Python loop);
 - ``REPRO_NATIVE_CC`` -- compiler executable to use (default: first of
   ``cc``, ``gcc``, ``clang`` on PATH).
 
@@ -75,11 +78,15 @@ SLICETREE_ABI = 1
 #: Must match _interp.c's INTERP_ABI.
 INTERP_ABI = 1
 
+#: Must match _critpath.c's CRITPATH_ABI.
+CRITPATH_ABI = 1
+
 _BUILD_TIMEOUT_S = 120
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _I8P = ctypes.POINTER(ctypes.c_int8)
+_F64P = ctypes.POINTER(ctypes.c_double)
 
 
 def _configure_kernel(lib: ctypes.CDLL) -> None:
@@ -133,6 +140,17 @@ def _configure_interp(lib: ctypes.CDLL) -> None:
     lib.repro_interp_free.argtypes = [ctypes.c_void_p]
 
 
+def _configure_critpath(lib: ctypes.CDLL) -> None:
+    lib.repro_critpath_run.restype = ctypes.c_double
+    lib.repro_critpath_run.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, _I64P, _I64P,  # n, start, src1/2
+        _F64P, ctypes.c_char_p,                       # lat, mispred
+        ctypes.c_double, ctypes.c_double,             # inv_width/commit
+        ctypes.c_int64, ctypes.c_double,              # rob, refill
+        _F64P, _F64P,                                 # comp, commit
+    ]
+
+
 class NativeLibrary(NamedTuple):
     """One compiled C source: where it lives and what it must export."""
 
@@ -160,6 +178,10 @@ LIBRARIES: Dict[str, NativeLibrary] = {
             "interp", _PKG / "frontend" / "_interp.c", INTERP_ABI,
             _configure_interp,
         ),
+        NativeLibrary(
+            "critpath", _PKG / "critpath" / "_critpath.c", CRITPATH_ABI,
+            _configure_critpath,
+        ),
     )
 }
 
@@ -178,6 +200,18 @@ def int64_ptr(arr: Optional[array]):
     if arr.typecode != "q":
         raise TypeError(f"int64 native input has typecode {arr.typecode!r}")
     return ctypes.cast(arr.buffer_info()[0], _I64P)
+
+
+def float64_ptr(arr: Optional[array]):
+    """A C ``double *`` into an ``array('d')`` (NULL for None/empty).
+
+    The same contract as :func:`int64_ptr`.
+    """
+    if arr is None or not len(arr):
+        return ctypes.cast(None, _F64P)
+    if arr.typecode != "d":
+        raise TypeError(f"float64 native input has typecode {arr.typecode!r}")
+    return ctypes.cast(arr.buffer_info()[0], _F64P)
 
 
 def _cache_dir() -> Path:

@@ -15,11 +15,19 @@ three events per instruction -- dispatch (D), execute-start (E), commit
 The pass is O(window length) and is re-run with modified load latencies
 to answer the "what if this load were faster" questions the load cost
 model asks (Section 4.1 of the paper).
+
+:meth:`ForwardPass.run` runs the compiled pass (``_critpath.c``, loaded
+through :mod:`repro.cpu.nativebuild` the first time a pass runs)
+whenever it loads, and the pure-Python loop otherwise.  The Python loop
+is also the golden oracle the compiled pass is tested against: both
+take the same adds and maxes in the same order, so they return the same
+bits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from array import array
+from typing import Dict, List, Optional
 
 from repro.config import MachineConfig
 from repro.critpath.classify import L1, L2, MEM, LoadClassification
@@ -41,7 +49,11 @@ def service_latency(level: str, config: MachineConfig) -> int:
 
 
 class ForwardPass:
-    """Reusable forward-pass engine over one trace window."""
+    """Reusable forward-pass engine over one trace window.
+
+    The compiled pass writes into scratch buffers owned by the instance,
+    so one instance runs one pass at a time.
+    """
 
     def __init__(
         self,
@@ -55,11 +67,10 @@ class ForwardPass:
         self.config = config or MachineConfig()
         self.start = start
         self.end = len(trace) if end is None else min(end, len(trace))
-        self._classification = classification
 
         cfg = self.config
-        # Pre-extract per-instruction static latencies and dependences for
-        # speed (column sweeps over the trace's shared lists rather than
+        # Pre-extract per-instruction static latencies for speed (a
+        # column sweep over the trace's shared lists rather than
         # per-object attribute walks); load latencies are replaced per
         # run() call.
         start, end = self.start, self.end
@@ -93,17 +104,19 @@ class ForwardPass:
             else:
                 is_load.append(False)
                 base_latency.append(lat_by_code[code])
-        self._base_latency = base_latency
+        self._base_latency = array("d", base_latency)
         self._is_load = is_load
 
-        mispred = [False] * (end - start)
+        n = end - start
+        mispred = bytearray(n)
         if classification is not None:
             for seq in classification.mispredicted:
                 if start <= seq < end:
-                    mispred[seq - start] = True
-        self._mispredicted = mispred
-        self._src1 = L.src1[start:end]
-        self._src2 = L.src2[start:end]
+                    mispred[seq - start] = 1
+        self._mispredicted = bytes(mispred)
+        # The compiled pass's completion and commit times.
+        self._comp = array("d", bytes(8 * n))
+        self._commit = array("d", bytes(8 * n))
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -112,30 +125,68 @@ class ForwardPass:
         """Execute the forward pass; return the window's execution time.
 
         ``latency_override`` maps dynamic sequence numbers to replacement
-        latencies (the what-if knob of the load cost model).
+        latencies (the what-if knob of the load cost model); seqs outside
+        the window are ignored.  Runs the compiled pass when
+        ``nativebuild.load("critpath")`` returns a library (building it on
+        the first call), the Python loop otherwise; the times are equal.
         """
-        cfg = self.config
+        from repro.cpu import nativebuild
+
+        return self._run(latency_override, nativebuild.load("critpath"))
+
+    def _run(self, latency_override: Optional[Dict[int, float]], lib) -> float:
+        """:meth:`run` on the compiled pass ``lib``, or on the Python loop
+        when ``lib`` is None."""
         n = len(self)
         if n == 0:
             return 0.0
-        start = self.start
-        inv_width = 1.0 / cfg.width
-        inv_commit = 1.0 / cfg.commit_width
-        rob = cfg.rob_entries
-        refill = float(cfg.frontend_depth)
-        src1 = self._src1
-        src2 = self._src2
-        mispred = self._mispredicted
         # Apply the override once up front; the inner loop then reads a
-        # plain latency list instead of probing a dict per instruction.
+        # plain latency array instead of probing a dict per instruction.
+        latency = self._base_latency
         if latency_override:
-            latency = self._base_latency[:]
+            latency = latency[:]
+            start = self.start
             for seq, lat in latency_override.items():
                 i = seq - start
                 if 0 <= i < n:
                     latency[i] = lat
-        else:
-            latency = self._base_latency
+        cfg = self.config
+        inv_width = 1.0 / cfg.width
+        inv_commit = 1.0 / cfg.commit_width
+        rob = cfg.rob_entries
+        refill = float(cfg.frontend_depth)
+        if lib is None:
+            return self._run_python(
+                latency, inv_width, inv_commit, rob, refill
+            )
+        # The trace's producer columns are read in place; the completion
+        # and commit times land in the instance's scratch buffers.
+        from repro.cpu.nativebuild import float64_ptr, int64_ptr
+
+        cols = self.trace.columns
+        return lib.repro_critpath_run(
+            n, self.start, int64_ptr(cols.src1), int64_ptr(cols.src2),
+            float64_ptr(latency), self._mispredicted, inv_width,
+            inv_commit, rob, refill, float64_ptr(self._comp),
+            float64_ptr(self._commit),
+        )
+
+    def _run_python(
+        self,
+        latency: array,
+        inv_width: float,
+        inv_commit: float,
+        rob: int,
+        refill: float,
+    ) -> float:
+        """The pure-Python loop (the golden oracle)."""
+        n = len(self)
+        start, end = self.start, self.end
+        L = self.trace.as_lists()
+        src1 = L.src1[start:end]
+        src2 = L.src2[start:end]
+        latency = latency.tolist()
+        mispred = self._mispredicted
 
         comp: List[float] = [0.0] * n  # completion time of local index i
         commit: List[float] = [0.0] * n

@@ -99,7 +99,10 @@ def build_cost_functions(
     ``window`` bounds the dependence-graph passes: the model is evaluated
     over the first ``window`` instructions of the trace (the functions are
     statistical averages; a large window is representative of the whole
-    run while keeping the 2 x 4 passes per load affordable).
+    run while keeping the passes affordable).  Each load takes 1 + 2 x 4
+    passes -- its optimistic baseline, then a pessimistic and an
+    optimistic pass per sample point -- on top of one shared baseline
+    pass.
     """
     config = config or MachineConfig()
     if not problem_pcs:

@@ -29,7 +29,9 @@ recovery mechanisms on top of the fan-out:
   outstanding job (the timed-out cell with its attempt count bumped).
 - **BrokenProcessPool recovery**: a crashed worker (or a failed worker
   initializer) breaks the whole pool; the engine rebuilds it -- at most
-  :data:`MAX_POOL_REBUILDS` times -- and re-submits outstanding jobs.
+  :data:`MAX_POOL_REBUILDS` times for broken pools, while timeout
+  rebuilds are bounded by each cell's attempts -- and re-submits
+  outstanding jobs.
 - **Graceful degradation**: with ``degrade=True``, a cell that exhausts
   its attempts yields a structured :class:`JobFailure` row (error
   class, attempts, elapsed) instead of aborting the grid.
@@ -103,8 +105,10 @@ _CELLS_RESUMED = obs.counters.counter("harness.parallel.cells_resumed")
 #: sane per-job timeout, so the timeout path always fires first.
 HANG_SECONDS = 600.0
 
-#: Pool rebuilds (worker crashes, hangs, failed initializers) tolerated
-#: before the whole grid is declared unrunnable.
+#: Rebuilds of a broken pool (worker crashes, failed initializers)
+#: tolerated before the whole grid is declared unrunnable.  Rebuilds
+#: after a job timeout do not count: ``RetryPolicy.max_attempts``
+#: already bounds them per cell.
 MAX_POOL_REBUILDS = 5
 
 
@@ -667,16 +671,21 @@ def _run_pool(
     inflight: Dict[Future, _Flight] = {}
     started_at: Dict[int, float] = {}
 
+    #: Broken-pool rebuilds, the ones MAX_POOL_REBUILDS bounds.
+    crashes = 0
+
     def rebuild(reason: str) -> None:
-        nonlocal pool, epoch
+        nonlocal pool, epoch, crashes
         _kill_pool(pool)
         epoch += 1
-        if epoch > MAX_POOL_REBUILDS:
+        if reason != "job_timeout":
+            crashes += 1
+        if crashes > MAX_POOL_REBUILDS:
             raise WorkerCrashError(
-                f"process pool broke {epoch} times (last: {reason}); "
+                f"process pool broke {crashes} times (last: {reason}); "
                 f"giving up on the grid",
                 cause=reason,
-                rebuilds=epoch - 1,
+                rebuilds=crashes - 1,
             )
         _POOL_REBUILDS.add()
         obs.log_event(

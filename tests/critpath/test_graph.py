@@ -1,12 +1,27 @@
-"""Tests for the dependence-graph forward pass."""
+"""Tests for the dependence-graph forward pass.
+
+Every case runs on the Python loop and, when it loads, on the compiled
+pass, and checks that both engines give the same time.
+"""
 
 
 from repro.config import MachineConfig
+from repro.cpu import nativebuild
 from repro.critpath.classify import classify_trace
 from repro.critpath.graph import ForwardPass, service_latency
 from repro.frontend import interpret
 from repro.isa.builder import ProgramBuilder
 from repro.isa.registers import Reg
+
+
+def _run(fp, latency_override=None):
+    """``fp``'s time on the Python loop, checked equal on the compiled
+    pass when that loads."""
+    time = fp._run(latency_override, None)
+    lib = nativebuild.load("critpath")
+    if lib is not None:
+        assert fp._run(latency_override, lib) == time
+    return time
 
 
 def _serial_chain(n=60):
@@ -34,14 +49,14 @@ def test_service_latency_levels():
 
 
 def test_serial_chain_longer_than_parallel():
-    serial = ForwardPass(_serial_chain()).run()
-    parallel = ForwardPass(_parallel_ops()).run()
+    serial = _run(ForwardPass(_serial_chain()))
+    parallel = _run(ForwardPass(_parallel_ops()))
     assert serial > parallel
 
 
 def test_parallel_ops_bounded_by_width():
     n = 120
-    time = ForwardPass(_parallel_ops(n)).run()
+    time = _run(ForwardPass(_parallel_ops(n)))
     # Width-6 dispatch: ~n/6 cycles plus pipeline constants.
     assert time < n / 3
 
@@ -56,9 +71,9 @@ def test_latency_override_shortens_execution():
     trace = interpret(b.build())
     cls = classify_trace(trace, warm=False)
     fp = ForwardPass(trace, classification=cls)
-    base = fp.run()
+    base = _run(fp)
     load_seq = next(d.seq for d in trace if d.is_load)
-    reduced = fp.run({load_seq: 2.0})
+    reduced = _run(fp, {load_seq: 2.0})
     assert reduced < base
 
 
@@ -80,9 +95,9 @@ def test_mispredicted_branches_add_refill():
     b.halt()
     trace = interpret(b.build())
     cls = classify_trace(trace)
-    with_mispredicts = ForwardPass(trace, classification=cls).run()
+    with_mispredicts = _run(ForwardPass(trace, classification=cls))
     cls.mispredicted.clear()
-    without = ForwardPass(trace, classification=cls).run()
+    without = _run(ForwardPass(trace, classification=cls))
     assert with_mispredicts > without
 
 
@@ -91,10 +106,10 @@ def test_window_restriction():
     full = ForwardPass(trace)
     half = ForwardPass(trace, end=len(trace) // 2)
     assert len(half) == len(trace) // 2
-    assert half.run() < full.run()
+    assert _run(half) < _run(full)
 
 
 def test_rerun_is_pure():
     fp = ForwardPass(_serial_chain())
-    assert fp.run() == fp.run()
-    assert fp.run({0: 50.0}) >= fp.run()
+    assert _run(fp) == _run(fp)
+    assert _run(fp, {0: 50.0}) >= _run(fp)

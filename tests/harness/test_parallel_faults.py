@@ -232,6 +232,24 @@ def test_unrebuildable_pool_gives_up(fake_jobs, monkeypatch):
             )
 
 
+def test_timeouts_do_not_spend_the_rebuild_budget(fake_jobs, monkeypatch):
+    # Every attempt of both cells hangs, so the one-worker grid rebuilds
+    # its pool after each of four timeouts: twice the budget, which
+    # counts broken pools only.  max_attempts bounds the timeouts.
+    monkeypatch.setattr(parallel, "MAX_POOL_REBUILDS", 1)
+    monkeypatch.setattr(parallel, "HANG_SECONDS", 2.0)
+    policy = RetryPolicy(max_attempts=2, timeout_s=0.3)
+    before = obs.counters.snapshot()
+    with faults.active(["worker.hang:1.0"]):
+        results = run_experiments(
+            fake_jobs, n_jobs=1, policy=policy, degrade=True
+        )
+    assert [type(r) for r in results] == [JobFailure, JobFailure]
+    assert [r.error for r in results] == ["SimulationTimeoutError"] * 2
+    assert [r.attempts for r in results] == [2, 2]
+    assert _delta(before).get("harness.parallel.pool_rebuilds") == 4
+
+
 def _seed_hanging_once(job, other, probability=0.5):
     """``job`` hangs on attempt 1 only; ``other`` never hangs."""
     for seed in range(2048):
