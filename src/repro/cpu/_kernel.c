@@ -50,10 +50,21 @@
  *  - l2_misses_by_pc insertion order is preserved by returning demand
  *    miss uids as an ordered stream the driver replays.
  *
- * The trace-pure inputs -- the branch-predictor outcome column, the BTB
- * redirect column, fetch line ids and the warmed cache image -- are
- * derived once per trace by the driver (see its docstring for why each
- * is independent of machine timing).
+ * The kernel reads only the sealed trace columns, the C_* config block
+ * and the p-thread spawn columns; it derives everything else itself,
+ * each from the reference's own definition:
+ *  - the hybrid direction predictor (repro/branch/predictors.py) is
+ *    called at fetch, where the reference calls predict_and_update,
+ *    before a branch hint overrides its answer: each main branch is
+ *    fetched exactly once, in sequence order, so its state evolves as
+ *    in the reference;
+ *  - the BTB (repro/branch/btb.py) is consulted for every correctly
+ *    predicted taken branch, in fetch order;
+ *  - the functional warm-up (Pipeline._warm_caches) runs on the
+ *    kernel's own caches before the timed loop: each fetch line once,
+ *    in first-seen order, then each data address; no TLB is touched;
+ *  - fetch line ids are (pc * inst_bytes) >> line_shift, computed where
+ *    fetch compares them.
  *
  * Data-structure substitutions vs the reference's Python containers,
  * each order-preserving:
@@ -61,7 +72,8 @@
  *  - completion heap       -> binary heap on (t, uid) lexicographic;
  *  - MSHR insertion dict   -> insertion-ordered parallel arrays;
  *  - prefetched/partial sets -> open-addressing int64 hash sets;
- *  - live BTB OrderedDict  -> chained hash + doubly-linked LRU list;
+ *  - predictor tables      -> one byte per 2-bit counter;
+ *  - BTB OrderedDict       -> chained hash + doubly-linked LRU list;
  *  - rob/frontend/pth deques -> fixed-capacity rings.
  */
 
@@ -69,7 +81,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define KERNEL_ABI 3
+#define KERNEL_ABI 4
 #define NOT_DONE (-1LL)
 #define NO_FILL (1LL << 62)
 
@@ -89,7 +101,7 @@ enum {
     C_INT_ALUS, C_LOAD_PORTS, C_STORE_PORTS, C_MUL_LATENCY,
     C_ISSUE_POOL_LIMIT, C_MAIN_RS_CAP, C_FREE_CONTEXTS, C_SAFETY_LIMIT,
     C_INST_BYTES, C_LINE_SHIFT, C_L2_LINE_SHIFT, C_HAS_SPAWNS,
-    C_HAS_HINTS, C_USE_BTB_COL, C_BTB_ENTRIES, C_PTHREAD_FILL_L1,
+    C_HAS_HINTS, C_BPRED_ENTRIES, C_BTB_ENTRIES, C_PTHREAD_FILL_L1,
     C_NO_PRODUCER, C_DO_WARM,
     C_IC_OFFSET_BITS, C_IC_INDEX_BITS, C_IC_INDEX_MASK, C_IC_ASSOC,
     C_IC_NSETS, C_IC_HIT_LAT,
@@ -123,19 +135,16 @@ enum {
 
 /* int64 input-pointer table -- order matches kerneldriver._run_native. */
 enum {
-    I_PC, I_ADDR, I_SRC1, I_SRC2, I_NEXT_PC, I_LINE,
+    I_PC, I_ADDR, I_SRC1, I_SRC2, I_NEXT_PC,
     I_SP_TRIGGER, I_SP_STATIC, I_SP_INST_LO, I_SP_INST_HI,
     I_PI_ADDR, I_PI_HINT_SEQ, I_PI_DEP_LO, I_PI_DEP_HI, I_DEP_FLAT,
     I_PI_LIVE_LO, I_PI_LIVE_HI, I_LIVE_FLAT,
-    I_WARM_IC_WAYS, I_WARM_IC_OCC, I_WARM_DC_WAYS, I_WARM_DC_OCC,
-    I_WARM_L2_WAYS, I_WARM_L2_OCC,
     I_LEN,
 };
 
 /* uint8 input-pointer table. */
 enum {
-    B_KIND, B_CTRL, B_WRITES, B_TAKEN, B_PRED, B_BTB,
-    B_PI_KIND, B_PI_HINT_TAKEN,
+    B_KIND, B_CTRL, B_WRITES, B_TAKEN, B_PI_KIND, B_PI_HINT_TAKEN,
     B_LEN,
 };
 
@@ -189,6 +198,14 @@ static int64_t cache_fill(Cache *c, int64_t addr, int64_t wbit) {
     w[n] = tag2 | wbit;
     c->occ[index] = n + 1;
     return victim_line;
+}
+
+/* MemoryHierarchy.warm_inst / warm_data: a functional touch, no timing. */
+static void cache_warm(Cache *l1, Cache *l2, int64_t addr) {
+    if (!cache_access(l1, addr, 0)) {
+        if (!cache_access(l2, addr, 0)) cache_fill(l2, addr, 0);
+        cache_fill(l1, addr, 0);
+    }
 }
 
 /* ---------------------------------------------------------------- */
@@ -270,7 +287,39 @@ static void hs_discard(HSet *s, int64_t key) {
 }
 
 /* ---------------------------------------------------------------- */
-/* Live BTB: chained hash map + doubly-linked LRU (OrderedDict).    */
+/* Hybrid predictor: bimodal + gshare + 2-bit chooser (McFarling).  */
+
+#define BPRED_HISTORY_MASK ((1LL << 12) - 1)
+
+typedef struct {
+    uint8_t *bimodal, *gshare, *chooser;   /* 2-bit counters, start 2 */
+    int64_t mask, history;
+} Bpred;
+
+static void counter_update(uint8_t *c, int64_t taken) {
+    if (taken) { if (*c < 3) *c += 1; }
+    else if (*c > 0) *c -= 1;
+}
+
+static int64_t bpred_predict_and_update(Bpred *p, int64_t pc, int64_t taken) {
+    int64_t bi = pc & p->mask;
+    int64_t gi = (pc ^ p->history) & p->mask;
+    int64_t bimodal = p->bimodal[bi] >= 2;
+    int64_t gshare = p->gshare[gi] >= 2;
+    int64_t predicted = p->chooser[bi] >= 2 ? gshare : bimodal;
+    if (gshare == taken && bimodal != taken) {
+        if (p->chooser[bi] < 3) p->chooser[bi] += 1;
+    } else if (bimodal == taken && gshare != taken) {
+        if (p->chooser[bi] > 0) p->chooser[bi] -= 1;
+    }
+    counter_update(&p->bimodal[bi], taken);
+    counter_update(&p->gshare[gi], taken);
+    p->history = ((p->history << 1) | taken) & BPRED_HISTORY_MASK;
+    return predicted;
+}
+
+/* ---------------------------------------------------------------- */
+/* BTB: chained hash map + doubly-linked LRU (OrderedDict).         */
 
 typedef struct {
     int64_t *pc, *target;
@@ -582,7 +631,7 @@ int repro_kernel_simulate(
     const int64_t l2_line_shift = cfg[C_L2_LINE_SHIFT];
     const int64_t has_spawns = cfg[C_HAS_SPAWNS];
     const int64_t has_hints = cfg[C_HAS_HINTS];
-    const int64_t use_btb_col = cfg[C_USE_BTB_COL];
+    const int64_t bpred_entries = cfg[C_BPRED_ENTRIES];
     const int64_t btb_entries = cfg[C_BTB_ENTRIES];
     const int64_t no_producer = cfg[C_NO_PRODUCER];
     const int64_t n_spawns = cfg[C_N_SPAWNS];
@@ -594,7 +643,6 @@ int repro_kernel_simulate(
     const int64_t *src1_arr = I[I_SRC1];
     const int64_t *src2_arr = I[I_SRC2];
     const int64_t *next_pc_arr = I[I_NEXT_PC];
-    const int64_t *line_arr = I[I_LINE];
     const int64_t *sp_trigger = I[I_SP_TRIGGER];
     const int64_t *sp_static = I[I_SP_STATIC];
     const int64_t *sp_inst_lo = I[I_SP_INST_LO];
@@ -611,8 +659,6 @@ int repro_kernel_simulate(
     const uint8_t *ctrl_arr = B[B_CTRL];
     const uint8_t *writes_arr = B[B_WRITES];
     const uint8_t *taken_arr = B[B_TAKEN];
-    const uint8_t *pred_arr = B[B_PRED];
-    const uint8_t *btb_col = B[B_BTB];
     const uint8_t *pi_kind = B[B_PI_KIND];
     const uint8_t *pi_hint_taken = B[B_PI_HINT_TAKEN];
 
@@ -637,20 +683,27 @@ int repro_kernel_simulate(
     mem.ic.ways = ic_ways; mem.ic.occ = ic_occ;
     mem.dc.ways = dc_ways; mem.dc.occ = dc_occ;
     mem.l2.ways = l2_ways; mem.l2.occ = l2_occ;
-    if (cfg[C_DO_WARM]) {
-        memcpy(ic_ways, I[I_WARM_IC_WAYS],
-               (size_t)(ic_nsets * mem.ic.assoc) * 8);
-        memcpy(ic_occ, I[I_WARM_IC_OCC], (size_t)ic_nsets * 8);
-        memcpy(dc_ways, I[I_WARM_DC_WAYS],
-               (size_t)(dc_nsets * mem.dc.assoc) * 8);
-        memcpy(dc_occ, I[I_WARM_DC_OCC], (size_t)dc_nsets * 8);
-        memcpy(l2_ways, I[I_WARM_L2_WAYS],
-               (size_t)(l2_nsets * mem.l2.assoc) * 8);
-        memcpy(l2_occ, I[I_WARM_L2_OCC], (size_t)l2_nsets * 8);
-    } else {
-        memset(ic_occ, 0, (size_t)ic_nsets * 8);
-        memset(dc_occ, 0, (size_t)dc_nsets * 8);
-        memset(l2_occ, 0, (size_t)l2_nsets * 8);
+    memset(ic_occ, 0, (size_t)ic_nsets * 8);
+    memset(dc_occ, 0, (size_t)dc_nsets * 8);
+    memset(l2_occ, 0, (size_t)l2_nsets * 8);
+    if (cfg[C_DO_WARM] && n_main) {
+        /* Pipeline._warm_caches; `seen` is a byte map over line ids. */
+        int64_t lo = (pc_arr[0] * inst_bytes) >> line_shift, hi = lo;
+        for (int64_t i = 1; i < n_main; i++) {
+            int64_t line = (pc_arr[i] * inst_bytes) >> line_shift;
+            if (line < lo) lo = line;
+            if (line > hi) hi = line;
+        }
+        ALLOC8(seen, hi - lo + 1);
+        memset(seen, 0, (size_t)(hi - lo + 1));
+        for (int64_t i = 0; i < n_main; i++) {
+            int64_t line = (pc_arr[i] * inst_bytes) >> line_shift;
+            if (!seen[line - lo]) {
+                seen[line - lo] = 1;
+                cache_warm(&mem.ic, &mem.l2, pc_arr[i] * inst_bytes);
+            }
+            if (addr_arr[i] >= 0) cache_warm(&mem.dc, &mem.l2, addr_arr[i]);
+        }
     }
     ALLOC64(itlb_pages, cfg[C_ITLB_ENTRIES]);
     ALLOC64(dtlb_pages, cfg[C_DTLB_ENTRIES]);
@@ -679,11 +732,19 @@ int repro_kernel_simulate(
     mem.membus_cyc_l2line = cfg[C_MEMBUS_CYC_L2LINE];
     mem.pthread_fill_l1 = cfg[C_PTHREAD_FILL_L1];
 
-    /* ---- live BTB (branch-hint mode only) ---------------------- */
+    /* ---- branch predictor and BTB ------------------------------ */
+    Bpred bp;
+    ALLOC8(bp_tables, 3 * bpred_entries);
+    memset(bp_tables, 2, (size_t)(3 * bpred_entries));
+    bp.bimodal = bp_tables;
+    bp.gshare = bp_tables + bpred_entries;
+    bp.chooser = bp_tables + 2 * bpred_entries;
+    bp.mask = bpred_entries - 1;
+    bp.history = 0;
     Btb btb;
     memset(&btb, 0, sizeof(btb));
     btb.head = btb.tail = -1;
-    if (!use_btb_col && n_main) {
+    if (n_main) {
         uint64_t nb = pow2_at_least((uint64_t)(2 * btb_entries + 2));
         ALLOC64(btb_pc, btb_entries);
         ALLOC64(btb_target, btb_entries);
@@ -1238,7 +1299,7 @@ int repro_kernel_simulate(
                 }
             }
             if (fetch_ok && now >= fetch_hold_until && next_seq < n_main) {
-                int64_t line = line_arr[next_seq];
+                int64_t line = (pc_arr[next_seq] * inst_bytes) >> line_shift;
                 int line_miss = 0;
                 if (line != fetch_line) {
                     int64_t r = inst_fetch(&mem, pc_arr[next_seq]
@@ -1260,7 +1321,9 @@ int repro_kernel_simulate(
                     while (fetched < width && next_seq < n_main
                            && fp_len < pipe_capacity) {
                         int64_t idx = next_seq;
-                        if (line_arr[idx] != fetch_line) break;
+                        int64_t pc = pc_arr[idx];
+                        if ((pc * inst_bytes) >> line_shift != fetch_line)
+                            break;
                         frontend_pipe[fp_tail_i] = dispatch_at;
                         fp_tail_i = fp_tail_i + 1 == fp_cap
                             ? 0 : fp_tail_i + 1;
@@ -1272,7 +1335,8 @@ int repro_kernel_simulate(
                             int64_t taken = taken_arr[idx];
                             st_branches += 1;
                             ac_bpred += 1;
-                            int64_t predicted = pred_arr[idx];
+                            int64_t predicted =
+                                bpred_predict_and_update(&bp, pc, taken);
                             if (has_hints) {
                                 int64_t ht = hint_time[idx];
                                 if (ht != NOT_DONE && ht <= now) {
@@ -1288,19 +1352,11 @@ int repro_kernel_simulate(
                             }
                             if (taken) {
                                 int64_t branch_next_pc = next_pc_arr[idx];
-                                if (use_btb_col) {
-                                    if (btb_col[idx]) {
-                                        st_btb_misses += 1;
-                                        fetch_hold_until = now + 2;
-                                    }
-                                } else {
-                                    int64_t pc = pc_arr[idx];
-                                    int64_t target = btb_lookup(&btb, pc);
-                                    if (target != branch_next_pc) {
-                                        st_btb_misses += 1;
-                                        btb_update(&btb, pc, branch_next_pc);
-                                        fetch_hold_until = now + 2;
-                                    }
+                                int64_t target = btb_lookup(&btb, pc);
+                                if (target != branch_next_pc) {
+                                    st_btb_misses += 1;
+                                    btb_update(&btb, pc, branch_next_pc);
+                                    fetch_hold_until = now + 2;
                                 }
                                 fetch_line = (branch_next_pc * inst_bytes)
                                     >> line_shift;

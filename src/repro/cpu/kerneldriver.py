@@ -7,39 +7,21 @@ config.  It drives ``cpu/_kernel.c``, loaded by
 :mod:`repro.cpu.nativebuild`, and owns the marshaled layout the two
 share: the ``C_*`` config block and ``O_*`` counter block indices, the
 status codes and the entry-kind enums below.  All object traffic stops
-at this boundary: the driver hands the kernel the trace's sealed
-``array('q')``/``array('b')`` columns and the p-thread program's spawn
-columns as zero-copy pointers, flattens the machine config and warmed
-cache image into the ``C_*`` config block and flat arrays, and rebuilds
+at this boundary.  The driver only marshals:
+
+- the trace's sealed ``array('q')``/``array('b')`` columns (pc, addr,
+  sources, taken, next pc), passed as zero-copy pointers;
+- the kind, control-class and writes-register columns, one
+  ``bytes.translate`` each over the dense opcode column, per call;
+- the p-thread program's spawn columns, also zero-copy;
+- the machine config, flattened into the ``C_*`` config block.
+
+The kernel derives everything else -- branch predictions, BTB
+redirects, fetch line ids and the warmed caches -- itself, so nothing
+is memoized on the trace.  On the way back the driver rebuilds
 ``SimStats`` (and the byte-identical error objects) from the ``O_*``
 counter block and ordered event streams the kernel returns.  No
 per-instruction Python list is built on the way.
-
-Several inputs are pure functions of the trace (or of the trace plus one
-config axis); they are built once from the sealed columns, memoized on
-``trace.derived["simprep"]`` as ``bytes``/``array`` objects, and shared
-by every simulation of the same trace -- a figure sweep simulates one
-trace under many machine configs:
-
-- ``("ops",)`` -- the kind, control-class and writes-register columns,
-  one ``bytes.translate`` each over the dense opcode column;
-- ``("lines", shift)`` -- the fetch line id per instruction;
-- ``("pred", entries)`` -- the **branch-predictor outcome column**.
-  The fetch stage calls ``predict_and_update(pc, taken)``
-  unconditionally for every branch, in increasing sequence order,
-  exactly once each (a mispredict redirect only delays the successor,
-  never re-fetches a branch).  Hints override the *returned* prediction
-  after the call, so predictor state -- and therefore this column -- is
-  independent of machine timing and of p-threads;
-- ``("btb", bpred, btb)`` -- the **BTB redirect column**.  The BTB is
-  consulted only for correctly predicted taken branches, in fetch order,
-  a sequence the prediction column fully determines.  Valid only when
-  the run has no branch-hint p-instructions (a timely hint can flip a
-  predicted outcome); the kernel keeps a live BTB otherwise;
-- ``("warm", icache, dcache, l2)`` -- the **warmed cache image**: the
-  reference's functional warm-up pass replayed once per cache geometry,
-  packed as flat ``tag << 1 | dirty`` way arrays plus per-set occupancy.
-  Machine configs differing in, say, memory latency share it.
 """
 
 from __future__ import annotations
@@ -47,13 +29,9 @@ from __future__ import annotations
 import ctypes
 import time
 from array import array
-from collections import OrderedDict
-from itertools import compress, count
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro import obs
-from repro.branch.predictors import HybridPredictor
-from repro.config import CacheConfig, MachineConfig
+from repro.config import MachineConfig
 from repro.cpu import nativebuild
 from repro.cpu import pipeline as _ref
 from repro.cpu.pthreads import PThreadProgram
@@ -61,7 +39,6 @@ from repro.cpu.stats import SimStats
 from repro.errors import ExecutionError, PipelineDeadlockError
 from repro.frontend.trace import NO_PRODUCER, Trace
 from repro.isa.opcodes import WRITES_BY_CODE
-from repro.memory.hierarchy import MemoryHierarchy
 
 # ------------------------------------------------------------------ #
 # The marshaled layout shared with _kernel.c: every value below must
@@ -89,7 +66,7 @@ assert NOT_DONE == _ref._NOT_DONE
     C_INT_ALUS, C_LOAD_PORTS, C_STORE_PORTS, C_MUL_LATENCY,
     C_ISSUE_POOL_LIMIT, C_MAIN_RS_CAP, C_FREE_CONTEXTS, C_SAFETY_LIMIT,
     C_INST_BYTES, C_LINE_SHIFT, C_L2_LINE_SHIFT, C_HAS_SPAWNS,
-    C_HAS_HINTS, C_USE_BTB_COL, C_BTB_ENTRIES, C_PTHREAD_FILL_L1,
+    C_HAS_HINTS, C_BPRED_ENTRIES, C_BTB_ENTRIES, C_PTHREAD_FILL_L1,
     C_NO_PRODUCER, C_DO_WARM,
     # memory hierarchy geometry/timing
     C_IC_OFFSET_BITS, C_IC_INDEX_BITS, C_IC_INDEX_MASK, C_IC_ASSOC,
@@ -126,10 +103,6 @@ assert NOT_DONE == _ref._NOT_DONE
 #: O_STATUS values.
 STATUS_OK, STATUS_DEADLOCK, STATUS_SAFETY = range(3)
 
-_PREP_BUILDS = obs.counters.counter("cpu.batch.prep_builds")
-_PREP_REUSES = obs.counters.counter("cpu.batch.prep_reuses")
-_WARM_RESTORES = obs.counters.counter("cpu.batch.warm_restores")
-
 
 def _code_table(values) -> bytes:
     """A ``bytes.translate`` table mapping dense opcode -> ``values``."""
@@ -139,159 +112,16 @@ def _code_table(values) -> bytes:
 _KIND_TABLE = _code_table(_ref._KIND_BY_CODE)
 _CTRL_TABLE = _code_table(_ref._CTRL_BY_CODE)
 _WRITES_TABLE = _code_table(WRITES_BY_CODE)
-_IS_BRANCH = bytes(1 if c == CTRL_BRANCH else 0 for c in range(256))
-
-
-# ------------------------------------------------------------------ #
-# Trace-pure inputs, memoized on trace.derived["simprep"].
-# ------------------------------------------------------------------ #
-
-
-def _prep_store(trace: Trace) -> Dict[Tuple, object]:
-    store = trace.derived.get("simprep")
-    if store is None:
-        store = {}
-        trace.derived["simprep"] = store
-    return store
 
 
 def _op_columns(trace: Trace) -> Tuple[bytes, bytes, bytes]:
     """(kind, ctrl, writes) per instruction, from the opcode column."""
-    store = _prep_store(trace)
-    cols = store.get(("ops",))
-    if cols is None:
-        codes = trace.columns.op_code.tobytes()
-        cols = (
-            codes.translate(_KIND_TABLE),
-            codes.translate(_CTRL_TABLE),
-            codes.translate(_WRITES_TABLE),
-        )
-        store[("ops",)] = cols
-    return cols
-
-
-def _branch_seqs(trace: Trace) -> Iterator[int]:
-    """Sequence numbers of the conditional branches, in trace order."""
-    return compress(count(), _op_columns(trace)[1].translate(_IS_BRANCH))
-
-
-def _line_column(trace: Trace, line_shift: int) -> array:
-    """Per-instruction I-cache line id: ``(pc * INST_BYTES) >> line_shift``."""
-    store = _prep_store(trace)
-    key = ("lines", line_shift)
-    lines = store.get(key)
-    if lines is None:
-        inst_bytes = _ref.INST_BYTES
-        lines = array(
-            "q", ((pc * inst_bytes) >> line_shift for pc in trace.columns.pc)
-        )
-        store[key] = lines
-    return lines
-
-
-def _pred_column(trace: Trace, bpred_entries: int) -> bytes:
-    """Predicted direction per instruction (0 for non-branches)."""
-    store = _prep_store(trace)
-    key = ("pred", bpred_entries)
-    pred = store.get(key)
-    if pred is None:
-        _PREP_BUILDS.add()
-        cols = trace.columns
-        pc_arr, taken_arr = cols.pc, cols.taken
-        predict_and_update = HybridPredictor(bpred_entries).predict_and_update
-        col = bytearray(len(pc_arr))
-        for i in _branch_seqs(trace):
-            if predict_and_update(pc_arr[i], taken_arr[i] != 0):
-                col[i] = 1
-        pred = bytes(col)
-        store[key] = pred
-    else:
-        _PREP_REUSES.add()
-    return pred
-
-
-def _btb_column(trace: Trace, bpred_entries: int, btb_entries: int) -> bytes:
-    """BTB redirect (miss) flag per instruction.
-
-    The LRU replay below mirrors :class:`repro.branch.btb.BTB` operation
-    for operation, over the branches the prediction column sends to it.
-    """
-    store = _prep_store(trace)
-    key = ("btb", bpred_entries, btb_entries)
-    col = store.get(key)
-    if col is None:
-        cols = trace.columns
-        pc_arr, taken_arr, next_pc_arr = cols.pc, cols.taken, cols.next_pc
-        pred = _pred_column(trace, bpred_entries)
-        flags = bytearray(len(pc_arr))
-        table: "OrderedDict[int, int]" = OrderedDict()
-        move_to_end = table.move_to_end
-        table_get = table.get
-        for i in _branch_seqs(trace):
-            if not (taken_arr[i] and pred[i]):
-                continue
-            pc = pc_arr[i]
-            target = table_get(pc, -1)
-            if target != -1:
-                move_to_end(pc)
-            npc = next_pc_arr[i]
-            if target != npc:
-                flags[i] = 1
-                if target == -1 and len(table) >= btb_entries:
-                    table.popitem(last=False)
-                table[pc] = npc
-        col = bytes(flags)
-        store[key] = col
-    return col
-
-
-def _warm_image(trace: Trace, cfg: MachineConfig) -> Tuple[array, ...]:
-    """Cache contents after the functional warm-up pass.
-
-    Replays :meth:`Pipeline._warm_caches` exactly (same access order,
-    same LRU movement) against a fresh hierarchy, once per cache
-    geometry, and returns ``(ic_ways, ic_occ, dc_ways, dc_occ, l2_ways,
-    l2_occ)`` for the kernel to copy into each warm run's caches.
-    """
-    store = _prep_store(trace)
-    key = ("warm", cfg.icache, cfg.dcache, cfg.l2)
-    image = store.get(key)
-    if image is None:
-        hierarchy = MemoryHierarchy(cfg)
-        warm_inst = hierarchy.warm_inst
-        warm_data = hierarchy.warm_data
-        inst_bytes = _ref.INST_BYTES
-        line_insts = cfg.icache.line_bytes // inst_bytes
-        seen_lines = set()
-        seen_add = seen_lines.add
-        cols = trace.columns
-        for pc, addr in zip(cols.pc, cols.addr):
-            line = pc // line_insts
-            if line not in seen_lines:
-                seen_add(line)
-                warm_inst(pc * inst_bytes)
-            if addr >= 0:
-                warm_data(addr)
-        image = (
-            _pack_sets(hierarchy.icache._sets, cfg.icache)
-            + _pack_sets(hierarchy.dcache._sets, cfg.dcache)
-            + _pack_sets(hierarchy.l2._sets, cfg.l2)
-        )
-        store[key] = image
-    return image
-
-
-def _pack_sets(sets: List[List[List[int]]], cc: CacheConfig) -> Tuple:
-    """Flat ``ways[set * assoc + i]`` / ``occ[set]`` arrays of one cache."""
-    assoc = cc.assoc
-    ways = array("q", bytes(8 * cc.n_sets * assoc))
-    occ = array("q", bytes(8 * cc.n_sets))
-    for index, entries in enumerate(sets):
-        base = index * assoc
-        for i, (tag, dirty) in enumerate(entries):
-            ways[base + i] = tag << 1 | (1 if dirty else 0)
-        occ[index] = len(entries)
-    return ways, occ
+    codes = trace.columns.op_code.tobytes()
+    return (
+        codes.translate(_KIND_TABLE),
+        codes.translate(_CTRL_TABLE),
+        codes.translate(_WRITES_TABLE),
+    )
 
 
 def _has_branch_hints(pthreads: PThreadProgram) -> bool:
@@ -309,7 +139,6 @@ def _cfg_block(
     do_warm: bool,
     has_spawns: bool,
     has_hints: bool,
-    use_btb_col: bool,
 ) -> List[int]:
     c = [0] * C_LEN
     c[C_N_MAIN] = n_main
@@ -338,7 +167,7 @@ def _cfg_block(
     c[C_L2_LINE_SHIFT] = cfg.l2.line_bytes.bit_length() - 1
     c[C_HAS_SPAWNS] = 1 if has_spawns else 0
     c[C_HAS_HINTS] = 1 if has_hints else 0
-    c[C_USE_BTB_COL] = 1 if use_btb_col else 0
+    c[C_BPRED_ENTRIES] = cfg.bpred_entries
     c[C_BTB_ENTRIES] = cfg.btb_entries
     c[C_PTHREAD_FILL_L1] = 1 if cfg.pthread_fill_l1 else 0
     c[C_NO_PRODUCER] = NO_PRODUCER
@@ -373,10 +202,10 @@ def _cfg_block(
     return c
 
 
-def _run_native(lib, cfg_block, columns, warm, pth, n_loads):
+def _run_native(lib, cfg_block, columns, pth, n_loads):
     """Run the C kernel; returns ``(out, missed, misspc, fetch_state)``."""
     (kind_b, ctrl_b, writes_b, pc_a, addr_a, src1_a, src2_a, taken_a,
-     next_pc_a, line_a, pred_b, btb_b) = columns
+     next_pc_a) = columns
     n_spawns = cfg_block[C_N_SPAWNS]
 
     # Each main load appends at most once to each uid stream.
@@ -395,7 +224,7 @@ def _run_native(lib, cfg_block, columns, warm, pth, n_loads):
     # read out of bounds.
     n_main = cfg_block[C_N_MAIN]
     for col in columns:
-        if col is not None and len(col) != n_main:
+        if len(col) != n_main:
             raise ValueError(
                 f"kernel input of length {len(col)} for a trace of "
                 f"{n_main} instructions"
@@ -404,7 +233,7 @@ def _run_native(lib, cfg_block, columns, warm, pth, n_loads):
     # Every array/bytes object below stays referenced for the whole
     # call; the kernel reads the inputs in place and never writes them.
     def bp(buf):
-        if buf is None or not len(buf):
+        if not len(buf):
             return ctypes.cast(None, u8p)
         if isinstance(buf, array):
             if buf.typecode not in "bB":
@@ -416,16 +245,14 @@ def _run_native(lib, cfg_block, columns, warm, pth, n_loads):
 
     i_tbl = (i64p * nativebuild.I_LEN)(
         ip(pc_a), ip(addr_a), ip(src1_a), ip(src2_a), ip(next_pc_a),
-        ip(line_a),
         ip(pth.sp_trigger), ip(pth.sp_static), ip(pth.sp_inst_lo),
         ip(pth.sp_inst_hi), ip(pth.pi_addr), ip(pth.pi_hint_seq),
         ip(pth.pi_dep_lo), ip(pth.pi_dep_hi), ip(pth.dep_flat),
         ip(pth.pi_live_lo), ip(pth.pi_live_hi), ip(pth.live_flat),
-        *(ip(part) for part in warm),
     )
     b_tbl = (u8p * nativebuild.B_LEN)(
         bp(kind_b), bp(ctrl_b), bp(writes_b), bp(taken_a),
-        bp(pred_b), bp(btb_b), bp(pth.pi_kind), bp(pth.pi_hint_taken),
+        bp(pth.pi_kind), bp(pth.pi_hint_taken),
     )
     rc = lib.repro_kernel_simulate(
         ip(cfg_a), i_tbl, b_tbl, ip(out), ip(missed_out), ip(misspc_out),
@@ -475,38 +302,16 @@ def simulate_kernel(
     cols = trace.columns
 
     kind_b, ctrl_b, writes_b = _op_columns(trace)
-    line_shift = cfg.icache.line_bytes.bit_length() - 1
-    if n_main:
-        line_a = _line_column(trace, line_shift)
-        pred_b = _pred_column(trace, cfg.bpred_entries)
-    else:
-        line_a = array("q")
-        pred_b = b""
     has_spawns = not pth.empty()
     has_hints = has_spawns and _has_branch_hints(pth)
-    use_btb_col = bool(n_main and not has_hints)
-    btb_b = (
-        _btb_column(trace, cfg.bpred_entries, cfg.btb_entries)
-        if use_btb_col
-        else None
-    )
-    do_warm = bool(warm and n_main)
-    if do_warm:
-        warm_image = _warm_image(trace, cfg)
-        _WARM_RESTORES.add()
-    else:
-        warm_image = (None,) * 6
-    cfg_block = _cfg_block(
-        cfg, n_main, pth, do_warm, has_spawns, has_hints, use_btb_col
-    )
+    cfg_block = _cfg_block(cfg, n_main, pth, warm, has_spawns, has_hints)
 
     columns = (
         kind_b, ctrl_b, writes_b, cols.pc, cols.addr, cols.src1, cols.src2,
-        cols.taken, cols.next_pc, line_a, pred_b, btb_b,
+        cols.taken, cols.next_pc,
     )
     out, missed, misspc, dead_fa = _run_native(
-        lib, cfg_block, columns, warm_image, pth,
-        kind_b.count(K_LOAD),
+        lib, cfg_block, columns, pth, kind_b.count(K_LOAD),
     )
 
     status = out[O_STATUS]

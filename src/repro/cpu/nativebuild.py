@@ -63,14 +63,14 @@ from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional
 
 #: int64 input-pointer table layout (must match _kernel.c's I_* enum).
-I_LEN = 24
+I_LEN = 17
 #: uint8 input-pointer table layout (must match _kernel.c's B_* enum).
-B_LEN = 8
+B_LEN = 6
 
 #: Must match _kernel.c's KERNEL_ABI; bumped whenever the marshaled
 #: layout (kerneldriver's C_*/O_* blocks, array meanings, packing)
 #: changes.
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
 #: Must match _slicetree.c's SLICETREE_ABI.
 SLICETREE_ABI = 1

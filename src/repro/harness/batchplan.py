@@ -14,8 +14,8 @@ explicit:
   configurations each group needs;
 - :func:`prewarm` advances each multi-config group through
   :func:`repro.cpu.batch.simulate_batch` in one pass over the shared
-  trace-pure kernel inputs (per-config ``SimStats`` fully independent), and
-  hands every result to :func:`repro.harness.experiment.adopt_baseline`,
+  trace (the configs share only its sealed columns; per-config
+  ``SimStats`` fully independent), and hands every result to :func:`repro.harness.experiment.adopt_baseline`,
   which stores it on the shared trace, so the subsequent per-cell
   experiments are served from there and the results fan back out as
   ordinary per-cell rows.  The pass reports only through the
@@ -27,7 +27,7 @@ journal resumes do not re-simulate.  The engine only invokes the pass
 on the sequential path when the compiled cycle kernel loads
 (:func:`repro.cpu.pipeline.use_reference` is false); everything here is
 bit-identical to the per-cell path because :func:`simulate_batch` runs
-the same kernel on the same memoized trace objects.
+the same kernel on the same trace objects.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ reference, so the matrix is the reference alone and each test still
 runs it end to end.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import EnergyConfig, MachineConfig
@@ -32,6 +34,7 @@ from repro.energy.wattch import EnergyModel
 from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import figures, simcache
+from repro.pthsel.branches import select_branch_pthreads
 from repro.pthsel.framework import BaselineEstimates, select_pthreads
 from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
@@ -77,20 +80,32 @@ def _use(name):
         assert nativebuild.load() is not None
 
 
-def _backend_stats(trace, machine, pthreads=None):
+def _backend_stats(trace, machine, pthreads=None, warm=True):
     """Baseline + optionally augmented SimStats under each backend."""
     out = {}
     for backend in BACKENDS:
         _use(backend)
-        out[backend] = simulate(trace, machine, pthreads)
+        out[backend] = simulate(trace, machine, pthreads, warm=warm)
     return out
+
+
+def _budget_trace(bench_name, program=None):
+    program = program or get_program(bench_name, "train")
+    return interpret(program, max_instructions=BUDGET, require_halt=False)
+
+
+def _estimates(stats, machine, energy):
+    measured = EnergyModel(energy, machine).evaluate(stats.activity)
+    return BaselineEstimates(
+        ipc=stats.ipc, l0=float(stats.cycles), e0=measured.total_joules,
+    )
 
 
 @pytest.mark.parametrize("bench_name", benchmark_names())
 def test_backends_bit_identical(bench_name):
     """Full SimStats equality, baseline and augmented, per benchmark."""
     program = get_program(bench_name, "train")
-    trace = interpret(program, max_instructions=BUDGET, require_halt=False)
+    trace = _budget_trace(bench_name, program)
     machine = MachineConfig()
     energy = EnergyConfig()
 
@@ -105,15 +120,9 @@ def test_backends_bit_identical(bench_name):
     # P-thread selection must agree too (it consumes only the trace, but
     # a backend bug upstream would surface here), and the augmented run
     # exercises spawns, p-instruction scheduling, and coverage counters.
-    measured = EnergyModel(energy, machine).evaluate(reference.activity)
-    estimates = BaselineEstimates(
-        ipc=reference.ipc,
-        l0=float(reference.cycles),
-        e0=measured.total_joules,
-    )
     selection = select_pthreads(
-        trace, estimates, target=Target.LATENCY, machine=machine,
-        energy=energy,
+        trace, _estimates(reference, machine, energy),
+        target=Target.LATENCY, machine=machine, energy=energy,
     )
     if not selection.pthreads:
         return
@@ -135,6 +144,72 @@ def test_backends_bit_identical(bench_name):
     for backend in BACKENDS[1:]:
         assert opt_by_backend[backend] == opt_reference, (
             f"{bench_name}/{backend}: augmented SimStats diverge from the "
+            "reference engine"
+        )
+
+
+#: Machines away from the default predictor, BTB, cache geometry and
+#: memory latency, plus a cold-cache run: each exercises a component
+#: the kernel models on its own (predictor tables, BTB capacity,
+#: warm-up, fetch line ids, L2 and memory timing).
+_DEFAULT = MachineConfig()
+VARIANTS = {
+    "tiny-btb-bpred": (MachineConfig(btb_entries=1, bpred_entries=64), True),
+    "bpred-256": (MachineConfig(bpred_entries=256), True),
+    "cold": (_DEFAULT, False),
+    "l2-64k": (_DEFAULT.scaled_l2(64 * 1024, 10), True),
+    "icache-32b-lines": (
+        replace(_DEFAULT, icache=replace(_DEFAULT.icache, line_bytes=32)),
+        True,
+    ),
+    "mem-500": (MachineConfig(memory_latency=500), True),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("bench_name", ["parser", "vpr.route"])
+def test_machine_variants_bit_identical(bench_name, variant):
+    machine, warm = VARIANTS[variant]
+    by_backend = _backend_stats(_budget_trace(bench_name), machine, warm=warm)
+    reference = by_backend["reference"]
+    for backend in BACKENDS[1:]:
+        assert by_backend[backend] == reference, (
+            f"{bench_name}/{variant}/{backend}: SimStats diverge from the "
+            "reference engine"
+        )
+
+
+@pytest.mark.parametrize("bench_name", ["bzip2", "parser"])
+def test_branch_hint_runs_bit_identical(bench_name):
+    """Branch p-threads override the predictor at fetch on both engines."""
+    program = get_program(bench_name, "train")
+    trace = _budget_trace(bench_name, program)
+    machine = MachineConfig()
+    energy = EnergyConfig()
+    _use("reference")
+    estimates = _estimates(simulate(trace, machine), machine, energy)
+    loads = select_pthreads(
+        trace, estimates, target=Target.LATENCY, machine=machine,
+        energy=energy,
+    )
+    branches = select_branch_pthreads(
+        trace, estimates, target=Target.LATENCY, machine=machine,
+        energy=energy, classification=loads.classification,
+    )
+    assert branches.pthreads
+    augmented = expand_pthreads(
+        program,
+        loads.pthreads + branches.pthreads,
+        max_instructions=BUDGET,
+        reference_trace=trace,
+        require_halt=False,
+    )
+    by_backend = _backend_stats(augmented.trace, machine, augmented.pthreads)
+    reference = by_backend["reference"]
+    assert reference.branch_hints_used > 0
+    for backend in BACKENDS[1:]:
+        assert by_backend[backend] == reference, (
+            f"{bench_name}/{backend}: branch-hint SimStats diverge from the "
             "reference engine"
         )
 
@@ -255,9 +330,8 @@ def test_deadlock_detected_identically():
     program = _alu_program(n=1, chain=1)
 
     def _doctored():
-        # Rebuilt per backend: the pipeline view and the kernel inputs
-        # are memoized on the trace, so the mutation must precede the
-        # first simulate.
+        # Rebuilt per backend: the reference's pipeline view is memoized
+        # on the trace, so the mutation must precede the first simulate.
         trace = interpret(program, require_halt=False)
         trace.columns.src1[1] = 1
         return trace

@@ -3,10 +3,15 @@
 Covers which runs :func:`simulate` routes to the reference
 :class:`Pipeline` (every run when the compiled kernel cannot load, and
 no other), that the compiled kernel reads the sealed trace columns
-without building Python lists, and, where the compiled artifact loads,
-``simulate_batch``/``batchplan`` equivalence with per-cell simulation.
-Toolchain-less environments skip the compiled cases -- never fail.
+without building Python lists or memoizing anything on the trace, that
+the driver shares no model code with the reference, and, where the
+compiled artifact loads, ``simulate_batch``/``batchplan`` equivalence
+with per-cell simulation.  Toolchain-less environments skip the
+compiled cases -- never fail.
 """
+
+import ast
+import inspect
 
 import pytest
 
@@ -164,19 +169,39 @@ class TestNativeAvailable:
     def test_c_kernel_builds_no_python_lists(self):
         trace = _gap_trace()
         simulate(trace, MachineConfig(memory_latency=200))
-        assert "pipeline" not in trace.derived
+        assert not trace.derived
         assert trace._lists is None
 
-    def test_simulate_batch_matches_per_config_simulate(self, monkeypatch):
+    def test_simulate_batch_matches_per_config_simulate(self):
+        # Engine identity at these latencies is the golden suite's
+        # mem-500 variant; here the batch must only equal per-config runs.
         program = get_program("mcf", "train")
         trace, _ = tracestore.get_trace(program, SIM.max_instructions)
         configs = [
             MachineConfig(memory_latency=lat) for lat in (100, 200, 500)
         ]
         got = simulate_batch(trace, configs)
-        monkeypatch.setattr(pipeline, "use_reference", lambda: True)
-        expected = [simulate(trace, config) for config in configs]
-        assert got == expected
+        assert got == [simulate(trace, config) for config in configs]
+
+
+def test_kernel_driver_shares_no_model_with_the_reference():
+    """The kernel's predictor, BTB and caches are its own, not Python's.
+
+    A bug in a model both engines shared would be invisible to the
+    golden bit-identity tests.
+    """
+    tree = ast.parse(inspect.getsource(kerneldriver))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    shared = sorted(
+        name for name in imported
+        if name.startswith(("repro.branch", "repro.memory"))
+    )
+    assert not shared
 
 
 @pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
