@@ -86,8 +86,8 @@ _CTRL_BY_CODE = tuple(
 def _pipeline_view(trace: Trace) -> Tuple[List, ...]:
     """Flat per-instruction arrays for the hot loop, memoized on the trace.
 
-    The per-cycle closures index plain lists instead of chasing
-    ``DynInst -> Op -> OpClass`` attribute/property/enum-hash chains.  The
+    The per-cycle closures index plain lists instead of mapping each
+    opcode to its ``Op`` and ``OpClass`` per cycle.  The
     kind/ctrl/writes columns are one table-lookup sweep over the trace's
     dense opcode column; the value columns are the trace's own shared
     lists, borrowed read-only.  Sequence numbers equal trace indices, so

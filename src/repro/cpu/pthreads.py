@@ -9,10 +9,10 @@ p-instruction's class, address, and dependences.
 the cycle kernel reads (zero-copy in C), spawns ordered by trigger:
 dispatch visits sequence numbers in increasing order, so the kernel
 walks the spawns with one advancing cursor.
-:class:`SpawnSpec`/:class:`PInstSpec` objects are a lazy view over the
-columns (``spawns_by_trigger``), built on first use for the reference
-``Pipeline`` and tests, the way ``DynInst`` rows are for the
-trace.
+:class:`SpawnSpec`/:class:`PInstSpec` objects are the input of
+:meth:`PThreadProgram.from_spawns` and a lazy view over the columns
+(``spawns_by_trigger``), built on first use for the reference
+``Pipeline`` and tests.
 """
 
 from __future__ import annotations
@@ -136,22 +136,13 @@ class PThreadProgram:
     """All dynamic spawns for one simulation, as flat columns.
 
     Build it from columns (``columns=``, spawns already in trigger
-    order), from spawn objects (:meth:`from_spawns`) or from a
-    ``spawns_by_trigger`` dict.  The columns are read-only once built.
+    order) or from spawn objects (:meth:`from_spawns`); with neither it
+    holds no spawn.  The columns are read-only once built.
     """
 
-    def __init__(
-        self,
-        spawns_by_trigger: Optional[Mapping[int, List[SpawnSpec]]] = None,
-        *,
-        columns: Optional[Mapping[str, array]] = None,
-    ) -> None:
+    def __init__(self, *, columns: Optional[Mapping[str, array]] = None) -> None:
         if columns is None:
-            columns = _flatten(
-                spawn
-                for _, group in sorted((spawns_by_trigger or {}).items())
-                for spawn in group
-            )
+            columns = _flatten(())
         for name in COLUMNS:
             setattr(self, name, columns[name])
         self._view: Optional[Dict[int, List[SpawnSpec]]] = None

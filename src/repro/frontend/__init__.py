@@ -8,6 +8,6 @@ pre-execution (Section 2.1 of the paper).
 """
 
 from repro.frontend.interpreter import InterpreterState, interpret
-from repro.frontend.trace import DynInst, Trace
+from repro.frontend.trace import Trace
 
-__all__ = ["DynInst", "InterpreterState", "Trace", "interpret"]
+__all__ = ["InterpreterState", "Trace", "interpret"]

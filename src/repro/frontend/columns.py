@@ -1,11 +1,12 @@
 """Columnar (structure-of-arrays) trace storage.
 
 The dynamic trace is seven flat columns (pc, op code, producer sequence
-numbers, effective address, branch direction, resolved next pc) instead
-of one Python object per dynamic instruction.  Columns are stdlib
-``array('q')`` / ``array('b')`` buffers: emitted into preallocated
-arrays (CPython item assignment into ``array('q')`` is as fast as
-anything for a data-dependent sequential loop) and sealed in place.
+numbers, effective address, branch direction, resolved next pc); no
+layer builds a Python object per dynamic instruction.  Columns are
+stdlib ``array('q')`` / ``array('b')`` buffers.  The C interpreter
+writes into the preallocated buffers :func:`trace_buffers` makes and
+seals them in place (:meth:`TraceColumns.seal`); the reference
+interpreter appends to plain lists and converts them once at the end.
 The cycle kernel's C build reads sealed trace columns zero-copy
 through their buffer addresses.
 """
@@ -13,7 +14,7 @@ through their buffer addresses.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List
+from typing import List
 
 #: int64 two's-complement -1, used to prefill sentinel columns.
 _NEG1_WORD = b"\xff" * 8
@@ -111,35 +112,3 @@ class TraceColumns:
         for col in (pc, src1, src2, addr, next_pc, op_code, taken):
             del col[length:]
         return cls(pc, op_code, src1, src2, addr, taken, next_pc)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable) -> "TraceColumns":
-        """Build sealed columns from ``DynInst``-like row objects (the
-        legacy constructor path: tests and the object-path reference
-        interpreter)."""
-        pc: List[int] = []
-        op_code: List[int] = []
-        src1: List[int] = []
-        src2: List[int] = []
-        addr: List[int] = []
-        taken: List[int] = []
-        next_pc: List[int] = []
-        from repro.isa.opcodes import CODE_BY_OP
-
-        for row in rows:
-            pc.append(row.pc)
-            op_code.append(CODE_BY_OP[row.op])
-            src1.append(row.src1_seq)
-            src2.append(row.src2_seq)
-            addr.append(row.addr)
-            taken.append(1 if row.taken else 0)
-            next_pc.append(row.next_pc)
-        return cls(
-            array("q", pc),
-            array("b", op_code),
-            array("q", src1),
-            array("q", src2),
-            array("q", addr),
-            array("b", taken),
-            array("q", next_pc),
-        )

@@ -16,20 +16,22 @@ loop then expands the p-thread spawns itself -- and
 Python-callable hooks, or values outside int64).  Both emit the same
 columns and raise the same errors.
 
-:func:`interpret_reference` is the object-path oracle the C loop is
-tested against: it builds one :class:`~repro.frontend.trace.DynInst` per
-dynamic instruction and decodes each ``StaticInst`` itself, so it shares
-no decode table with the C loop and a :func:`_decode` bug cannot hide in
-both.
+:func:`interpret_reference` is the Python oracle the C loop is tested
+against: it decodes each ``StaticInst`` itself as it executes and
+appends each row to seven lists that it converts to columns at the end,
+so it shares no decode table with the C loop and a :func:`_decode` bug
+cannot hide in both.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ExecutionError
 from repro.frontend import nativeinterp
-from repro.frontend.trace import NO_PRODUCER, DynInst, Trace
+from repro.frontend.columns import TraceColumns
+from repro.frontend.trace import NO_PRODUCER, Trace
 from repro.isa.instruction import Program
 from repro.isa.opcodes import CODE_BY_OP, IMMEDIATE_OPS, Op, OpClass
 from repro.isa.registers import NUM_ARCH_REGS, ZERO
@@ -155,8 +157,8 @@ def interpret_reference(
     pc_hooks: Optional[Dict[int, PcHook]] = None,
     require_halt: bool = True,
 ) -> Trace:
-    """:func:`interpret` on the object-path Python loop (the C loop's
-    oracle), decoding each ``StaticInst`` as it executes."""
+    """:func:`interpret` on the Python loop (the C loop's oracle),
+    decoding each ``StaticInst`` as it executes."""
     state = InterpreterState()
     state.memory = dict(program.data)
     for reg, value in program.initial_regs.items():
@@ -164,39 +166,45 @@ def interpret_reference(
 
     insts = program.instructions
     n_static = len(insts)
-    trace: List[DynInst] = []
     regs = state.regs
     last_writer = state.last_writer
     memory = state.memory
     hooks = pc_hooks or {}
+    pc_col: List[int] = []
+    op_col: List[int] = []
+    src1_col: List[int] = []
+    src2_col: List[int] = []
+    addr_col: List[int] = []
+    taken_col: List[int] = []
+    next_pc_col: List[int] = []
 
     pc = program.entry
+    seq = 0
     halted = False
-    while len(trace) < max_instructions:
+    while seq < max_instructions:
         if not 0 <= pc < n_static:
             raise ExecutionError(f"control transferred outside program: pc={pc}")
         static = insts[pc]
         op = static.op
-        seq = len(trace)
         next_pc = pc + 1
         cls = op.op_class
+        s1 = NO_PRODUCER
+        s2 = NO_PRODUCER
+        addr = -1
+        taken = 0
 
         if cls is OpClass.ALU or cls is OpClass.MUL:
             if op is Op.LI:
                 a = 0
                 b = static.imm
-                s1 = NO_PRODUCER
-                s2 = NO_PRODUCER
             elif op is Op.MOV:
                 a = regs[static.rs1]
                 b = 0
                 s1 = last_writer[static.rs1]
-                s2 = NO_PRODUCER
             elif op in IMMEDIATE_OPS:
                 a = regs[static.rs1]
                 b = static.imm
                 s1 = last_writer[static.rs1]
-                s2 = NO_PRODUCER
             else:
                 a = regs[static.rs1]
                 b = regs[static.rs2]
@@ -206,7 +214,6 @@ def interpret_reference(
             if static.rd != ZERO:
                 regs[static.rd] = value
                 last_writer[static.rd] = seq
-            trace.append(DynInst(seq, pc, op, s1, s2, next_pc=next_pc))
 
         elif cls is OpClass.LOAD:
             base = regs[static.rs1]
@@ -218,8 +225,6 @@ def interpret_reference(
             if static.rd != ZERO:
                 regs[static.rd] = value
                 last_writer[static.rd] = seq
-            trace.append(DynInst(seq, pc, op, s1, NO_PRODUCER, addr=addr,
-                                 next_pc=next_pc))
 
         elif cls is OpClass.STORE:
             base = regs[static.rs1]
@@ -227,55 +232,40 @@ def interpret_reference(
             if addr < 0:
                 raise ExecutionError(f"negative store address at pc={pc}")
             memory[addr] = regs[static.rs2]
-            trace.append(
-                DynInst(
-                    seq,
-                    pc,
-                    op,
-                    last_writer[static.rs1],
-                    last_writer[static.rs2],
-                    addr=addr,
-                    next_pc=next_pc,
-                )
-            )
+            s1 = last_writer[static.rs1]
+            s2 = last_writer[static.rs2]
 
         elif cls is OpClass.BRANCH:
-            a = regs[static.rs1]
-            b = regs[static.rs2]
-            taken = static.evaluate_branch(a, b)
-            if taken:
+            if static.evaluate_branch(regs[static.rs1], regs[static.rs2]):
+                taken = 1
                 next_pc = static.target
-            trace.append(
-                DynInst(
-                    seq,
-                    pc,
-                    op,
-                    last_writer[static.rs1],
-                    last_writer[static.rs2],
-                    taken=taken,
-                    next_pc=next_pc,
-                )
-            )
+            s1 = last_writer[static.rs1]
+            s2 = last_writer[static.rs2]
 
         elif cls is OpClass.JUMP:
+            taken = 1
             next_pc = static.target
-            trace.append(DynInst(seq, pc, op, taken=True, next_pc=next_pc))
-
-        elif cls is OpClass.NOP:
-            trace.append(DynInst(seq, pc, op, next_pc=next_pc))
 
         elif cls is OpClass.HALT:
-            trace.append(DynInst(seq, pc, op, next_pc=next_pc))
             halted = True
 
-        else:  # pragma: no cover - all classes handled above
+        elif cls is not OpClass.NOP:  # pragma: no cover - all classes handled
             raise ExecutionError(f"unhandled op class {cls} at pc={pc}")
+
+        pc_col.append(pc)
+        op_col.append(CODE_BY_OP[op])
+        src1_col.append(s1)
+        src2_col.append(s2)
+        addr_col.append(addr)
+        taken_col.append(taken)
+        next_pc_col.append(next_pc)
 
         hook = hooks.get(pc)
         if hook is not None:
             state.seq = seq
             hook(seq, state)
 
+        seq += 1
         if halted:
             break
         pc = next_pc
@@ -285,4 +275,8 @@ def interpret_reference(
             f"program {program.name!r} did not halt within "
             f"{max_instructions} instructions"
         )
-    return Trace(program, trace)
+    return Trace(program, TraceColumns(
+        array("q", pc_col), array("b", op_col), array("q", src1_col),
+        array("q", src2_col), array("q", addr_col), array("b", taken_col),
+        array("q", next_pc_col),
+    ))

@@ -2,9 +2,10 @@
 
 :func:`repro.frontend.interpreter.interpret` runs a program here
 whenever the ``interp`` library loads (see :mod:`repro.cpu.nativebuild`)
-and every pc hook is a :class:`TriggerPlan`; the object-path reference
-interpreter (``interpret_reference``) runs otherwise.  Both produce the
-same trace columns, and the same spawns.
+and every pc hook is a :class:`TriggerPlan`; the Python reference
+interpreter (``interpret_reference``), which decodes each instruction
+itself, runs otherwise.  Both produce the same trace columns, and the
+same spawns.
 
 A :class:`TriggerPlan` is a pc hook with two faces.  Called from the
 reference interpreter, it runs each body's Python expansion

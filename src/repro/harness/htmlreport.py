@@ -223,25 +223,33 @@ def _results_section(data: RunData) -> str:
     return out
 
 
+#: The disjoint phases of a result row, which add up to its ``t_total``.
+#: ``t_trace``, ``t_analysis`` and ``t_sim`` overlap them, so the bar
+#: leaves them out.
+STACKED_PHASES = ("t_baseline", "t_profile", "t_select", "t_augment",
+                  "t_simulate")
+
+
 def _phases_section(data: RunData) -> str:
     timed = [
         row for row in data.rows
-        if any(k.startswith("t_") for k in row)
+        if any(p in row for p in STACKED_PHASES)
     ]
     if not timed:
         return "<p class='muted'>no phase timings recorded</p>"
-    phases = sorted({k for row in timed for k in row if k.startswith("t_")})
+    phases = [p for p in STACKED_PHASES if any(p in row for row in timed)]
     colors = {
         p: PHASE_PALETTE[i % len(PHASE_PALETTE)]
         for i, p in enumerate(phases)
     }
     bars = []
     for row in timed:
-        total = sum(float(row.get(p) or 0.0) for p in phases)
-        if total <= 0:
+        stacked = sum(float(row.get(p) or 0.0) for p in phases)
+        if stacked <= 0:
             continue
+        total = float(row.get("t_total") or stacked)
         parts = [
-            (p[2:], float(row.get(p) or 0.0) / total, colors[p])
+            (p[2:], float(row.get(p) or 0.0) / stacked, colors[p])
             for p in phases
         ]
         bars.append(

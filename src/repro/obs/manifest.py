@@ -9,13 +9,14 @@ output directory::
     <out>/results.jsonl    -- one JSON object per (benchmark, target),
                               stamped with its run's ``run_id``
     <out>/run_table.csv    -- the same rows, appendable across runs
-                              (mubench-style run table: header written
-                              once, later runs append)
+                              (mubench-style run table: later runs
+                              append, widening the header when needed)
 
 Rows are plain dicts -- whatever :meth:`ExperimentResult.summary_row`
-plus the phase timings produced.  The CSV reuses the header of an
-existing file so accumulated tables stay rectangular even when a later
-version adds columns.
+plus the phase timings produced.  The CSV keeps the header of an
+existing file and rewrites it with the new columns appended when a
+later run adds some, so accumulated tables stay rectangular and no
+run's columns are lost.
 
 The run directory is the only copy of a run's rows:
 :class:`RunWriter` writes them and :func:`read_runs` reads them back
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -59,6 +61,9 @@ RESULTS_SCHEMA_VERSION = 2
 
 #: Keys :func:`read_runs` stamps on every row it returns.
 STAMPED_KEYS = ("run_seq", "run_id", "commit", "kind", "schema", "failed")
+
+#: Per-process sequence number of the default ``run_id``.
+_RUN_SEQ = itertools.count(1)
 
 _DAMAGED = counters.counter("results.damaged_lines")
 _REJECTED = counters.counter("results.rejected_rows")
@@ -144,9 +149,11 @@ class RunWriter:
         # Callers that construct the writer only at teardown can pass the
         # command's real start time so manifest wall_s covers the whole run.
         self.started = time.time() if started is None else started
+        # The per-process sequence number keeps two runs that one
+        # process starts within the same second apart.
         self.run_id = run_id or (
             time.strftime("%Y%m%dT%H%M%S", time.gmtime(self.started))
-            + f"-{os.getpid()}"
+            + f"-{os.getpid()}-{next(_RUN_SEQ)}"
         )
         self.configs = dict(configs or {})
         self.rows: List[Dict[str, Any]] = []
@@ -188,24 +195,37 @@ class RunWriter:
             {k for row in self.rows for k in row} - set(lead)
         )
         columns = lead + extra
-        write_header = True
+        header: List[str] = []
+        old_rows: List[List[str]] = []
         if os.path.exists(self.run_table_path):
             with open(self.run_table_path, "r", encoding="utf-8",
                       newline="") as fh:
-                first = fh.readline().strip()
-            if first:
-                # Keep the accumulated table rectangular: reuse its header.
-                columns = next(csv.reader([first]))
-                write_header = False
-        with open(self.run_table_path, "a", encoding="utf-8",
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                # Keep the accumulated table rectangular: the header's
+                # columns keep their order and new ones follow, with the
+                # earlier rows padded, so no run's columns are dropped.
+                if header:
+                    columns = header + [c for c in columns if c not in header]
+                    if len(columns) > len(header):
+                        old_rows = [row for row in reader if row]
+        rewrite = len(columns) > len(header)
+        # A widened table is written aside and renamed over the old one,
+        # so a crash mid-write leaves the previous table whole.
+        path = self.run_table_path + ".tmp" if rewrite else self.run_table_path
+        with open(path, "w" if rewrite else "a", encoding="utf-8",
                   newline="") as fh:
             writer = csv.writer(fh)
-            if write_header:
+            if rewrite:
                 writer.writerow(columns)
+                pad = [""] * (len(columns) - len(header))
+                writer.writerows(row + pad for row in old_rows)
             for row in self.rows:
                 full = {"run_id": self.run_id, "command": self.command}
                 full.update(row)
                 writer.writerow([full.get(c, "") for c in columns])
+        if rewrite:
+            os.replace(path, self.run_table_path)
 
     def finalize(
         self,

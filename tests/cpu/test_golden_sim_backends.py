@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import EnergyConfig, MachineConfig
+from repro.config import CacheConfig, EnergyConfig, MachineConfig
 from repro.cpu import pipeline
 from repro.cpu.pipeline import simulate
 from repro.cpu.pthreads import (
@@ -344,3 +344,56 @@ def test_deadlock_detected_identically():
         messages[backend] = str(excinfo.value)
     for backend in BACKENDS[1:]:
         assert messages[backend] == messages["reference"]
+
+
+def _icache_overflow_program(body_alus=400, loads=8, iterations=40):
+    """A loop whose body spans more lines than the I-cache holds, over a
+    data stream larger than the L2 (see the warm-up test below)."""
+    stride = 64 * loads
+    b = ProgramBuilder("icache-overflow")
+    b.data.alloc("stream", stride * iterations // 8)
+    b.set_reg(Reg.r2, stride * iterations)
+    b.li(Reg.r1, 0)
+    b.label("top")
+    for k in range(loads):
+        b.load(Reg.r3, Reg.r1, imm=64 * k, base_symbol="stream")
+    for _ in range(body_alus):
+        b.add(Reg.r4, Reg.r4, Reg.r5)
+    b.addi(Reg.r1, Reg.r1, stride)
+    b.blt(Reg.r1, Reg.r2, "top")
+    b.halt()
+    return b.build()
+
+
+def test_warm_up_touches_each_fetch_line_once_all_backends(monkeypatch):
+    """The warm-up touches each fetch line once, in first-seen order.
+
+    The loop body (about 26 lines of 64 B) overflows a 1 KB, 2-way
+    I-cache and the data stream (20 KB) overflows an 8 KB L2, so the
+    code lines the warm-up touched in the first iteration leave the L2
+    before the timed run starts.  A warm-up that touched the I-cache on
+    every instruction would keep re-missing them into the L2 and start
+    the timed run with a different L2.
+    """
+    machine = replace(
+        _DEFAULT.scaled_l2(8 * 1024, 10),
+        icache=CacheConfig(1024, 2, 64, 1),
+    )
+    trace = interpret(_icache_overflow_program())
+    by_backend = _backend_stats(trace, machine)
+    reference = by_backend["reference"]
+    for backend in BACKENDS[1:]:
+        assert by_backend[backend] == reference
+
+    # The case can tell the rule apart: the same warm-up touching the
+    # I-cache for every instruction gives different stats.
+    def warm_every_inst(self):
+        L = self.trace.as_lists()
+        for pc, addr in zip(L.pc, L.addr):
+            self.hierarchy.warm_inst(pc * pipeline.INST_BYTES)
+            if addr >= 0:
+                self.hierarchy.warm_data(addr)
+
+    monkeypatch.setattr(pipeline.Pipeline, "_warm_caches", warm_every_inst)
+    _use("reference")
+    assert simulate(trace, machine).cycles != reference.cycles

@@ -13,6 +13,7 @@ from repro.cpu.pthreads import (
 from repro.errors import ExecutionError
 from repro.frontend import interpret
 from repro.isa.builder import ProgramBuilder
+from repro.isa.opcodes import CODE_BY_OP, LD_CODE, Op
 from repro.isa.registers import Reg
 
 
@@ -93,7 +94,7 @@ class TestMemoryBehavior:
     def test_misses_attributed_to_static_pc(self):
         trace = _missing_load_loop()
         stats = simulate(trace, warm=False)
-        load_pc = next(d.pc for d in trace if d.is_load)
+        load_pc = next(i.pc for i in trace.program if i.op is Op.LD)
         assert stats.l2_misses_by_pc.get(load_pc, 0) > 20
 
     def test_warm_false_sees_cold_misses(self):
@@ -168,12 +169,13 @@ class TestPThreadExecution:
     def test_pthread_prefetch_covers_later_miss(self):
         trace = _missing_load_loop(n=40)
         # Prefetch iteration 30's address early (trigger at iteration 2).
-        load_seqs = [d.seq for d in trace if d.is_load]
-        target = trace[load_seqs[30]]
+        load_seqs = [s for s, c in enumerate(trace.columns.op_code)
+                     if c == LD_CODE]
         spawn = SpawnSpec(
             trigger_seq=load_seqs[2],
             static_id=0,
-            insts=(PInstSpec(klass=PInstClass.LOAD, addr=target.addr,
+            insts=(PInstSpec(klass=PInstClass.LOAD,
+                             addr=trace.columns.addr[load_seqs[30]],
                              is_target=True),),
         )
         stats = simulate(trace, pthreads=PThreadProgram.from_spawns([spawn]),
@@ -201,7 +203,9 @@ class TestPThreadExecution:
         trace = _alu_loop(n=300, chain=1)
         base = simulate(trace)
         body = tuple(PInstSpec(klass=PInstClass.ALU) for _ in range(12))
-        addi_seqs = [d.seq for d in trace if d.op.value == "addi"]
+        addi = CODE_BY_OP[Op.ADDI]
+        addi_seqs = [s for s, c in enumerate(trace.columns.op_code)
+                     if c == addi]
         spawns = [
             SpawnSpec(trigger_seq=s, static_id=0, insts=body)
             for s in addi_seqs[::2]

@@ -4,6 +4,7 @@
 from repro.critpath.classify import L1, L2, MEM, classify_trace
 from repro.frontend import interpret
 from repro.isa.builder import ProgramBuilder
+from repro.isa.opcodes import Op
 from repro.isa.registers import Reg
 from repro.workloads import get_program
 
@@ -27,7 +28,7 @@ def _strided_loads(n=64, stride=4096):
 def test_cold_strided_loads_classified_mem():
     trace = _strided_loads()
     cls = classify_trace(trace, warm=False)
-    load_pc = next(d.pc for d in trace if d.is_load)
+    load_pc = next(i.pc for i in trace.program if i.op is Op.LD)
     assert cls.miss_counts[load_pc] > 30
     assert cls.total_l2_misses > 30
 
@@ -45,7 +46,7 @@ def test_warm_small_footprint_is_l1():
     b.halt()
     trace = interpret(b.build())
     cls = classify_trace(trace)
-    load_pc = next(d.pc for d in trace if d.is_load)
+    load_pc = next(i.pc for i in trace.program if i.op is Op.LD)
     counts = cls.service_counts[load_pc]
     assert counts[0] == cls.load_counts[load_pc]  # all L1
 
@@ -80,7 +81,7 @@ def test_branch_classification_matches_predictability():
 def test_expected_service_latency_weighted():
     trace = _strided_loads()
     cls = classify_trace(trace, warm=False)
-    load_pc = next(d.pc for d in trace if d.is_load)
+    load_pc = next(i.pc for i in trace.program if i.op is Op.LD)
     latencies = {L1: 2.0, L2: 14.0, MEM: 214.0}
     expected = cls.expected_service_latency(load_pc, latencies, default=2.0)
     assert expected > 100.0  # cold strided loads mostly go to memory

@@ -11,6 +11,7 @@ from repro.critpath.classify import classify_trace
 from repro.critpath.graph import ForwardPass, service_latency
 from repro.frontend import interpret
 from repro.isa.builder import ProgramBuilder
+from repro.isa.opcodes import LD_CODE
 from repro.isa.registers import Reg
 
 
@@ -72,7 +73,7 @@ def test_latency_override_shortens_execution():
     cls = classify_trace(trace, warm=False)
     fp = ForwardPass(trace, classification=cls)
     base = _run(fp)
-    load_seq = next(d.seq for d in trace if d.is_load)
+    load_seq = trace.columns.op_code.index(LD_CODE)
     reduced = _run(fp, {load_seq: 2.0})
     assert reduced < base
 

@@ -13,6 +13,7 @@ from repro.critpath.loadcost import (
 )
 from repro.errors import SelectionError
 from repro.frontend import interpret
+from repro.isa.opcodes import Op
 from repro.slicer import identify_problem_loads
 from repro.workloads import get_program
 
@@ -94,6 +95,6 @@ class TestBuildCostFunctions:
 
     def test_missing_misses_raises(self, gap_profile):
         trace, cls, _ = gap_profile
-        store_pc = next(d.pc for d in trace if d.is_store)
+        store_pc = next(i.pc for i in trace.program if i.op is Op.ST)
         with pytest.raises(SelectionError):
             build_cost_functions(trace, cls, [store_pc])

@@ -39,10 +39,9 @@ def test_augmented_trace_identical_to_plain(gap_selected):
     program, trace, result = gap_selected
     augmented = expand_pthreads(program, result.pthreads)
     assert len(augmented.trace) == len(trace)
-    assert all(
-        a.pc == b.pc and a.addr == b.addr and a.taken == b.taken
-        for a, b in zip(augmented.trace, trace)
-    )
+    for column in ("pc", "addr", "taken"):
+        assert (getattr(augmented.trace.columns, column)
+                == getattr(trace.columns, column))
 
 
 def test_spawn_addresses_match_future_demand(gap_selected):
@@ -53,7 +52,7 @@ def test_spawn_addresses_match_future_demand(gap_selected):
     augmented = expand_pthreads(program, [pthread])
     target_pc = pthread.target_pcs[0]
     demand_addrs = {
-        d.seq: d.addr for d in trace if d.pc == target_pc
+        seq: trace.columns.addr[seq] for seq in trace.occurrences(target_pc)
     }
     demand_by_addr = {}
     for seq, addr in demand_addrs.items():

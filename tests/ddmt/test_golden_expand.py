@@ -2,7 +2,7 @@
 
 ``expand_pthreads`` replays the program once with compiled trigger
 plans.  On the C interpreter the plans run in C and the spawns land in
-spawn columns directly; on the object-path reference interpreter each
+spawn columns directly; on the Python reference interpreter each
 plan calls ``_expand_body``.  For every p-thread set ``run_experiment`` selects
 (targets O/L/E on train, branch p-threads on L, and the ref->train
 profile path) both must give the same spawns field by field, the same
@@ -239,8 +239,6 @@ def test_columns_view_round_trip_is_lossless(expansions):
             continue
         program = python.pthreads
         columns = _spawn_columns(program)
-        view = program.spawns_by_trigger
-        assert _spawn_columns(PThreadProgram(spawns_by_trigger=view)) == columns
         assert _spawn_columns(
             PThreadProgram.from_spawns(_spawn_list(program))
         ) == columns

@@ -1,4 +1,4 @@
-"""Golden bit-identity: the C interpreter vs the object-path reference.
+"""Golden bit-identity: the C interpreter vs the Python reference.
 
 :func:`~repro.frontend.interpreter.interpret`, which runs the C loop
 whenever ``_interp.c`` loads, must be indistinguishable from

@@ -1,4 +1,4 @@
-"""Golden bit-identity: the C interpreter vs the object-path reference.
+"""Golden bit-identity: the C interpreter vs the Python reference.
 
 ``interpret`` runs the C loop (``_interp.c``) whenever its library
 loads; ``interpret_reference`` is the oracle, and shares no decode

@@ -8,7 +8,7 @@ from repro.errors import ExecutionError
 from repro.frontend import interpret
 from repro.frontend.trace import NO_PRODUCER
 from repro.isa.builder import ProgramBuilder
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import CODE_BY_OP, Op
 from repro.isa.registers import Reg
 
 
@@ -25,13 +25,12 @@ def _counting_loop(n):
 
 def test_counting_loop_executes_n_iterations():
     trace = interpret(_counting_loop(10))
-    addis = [d for d in trace if d.op is Op.ADDI]
-    assert len(addis) == 10
+    assert trace.columns.op_code.count(CODE_BY_OP[Op.ADDI]) == 10
 
 
 def test_trace_ends_with_halt():
     trace = interpret(_counting_loop(3))
-    assert trace.insts[-1].op is Op.HALT
+    assert trace.columns.op_code[-1] == CODE_BY_OP[Op.HALT]
 
 
 def test_runaway_program_raises():
@@ -58,8 +57,9 @@ def test_producer_links_point_to_last_writer():
     b.add(Reg.r4, Reg.r3, Reg.r3)  # seq 3
     b.halt()
     trace = interpret(b.build())
-    assert (trace[2].src1_seq, trace[2].src2_seq) == (0, 1)
-    assert (trace[3].src1_seq, trace[3].src2_seq) == (2, 2)
+    c = trace.columns
+    assert (c.src1[2], c.src2[2]) == (0, 1)
+    assert (c.src1[3], c.src2[3]) == (2, 2)
 
 
 def test_initial_register_values_have_no_producer():
@@ -68,7 +68,7 @@ def test_initial_register_values_have_no_producer():
     b.mov(Reg.r2, Reg.r1)
     b.halt()
     trace = interpret(b.build())
-    assert trace[0].src1_seq == NO_PRODUCER
+    assert trace.columns.src1[0] == NO_PRODUCER
 
 
 def test_store_load_roundtrip_through_memory():
@@ -84,10 +84,11 @@ def test_store_load_roundtrip_through_memory():
     b.nop()
     b.halt()
     trace = interpret(b.build())
+    c = trace.columns
     # The BNE must fall through (values equal): trace ends at first halt.
-    assert trace.insts[-1].op is Op.HALT
-    assert not trace[4].taken
-    assert trace[3].addr == trace[2].addr  # load sees the store's address
+    assert c.op_code[-1] == CODE_BY_OP[Op.HALT]
+    assert not c.taken[4]
+    assert c.addr[3] == c.addr[2]  # load sees the store's address
 
 
 def test_branch_taken_direction_and_next_pc():
@@ -98,8 +99,7 @@ def test_branch_taken_direction_and_next_pc():
     b.label("over")
     b.halt()
     trace = interpret(b.build())
-    branch = trace[1]
-    assert branch.taken and branch.next_pc == 3
+    assert trace.columns.taken[1] and trace.columns.next_pc[1] == 3
     assert len(trace) == 3  # nop skipped
 
 
@@ -115,7 +115,7 @@ def test_data_image_visible_to_loads():
     b.nop()
     b.halt()
     trace = interpret(b.build())
-    assert trace.insts[-2].op is Op.NOP
+    assert trace.columns.op_code[-2] == CODE_BY_OP[Op.NOP]
 
 
 def test_r0_writes_discarded():
@@ -127,8 +127,8 @@ def test_r0_writes_discarded():
     b.nop()
     b.halt()
     trace = interpret(b.build())
-    assert trace.insts[-1].op is Op.HALT
-    assert trace.insts[-2].op is not Op.NOP
+    assert trace.columns.op_code[-1] == CODE_BY_OP[Op.HALT]
+    assert trace.columns.op_code[-2] != CODE_BY_OP[Op.NOP]
 
 
 def test_pc_hooks_fire_with_architectural_state():
@@ -154,22 +154,10 @@ def test_unwritten_memory_reads_zero():
     b.nop()
     b.halt()
     trace = interpret(b.build())
-    assert trace.insts[-2].op is not Op.NOP
+    assert trace.columns.op_code[-2] != CODE_BY_OP[Op.NOP]
 
 
 class TestTraceQueries:
-    def test_summary_counts(self):
-        trace = interpret(_counting_loop(5))
-        s = trace.summary()
-        assert s["branches"] == 5
-        assert s["instructions"] == len(trace)
-
-    def test_branch_stats(self):
-        trace = interpret(_counting_loop(5))
-        stats = trace.branch_stats()
-        (pc, entry), = stats.items()
-        assert entry["total"] == 5 and entry["taken"] == 4
-
     def test_occurrences(self):
         prog = _counting_loop(6)
         trace = interpret(prog)
@@ -180,4 +168,4 @@ class TestTraceQueries:
 @given(n=st.integers(min_value=1, max_value=40))
 def test_loop_iteration_count_matches_bound(n):
     trace = interpret(_counting_loop(n))
-    assert sum(1 for d in trace if d.op is Op.ADDI) == n
+    assert trace.columns.op_code.count(CODE_BY_OP[Op.ADDI]) == n

@@ -145,3 +145,21 @@ def test_report_keeps_loadtest_rows_out_of_results(tmp_path):
     assert "no experiment rows" in results
     load = doc.split("<h2>Load test</h2>")[1]
     assert "<th>throughput_rps</th>" in load
+
+
+def test_phase_bar_stacks_disjoint_phases_and_reads_t_total(tmp_path):
+    _write_run(tmp_path)
+    row = {"benchmark": "gap", "target": "L", "t_baseline": 0.5,
+           "t_profile": 0.25, "t_select": 0.5, "t_augment": 0.25,
+           "t_simulate": 0.5, "t_total": 2.0, "t_trace": 0.75,
+           "t_analysis": 0.5, "t_sim": 1.25}
+    with open(tmp_path / "results.jsonl", "w") as fh:
+        fh.write(json.dumps(row) + "\n")
+    doc = render_html(load_run(str(tmp_path)))
+    _assert_well_formed(doc)
+    phases = doc.split("<h2>Phase timings</h2>")[1].split("<h2>")[0]
+    assert "(2.00s)" in phases
+    for alias in ("trace", "analysis", "sim", "total"):
+        assert f"title=\"{alias}:" not in phases
+        assert f"</span>{alias}</span>" not in phases
+    assert "title=\"select: 25.00%\"" in phases

@@ -77,24 +77,39 @@ def test_run_table_appends_and_reuses_header(tmp_path):
     w1.add_row({"benchmark": "a", "target": "L", "speedup_pct": 1.0})
     w1.finalize()
 
-    # A second run into the same directory appends; its extra column is
-    # dropped so the accumulated table stays rectangular.
+    # A second run into the same directory appends; its extra column
+    # widens the header after the existing ones, and the earlier row is
+    # padded so the accumulated table stays rectangular.
     w2 = RunWriter(out, command="run")
     w2.add_row({"benchmark": "b", "target": "E", "speedup_pct": 2.0,
                 "new_col": 9})
     w2.finalize()
 
+    # A third run with no new column appends under the reused header.
+    w3 = RunWriter(out, command="run")
+    w3.add_row({"benchmark": "c", "target": "O"})
+    w3.finalize()
+
     with open(f"{out}/run_table.csv", newline="") as fh:
         lines = fh.read().splitlines()
-    assert len(lines) == 3  # one header + two rows
+    assert len(lines) == 4  # one header + three rows
+    assert lines[0] == "run_id,command,benchmark,target,speedup_pct,new_col"
     with open(f"{out}/run_table.csv", newline="") as fh:
         table = list(csv.DictReader(fh))
-    assert [r["benchmark"] for r in table] == ["a", "b"]
-    assert "new_col" not in table[0]
-    # results.jsonl accumulates too, keeping the dropped column.
+    assert [r["benchmark"] for r in table] == ["a", "b", "c"]
+    assert [r["new_col"] for r in table] == ["", "9", ""]
+    assert [r["speedup_pct"] for r in table] == ["1.0", "2.0", ""]
+    assert len({r["run_id"] for r in table}) == 3
     results = open(f"{out}/results.jsonl").read().splitlines()
-    assert len(results) == 2
+    assert len(results) == 3
     assert json.loads(results[1])["new_col"] == 9
+
+
+def test_default_run_ids_are_unique_within_a_process(tmp_path):
+    started = 1_790_000_000.0
+    ids = {RunWriter(str(tmp_path / "x"), started=started).run_id
+           for _ in range(3)}
+    assert len(ids) == 3
 
 
 def test_run_ids_embed_timestamp(tmp_path):

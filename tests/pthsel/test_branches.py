@@ -69,7 +69,8 @@ def test_expanded_hints_target_future_instances(bzip2_setup):
             if final.hint_branch_seq >= 0:
                 assert final.hint_branch_seq > spawn.trigger_seq
                 checked += 1
-                if trace[final.hint_branch_seq].taken == final.hint_taken:
+                taken = trace.columns.taken[final.hint_branch_seq]
+                if taken == final.hint_taken:
                     correct += 1
     assert checked > 100
     # Pre-computed outcomes overwhelmingly match the actual directions.

@@ -2,7 +2,7 @@
 
 from repro.frontend import interpret
 from repro.isa.builder import ProgramBuilder
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import CODE_BY_OP, LD_CODE, OPS_BY_CODE, Op
 from repro.isa.registers import Reg
 from repro.slicer import backward_slice
 
@@ -28,14 +28,14 @@ def _gather_loop(n=20):
 
 def test_slice_starts_with_the_seed():
     trace = _gather_loop()
-    gather_seq = [d.seq for d in trace if d.is_load][3]
+    gather_seq = [s for s, c in enumerate(trace.columns.op_code) if c == LD_CODE][3]
     s = backward_slice(trace, gather_seq)
     assert s[0] == gather_seq
 
 
 def test_slice_is_descending_and_unique():
     trace = _gather_loop()
-    gather_seq = [d.seq for d in trace if d.is_load][-1]
+    gather_seq = [s for s, c in enumerate(trace.columns.op_code) if c == LD_CODE][-1]
     s = backward_slice(trace, gather_seq)
     assert s == sorted(s, reverse=True)
     assert len(set(s)) == len(s)
@@ -43,11 +43,11 @@ def test_slice_is_descending_and_unique():
 
 def test_slice_follows_address_chain_through_inductions():
     trace = _gather_loop()
-    gather_seqs = [d.seq for d in trace if d.is_load and trace[d.seq].pc ==
-                   trace[[x.seq for x in trace if x.is_load][1]].pc]
+    loads = [s for s, c in enumerate(trace.columns.op_code) if c == LD_CODE]
+    gather_seqs = trace.occurrences(trace.columns.pc[loads[1]])
     seq = gather_seqs[5]
     s = backward_slice(trace, seq)
-    ops = [trace[x].op for x in s]
+    ops = [OPS_BY_CODE[trace.columns.op_code[x]] for x in s]
     # Must contain the gather, the shift, the idx load, and inductions.
     assert ops[0] is Op.LD
     assert Op.SHLI in ops
@@ -57,15 +57,16 @@ def test_slice_follows_address_chain_through_inductions():
 
 def test_slice_excludes_consumers():
     trace = _gather_loop()
-    gather_seq = [d.seq for d in trace if d.is_load][-1]
+    gather_seq = [s for s, c in enumerate(trace.columns.op_code) if c == LD_CODE][-1]
     s = backward_slice(trace, gather_seq)
-    add_seqs = {d.seq for d in trace if d.op is Op.ADD}
+    add_seqs = {s for s, c in enumerate(trace.columns.op_code)
+                if c == CODE_BY_OP[Op.ADD]}
     assert not (set(s) & add_seqs)
 
 
 def test_window_truncates_history():
     trace = _gather_loop(n=40)
-    gather_seq = [d.seq for d in trace if d.is_load][-1]
+    gather_seq = [s for s, c in enumerate(trace.columns.op_code) if c == LD_CODE][-1]
     wide = backward_slice(trace, gather_seq, window=100_000, max_insts=64)
     narrow = backward_slice(trace, gather_seq, window=10, max_insts=64)
     assert len(narrow) < len(wide)
@@ -74,6 +75,6 @@ def test_window_truncates_history():
 
 def test_max_insts_cap():
     trace = _gather_loop(n=40)
-    gather_seq = [d.seq for d in trace if d.is_load][-1]
+    gather_seq = [s for s, c in enumerate(trace.columns.op_code) if c == LD_CODE][-1]
     s = backward_slice(trace, gather_seq, max_insts=5)
     assert len(s) == 5

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.isa.builder import WORD_BYTES, ProgramBuilder
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import CODE_BY_OP, LD_CODE, Op
 from repro.workloads.generators import (
     RegAlloc,
     emit_compute_chain,
@@ -97,7 +97,9 @@ class TestEmitters:
         b.halt()
         trace = interpret(b.build())
         base = b.data.base("probe")
-        offsets = {d.addr - base for d in trace if d.is_load}
+        c = trace.columns
+        offsets = {addr - base for addr, code in zip(c.addr, c.op_code)
+                   if code == LD_CODE}
         assert all(0 <= off < (1 << 10) * 8 for off in offsets)
         assert all(off % 8 == 0 for off in offsets)
         assert len(offsets) > 50  # well spread
@@ -130,4 +132,5 @@ class TestEmitters:
         loop_footer(b, top, Reg.r1, Reg.r2)
         b.halt()
         trace = interpret(b.build())
-        assert sum(1 for d in trace if d.op is Op.NOP) == 7
+        nop = CODE_BY_OP[Op.NOP]
+        assert trace.columns.op_code.count(nop) == 7

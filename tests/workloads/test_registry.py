@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.frontend import interpret
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import CODE_BY_OP, Op
 from repro.workloads import benchmark_names, get_program, input_set
 
 
@@ -30,7 +30,7 @@ def test_unknown_input_raises():
 
 def test_every_benchmark_halts(traced):
     _, trace = traced
-    assert trace.insts[-1].op is Op.HALT
+    assert trace.columns.op_code[-1] == CODE_BY_OP[Op.HALT]
 
 
 def test_every_benchmark_has_annotated_problem_load(traced):
@@ -50,7 +50,8 @@ def test_problem_loads_have_spread_addresses(traced):
     them miss in a 256KB L2)."""
     prog, trace = traced
     problem_pcs = {i.pc for i in prog if i.annotation.startswith("problem:")}
-    addrs = {d.addr for d in trace if d.pc in problem_pcs}
+    addrs = {trace.columns.addr[seq]
+             for pc in problem_pcs for seq in trace.occurrences(pc)}
     lines = {a >> 6 for a in addrs}
     assert len(lines) > 2000, f"{prog.name}: only {len(lines)} distinct lines"
 
